@@ -176,9 +176,7 @@ def cmd_rs(args) -> int:
 
 
 def cmd_rs_inverse(args) -> int:
-    obj = _load_json(_read_input(args.chains))
-    left = ser.obj_to_chain(obj["left"] if "left" in obj else obj[0])
-    right = ser.obj_to_chain(obj["right"] if "right" in obj else obj[1])
+    left, right = ser.obj_to_rs_chains(_load_json(_read_input(args.chains)))
     p = rw.rs_inverse(left, right)
     _emit(args, {"schema": ser.SCHEMAS["rs"], "perm": list(p)})
     return 0

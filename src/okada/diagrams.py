@@ -18,14 +18,26 @@ Fibonacci set, halves with equal label sets glue back uniquely, and rank
 restrictions of a half diagram trace out a saturated chain in the
 Young-Fibonacci lattice.
 
-Values are immutable and hashable; arcs are kept in a canonical sorted
-order so equal diagrams compare and hash equal.
+An :class:`ArcDiagram` is stored flat: boundary position ``p`` in
+``0 .. 2n-1`` is node ``p + 1`` for ``p < n`` and node ``p - 2n``
+otherwise, so positions follow the boundary order.  ``partner[p]`` is
+the position matched to ``p`` and ``height[p]`` the label of that arc.
+Equality and hashing use ``(rank, partner, height)``; ``arcs`` is
+derived on demand in the canonical order (sorted by the earlier end).
+Values are immutable and hashable.
+
+Input is checked once, where it enters: the public ``ArcDiagram(rank,
+arcs)`` constructor checks the perfect matching and the label types,
+and the parsers in :mod:`okada.serialize` also run :func:`validate`.
+Diagrams built here from other diagrams (:func:`compose`, :func:`glue`,
+:func:`mirror`, :func:`peel`, ...) skip those checks and only assert
+that every position was matched.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .errors import (
@@ -49,6 +61,7 @@ __all__ = [
     "validate_half",
     "identity",
     "generator",
+    "has_iota_arc",
     "iota",
     "iota_inverse",
     "mirror",
@@ -89,26 +102,29 @@ def order_key(e: int, n: int) -> int:
     return e if e > 0 else 2 * n + 1 + e
 
 
-@dataclass(frozen=True)
 class ArcDiagram:
-    """Immutable arc diagram in canonical form.
+    """Immutable arc diagram in the flat partner/height form.
 
-    Construction checks that the arcs form a perfect matching with
-    positive integer labels; the height and crossing conditions are
-    checked by :func:`validate` so that invalid labelings can still be
-    represented and diagnosed.
+    ``ArcDiagram(rank, arcs)`` checks that the arcs form a perfect
+    matching with positive integer labels; the height and crossing
+    conditions are checked by :func:`validate` so that invalid labelings
+    can still be represented and diagnosed.
     """
 
-    rank: int
-    arcs: tuple[Arc, ...]
+    __slots__ = ("rank", "partner", "height")
 
-    def __post_init__(self) -> None:
-        n = self.rank
+    rank: int
+    partner: tuple[int, ...]
+    height: tuple[int, ...]
+
+    def __init__(self, rank: int, arcs) -> None:
+        n = rank
         if n < 0:
             raise ValueError("rank must be non-negative")
-        fixed = []
+        partner: list[int | None] = [None] * (2 * n)
+        height: list[int | None] = [None] * (2 * n)
         seen = set()
-        for a, b, h in self.arcs:
+        for a, b, h in arcs:
             for e in (a, b):
                 if e == 0 or not -n <= e <= n:
                     raise ValueError(f"endpoint {e} out of range for rank {n}")
@@ -117,25 +133,76 @@ class ArcDiagram:
                 seen.add(e)
             if not (isinstance(h, int) and h >= 1):
                 raise ValueError(f"height must be a positive integer, got {h!r}")
-            if order_key(a, n) > order_key(b, n):
-                a, b = b, a
-            fixed.append(Arc(a, b, h))
+            p, q = order_key(a, n) - 1, order_key(b, n) - 1
+            partner[p], partner[q] = q, p
+            height[p] = height[q] = h
         if len(seen) != 2 * n:
             raise ValueError(f"not a perfect matching of {2 * n} endpoints")
-        fixed.sort(key=lambda arc: order_key(arc.lo, n))
-        object.__setattr__(self, "arcs", tuple(fixed))
+        _set_rank(self, n)
+        _set_partner(self, tuple(partner))
+        _set_height(self, tuple(height))
 
-    def partner_map(self) -> dict[int, tuple[int, int]]:
-        """endpoint -> (other endpoint, height)."""
-        out = {}
-        for a, b, h in self.arcs:
-            out[a] = (b, h)
-            out[b] = (a, h)
-        return out
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        """The arcs in canonical order: sorted by their earlier end."""
+        n = self.rank
+        return tuple(
+            Arc(_node(p, n), _node(q, n), self.height[p])
+            for p, q in enumerate(self.partner)
+            if p < q
+        )
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ArcDiagram:
+            return NotImplemented
+        return (
+            self.rank == other.rank
+            and self.partner == other.partner
+            and self.height == other.height
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.partner, self.height))
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"ArcDiagram is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"ArcDiagram is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return _from_arrays, (self.rank, self.partner, self.height)
 
     def __repr__(self) -> str:
         body = ", ".join(f"({a},{b})h{h}" for a, b, h in self.arcs)
         return f"ArcDiagram({self.rank}: {body})"
+
+
+_set_rank = ArcDiagram.rank.__set__
+_set_partner = ArcDiagram.partner.__set__
+_set_height = ArcDiagram.height.__set__
+
+
+def _node(p: int, n: int) -> int:
+    """Boundary node at position ``p`` (inverse of ``order_key(e, n) - 1``)."""
+    return p + 1 if p < n else p - 2 * n
+
+
+def _from_arrays(n: int, partner, height) -> ArcDiagram:
+    """Trusted constructor for diagrams the library builds itself.
+
+    Skips the checks of ``ArcDiagram(rank, arcs)`` and only asserts that
+    every one of the ``2n`` positions was matched and labelled.
+    """
+    if len(partner) != 2 * n or None in partner or None in height:
+        raise InternalInvariantError(
+            f"rank-{n} diagram built with unmatched positions: {partner} {height}"
+        )
+    d = object.__new__(ArcDiagram)
+    _set_rank(d, n)
+    _set_partner(d, tuple(partner))
+    _set_height(d, tuple(height))
+    return d
 
 
 @dataclass(frozen=True)
@@ -276,36 +343,59 @@ def validate_half(h: HalfArcDiagram) -> bool:
 
 def identity(n: int) -> ArcDiagram:
     """Unit of the rank-``n`` monoid: propagating arcs ``h(a, -a) = a``."""
-    return ArcDiagram(n, tuple(Arc(a, -a, a) for a in range(1, n + 1)))
+    if n < 0:
+        raise ValueError("rank must be non-negative")
+    labels = tuple(range(1, n + 1))
+    return _from_arrays(n, range(2 * n - 1, -1, -1), labels + labels[::-1])
 
 
+@lru_cache(maxsize=None)
 def generator(i: int, n: int) -> ArcDiagram:
     """The elementary diagram with cups ``(i, i+1)`` and ``(-i, -(i+1))`` at height ``i``."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for rank {n}")
-    arcs = [Arc(j, -j, j) for j in range(1, n + 1) if j not in (i, i + 1)]
-    arcs.append(Arc(i, i + 1, i))
-    arcs.append(Arc(-i, -(i + 1), i))
-    return ArcDiagram(n, tuple(arcs))
+    last = 2 * n - 1
+    unit = identity(n)
+    partner, height = list(unit.partner), list(unit.height)
+    partner[i - 1], partner[i] = i, i - 1
+    partner[last - i], partner[last - i + 1] = last - i + 1, last - i
+    height[i - 1] = height[i] = height[last - i] = height[last - i + 1] = i
+    return _from_arrays(n, partner, height)
+
+
+def has_iota_arc(d: ArcDiagram) -> bool:
+    """True iff ``d`` contains the outer propagating arc ``h(n, -n) = n``."""
+    n = d.rank
+    return n >= 1 and d.partner[n - 1] == n and d.height[n - 1] == n
 
 
 def iota(d: ArcDiagram) -> ArcDiagram:
     """Embed rank ``n`` into rank ``n+1`` by adding ``h(n+1, -(n+1)) = n+1``."""
     n = d.rank
-    return ArcDiagram(n + 1, d.arcs + (Arc(n + 1, -(n + 1), n + 1),))
+    partner = [q if q < n else q + 2 for q in d.partner]
+    partner[n:n] = (n + 1, n)
+    return _from_arrays(n + 1, partner, d.height[:n] + (n + 1, n + 1) + d.height[n:])
 
 
 def iota_inverse(d: ArcDiagram) -> ArcDiagram:
     """Remove the outer propagating arc ``h(n, -n) = n`` (must be present)."""
     n = d.rank
-    if (n, -n, n) not in d.arcs:
+    if not has_iota_arc(d):
         raise ValueError(f"diagram has no arc h({n},{-n})={n} to strip")
-    return ArcDiagram(n - 1, tuple(a for a in d.arcs if a != (n, -n, n)))
+    return _drop_pair(d, n - 1)
+
+
+def _drop_pair(d: ArcDiagram, a: int) -> ArcDiagram:
+    """Delete the arc joining positions ``a`` and ``a + 1`` and close the gap."""
+    partner = [q if q < a else q - 2 for q in d.partner]
+    del partner[a : a + 2]
+    return _from_arrays(d.rank - 1, partner, d.height[:a] + d.height[a + 2 :])
 
 
 def mirror(d: ArcDiagram) -> ArcDiagram:
     """Horizontal reflection: negate every endpoint, keep the labels."""
-    return ArcDiagram(d.rank, tuple(Arc(-a, -b, h) for a, b, h in d.arcs))
+    last = 2 * d.rank - 1
+    return _from_arrays(d.rank, [last - q for q in reversed(d.partner)], d.height[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +404,16 @@ def mirror(d: ArcDiagram) -> ArcDiagram:
 
 def bra(d: ArcDiagram) -> HalfArcDiagram:
     """Positive half: full arcs keep both ends, propagating arcs keep labels."""
+    n = d.rank
     fulls = []
     halves = []
-    for a, b, h in d.arcs:
-        if a > 0 and b > 0:
-            fulls.append(Arc(a, b, h))
-        elif a > 0:
-            halves.append(HalfArc(a, h))
-        elif b > 0:
-            halves.append(HalfArc(b, h))
-    return HalfArcDiagram(d.rank, tuple(fulls), tuple(halves))
+    for p in range(n):
+        q = d.partner[p]
+        if q >= n:
+            halves.append(HalfArc(p + 1, d.height[p]))
+        elif p < q:
+            fulls.append(Arc(p + 1, q + 1, d.height[p]))
+    return HalfArcDiagram(n, tuple(fulls), tuple(halves))
 
 
 def ket(d: ArcDiagram) -> HalfArcDiagram:
@@ -333,9 +423,12 @@ def ket(d: ArcDiagram) -> HalfArcDiagram:
 
 def prop_lab(obj: ArcDiagram | HalfArcDiagram) -> FibonacciSet:
     """Propagating label set; a Fibonacci set of the object's rank."""
+    n = obj.rank
     if isinstance(obj, ArcDiagram):
-        obj = bra(obj)
-    return FibonacciSet(obj.rank, tuple(sorted(h for _, h in obj.half_arcs)))
+        labels = [h for q, h in zip(obj.partner[:n], obj.height) if q >= n]
+    else:
+        labels = [h for _, h in obj.half_arcs]
+    return FibonacciSet(n, tuple(sorted(labels)))
 
 
 def glue(left: HalfArcDiagram, right: HalfArcDiagram) -> ArcDiagram:
@@ -347,16 +440,27 @@ def glue(left: HalfArcDiagram, right: HalfArcDiagram) -> ArcDiagram:
     """
     if left.rank != right.rank:
         raise RankMismatchError(f"ranks {left.rank} and {right.rank} differ")
-    lh = sorted(left.half_arcs)
-    rh = sorted(right.half_arcs)
+    lh, rh = left.half_arcs, right.half_arcs  # sorted by node
     if [h for _, h in lh] != [h for _, h in rh]:
         raise PropagatingMismatchError(
             f"propagating labels differ: {[h for _, h in lh]} vs {[h for _, h in rh]}"
         )
-    arcs = list(left.full_arcs)
-    arcs.extend(Arc(-a, -b, h) for a, b, h in right.full_arcs)
-    arcs.extend(Arc(a, -b, h) for (a, h), (b, _) in zip(lh, rh))
-    return ArcDiagram(left.rank, tuple(arcs))
+    n = left.rank
+    last = 2 * n - 1
+    partner: list[int | None] = [None] * (2 * n)
+    height: list[int | None] = [None] * (2 * n)
+    for a, b, h in left.full_arcs:
+        partner[a - 1], partner[b - 1] = b - 1, a - 1
+        height[a - 1] = height[b - 1] = h
+    for a, b, h in right.full_arcs:
+        p, q = last - a + 1, last - b + 1
+        partner[p], partner[q] = q, p
+        height[p] = height[q] = h
+    for (a, h), (b, _) in zip(lh, rh):
+        p, q = a - 1, last - b + 1
+        partner[p], partner[q] = q, p
+        height[p] = height[q] = h
+    return _from_arrays(n, partner, height)
 
 
 def restrict(h: HalfArcDiagram, r: int) -> HalfArcDiagram:
@@ -404,90 +508,82 @@ def compose(c: ArcDiagram, d: ArcDiagram) -> tuple[ArcDiagram, tuple[LoopRecord,
     Returns the composite diagram together with the multiset of loop
     heights (aggregated per height, sorted).  Arc and loop heights are
     the minimum over their constituent fragments.
+
+    Middle node ``k`` is position ``k - 1`` of ``d`` and position
+    ``2n - k`` of ``c``; the result keeps the positions ``< n`` of ``c``
+    and ``>= n`` of ``d``.  Every arc of ``c`` and ``d`` is walked once:
+    strands from the left boundary, then from the right, then the
+    closed loops through the middle nodes not yet seen.
     """
     if c.rank != d.rank:
         raise RankMismatchError(f"ranks {c.rank} and {d.rank} differ")
     n = c.rank
-    cp = c.partner_map()
-    dp = d.partner_map()
-    used_left: set[int] = set()
-    used_right: set[int] = set()
-    mid_seen: set[int] = set()
-    arcs: list[Arc] = []
+    last = 2 * n - 1
+    cp, ch = c.partner, c.height
+    dp, dh = d.partner, d.height
+    partner: list[int | None] = [None] * (2 * n)
+    height: list[int | None] = [None] * (2 * n)
+    seen = [False] * n  # middle nodes, by position in d
 
-    def walk_from_mid(side: str, k: int, h: int) -> tuple[int, int, int]:
-        """Follow the strand entering the middle column at node ``k``.
-
-        ``side`` is the model about to be traversed ('D' when coming
-        from c, 'C' when coming from d).  Returns (endpoint, sign-side,
-        height): sign-side +1 for the left boundary, -1 for the right.
-        """
-        while True:
-            mid_seen.add(k)
-            if side == "D":
-                v, hh = dp[k]
-                h = min(h, hh)
-                if v < 0:
-                    return v, -1, h
-                side, k = "C", v
-            else:
-                v, hh = cp[-k]
-                h = min(h, hh)
-                if v > 0:
-                    return v, +1, h
-                side, k = "D", -v
-
-    for a in range(1, n + 1):
-        if a in used_left:
+    for p in range(n):
+        if partner[p] is not None:
             continue
-        v, h = cp[a]
-        if v > 0:
-            used_left.update((a, v))
-            arcs.append(Arc(a, v, h))
-        else:
-            end, sign, hh = walk_from_mid("D", -v, h)
-            used_left.add(a)
-            if sign > 0:
-                used_left.add(end)
-            else:
-                used_right.add(end)
-            arcs.append(Arc(a, end, hh))
-    for b in range(-1, -n - 1, -1):
-        if b in used_right:
-            continue
-        v, h = dp[b]
-        if v < 0:
-            used_right.update((b, v))
-            arcs.append(Arc(b, v, h))
-        else:
-            end, sign, hh = walk_from_mid("C", v, h)
-            if sign > 0:
-                raise InternalInvariantError("strand from the right exited left")
-            used_right.update((b, end))
-            arcs.append(Arc(b, end, hh))
-
-    loops: Counter[int] = Counter()
-    for k in range(1, n + 1):
-        if k in mid_seen:
-            continue
-        h = None
-        side, cur = "D", k
-        while True:
-            mid_seen.add(cur)
-            if side == "D":
-                v, hh = dp[cur]
-                h = hh if h is None else min(h, hh)
-                side, cur = "C", v
-            else:
-                v, hh = cp[-cur]
-                h = hh if h is None else min(h, hh)
-                side, cur = "D", -v
-            if cur == k and side == "D":
+        q, h = cp[p], ch[p]
+        while q >= n:  # through middle node last - q into d
+            m = last - q
+            seen[m] = True
+            r = dp[m]
+            if dh[m] < h:
+                h = dh[m]
+            if r >= n:
+                q = r
                 break
-        loops[h] += 1
+            seen[r] = True
+            q = cp[last - r]
+            if ch[last - r] < h:
+                h = ch[last - r]
+        partner[p], partner[q] = q, p
+        height[p] = height[q] = h
+    for p in range(n, 2 * n):
+        if partner[p] is not None:
+            continue
+        r, h = dp[p], dh[p]
+        while r < n:  # through middle node r into c
+            seen[r] = True
+            q = cp[last - r]
+            if ch[last - r] < h:
+                h = ch[last - r]
+            if q < n:
+                raise InternalInvariantError("strand from the right exited left")
+            m = last - q
+            seen[m] = True
+            r = dp[m]
+            if dh[m] < h:
+                h = dh[m]
+        partner[p], partner[r] = r, p
+        height[p] = height[r] = h
+
+    loops: dict[int, int] = {}
+    for m in range(n):
+        if seen[m]:
+            continue
+        seen[m] = True
+        h, r = dh[m], dp[m]
+        while True:
+            seen[r] = True
+            if ch[last - r] < h:
+                h = ch[last - r]
+            k = last - cp[last - r]
+            if k == m:
+                break
+            seen[k] = True
+            if dh[k] < h:
+                h = dh[k]
+            r = dp[k]
+        loops[h] = loops.get(h, 0) + 1
 
     records = tuple(LoopRecord(h, loops[h]) for h in sorted(loops))
-    return ArcDiagram(n, tuple(arcs)), records
+    return _from_arrays(n, partner, height), records
 
 
 def product_y1(c: ArcDiagram, d: ArcDiagram) -> tuple[Polynomial, ArcDiagram]:
@@ -510,38 +606,18 @@ def peel(d: ArcDiagram) -> tuple[ArcDiagram, int]:
     that with :func:`iota_inverse` instead).  ``I`` is the largest index
     with ``h(-I, -(I+1)) = I`` present; the returned diagram ``flat``
     of rank ``n - 1`` is the unique one with
-    ``d = iota(flat) * G_{n-1} * ... * G_I``.
+    ``d = iota(flat) * G_{n-1} * ... * G_I``.  In positions this drops
+    the cap and renumbers the rest in order, which sends node ``n`` to
+    node ``-(n-1)``.
     """
     n = d.rank
-    pm = d.partner_map()
-    if n >= 1 and pm.get(n) == (-n, n):
+    if has_iota_arc(d):
         raise ValueError(f"diagram contains h({n},{-n})={n}; apply iota_inverse")
-    start = None
     for i in range(n - 1, 0, -1):
-        if pm.get(-i) == (-(i + 1), i):
-            start = i
-            break
-    if start is None:
-        raise InternalInvariantError(f"no peelable arc in {d!r}")
-
-    def relabel(e: int) -> int:
-        if e == n:
-            return -(n - 1)
-        if e > 0:
-            return e
-        m = -e
-        if m < start:
-            return e
-        if m >= start + 2:
-            return -(m - 2)
-        raise InternalInvariantError(f"endpoint {e} should have been consumed")
-
-    arcs = [
-        Arc(relabel(a), relabel(b), h)
-        for a, b, h in d.arcs
-        if (a, b) != (-(start + 1), -start)
-    ]
-    return ArcDiagram(n - 1, tuple(arcs)), start
+        a = 2 * n - i - 1  # position of node -(i+1)
+        if d.partner[a] == a + 1 and d.height[a] == i:
+            return _drop_pair(d, a), i
+    raise InternalInvariantError(f"no peelable arc in {d!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -379,7 +379,7 @@ def diagram_to_perm(d) -> Perm:
     cvec = [0] * n
     cur = d
     for r in range(n, 0, -1):
-        if (r, -r, r) in cur.arcs:
+        if diagrams.has_iota_arc(cur):
             cur = diagrams.iota_inverse(cur)
         else:
             cur, start = diagrams.peel(cur)

@@ -14,16 +14,21 @@ downstream fixtures can reject drift.  Shapes:
 * algebra element: ``[{"perm": [...], "coeff": [{"x": [...], "y": [...],
   "c": m}, ...]}, ...]`` (one term object per monomial of the coefficient)
 
-Parsing raises ``ValueError`` on malformed input.
+Parsing is the input boundary: it raises ``ValueError`` on malformed
+input, including a JSON value of the wrong shape, a diagram or half
+diagram that fails :func:`~okada.diagrams.validate` or
+:func:`~okada.diagrams.validate_half`, and a basis index that is not a
+permutation.  The library itself can still build invalid labellings.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Any
 
 from .algebra import AlgebraElement
-from .diagrams import Arc, ArcDiagram, HalfArc, HalfArcDiagram
+from .diagrams import Arc, ArcDiagram, HalfArc, HalfArcDiagram, half_violations, violations
 from .fibonacci import Chain, FibonacciSet
 from .polynomials import Polynomial
 from .rewriting import NormalizationResult, Perm
@@ -52,6 +57,20 @@ def _expect(obj: Any, key: str):
     return obj[key]
 
 
+def _parser(parse):
+    """Report a JSON value of the wrong shape (a number where an object
+    belongs, a missing list item, ...) as ``ValueError``."""
+
+    @functools.wraps(parse)
+    def checked(obj):
+        try:
+            return parse(obj)
+        except (AttributeError, IndexError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed input to {parse.__name__}: {exc!r}") from exc
+
+    return checked
+
+
 def _check_schema(obj: dict, kind: str) -> None:
     tag = obj.get("schema")
     if tag is not None and tag != SCHEMAS[kind]:
@@ -65,6 +84,7 @@ def fibset_to_obj(s: FibonacciSet) -> dict:
     return {"schema": SCHEMAS["fibset"], "rank": s.rank, "elements": list(s.elements)}
 
 
+@_parser
 def obj_to_fibset(obj: dict) -> FibonacciSet:
     _check_schema(obj, "fibset")
     return FibonacciSet(int(_expect(obj, "rank")), tuple(int(x) for x in _expect(obj, "elements")))
@@ -81,13 +101,18 @@ def diagram_to_obj(d: ArcDiagram) -> dict:
     }
 
 
+@_parser
 def obj_to_diagram(obj: dict) -> ArcDiagram:
     _check_schema(obj, "diagram")
     arcs = tuple(
         Arc(int(rec["ends"][0]), int(rec["ends"][1]), int(rec["height"]))
         for rec in _expect(obj, "arcs")
     )
-    return ArcDiagram(int(_expect(obj, "rank")), arcs)
+    d = ArcDiagram(int(_expect(obj, "rank")), arcs)
+    problems = violations(d)
+    if problems:
+        raise ValueError("invalid diagram: " + "; ".join(problems))
+    return d
 
 
 def half_to_obj(h: HalfArcDiagram) -> dict:
@@ -99,6 +124,7 @@ def half_to_obj(h: HalfArcDiagram) -> dict:
     }
 
 
+@_parser
 def obj_to_half(obj: dict) -> HalfArcDiagram:
     _check_schema(obj, "half")
     fulls = tuple(
@@ -108,7 +134,11 @@ def obj_to_half(obj: dict) -> HalfArcDiagram:
     halves = tuple(
         HalfArc(int(rec["end"]), int(rec["height"])) for rec in _expect(obj, "half_arcs")
     )
-    return HalfArcDiagram(int(_expect(obj, "rank")), fulls, halves)
+    h = HalfArcDiagram(int(_expect(obj, "rank")), fulls, halves)
+    problems = half_violations(h)
+    if problems:
+        raise ValueError("invalid half diagram: " + "; ".join(problems))
+    return h
 
 
 # -- chains ------------------------------------------------------------------
@@ -121,6 +151,7 @@ def chain_to_obj(c: Chain) -> dict:
     }
 
 
+@_parser
 def obj_to_chain(obj: dict) -> Chain:
     _check_schema(obj, "chain")
     sets = tuple(
@@ -128,6 +159,17 @@ def obj_to_chain(obj: dict) -> Chain:
         for rec in _expect(obj, "sets")
     )
     return Chain(sets)
+
+
+@_parser
+def obj_to_rs_chains(obj: dict | list) -> tuple[Chain, Chain]:
+    """The chain pair of an RS object, or of a two-item ``[left, right]`` list."""
+    if isinstance(obj, dict):
+        _check_schema(obj, "rs")
+        return obj_to_chain(_expect(obj, "left")), obj_to_chain(_expect(obj, "right"))
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise ValueError("expected an RS object or a [left, right] list of chains")
+    return obj_to_chain(obj[0]), obj_to_chain(obj[1])
 
 
 # -- polynomials and normalization results -----------------------------------
@@ -191,12 +233,13 @@ def element_to_obj(a: AlgebraElement) -> dict:
     }
 
 
+@_parser
 def obj_to_element(obj: dict) -> AlgebraElement:
     _check_schema(obj, "element")
     rank = int(_expect(obj, "rank"))
     coeffs = {}
     for rec in _expect(obj, "terms"):
-        p: Perm = tuple(int(v) for v in rec["perm"])
+        p: Perm = _check_perm(tuple(int(v) for v in rec["perm"]))
         coeffs[p] = terms_to_poly(rec["coeff"])
     return AlgebraElement(rank, coeffs)
 
@@ -211,7 +254,10 @@ def parse_word(text: str) -> tuple[int, ...]:
 
 
 def parse_perm(text: str) -> Perm:
-    p = tuple(int(tok) for tok in text.replace(",", " ").split())
+    return _check_perm(tuple(int(tok) for tok in text.replace(",", " ").split()))
+
+
+def _check_perm(p: Perm) -> Perm:
     if sorted(p) != list(range(1, len(p) + 1)):
         raise ValueError(f"not a permutation of 1..{len(p)}: {p}")
     return p

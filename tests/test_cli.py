@@ -255,3 +255,41 @@ def test_internal_invariant_exit_code(monkeypatch):
     rc, _, err = run(["green", "--n", "3"])
     assert rc == 4
     assert "internal invariant" in err
+
+
+def test_invalid_objects_rejected_at_the_parse_boundary():
+    crossing = json.dumps(
+        {"rank": 2, "arcs": [{"ends": [1, -2], "height": 1}, {"ends": [2, -1], "height": 1}]}
+    )
+    mislabelled = json.dumps(
+        {"rank": 2, "arcs": [{"ends": [1, -1], "height": 2}, {"ends": [2, -2], "height": 2}]}
+    )
+    crossing_half = json.dumps(
+        {
+            "rank": 4,
+            "full_arcs": [{"ends": [1, 3], "height": 1}, {"ends": [2, 4], "height": 2}],
+            "half_arcs": [],
+        }
+    )
+    bad_basis = json.dumps(
+        {"rank": 2, "terms": [{"perm": [1, 1], "coeff": [{"x": [0], "y": [], "c": 1}]}]}
+    )
+    gen = json.dumps(
+        {"rank": 2, "terms": [{"perm": [2, 1], "coeff": [{"x": [0], "y": [], "c": 1}]}]}
+    )
+    for argv in (
+        ["multiply", "monoid", crossing, crossing],
+        ["multiply", "y1", mislabelled, "1"],
+        ["render", "diagram", "--format", "svg", "--input", crossing],
+        ["render", "half", "--format", "tikz", "--input", crossing_half],
+        ["multiply", "monoid", '{"rank":2,"arcs":[5]}', "1", "--n", "2"],
+        ["multiply", "monoid", "[1, 2]", "1"],
+        ["rs-inverse", "[1]"],
+        ["rs-inverse", "7"],
+        ["rs-inverse", '{"left": 3, "right": []}'],
+        ["multiply", "generic", bad_basis, gen],
+        ["multiply", "generic", '{"rank": 2, "terms": [5]}', gen],
+    ):
+        rc, out, err = run(argv)
+        assert (rc, out) == (3, ""), (argv, rc, err)
+        assert err.startswith("invalid input:")

@@ -45,6 +45,33 @@ def test_malformed_objects_rejected():
         ser.obj_to_diagram({"schema": "okada.diagram/1", "rank": 2})
     with pytest.raises(ValueError):
         ser.obj_to_fibset({"rank": 3, "elements": [2]})
+    for parse, obj in (
+        (ser.obj_to_diagram, {"rank": 2, "arcs": [5]}),
+        (ser.obj_to_diagram, {"rank": 2, "arcs": [{"ends": [1]}]}),
+        (ser.obj_to_diagram, [1, 2]),
+        (ser.obj_to_half, {"rank": 1, "full_arcs": [], "half_arcs": [None]}),
+        (ser.obj_to_fibset, {"rank": 3, "elements": 4}),
+        (ser.obj_to_chain, 1),
+        (ser.obj_to_rs_chains, [1]),
+        (ser.obj_to_element, {"rank": 2, "terms": [{"perm": 12}]}),
+        (ser.obj_to_element, {"rank": 2, "terms": [{"perm": [1, 1], "coeff": []}]}),
+    ):
+        with pytest.raises(ValueError):
+            parse(obj)
+
+
+def test_parsers_reject_invalid_diagrams_the_library_can_represent():
+    crossing = dg.ArcDiagram(2, (dg.Arc(1, -2, 1), dg.Arc(2, -1, 1)))
+    assert any(m.startswith("crossing:") for m in dg.violations(crossing))
+    with pytest.raises(ValueError, match="crossing"):
+        ser.obj_to_diagram(ser.diagram_to_obj(crossing))
+    half = dg.HalfArcDiagram(3, (dg.Arc(1, 3, 1),), (dg.HalfArc(2, 2),))
+    assert dg.half_violations(half)
+    with pytest.raises(ValueError, match="crossing"):
+        ser.obj_to_half(ser.half_to_obj(half))
+    left, right = rs((3, 1, 2))
+    pair = {"left": ser.chain_to_obj(left), "right": ser.chain_to_obj(right)}
+    assert ser.obj_to_rs_chains(pair) == ser.obj_to_rs_chains([pair["left"], pair["right"]])
 
 
 def test_normalization_result_dense_vectors():
