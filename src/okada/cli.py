@@ -31,13 +31,38 @@ from . import serialize as ser
 from .errors import InternalInvariantError, OkadaError
 from .fibonacci import (
     FibonacciSet,
+    dominance_leq,
     dominance_meet,
     enumerate_yfs,
     free_set,
     saturated_chains,
 )
 
-_LIMITS = {"yfs": 25, "diagrams": 8, "half": 10, "chains": 10, "idempotents": 10}
+# Largest rank each request accepts: the enumerate kinds, then the
+# commands whose cost grows fastest with the rank (n!-sized monoids for
+# green, the largest cell for gram, the factorization search, products
+# of long code words for multiply and normalize, the Hasse diagrams that
+# render draws).  Each finishes within seconds at its cap.
+_LIMITS = {
+    "yfs": 25,
+    "diagrams": 8,
+    "half": 10,
+    "chains": 10,
+    "idempotents": 10,
+    "green": 8,
+    "gram": 8,
+    "factorize": 6,
+    "multiply": 32,
+    "normalize": 32,
+    "render": 16,
+}
+
+
+def _check_rank(what: str, n: int) -> int:
+    limit = _LIMITS[what]
+    if not 0 <= n <= limit:
+        raise UsageError(f"{what} supports 0 <= n <= {limit}")
+    return n
 
 
 def _parse_set(text: str, n: int) -> FibonacciSet:
@@ -61,9 +86,12 @@ def _read_input(arg: str) -> str:
         return sys.stdin.read()
     if arg.lstrip().startswith(("{", "[")):
         return arg
-    if os.path.exists(arg):
-        with open(arg, "r", encoding="utf-8") as fh:
-            return fh.read()
+    if os.path.isfile(arg):
+        try:
+            with open(arg, "r", encoding="utf-8") as fh:
+                return fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValueError(f"cannot read {arg}: {exc}") from exc
     return arg
 
 
@@ -72,10 +100,7 @@ def _read_input(arg: str) -> str:
 
 
 def cmd_enumerate(args) -> int:
-    n = args.n
-    limit = _LIMITS[args.kind]
-    if not 0 <= n <= limit:
-        raise UsageError(f"kind {args.kind} supports 0 <= n <= {limit}")
+    n = _check_rank(args.kind, args.n)
     count = 0
     if args.kind == "yfs":
         for s in enumerate_yfs(n):
@@ -119,7 +144,7 @@ def _input_to_diagram(raw: str, n: int | None) -> dg.ArcDiagram:
     if text.lstrip().startswith("{"):
         return ser.obj_to_diagram(_load_json(text))
     word = ser.parse_word(text)
-    rank = n if n is not None else max(word, default=0) + 1
+    rank = _check_rank("multiply", n if n is not None else max(word, default=0) + 1)
     d = dg.identity(rank)
     for i in word:
         d = mo.mproduct(d, dg.generator(i, rank))
@@ -132,15 +157,17 @@ def cmd_multiply(args) -> int:
         if left.lstrip().startswith("{") or right.lstrip().startswith("{"):
             a = ser.obj_to_element(_load_json(left))
             b = ser.obj_to_element(_load_json(right))
+            _check_rank("multiply", max(a.rank, b.rank))
             _emit(args, ser.element_to_obj(a * b))
             return 0
         w1, w2 = ser.parse_word(left), ser.parse_word(right)
-        n = args.n if args.n else max((*w1, *w2), default=0) + 1
-        res = rw.multiply_words(w1, w2, n)
+        n = args.n if args.n is not None else max((*w1, *w2), default=0) + 1
+        res = rw.multiply_words(w1, w2, _check_rank("multiply", n))
         _emit(args, ser.normalization_to_obj(res))
         return 0
     d1 = _input_to_diagram(args.left, args.n)
     d2 = _input_to_diagram(args.right, args.n)
+    _check_rank("multiply", d1.rank)
     if d1.rank != d2.rank:
         raise ValueError(f"rank mismatch: {d1.rank} vs {d2.rank}")
     if args.mode == "monoid":
@@ -155,8 +182,8 @@ def cmd_multiply(args) -> int:
 
 def cmd_normalize(args) -> int:
     word = ser.parse_word(args.word)
-    n = args.n if args.n else max(word, default=0) + 1
-    _emit(args, ser.normalization_to_obj(rw.normalize(word, n)))
+    n = args.n if args.n is not None else max(word, default=0) + 1
+    _emit(args, ser.normalization_to_obj(rw.normalize(word, _check_rank("normalize", n))))
     return 0
 
 
@@ -183,7 +210,7 @@ def cmd_rs_inverse(args) -> int:
 
 
 def cmd_green(args) -> int:
-    gc = mo.green_classes(args.n)
+    gc = mo.green_classes(_check_rank("green", args.n))
     if args.format == "csv":
         print("kind,index,size,rep_perm", file=args.stdout)
         for kind, classes, reps in (
@@ -249,7 +276,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    s = _parse_set(args.set, args.n)
+    s = _parse_set(args.set, _check_rank("gram", args.n))
     matrix = alg.gram_matrix(s)
     obj = {
         "schema": ser.SCHEMAS["gram"],
@@ -272,6 +299,7 @@ def cmd_gram(args) -> int:
 
 def cmd_factorize(args) -> int:
     p = ser.parse_perm(args.perm)
+    _check_rank("factorize", len(p))
     rho, s, tau = alg.triangular_factorization(p)
     _emit(
         args,
@@ -294,6 +322,13 @@ def cmd_factorize(args) -> int:
 
 def cmd_render(args) -> int:
     fmt = args.format
+    if args.kind in ("diagram", "half"):
+        if args.input is None:
+            raise UsageError(f"render {args.kind} needs --input")
+    elif args.n is None:
+        raise UsageError(f"render {args.kind} needs --n")
+    else:
+        _check_rank("render", args.n)
     if args.kind == "diagram":
         d = ser.obj_to_diagram(_load_json(_read_input(args.input)))
         out = rd.render_diagram_svg(d) if fmt == "svg" else rd.render_diagram_tikz(d)
@@ -316,6 +351,12 @@ def cmd_render(args) -> int:
     return 0
 
 
+def _require(cond: bool, what: str) -> None:
+    """Fail a selftest check; unlike ``assert`` it also runs under ``python -O``."""
+    if not cond:
+        raise InternalInvariantError(what)
+
+
 def cmd_selftest(args) -> int:
     rng = random.Random(args.seed)
     failures = 0
@@ -331,21 +372,27 @@ def cmd_selftest(args) -> int:
 
     def dims() -> None:
         for n in range(1, 6):
-            assert len(set(dg.iter_diagrams(n))) == math.factorial(n)
+            count = len(set(dg.iter_diagrams(n)))
+            _require(count == math.factorial(n), f"{count} diagrams at rank {n}")
 
     def census() -> None:
         for n in range(6):
-            assert mo.idempotent_count(n) == mo.KNOWN_IDEMPOTENT_COUNTS[n]
+            count = mo.idempotent_count(n)
+            _require(count == mo.KNOWN_IDEMPOTENT_COUNTS[n], f"{count} idempotents at rank {n}")
 
     def presentation() -> None:
         from .polynomials import x_var, y_var
 
         for n in range(2, 6):
             for i in range(1, n):
-                assert rw.normalize((i, i), n).coefficient == x_var(i)
+                r = rw.normalize((i, i), n)
+                _require(r.coefficient == x_var(i), f"E_{i} E_{i} = {r.coefficient} E_{i} at rank {n}")
             for i in range(1, n - 1):
                 r = rw.normalize((i + 1, i, i + 1), n)
-                assert r.coefficient == y_var(i) and r.word == (i + 1,)
+                _require(
+                    r.coefficient == y_var(i) and r.word == (i + 1,),
+                    f"zigzag at {i} gave {r.coefficient} * {r.word} at rank {n}",
+                )
 
     def confluence() -> None:
         for n in range(2, 6):
@@ -353,21 +400,21 @@ def cmd_selftest(args) -> int:
                 w = tuple(rng.randrange(1, n) for _ in range(rng.randrange(0, 2 * n + 3)))
                 a = rw.normalize(w, n)
                 b = rw.normalize(w, n, rng=random.Random(rng.random()))
-                assert (a.coefficient, a.perm) == (b.coefficient, b.perm)
+                _require((a.coefficient, a.perm) == (b.coefficient, b.perm), f"{w} is not confluent")
 
     def rs_roundtrip() -> None:
         for n in range(1, 6):
             for p in rw.all_perms(n):
                 left, right = rw.rs(p)
-                assert rw.rs_inverse(left, right) == p
+                _require(rw.rs_inverse(left, right) == p, f"rs roundtrip of {p}")
 
     def glue_chain() -> None:
         for n in range(1, 6):
             for h in dg.enumerate_half(n):
-                assert dg.chain_inverse(dg.chain_of(h)) == h
+                _require(dg.chain_inverse(dg.chain_of(h)) == h, f"chain roundtrip of {h!r}")
             for p in rw.all_perms(n):
                 d = rw.perm_to_diagram(p)
-                assert dg.glue(dg.bra(d), dg.ket(d)) == d
+                _require(dg.glue(dg.bra(d), dg.ket(d)) == d, f"gluing the halves of {p}")
 
     def cross_model() -> None:
         n = 4
@@ -376,25 +423,27 @@ def cmd_selftest(args) -> int:
             for q in rw.all_perms(n):
                 coeff, r = rw.multiply_perms(p, q)
                 cx, dres = dg.product_y1(rw.perm_to_diagram(p), rw.perm_to_diagram(q))
-                assert dres == rw.perm_to_diagram(r)
-                assert coeff.specialize(yones) == cx
+                _require(dres == rw.perm_to_diagram(r), f"diagram of E_{p} E_{q}")
+                _require(coeff.specialize(yones) == cx, f"coefficient of E_{p} E_{q}")
 
     def structure() -> None:
         for n in range(1, 6):
             gc = mo.green_classes(n)
-            assert len(gc.j_classes) == len(enumerate_yfs(n))
+            _require(len(gc.j_classes) == len(enumerate_yfs(n)), f"{len(gc.j_classes)} J-classes at rank {n}")
 
     def factorization() -> None:
         for p in rw.all_perms(4):
             rho, s, tau = alg.triangular_factorization(p)
-            assert rw.perm_length(rho) + rw.perm_length(tau) + len(free_set(s)) == rw.perm_length(p)
+            lengths = rw.perm_length(rho) + rw.perm_length(tau) + len(free_set(s))
+            _require(lengths == rw.perm_length(p), f"factor lengths of {p} add up to {lengths}")
 
     def lattice() -> None:
         for n in range(11):
             sets = enumerate_yfs(n)
             for a in sets:
                 for b in sets:
-                    dominance_meet(a, b)
+                    m = dominance_meet(a, b)
+                    _require(dominance_leq(m, a) and dominance_leq(m, b), f"meet of {a!r} and {b!r}")
 
     check("dimension n! (n<=5)", dims)
     check("idempotent census (n<=5)", census)

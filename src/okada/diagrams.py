@@ -121,6 +121,9 @@ class ArcDiagram:
         n = rank
         if n < 0:
             raise ValueError("rank must be non-negative")
+        arcs = tuple(arcs)
+        if len(arcs) != n:  # before allocating: the rank may be absurd
+            raise ValueError(f"not a perfect matching of {2 * n} endpoints")
         partner: list[int | None] = [None] * (2 * n)
         height: list[int | None] = [None] * (2 * n)
         seen = set()

@@ -23,12 +23,15 @@ Trace-adjacency is decided exactly:
   ``v``'s include exactly one letter from ``{v-1, v, v+1}``, namely a
   single ``v-1`` (anything further away commutes past the pattern).
 
-The result is always cross-checked against the returned code word via
-Cartier-Foata normal forms, so a silently wrong reduction cannot escape.
+Both tests are read off in one left-to-right pass per rewriting step
+(see :func:`_reduction_candidates`).  The result is always cross-checked
+against the returned code word via Cartier-Foata normal forms, so a
+silently wrong reduction cannot escape.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from dataclasses import dataclass
@@ -37,7 +40,7 @@ from typing import Sequence
 
 from .errors import InternalInvariantError
 from .fibonacci import Chain
-from .polynomials import Polynomial, x_var, y_var
+from .polynomials import Polynomial, Term, Var
 
 __all__ = [
     "Perm",
@@ -106,11 +109,15 @@ def all_perms(n: int) -> tuple[Perm, ...]:
 
 def code(p: Perm) -> tuple[int, ...]:
     """Lehmer-style code: ``c_i = #{j < i : p^-1(j) > p^-1(i)}``."""
-    pos = perm_inverse(p)
-    return tuple(
-        sum(1 for j in range(1, i) if pos[j - 1] > pos[i - 1])
-        for i in range(1, len(p) + 1)
-    )
+    # c_v counts the smaller values right of v: read p from the right,
+    # keeping the values passed so far sorted.
+    out = [0] * len(p)
+    passed: list[int] = []
+    for v in reversed(p):
+        c = bisect.bisect_left(passed, v)
+        out[v - 1] = c
+        passed.insert(c, v)
+    return tuple(out)
 
 
 def word_from_code(p: Perm) -> tuple[int, ...]:
@@ -216,23 +223,28 @@ def cartier_foata(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Cartier-Foata layers of the trace of ``word``.
 
     Letters commute iff their values differ by at least 2.  Two words
-    have equal layers iff they are equal modulo commutations.
+    have equal layers iff they are equal modulo commutations.  A letter
+    ``v`` sits one layer above the highest of the latest ``v-1``, ``v``
+    and ``v+1`` before it (earlier ones lie lower still), so one pass
+    assigns every layer.
     """
-    rem = list(word)
-    layers = []
-    while rem:
-        layer: list[int] = []
-        rest: list[int] = []
-        blocked: set[int] = set()
-        for v in rem:
-            if v in blocked:
-                rest.append(v)
-            else:
-                layer.append(v)
-            blocked.update((v - 1, v, v + 1))
-        layers.append(tuple(sorted(layer)))
-        rem = rest
-    return tuple(layers)
+    depth: dict[int, int] = {}  # value -> layer of its latest occurrence
+    get = depth.get
+    layers: list[list[int]] = []
+    for v in word:
+        d = get(v - 1, 0)
+        e = get(v, 0)
+        if e > d:
+            d = e
+        e = get(v + 1, 0)
+        if e > d:
+            d = e
+        depth[v] = d + 1
+        if d == len(layers):
+            layers.append([v])
+        else:
+            layers[d].append(v)
+    return tuple(tuple(sorted(layer)) for layer in layers)
 
 
 def trace_equal(w1: Sequence[int], w2: Sequence[int]) -> bool:
@@ -254,26 +266,33 @@ class NormalizationResult:
     perm: Perm
 
 
-def _reduction_candidates(word: tuple[int, ...]):
+def _reduction_candidates(word: Sequence[int]):
     """All one-step reductions of the trace of ``word``.
 
     Yields ``(v, p, 0, q, q)`` for a square ``E_v E_v`` at positions
     ``p < q`` and ``(v, p, 1, q, r)`` for a zigzag ``E_v E_{v-1} E_v`` at
     ``p < q < r``.  Only consecutive occurrences of a value can be
-    adjacent in the trace, so the scan is quadratic.
+    adjacent in the trace.  One pass keeps the latest position of each
+    value and, per position, the previous position of the same value:
+    between the occurrences ``p < r`` of ``v`` there is no ``v+1`` iff the
+    latest ``v+1`` lies before ``p``, and exactly one ``v-1`` iff the
+    latest ``v-1`` lies after ``p`` and its predecessor before ``p``
+    (letters are at least 1, so a ``v-1`` exists only for ``v >= 2``).
     """
     cands = []
-    last_seen: dict[int, int] = {}
-    for q, v in enumerate(word):
-        p = last_seen.get(v)
-        if p is not None:
-            between = word[p + 1 : q]
-            near = [u for u in between if abs(u - v) <= 1]
-            if not near:
-                cands.append((v, p, 0, q, q))
-            elif v >= 2 and near == [v - 1]:
-                cands.append((v, p, 1, word.index(v - 1, p + 1, q), q))
-        last_seen[v] = q
+    last = [-1] * (max(word, default=0) + 2)  # value -> latest position
+    prev = []  # position -> previous position of the same value
+    for r, v in enumerate(word):
+        p = last[v]
+        prev.append(p)
+        last[v] = r
+        if p < 0 or last[v + 1] > p:
+            continue
+        q = last[v - 1]
+        if q < p:
+            cands.append((v, p, 0, r, r))
+        elif prev[q] < p:
+            cands.append((v, p, 1, q, r))
     return sorted(cands)
 
 
@@ -298,26 +317,26 @@ def normalize(
     """
     if n is None:
         n = max(word, default=0) + 1
-    w = check_word(word, n)
-    coeff = Polynomial.one()
+    w = list(check_word(word, n))
+    exps: dict[Var, int] = {}
     while True:
         cands = _reduction_candidates(w)
         if not cands:
             break
         v, p, kind, q, r = rng.choice(cands) if rng else cands[0]
-        if kind == 0:
-            coeff = coeff * x_var(v)
-            w = w[:q] + w[q + 1 :]
-        else:
-            coeff = coeff * y_var(v - 1)
-            w = w[:q] + w[q + 1 : r] + w[r + 1 :]
+        var = ("x", v) if kind == 0 else ("y", v - 1)
+        exps[var] = exps.get(var, 0) + 1
+        del w[r]
+        if kind == 1:
+            del w[q]
+    w = tuple(w)
     perm = perm_from_word(w, n)
     canonical = word_from_code(perm)
     if cartier_foata(w) != cartier_foata(canonical):
         raise InternalInvariantError(
             f"irreducible word {w} is not the code word of {perm}"
         )
-    return NormalizationResult(n, coeff, canonical, perm)
+    return NormalizationResult(n, Polynomial.monomial(exps), canonical, perm)
 
 
 def multiply_words(
@@ -330,25 +349,30 @@ def multiply_words(
 
 
 @lru_cache(maxsize=None)
-def _mult_perm_by_generator(p: Perm, i: int) -> tuple[Polynomial, Perm]:
+def _mult_perm_by_generator(p: Perm, i: int) -> tuple[Term, Perm]:
+    """``E_p E_i`` as the exponent term of its monomial and the result."""
     r = normalize(word_from_code(p) + (i,), len(p))
-    return r.coefficient, r.perm
+    _, term = r.coefficient.monomial_parts()
+    return term, r.perm
 
 
 def multiply_perms(p: Perm, q: Perm) -> tuple[Polynomial, Perm]:
     """Structure constants of the basis: ``E_p E_q = coeff * E_result``.
 
     Folds ``q``'s code word into ``p`` one generator at a time (cached),
-    which agrees with :func:`multiply_words` by confluence.
+    which agrees with :func:`multiply_words` by confluence.  The
+    coefficient is a monomial, so its exponents are summed and it is
+    built once.
     """
     if len(p) != len(q):
         raise ValueError(f"rank mismatch: {len(p)} vs {len(q)}")
-    coeff = Polynomial.one()
+    exps: dict[Var, int] = {}
     cur = p
     for i in word_from_code(q):
-        c, cur = _mult_perm_by_generator(cur, i)
-        coeff = coeff * c
-    return coeff, cur
+        term, cur = _mult_perm_by_generator(cur, i)
+        for var, e in term:
+            exps[var] = exps.get(var, 0) + e
+    return Polynomial.monomial(exps), cur
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,13 @@ def _parser(parse):
     return checked
 
 
+def _int(value) -> int:
+    """A JSON integer; a float, string or boolean in its place is malformed."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _check_schema(obj: dict, kind: str) -> None:
     tag = obj.get("schema")
     if tag is not None and tag != SCHEMAS[kind]:
@@ -87,7 +94,7 @@ def fibset_to_obj(s: FibonacciSet) -> dict:
 @_parser
 def obj_to_fibset(obj: dict) -> FibonacciSet:
     _check_schema(obj, "fibset")
-    return FibonacciSet(int(_expect(obj, "rank")), tuple(int(x) for x in _expect(obj, "elements")))
+    return FibonacciSet(_int(_expect(obj, "rank")), tuple(_int(x) for x in _expect(obj, "elements")))
 
 
 # -- diagrams ----------------------------------------------------------------
@@ -105,10 +112,10 @@ def diagram_to_obj(d: ArcDiagram) -> dict:
 def obj_to_diagram(obj: dict) -> ArcDiagram:
     _check_schema(obj, "diagram")
     arcs = tuple(
-        Arc(int(rec["ends"][0]), int(rec["ends"][1]), int(rec["height"]))
+        Arc(_int(rec["ends"][0]), _int(rec["ends"][1]), _int(rec["height"]))
         for rec in _expect(obj, "arcs")
     )
-    d = ArcDiagram(int(_expect(obj, "rank")), arcs)
+    d = ArcDiagram(_int(_expect(obj, "rank")), arcs)
     problems = violations(d)
     if problems:
         raise ValueError("invalid diagram: " + "; ".join(problems))
@@ -128,13 +135,13 @@ def half_to_obj(h: HalfArcDiagram) -> dict:
 def obj_to_half(obj: dict) -> HalfArcDiagram:
     _check_schema(obj, "half")
     fulls = tuple(
-        Arc(int(rec["ends"][0]), int(rec["ends"][1]), int(rec["height"]))
+        Arc(_int(rec["ends"][0]), _int(rec["ends"][1]), _int(rec["height"]))
         for rec in _expect(obj, "full_arcs")
     )
     halves = tuple(
-        HalfArc(int(rec["end"]), int(rec["height"])) for rec in _expect(obj, "half_arcs")
+        HalfArc(_int(rec["end"]), _int(rec["height"])) for rec in _expect(obj, "half_arcs")
     )
-    h = HalfArcDiagram(int(_expect(obj, "rank")), fulls, halves)
+    h = HalfArcDiagram(_int(_expect(obj, "rank")), fulls, halves)
     problems = half_violations(h)
     if problems:
         raise ValueError("invalid half diagram: " + "; ".join(problems))
@@ -155,7 +162,7 @@ def chain_to_obj(c: Chain) -> dict:
 def obj_to_chain(obj: dict) -> Chain:
     _check_schema(obj, "chain")
     sets = tuple(
-        FibonacciSet(int(rec["rank"]), tuple(int(x) for x in rec["elements"]))
+        FibonacciSet(_int(rec["rank"]), tuple(_int(x) for x in rec["elements"]))
         for rec in _expect(obj, "sets")
     )
     return Chain(sets)
@@ -193,9 +200,13 @@ def poly_to_terms(p: Polynomial, n: int) -> list[dict]:
 def terms_to_poly(terms: list[dict]) -> Polynomial:
     total = Polynomial.zero()
     for rec in terms:
-        exps = {("x", i + 1): e for i, e in enumerate(rec.get("x", ())) if e}
-        exps.update({("y", i + 1): e for i, e in enumerate(rec.get("y", ())) if e})
-        total = total + Polynomial.monomial(exps, int(rec.get("c", 1)))
+        exps = {}
+        for kind in ("x", "y"):
+            for i, e in enumerate(rec.get(kind, ()), start=1):
+                if _int(e) < 0:
+                    raise ValueError(f"negative exponent {e} of {kind}{i}")
+                exps[(kind, i)] = e
+        total = total + Polynomial.monomial(exps, _int(rec.get("c", 1)))
     return total
 
 
@@ -236,11 +247,17 @@ def element_to_obj(a: AlgebraElement) -> dict:
 @_parser
 def obj_to_element(obj: dict) -> AlgebraElement:
     _check_schema(obj, "element")
-    rank = int(_expect(obj, "rank"))
+    rank = _int(_expect(obj, "rank"))
     coeffs = {}
     for rec in _expect(obj, "terms"):
-        p: Perm = _check_perm(tuple(int(v) for v in rec["perm"]))
-        coeffs[p] = terms_to_poly(rec["coeff"])
+        p: Perm = _check_perm(tuple(_int(v) for v in rec["perm"]))
+        if p in coeffs:
+            raise ValueError(f"basis index {p} listed twice")
+        c = terms_to_poly(rec["coeff"])
+        for kind, i in c.variables():
+            if i > rank - (1 if kind == "x" else 2):
+                raise ValueError(f"parameter {kind}{i} does not exist at rank {rank}")
+        coeffs[p] = c
     return AlgebraElement(rank, coeffs)
 
 

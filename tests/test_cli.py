@@ -293,3 +293,73 @@ def test_invalid_objects_rejected_at_the_parse_boundary():
         rc, out, err = run(argv)
         assert (rc, out) == (3, ""), (argv, rc, err)
         assert err.startswith("invalid input:")
+
+
+def test_explicit_rank_zero_is_not_ignored():
+    # --n 0 is a rank, not "no rank given": these words do not fit it.
+    for argv in (
+        ["normalize", "1 1", "--n", "0"],
+        ["multiply", "generic", "1", "1", "--n", "0"],
+    ):
+        rc, out, err = run(argv)
+        assert (rc, out) == (3, ""), (argv, err)
+        assert "rank 0" in err
+    rc, out, _ = run(["normalize", "", "--n", "0"])
+    assert rc == 0 and json.loads(out)["perm"] == []
+
+
+def test_rank_caps_refuse_oversized_requests_up_front(monkeypatch):
+    # A request over its cap must fail before any library work starts.
+    def never(*args, **kwargs):
+        raise AssertionError("library called for an oversized request")
+
+    for target in ("mo.green_classes", "alg.gram_matrix", "alg.triangular_factorization",
+                   "rw.multiply_words", "rw.normalize", "dg.identity"):
+        monkeypatch.setattr(f"okada.cli.{target}", never)
+    element33 = json.dumps({"rank": 33, "terms": []})
+    for argv, cap in (
+        (["green", "--n", "9"], "green supports 0 <= n <= 8"),
+        (["green", "--n", "-1"], "green supports 0 <= n <= 8"),
+        (["gram", "--n", "9", "--set", "1"], "gram supports 0 <= n <= 8"),
+        (["factorize", "1 2 3 4 5 6 7"], "factorize supports 0 <= n <= 6"),
+        (["multiply", "generic", "1", "32"], "multiply supports 0 <= n <= 32"),
+        (["multiply", "generic", "1", "1", "--n", "40"], "multiply supports 0 <= n <= 32"),
+        (["multiply", "generic", element33, element33], "multiply supports 0 <= n <= 32"),
+        (["multiply", "monoid", "1", "1", "--n", "33"], "multiply supports 0 <= n <= 32"),
+        (["multiply", "y1", "1000000000", "1"], "multiply supports 0 <= n <= 32"),
+        (["normalize", "1000000000"], "normalize supports 0 <= n <= 32"),
+    ):
+        rc, out, err = run(argv)
+        assert (rc, out) == (2, ""), (argv, err)
+        assert cap in err, (argv, err)
+
+
+def test_rank_caps_admit_requests_at_the_cap():
+    rc, out, _ = run(["factorize", "1 2 3 4 6 5"])
+    assert rc == 0 and json.loads(out)["lengths"]["perm"] == 1
+    rc, out, _ = run(["multiply", "generic", "31", "31", "--n", "32"])
+    assert rc == 0 and json.loads(out)["coeff_x"][30] == 1
+    rc, out, _ = run(["normalize", "31 31"])
+    assert rc == 0 and json.loads(out)["word"] == [31]
+    rc, out, _ = run(["gram", "--n", "8", "--set", "1,2,3,4,5,6,7,8"])
+    assert rc == 0 and json.loads(out)["dim"] == 1
+
+
+def test_selftest_checks_survive_python_optimize():
+    # `python -O` strips assert statements; selftest must not rely on them.
+    import ast
+    import inspect
+
+    from okada import cli
+
+    tree = ast.parse(inspect.getsource(cli.cmd_selftest))
+    asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert asserts == []
+
+
+def test_selftest_reports_a_failed_check(monkeypatch):
+    monkeypatch.setattr("okada.cli.mo.idempotent_count", lambda n: -1)
+    rc, out, err = run(["selftest"])
+    assert rc == 4
+    assert "FAIL idempotent census (n<=5): -1 idempotents at rank 0" in out
+    assert "1 selftest checks failed" in err

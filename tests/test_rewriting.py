@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from okada import diagrams as dg
+from okada import rewriting
+from okada.errors import InternalInvariantError
 from okada.polynomials import Polynomial, x_var, y_var
 from okada.rewriting import (
     Heap,
@@ -107,6 +109,68 @@ def test_cartier_foata_layers():
     assert cartier_foata((1, 3, 2)) == ((1, 3), (2,))
     assert trace_equal((1, 3), (3, 1))
     assert not trace_equal((1, 2), (2, 1))
+
+
+def _cartier_foata_oracle(word):
+    # Peel off layers: a letter joins the current layer unless an earlier
+    # remaining letter within 1 of it blocks it.
+    rem = list(word)
+    layers = []
+    while rem:
+        layer, rest, blocked = [], [], set()
+        for v in rem:
+            if v in blocked:
+                rest.append(v)
+            else:
+                layer.append(v)
+            blocked.update((v - 1, v, v + 1))
+        layers.append(tuple(sorted(layer)))
+        rem = rest
+    return tuple(layers)
+
+
+def _reduction_candidates_oracle(word):
+    # Inspect every letter between consecutive occurrences of each value.
+    cands = []
+    last_seen = {}
+    for q, v in enumerate(word):
+        p = last_seen.get(v)
+        if p is not None:
+            near = [u for u in word[p + 1 : q] if abs(u - v) <= 1]
+            if not near:
+                cands.append((v, p, 0, q, q))
+            elif v >= 2 and near == [v - 1]:
+                cands.append((v, p, 1, word.index(v - 1, p + 1, q), q))
+        last_seen[v] = q
+    return sorted(cands)
+
+
+def _random_words(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 9)
+        yield tuple(rng.randrange(1, n) for _ in range(rng.randint(0, 40)))
+
+
+def test_cartier_foata_matches_layer_peeling_oracle():
+    for w in _random_words(2000, 31):
+        assert cartier_foata(w) == _cartier_foata_oracle(w), w
+
+
+def test_reduction_candidates_match_quadratic_oracle():
+    for w in _random_words(2000, 37):
+        assert rewriting._reduction_candidates(w) == _reduction_candidates_oracle(w), w
+
+
+def test_normalize_verification_catches_a_wrong_code_word(monkeypatch):
+    # The final trace check must run on every call: with a corrupted code
+    # word it has to fail even though every reduction was correct.
+    monkeypatch.setattr(rewriting, "word_from_code", lambda p: tuple(reversed(range(1, len(p)))))
+    with pytest.raises(InternalInvariantError):
+        normalize((1, 2), 3)
+    monkeypatch.setattr(rewriting, "word_from_code", lambda p: ())
+    with pytest.raises(InternalInvariantError):
+        normalize((2, 1, 2, 2), 3)
 
 
 def test_normalize_relations():
