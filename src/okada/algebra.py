@@ -25,18 +25,17 @@ from .errors import InternalInvariantError, PropagatingMismatchError, RankMismat
 from .fibonacci import (
     FibonacciSet,
     dominance_leq,
-    dominance_meet,
     enumerate_yfs,
     free_set,
 )
 from .polynomials import Polynomial, Var
 from .rewriting import (
     Perm,
-    all_perms,
     diagram_to_perm,
     identity_perm,
     multiply_perms,
     normalize,
+    perm_compose,
     perm_from_word,
     perm_length,
     perm_to_diagram,
@@ -236,51 +235,35 @@ def ideal_basis(s: FibonacciSet) -> tuple[Perm, ...]:
 def triangular_factorization(p: Perm) -> tuple[Perm, FibonacciSet, Perm]:
     """The unique ``(r, s, t)`` with ``E_p = E_r * E_s * E_t`` exactly.
 
-    ``s`` is the propagating label set of the diagram of ``p``; the pair
-    is constrained by the length identity
+    ``s`` is the propagating label set of the diagram ``d`` of ``p``; the
+    pair is constrained by the length identity
     ``len(p) = |free_set(s)| + len(r) + len(t)`` (which forces every
     coefficient to stay 1) and by ``s`` being dominated by the meet of
-    the propagating sets of ``r`` and ``t``.  The full search space is
-    scanned and uniqueness is asserted.
+    the propagating sets of ``r`` and ``t``.  Both factors are read off
+    ``d`` directly: with ``F`` the free half of ``s`` and ``sigma`` its
+    free involution, ``r`` is the permutation of ``glue(bra d, F)``
+    times ``sigma`` and ``t`` is ``sigma`` times the permutation of
+    ``glue(F, ket d)``.  The result is checked: the diagram product
+    ``r * free_diagram(s) * t`` is ``d`` with no loop, the lengths add
+    up, and ``s`` lies below the propagating sets of ``r`` and ``t``
+    (which is ``s`` below their meet).
     """
-    n = len(p)
     d = perm_to_diagram(p)
     s = dg.prop_lab(d)
-    budget = perm_length(p) - len(free_set(s))
-    if budget < 0:
-        raise InternalInvariantError(f"negative length budget for {p}")
-    es = free_diagram(s)
-    by_length: dict[int, list[Perm]] = {}
-    for q in all_perms(n):
-        by_length.setdefault(perm_length(q), []).append(q)
-    prop_cache: dict[Perm, FibonacciSet] = {}
-
-    def prop_of(q: Perm) -> FibonacciSet:
-        if q not in prop_cache:
-            prop_cache[q] = dg.prop_lab(perm_to_diagram(q))
-        return prop_cache[q]
-
-    found: list[tuple[Perm, Perm]] = []
-    for la in sorted(k for k in by_length if k <= budget):
-        lb = budget - la
-        if lb not in by_length:
-            continue
-        for rho in by_length[la]:
-            if not dominance_leq(s, prop_of(rho)):
-                continue
-            left, _ = dg.compose(perm_to_diagram(rho), es)
-            for tau in by_length[lb]:
-                if not dominance_leq(s, prop_of(tau)):
-                    continue
-                prod, _ = dg.compose(left, perm_to_diagram(tau))
-                if prod == d:
-                    found.append((rho, tau))
-    if len(found) != 1:
+    half = free_half_diagram(s)
+    sigma = free_involution(s)
+    rho = perm_compose(diagram_to_perm(dg.glue(dg.bra(d), half)), sigma)
+    tau = perm_compose(sigma, diagram_to_perm(dg.glue(half, dg.ket(d))))
+    d_rho, d_tau = perm_to_diagram(rho), perm_to_diagram(tau)
+    left, loops_left = dg.compose(d_rho, free_diagram(s))
+    prod, loops_right = dg.compose(left, d_tau)
+    if prod != d or loops_left or loops_right:
         raise InternalInvariantError(
-            f"triangular factorization of {p} not unique: {found}"
+            f"factors {rho}, {s!r}, {tau} of {p} multiply to {prod!r}"
         )
-    rho, tau = found[0]
-    if not dominance_leq(s, dominance_meet(prop_of(rho), prop_of(tau))):
+    if perm_length(p) != len(free_set(s)) + perm_length(rho) + perm_length(tau):
+        raise InternalInvariantError(f"factor lengths of {p} do not add up")
+    if not (dominance_leq(s, dg.prop_lab(d_rho)) and dominance_leq(s, dg.prop_lab(d_tau))):
         raise InternalInvariantError(f"dominance condition failed for {p}")
     return rho, s, tau
 

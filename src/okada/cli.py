@@ -40,18 +40,24 @@ from .fibonacci import (
 
 # Largest rank each request accepts: the enumerate kinds, then the
 # commands whose cost grows fastest with the rank (n!-sized monoids for
-# green, the largest cell for gram, the factorization search, products
-# of long code words for multiply and normalize, the Hasse diagrams that
-# render draws).  Each finishes within seconds at its cap.
+# census and green, the largest cell for gram, the quadratic code-word
+# walks of factorize and rs, products of long code words for multiply
+# and normalize, the Hasse diagrams that render draws).  Each finishes
+# within seconds at its cap.  ``threads`` bounds the census worker
+# processes: each one is a whole interpreter, so a request for thousands
+# of them is refused before any starts.
 _LIMITS = {
     "yfs": 25,
     "diagrams": 8,
     "half": 10,
     "chains": 10,
     "idempotents": 10,
+    "census": 9,
+    "threads": 64,
     "green": 8,
     "gram": 8,
-    "factorize": 6,
+    "factorize": 1024,
+    "rs": 1024,
     "multiply": 32,
     "normalize": 32,
     "render": 16,
@@ -81,10 +87,17 @@ def _load_json(text: str) -> dict:
         raise ValueError(f"malformed JSON: {exc}") from exc
 
 
+_WORD_CHARS = frozenset("0123456789, \t\n\r\f\v")
+
+
 def _read_input(arg: str) -> str:
+    """The text of an argument: stdin for ``-``, the contents of a named
+    file, or the argument itself.  JSON and anything made only of digits,
+    commas and whitespace is always the argument itself, so the word
+    ``1`` never reads a file named ``1`` (``./1`` does)."""
     if arg == "-":
         return sys.stdin.read()
-    if arg.lstrip().startswith(("{", "[")):
+    if arg.lstrip().startswith(("{", "[")) or _WORD_CHARS.issuperset(arg):
         return arg
     if os.path.isfile(arg):
         try:
@@ -189,6 +202,7 @@ def cmd_normalize(args) -> int:
 
 def cmd_rs(args) -> int:
     p = ser.parse_perm(args.perm)
+    _check_rank("rs", len(p))
     left, right = rw.rs(p)
     _emit(
         args,
@@ -204,6 +218,7 @@ def cmd_rs(args) -> int:
 
 def cmd_rs_inverse(args) -> int:
     left, right = ser.obj_to_rs_chains(_load_json(_read_input(args.chains)))
+    _check_rank("rs", left.rank)
     p = rw.rs_inverse(left, right)
     _emit(args, {"schema": ser.SCHEMAS["rs"], "perm": list(p)})
     return 0
@@ -245,8 +260,26 @@ def cmd_green(args) -> int:
     return 0
 
 
-def cmd_census(args) -> int:
+def _census_threads(args) -> int:
     threads = args.threads
+    if threads is None:
+        text = os.environ.get("OKADA_THREADS", "1")
+        try:
+            threads = int(text)
+        except ValueError:
+            raise UsageError(f"OKADA_THREADS must be an integer, got {text!r}") from None
+    limit = _LIMITS["threads"]
+    if not 1 <= threads <= limit:
+        raise UsageError(f"census supports 1 <= threads <= {limit}")
+    return threads
+
+
+def cmd_census(args) -> int:
+    threads = _census_threads(args)
+    if args.max > _LIMITS["census"]:
+        raise UsageError(f"census supports --max <= {_LIMITS['census']}")
+    if min(args.max, args.green_max) > _LIMITS["green"]:
+        raise UsageError(f"census supports Green classes up to rank {_LIMITS['green']}")
     rows = []
     for n in range(args.min, args.max + 1):
         total, idem, invol = mo.census_counts(n, threads)
@@ -432,7 +465,7 @@ def cmd_selftest(args) -> int:
             _require(len(gc.j_classes) == len(enumerate_yfs(n)), f"{len(gc.j_classes)} J-classes at rank {n}")
 
     def factorization() -> None:
-        for p in rw.all_perms(4):
+        for p in rw.all_perms(5):
             rho, s, tau = alg.triangular_factorization(p)
             lengths = rw.perm_length(rho) + rw.perm_length(tau) + len(free_set(s))
             _require(lengths == rw.perm_length(p), f"factor lengths of {p} add up to {lengths}")
@@ -453,7 +486,7 @@ def cmd_selftest(args) -> int:
     check("gluing and chain bijections (n<=5)", glue_chain)
     check("cross-model product oracle (n=4)", cross_model)
     check("green structure (n<=5)", structure)
-    check("triangular factorization (n<=4)", factorization)
+    check("triangular factorization (n<=5)", factorization)
     check("dominance lattice bounds (n<=10)", lattice)
     if failures:
         raise InternalInvariantError(f"{failures} selftest checks failed")
@@ -516,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, default=8)
     p.add_argument("--green-max", type=int, default=6)
     p.add_argument("--extended", action="store_true", help="add ranks 9 and 10")
-    p.add_argument("--threads", type=int, default=int(os.environ.get("OKADA_THREADS", "1")))
+    p.add_argument("--threads", type=int, help="worker processes (default: OKADA_THREADS or 1)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_census)
 

@@ -380,19 +380,26 @@ def multiply_perms(p: Perm, q: Perm) -> tuple[Polynomial, Perm]:
 
 
 def perm_to_diagram(p: Perm):
-    """Evaluate the code word of ``p`` in the diagram monoid.
+    """The diagram of the code word of ``p``, built from the code.
 
-    Code words never close a loop, which is asserted, so no coefficient
-    is lost at this specialization.
+    The exact inverse of :func:`diagram_to_perm`: rank ``r`` with code
+    entry ``c`` inserts the arc that :func:`diagram_to_perm` strips at
+    rank ``r``, the cap ``h(-(I+1), -I) = I`` with ``I = r - c`` at
+    position ``r + c - 1`` (for ``c = 0`` this is the propagating arc
+    ``h(r, -r) = r`` that :func:`diagrams.iota` adds).  Later positions
+    move up by two.  Code words are reduced, so evaluating one in the
+    diagram monoid closes no loop and this is its product exactly.
     """
     from . import diagrams
 
-    d = diagrams.identity(len(p))
-    for i in word_from_code(p):
-        d, loops = diagrams.compose(d, diagrams.generator(i, len(p)))
-        if loops:
-            raise InternalInvariantError(f"code word of {p} produced loops {loops}")
-    return d
+    partner: list[int] = []
+    height: list[int] = []
+    for r, c in enumerate(code(p), start=1):
+        a = r + c - 1
+        partner = [q if q < a else q + 2 for q in partner]
+        partner[a:a] = (a + 1, a)
+        height[a:a] = (r - c, r - c)
+    return diagrams._from_arrays(len(p), partner, height)
 
 
 def diagram_to_perm(d) -> Perm:

@@ -1,9 +1,12 @@
 import math
+import os
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from okada import algebra
 from okada import diagrams as dg
 from okada.algebra import (
     AlgebraElement,
@@ -19,7 +22,7 @@ from okada.algebra import (
     ideal_basis,
     triangular_factorization,
 )
-from okada.errors import PropagatingMismatchError, RankMismatchError
+from okada.errors import InternalInvariantError, PropagatingMismatchError, RankMismatchError
 from okada.fibonacci import (
     FibonacciSet,
     chain_count,
@@ -176,6 +179,80 @@ def test_triangular_factorization_properties():
             c1, r1 = multiply_perms(rho, free_involution(s))
             c2, r2 = multiply_perms(r1, tau)
             assert r2 == p and c1 * c2 == Polynomial.one()
+
+
+@lru_cache(maxsize=None)
+def _perms_by_length(n):
+    """``length -> [(perm, diagram, propagating labels)]`` over ``S_n``."""
+    by_length: dict = {}
+    for q in all_perms(n):
+        d = perm_to_diagram(q)
+        by_length.setdefault(perm_length(q), []).append((q, d, dg.prop_lab(d)))
+    return by_length
+
+
+def _factorization_by_search(p):
+    """The former library search, as an oracle: scan every pair
+    ``(rho, tau)`` whose lengths fill the budget and whose propagating
+    sets dominate ``s``, keep those with ``rho * free_diagram(s) * tau``
+    equal to the diagram of ``p``, and require exactly one."""
+    d = perm_to_diagram(p)
+    s = dg.prop_lab(d)
+    budget = perm_length(p) - len(free_set(s))
+    assert budget >= 0, p
+    es = free_diagram(s)
+    by_length = _perms_by_length(len(p))
+    found = []
+    for la in sorted(k for k in by_length if k <= budget):
+        if budget - la not in by_length:
+            continue
+        for rho, d_rho, s_rho in by_length[la]:
+            if not dominance_leq(s, s_rho):
+                continue
+            left, _ = dg.compose(d_rho, es)
+            for tau, d_tau, s_tau in by_length[budget - la]:
+                if dominance_leq(s, s_tau) and dg.compose(left, d_tau)[0] == d:
+                    found.append((rho, s_rho, tau, s_tau))
+    assert len(found) == 1, (p, found)
+    rho, s_rho, tau, s_tau = found[0]
+    assert dominance_leq(s, dominance_meet(s_rho, s_tau))
+    return rho, s, tau
+
+
+def test_triangular_factorization_matches_the_search_oracle():
+    # all of S_0..S_5, then one seeded element per cost class (length,
+    # propagating labels) of S_6
+    for n in range(6):
+        for p in all_perms(n):
+            assert triangular_factorization(p) == _factorization_by_search(p)
+    classes: dict = {}
+    for p in all_perms(6):
+        classes.setdefault((perm_length(p), dg.prop_lab(perm_to_diagram(p))), []).append(p)
+    rng = random.Random(6)
+    for key in sorted(classes, key=lambda k: (k[0], k[1].elements)):
+        p = rng.choice(classes[key])
+        assert triangular_factorization(p) == _factorization_by_search(p)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("OKADA_EXTENDED"),
+    reason="exhaustive S_6 factorization oracle runs only with OKADA_EXTENDED=1",
+)
+def test_extended_triangular_factorization_matches_the_search_oracle_on_s6():
+    for p in all_perms(6):
+        assert triangular_factorization(p) == _factorization_by_search(p)
+
+
+def test_triangular_factorization_checks_its_result(monkeypatch):
+    # A wrong factor must be caught by the self-check, not returned.
+    monkeypatch.setattr(algebra, "free_involution", lambda s: identity_perm(s.rank))
+    checked = 0
+    for p in all_perms(4):
+        if free_set(dg.prop_lab(perm_to_diagram(p))):
+            with pytest.raises(InternalInvariantError):
+                triangular_factorization(p)
+            checked += 1
+    assert checked > 0
 
 
 def test_cell_datum_exhausts_basis():

@@ -1,6 +1,7 @@
 import io
-import random
 import json
+import math
+import random
 from pathlib import Path
 
 from okada.cli import main
@@ -314,14 +315,20 @@ def test_rank_caps_refuse_oversized_requests_up_front(monkeypatch):
         raise AssertionError("library called for an oversized request")
 
     for target in ("mo.green_classes", "alg.gram_matrix", "alg.triangular_factorization",
-                   "rw.multiply_words", "rw.normalize", "dg.identity"):
+                   "rw.multiply_words", "rw.normalize", "dg.identity", "rw.rs", "rw.rs_inverse"):
         monkeypatch.setattr(f"okada.cli.{target}", never)
     element33 = json.dumps({"rank": 33, "terms": []})
+    reversal1025 = " ".join(str(v) for v in range(1025, 0, -1))
+    # the chains of the involution 2 1 4 3 ... at rank 1025: {}, {1}, {}, ...
+    chain1025 = {"sets": [{"rank": r, "elements": [1] * (r % 2)} for r in range(1026)]}
+    chains1025 = json.dumps({"left": chain1025, "right": chain1025})
     for argv, cap in (
         (["green", "--n", "9"], "green supports 0 <= n <= 8"),
         (["green", "--n", "-1"], "green supports 0 <= n <= 8"),
         (["gram", "--n", "9", "--set", "1"], "gram supports 0 <= n <= 8"),
-        (["factorize", "1 2 3 4 5 6 7"], "factorize supports 0 <= n <= 6"),
+        (["factorize", reversal1025], "factorize supports 0 <= n <= 1024"),
+        (["rs", reversal1025], "rs supports 0 <= n <= 1024"),
+        (["rs-inverse", chains1025], "rs supports 0 <= n <= 1024"),
         (["multiply", "generic", "1", "32"], "multiply supports 0 <= n <= 32"),
         (["multiply", "generic", "1", "1", "--n", "40"], "multiply supports 0 <= n <= 32"),
         (["multiply", "generic", element33, element33], "multiply supports 0 <= n <= 32"),
@@ -335,8 +342,13 @@ def test_rank_caps_refuse_oversized_requests_up_front(monkeypatch):
 
 
 def test_rank_caps_admit_requests_at_the_cap():
-    rc, out, _ = run(["factorize", "1 2 3 4 6 5"])
+    rc, out, _ = run(["factorize", " ".join(str(v) for v in range(1, 1023)) + " 1024 1023"])
     assert rc == 0 and json.loads(out)["lengths"]["perm"] == 1
+    involution = [v + 1 - 2 * (v % 2 == 0) for v in range(1, 1025)]  # 2 1 4 3 ...
+    rc, out, _ = run(["rs", " ".join(str(v) for v in involution)])
+    assert rc == 0
+    rc, out, _ = run(["rs-inverse", out])
+    assert rc == 0 and json.loads(out)["perm"] == involution
     rc, out, _ = run(["multiply", "generic", "31", "31", "--n", "32"])
     assert rc == 0 and json.loads(out)["coeff_x"][30] == 1
     rc, out, _ = run(["normalize", "31 31"])
@@ -363,3 +375,68 @@ def test_selftest_reports_a_failed_check(monkeypatch):
     assert rc == 4
     assert "FAIL idempotent census (n<=5): -1 idempotents at rank 0" in out
     assert "1 selftest checks failed" in err
+
+
+def test_census_refuses_bad_thread_counts_and_ranks_up_front(monkeypatch):
+    # Refused before any worker pool or census work starts.
+    def never(*args, **kwargs):
+        raise AssertionError("census work started for a refused request")
+
+    for target in ("census_counts", "idempotent_count", "green_classes"):
+        monkeypatch.setattr(f"okada.cli.mo.{target}", never)
+    monkeypatch.delenv("OKADA_THREADS", raising=False)
+    for argv, message in (
+        (["census", "--threads", "0"], "census supports 1 <= threads <= 64"),
+        (["census", "--threads", "-3"], "census supports 1 <= threads <= 64"),
+        (["census", "--threads", "65"], "census supports 1 <= threads <= 64"),
+        (["census", "--threads", "5000"], "census supports 1 <= threads <= 64"),
+        (["census", "--max", "10"], "census supports --max <= 9"),
+        (["census", "--max", "11", "--threads", "2"], "census supports --max <= 9"),
+        (["census", "--max", "9", "--green-max", "9"], "Green classes up to rank 8"),
+    ):
+        rc, out, err = run(argv)
+        assert (rc, out) == (2, ""), (argv, err)
+        assert message in err, (argv, err)
+    for value, message in (("abc", "OKADA_THREADS must be an integer"),
+                           ("0", "census supports 1 <= threads <= 64"),
+                           ("5000", "census supports 1 <= threads <= 64")):
+        monkeypatch.setenv("OKADA_THREADS", value)
+        rc, out, err = run(["census", "--max", "3"])
+        assert (rc, out) == (2, ""), (value, err)
+        assert message in err, (value, err)
+
+
+def test_census_thread_count_and_caps_admitted(monkeypatch):
+    seen = []
+
+    def fake_counts(n, threads=1):
+        seen.append((n, threads))
+        return math.factorial(n), 0, 0
+
+    monkeypatch.setattr("okada.cli.mo.census_counts", fake_counts)
+    monkeypatch.setenv("OKADA_THREADS", "3")
+    assert run(["census", "--min", "9", "--max", "9"])[0] == 0
+    assert run(["census", "--min", "9", "--max", "9", "--threads", "64"])[0] == 0
+    monkeypatch.setenv("OKADA_THREADS", "abc")  # --threads wins over the variable
+    assert run(["census", "--min", "9", "--max", "9", "--threads", "1"])[0] == 0
+    assert seen == [(9, 3), (9, 64), (9, 1)]
+
+
+def test_okada_threads_is_read_by_census_only(monkeypatch):
+    monkeypatch.setenv("OKADA_THREADS", "abc")
+    rc, out, err = run(["normalize", "1 2"])
+    assert rc == 0 and json.loads(out)["perm"] == [2, 3, 1], err
+
+
+def test_digit_arguments_are_words_not_file_names(tmp_path, monkeypatch):
+    # A file named like a word must not change what the word means.
+    monkeypatch.chdir(tmp_path)
+    calls = (["multiply", "generic", "1", "1"], ["multiply", "monoid", "1 2", "2,1"],
+             ["multiply", "y1", "2 1", "1 2"])
+    before = [run(argv) for argv in calls]
+    for name in ("1", "1 2", "2,1", "2 1"):
+        (tmp_path / name).write_text("3 3")
+    assert [run(argv) for argv in calls] == before
+    assert all(rc == 0 for rc, _, _ in before)
+    # naming the file by a path still reads it
+    assert run(["multiply", "generic", "./1", "1"]) == run(["multiply", "generic", "3 3", "1"])

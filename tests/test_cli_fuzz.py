@@ -144,16 +144,17 @@ def _cmd(*parts):
     return st.tuples(*parts).map(lambda t: [x for part in t for x in (part if isinstance(part, list) else [part])])
 
 
-# Ranks stay where a valid request takes milliseconds (factorize below 6,
-# green and gram below 7); the ranks over each cap are refused up front.
+# Ranks stay where a valid request takes milliseconds (green and gram
+# below 7); the ranks over each cap are refused up front.
+OVER_CAP_PERM = " ".join(str(v) for v in range(1025, 0, -1))
 argvs = st.one_of(
     _cmd(st.just("normalize"), words, rank_flag),
     _cmd(st.just("multiply"), st.just("generic"), words, words, rank_flag),
     _cmd(st.just("multiply"), st.just("generic"), json_text(ELEMENT), json_text(ELEMENT)),
     _cmd(st.just("multiply"), st.sampled_from(("y1", "monoid")), diagram_inputs, diagram_inputs, rank_flag),
-    _cmd(st.just("rs"), perms(8)),
+    _cmd(st.just("rs"), st.one_of(perms(8), st.just(OVER_CAP_PERM))),
     _cmd(st.just("rs-inverse"), json_text(RS)),
-    _cmd(st.just("factorize"), st.one_of(perms(5), st.just("7 6 5 4 3 2 1"))),
+    _cmd(st.just("factorize"), st.one_of(perms(8), st.just(OVER_CAP_PERM))),
     _cmd(st.just("render"), st.just("diagram"), st.just("--format"), st.sampled_from(("svg", "tikz")),
          st.just("--input"), json_text(DIAGRAM)),
     _cmd(st.just("render"), st.just("half"), st.just("--format"), st.sampled_from(("svg", "tikz")),

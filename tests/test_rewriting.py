@@ -300,6 +300,29 @@ def test_perm_diagram_bijection():
             assert diagram_to_perm(d) == p
 
 
+def _perm_to_diagram_by_composition(p):
+    """The code word of ``p`` composed generator by generator in the
+    diagram monoid (the former library construction), as an oracle."""
+    d = dg.identity(len(p))
+    for i in word_from_code(p):
+        d, loops = dg.compose(d, dg.generator(i, len(p)))
+        assert loops == (), (p, loops)
+    return d
+
+
+def test_perm_to_diagram_matches_the_compose_chain_oracle():
+    for n in range(8):
+        for p in all_perms(n):
+            assert perm_to_diagram(p) == _perm_to_diagram_by_composition(p), p
+    rng = random.Random(2020)
+    for n in range(8, 21):
+        for _ in range(40):
+            p = tuple(rng.sample(range(1, n + 1), n))
+            d = perm_to_diagram(p)
+            assert d == _perm_to_diagram_by_composition(p), p
+            assert diagram_to_perm(d) == p
+
+
 def test_identity_and_generator_map():
     assert perm_to_diagram((1, 2, 3)) == dg.identity(3)
     assert perm_to_diagram((2, 1)) == dg.generator(1, 2)
