@@ -52,7 +52,7 @@ _LIMITS = {
     "half": 10,
     "chains": 10,
     "idempotents": 10,
-    "census": 9,
+    "census": 10,
     "threads": 64,
     "green": 8,
     "gram": 8,
@@ -141,11 +141,10 @@ def cmd_enumerate(args) -> int:
     elif args.kind == "idempotents":
         if n > 8 and not args.extended:
             raise UsageError("idempotent enumeration beyond n=8 needs --extended")
-        for d in dg.iter_diagrams(n):
-            if mo.is_idempotent(d):
-                count += 1
-                if not args.count_only:
-                    _emit(args, ser.diagram_to_obj(d))
+        for d in mo.iter_idempotents(n):
+            count += 1
+            if not args.count_only:
+                _emit(args, ser.diagram_to_obj(d))
     print(f"kind={args.kind} n={n} count={count}", file=args.stderr)
     if args.count_only:
         print(count, file=args.stdout)
@@ -278,6 +277,8 @@ def cmd_census(args) -> int:
     threads = _census_threads(args)
     if args.max > _LIMITS["census"]:
         raise UsageError(f"census supports --max <= {_LIMITS['census']}")
+    if not 0 <= args.min <= args.max:
+        raise UsageError("census needs 0 <= --min <= --max")
     if min(args.max, args.green_max) > _LIMITS["green"]:
         raise UsageError(f"census supports Green classes up to rank {_LIMITS['green']}")
     rows = []

@@ -477,8 +477,30 @@ def restrict(h: HalfArcDiagram, r: int) -> HalfArcDiagram:
 
 
 def chain_of(h: HalfArcDiagram) -> Chain:
-    """Saturated chain of the propagating labels of all restrictions."""
-    return Chain(tuple(prop_lab(restrict(h, i)) for i in range(h.rank + 1)))
+    """Saturated chain of the propagating labels of all restrictions.
+
+    One pass over the nodes: a half arc or the left end of a full arc
+    opens its label, the right end of a full arc closes it, and the
+    labels open after node ``i`` are those of ``restrict(h, i)``.  In a
+    valid half diagram a new label is the largest open one, so the list
+    stays increasing.
+    """
+    n = h.rank
+    opens = [0] * (n + 1)
+    closes = [0] * (n + 1)
+    for a, b, ht in h.full_arcs:
+        opens[a] = closes[b] = ht
+    for e, ht in h.half_arcs:
+        opens[e] = ht
+    labels: list[int] = []
+    sets = [FibonacciSet(0, ())]
+    for i in range(1, n + 1):
+        if closes[i]:
+            labels.remove(closes[i])
+        else:
+            labels.append(opens[i])
+        sets.append(FibonacciSet(i, tuple(labels)))
+    return Chain(tuple(sets))
 
 
 def chain_inverse(chain: Chain) -> HalfArcDiagram:

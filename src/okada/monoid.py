@@ -6,21 +6,29 @@ Green relations are governed by the dominance order: each R-class holds
 exactly one involutive element (fixed by the mirror) and each J-class
 exactly one free element, the one sharing the propagating label set.
 
-R/L/J-classes are computed as strongly connected components of the
-right/left/two-sided Cayley graphs over the generators, which is the
-same as comparing one- and two-sided ideals.
+Every element is ``glue(L, R)`` of two half diagrams with the same
+propagating labels, and :func:`~okada.diagrams.iter_diagrams` lists the
+elements cell by cell (one cell per label set ``s``), each cell row by
+row (``L``) and column by column (``R``).  Both structural computations
+read this pairing and form no product:
+
+* the idempotent census tests each pair ``(L, R)`` by walking the half
+  arcs of ``R`` through the arcs of ``L`` and ``R`` (:func:`_passes`);
+* the R-, L- and J-classes are the fibres of ``bra``, ``ket`` and
+  ``prop_lab``, so in the enumeration order they are the rows, the
+  columns and the whole of each cell.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from . import diagrams as dg
 from .algebra import free_diagram
 from .errors import InternalInvariantError
-from .fibonacci import FibonacciSet, enumerate_yfs
+from .fibonacci import FibonacciSet, enumerate_yfs, saturated_chains
 
 __all__ = [
     "mproduct",
@@ -28,6 +36,7 @@ __all__ = [
     "is_involutive",
     "aperiodicity_index",
     "aperiodicity_max",
+    "iter_idempotents",
     "census_counts",
     "idempotent_count",
     "involutive_count",
@@ -78,34 +87,121 @@ def aperiodicity_max(n: int) -> int:
     return max((aperiodicity_index(e) for e in dg.iter_diagrams(n)), default=1)
 
 
-def _census_chunk(args: tuple[int, tuple[int, ...]]) -> tuple[int, int, int]:
-    """Totals (elements, idempotents, involutives) for one label-set cell."""
-    n, elements = args
-    halves = dg.enumerate_half(n, FibonacciSet(n, elements))
-    total = idem = invol = 0
-    for left in halves:
-        for right in halves:
-            d = dg.glue(left, right)
-            total += 1
-            if is_idempotent(d):
-                idem += 1
-                if left == right:
-                    invol += 1
-    return total, idem, invol
+# ---------------------------------------------------------------------------
+# Idempotents from pairs of half diagrams
+
+# A half diagram in flat form: ``partner[p]`` is the node matched to node
+# ``p + 1`` (0-based, -1 for a half arc), ``height[p]`` the label there,
+# and ``ends`` the half arcs as ``(node, label)`` pairs.
+_Flat = tuple[list[int], list[int], tuple[tuple[int, int], ...]]
+
+
+def _flat(h: dg.HalfArcDiagram) -> _Flat:
+    partner = [-1] * h.rank
+    height = [0] * h.rank
+    for a, b, ht in h.full_arcs:
+        partner[a - 1], partner[b - 1] = b - 1, a - 1
+        height[a - 1] = height[b - 1] = ht
+    for e, ht in h.half_arcs:
+        height[e - 1] = ht
+    return partner, height, tuple((e - 1, ht) for e, ht in h.half_arcs)
+
+
+def _cell(n: int, s: FibonacciSet) -> tuple[tuple[dg.HalfArcDiagram, ...], list[_Flat]]:
+    """The halves of cell ``s`` in enumeration order, and their flat forms."""
+    halves = dg.enumerate_half(n, s)
+    return halves, [_flat(h) for h in halves]
+
+
+def _passes(left: _Flat, right: _Flat) -> bool:
+    """True iff ``e = glue(L, R)`` satisfies ``e·e = e``; no product is formed.
+
+    In ``e·e`` the right boundary of the first factor (the nodes of
+    ``R``) meets the left boundary of the second (the nodes of ``L``).
+    The full arcs of ``L`` on the far left and of ``R`` on the far right
+    survive unchanged.  The propagating arc of ``e`` with label ``h``
+    enters the middle at the half arc of ``R`` labelled ``h`` and walks
+    on, alternating full arcs of ``L`` and of ``R``, until it meets a
+    half arc.  If that is a half arc of ``R``, the strand turns back
+    into a new cup; if it is a half arc of ``L`` with a label other than
+    ``h``, the strand leaves at another node; if an arc on the way is
+    lower than ``h``, the strand's label drops (a strand takes the
+    minimum label of its pieces).  Each of these changes an arc of
+    ``e``.  Otherwise every propagating arc comes back with its ends
+    and label, and ``e·e = e``.  The walk stops at its first failure.
+    """
+    lp, lh, _ = left
+    rp, rh, ends = right
+    for p, h in ends:
+        while True:
+            q = lp[p]
+            if q < 0:
+                if lh[p] != h:
+                    return False
+                break
+            if lh[p] < h or rh[q] < h:
+                return False
+            p = rp[q]
+            if p < 0:
+                return False
+    return True
+
+
+def _idempotent_row(flats: list[_Flat], i: int) -> list[int]:
+    """Indices ``j`` with ``glue(halves[i], halves[j])`` idempotent."""
+    left = flats[i]
+    return [j for j, right in enumerate(flats) if _passes(left, right)]
+
+
+def iter_idempotents(n: int) -> Iterator[dg.ArcDiagram]:
+    """Stream the idempotents of rank ``n`` in :func:`~okada.diagrams.iter_diagrams` order."""
+    for s in enumerate_yfs(n):
+        halves, flats = _cell(n, s)
+        for i, left in enumerate(halves):
+            for j in _idempotent_row(flats, i):
+                yield dg.glue(left, halves[j])
+
+
+def _census_rows(args: tuple[int, tuple[int, ...], int, int]) -> tuple[int, int]:
+    """(idempotents, involutives) among the rows ``start .. stop-1`` of one cell.
+
+    The involutive elements are the diagonal pairs ``L == R``.
+    """
+    n, elements, start, stop = args
+    _, flats = _cell(n, FibonacciSet(n, elements))
+    idem = invol = 0
+    for i in range(start, stop):
+        row = _idempotent_row(flats, i)
+        idem += len(row)
+        invol += i in row
+    return idem, invol
 
 
 def census_counts(n: int, threads: int = 1) -> tuple[int, int, int]:
-    """Totals ``(elements, idempotents, involutives)`` for rank ``n``."""
-    jobs = [(n, s.elements) for s in enumerate_yfs(n)]
+    """Totals ``(elements, idempotents, involutives)`` for rank ``n``.
+
+    With ``threads > 1`` the rows of every cell are split into blocks of
+    about equal work and the blocks run in worker processes, so the
+    largest cell does not bound the speed-up.
+    """
+    cells = [(s.elements, len(saturated_chains(s))) for s in enumerate_yfs(n)]
+    total = sum(k * k for _, k in cells)
     if threads > 1:
+        # Imported here: only the threaded census starts processes.
+        from concurrent.futures import ProcessPoolExecutor
+
+        block = max(1, total // (4 * threads))  # pairs per job
+        jobs = []
+        for elements, k in cells:
+            rows = max(1, block // k)
+            jobs.extend(
+                (n, elements, start, min(start + rows, k)) for start in range(0, k, rows)
+            )
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_census_chunk, jobs))
+            parts = list(pool.map(_census_rows, jobs))
     else:
-        parts = [_census_chunk(j) for j in jobs]
-    total = sum(p[0] for p in parts)
-    idem = sum(p[1] for p in parts)
-    invol = sum(p[2] for p in parts)
-    return total, idem, invol
+        parts = [_census_rows((n, elements, 0, k)) for elements, k in cells]
+    return total, sum(p[0] for p in parts), sum(p[1] for p in parts)
 
 
 def idempotent_count(n: int, threads: int = 1) -> int:
@@ -149,75 +245,31 @@ class GreenClasses:
         raise KeyError(e)
 
 
-def _sccs(adj: list[list[int]], radj: list[list[int]]) -> list[int]:
-    """Kosaraju strongly-connected components; returns component index per node."""
-    n = len(adj)
-    seen = [False] * n
-    order: list[int] = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        stack: list[tuple[int, int]] = [(s, 0)]
-        while stack:
-            v, i = stack[-1]
-            if i < len(adj[v]):
-                stack[-1] = (v, i + 1)
-                w = adj[v][i]
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append((w, 0))
-            else:
-                order.append(v)
-                stack.pop()
-    comp = [-1] * n
-    c = 0
-    for s in reversed(order):
-        if comp[s] != -1:
-            continue
-        comp[s] = c
-        stack2 = [s]
-        while stack2:
-            v = stack2.pop()
-            for w in radj[v]:
-                if comp[w] == -1:
-                    comp[w] = c
-                    stack2.append(w)
-        c += 1
-    return comp
-
-
-def _group(comp: list[int]) -> tuple[tuple[int, ...], ...]:
-    buckets: dict[int, list[int]] = {}
-    for i, c in enumerate(comp):
-        buckets.setdefault(c, []).append(i)
-    return tuple(sorted(tuple(sorted(b)) for b in buckets.values()))
-
-
 @lru_cache(maxsize=None)
 def green_classes(n: int) -> GreenClasses:
-    """Compute the full Green-relation structure of the rank-``n`` monoid."""
+    """Compute the full Green-relation structure of the rank-``n`` monoid.
+
+    R-classes are the fibres of ``bra``, L-classes those of ``ket`` and
+    J-classes those of ``prop_lab``.  In the order of
+    :func:`~okada.diagrams.iter_diagrams`, a cell with ``k`` halves that
+    starts at index ``off`` holds element ``glue(L_i, R_j)`` at
+    ``off + i*k + j``, so its R-classes are the blocks of ``k``
+    consecutive indices, its L-classes the strides of step ``k`` and its
+    J-class the whole cell.  Listed cell by cell, each list is already
+    sorted by smallest member.
+    """
     elements = dg.enumerate_diagrams(n)
-    index = {e: i for i, e in enumerate(elements)}
-    gens = [dg.generator(i, n) for i in range(1, n)]
-    m = len(elements)
-    right = [[] for _ in range(m)]
-    left = [[] for _ in range(m)]
-    rright = [[] for _ in range(m)]
-    rleft = [[] for _ in range(m)]
-    for i, e in enumerate(elements):
-        for g in gens:
-            j = index[mproduct(e, g)]
-            right[i].append(j)
-            rright[j].append(i)
-            k = index[mproduct(g, e)]
-            left[i].append(k)
-            rleft[k].append(i)
-    both = [right[i] + left[i] for i in range(m)]
-    rboth = [rright[i] + rleft[i] for i in range(m)]
-    r_classes = _group(_sccs(right, rright))
-    l_classes = _group(_sccs(left, rleft))
-    j_classes = _group(_sccs(both, rboth))
+    r_classes: list[tuple[int, ...]] = []
+    l_classes: list[tuple[int, ...]] = []
+    j_classes: list[tuple[int, ...]] = []
+    off = 0
+    for s in enumerate_yfs(n):
+        k = len(saturated_chains(s))
+        end = off + k * k
+        r_classes.extend(tuple(range(row, row + k)) for row in range(off, end, k))
+        l_classes.extend(tuple(range(col, end, k)) for col in range(off, off + k))
+        j_classes.append(tuple(range(off, end)))
+        off = end
 
     r_reps = []
     for cls in r_classes:
@@ -227,45 +279,37 @@ def green_classes(n: int) -> GreenClasses:
                 f"R-class {cls} at rank {n} has {len(reps)} involutive elements"
             )
         r_reps.append(reps[0])
-    free_index = {index[free_diagram(s)] for s in enumerate_yfs(n)}
+    frees = {free_diagram(s) for s in enumerate_yfs(n)}
     j_reps = []
     for cls in j_classes:
-        reps = [i for i in cls if i in free_index]
+        reps = [i for i in cls if elements[i] in frees]
         if len(reps) != 1:
             raise InternalInvariantError(
                 f"J-class {cls} at rank {n} has {len(reps)} free elements"
             )
         j_reps.append(reps[0])
     return GreenClasses(
-        n, elements, r_classes, l_classes, j_classes, tuple(r_reps), tuple(j_reps)
+        n,
+        elements,
+        tuple(r_classes),
+        tuple(l_classes),
+        tuple(j_classes),
+        tuple(r_reps),
+        tuple(j_reps),
     )
 
 
 def r_class_rep(e: dg.ArcDiagram) -> dg.ArcDiagram:
-    """The unique involutive element of the R-class of ``e``."""
-    gc = green_classes(e.rank)
-    idx = gc.elements.index(e)
-    for cls, rep in zip(gc.r_classes, gc.r_reps):
-        if idx in cls:
-            return gc.elements[rep]
-    raise KeyError(e)
+    """The unique involutive element of the R-class of ``e``.
+
+    The R-class is the fibre of ``bra``, and ``glue(L, L)`` is its one
+    mirror-fixed element.
+    """
+    left = dg.bra(e)
+    return dg.glue(left, left)
 
 
 def j_class_rep(e: dg.ArcDiagram) -> dg.ArcDiagram:
-    """The unique free element of the J-class of ``e``.
-
-    It is the free element whose propagating label set matches that of
-    ``e``; this is asserted against the computed classes.
-    """
-    expected = free_diagram(dg.prop_lab(e))
-    gc = green_classes(e.rank)
-    idx = gc.elements.index(e)
-    for cls, rep in zip(gc.j_classes, gc.j_reps):
-        if idx in cls:
-            found = gc.elements[rep]
-            if found != expected:
-                raise InternalInvariantError(
-                    f"free representative of {e!r} is {found!r}, expected {expected!r}"
-                )
-            return found
-    raise KeyError(e)
+    """The unique free element of the J-class of ``e``: the free element
+    with the same propagating label set."""
+    return free_diagram(dg.prop_lab(e))

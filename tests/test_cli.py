@@ -1,9 +1,13 @@
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
+import okada
 from okada.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -390,9 +394,11 @@ def test_census_refuses_bad_thread_counts_and_ranks_up_front(monkeypatch):
         (["census", "--threads", "-3"], "census supports 1 <= threads <= 64"),
         (["census", "--threads", "65"], "census supports 1 <= threads <= 64"),
         (["census", "--threads", "5000"], "census supports 1 <= threads <= 64"),
-        (["census", "--max", "10"], "census supports --max <= 9"),
-        (["census", "--max", "11", "--threads", "2"], "census supports --max <= 9"),
+        (["census", "--max", "11"], "census supports --max <= 10"),
+        (["census", "--max", "12", "--threads", "2"], "census supports --max <= 10"),
         (["census", "--max", "9", "--green-max", "9"], "Green classes up to rank 8"),
+        (["census", "--min", "-2", "--max", "1"], "census needs 0 <= --min <= --max"),
+        (["census", "--min", "3", "--max", "1"], "census needs 0 <= --min <= --max"),
     ):
         rc, out, err = run(argv)
         assert (rc, out) == (2, ""), (argv, err)
@@ -415,11 +421,11 @@ def test_census_thread_count_and_caps_admitted(monkeypatch):
 
     monkeypatch.setattr("okada.cli.mo.census_counts", fake_counts)
     monkeypatch.setenv("OKADA_THREADS", "3")
-    assert run(["census", "--min", "9", "--max", "9"])[0] == 0
-    assert run(["census", "--min", "9", "--max", "9", "--threads", "64"])[0] == 0
+    assert run(["census", "--min", "10", "--max", "10"])[0] == 0
+    assert run(["census", "--min", "10", "--max", "10", "--threads", "64"])[0] == 0
     monkeypatch.setenv("OKADA_THREADS", "abc")  # --threads wins over the variable
-    assert run(["census", "--min", "9", "--max", "9", "--threads", "1"])[0] == 0
-    assert seen == [(9, 3), (9, 64), (9, 1)]
+    assert run(["census", "--min", "10", "--max", "10", "--threads", "1"])[0] == 0
+    assert seen == [(10, 3), (10, 64), (10, 1)]
 
 
 def test_okada_threads_is_read_by_census_only(monkeypatch):
@@ -440,3 +446,19 @@ def test_digit_arguments_are_words_not_file_names(tmp_path, monkeypatch):
     assert all(rc == 0 for rc, _, _ in before)
     # naming the file by a path still reads it
     assert run(["multiply", "generic", "./1", "1"]) == run(["multiply", "generic", "3 3", "1"])
+
+
+def test_cli_start_imports_no_process_pool():
+    # Only census --threads > 1 starts worker processes, so only it may
+    # pay for importing concurrent.futures.
+    src = str(Path(okada.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "okada.cli", "normalize", "1 2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    modules = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+               if line.startswith("import time:")]
+    assert "okada.monoid" in modules
+    assert not [m for m in modules if m.split(".")[0] == "concurrent"]

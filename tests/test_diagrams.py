@@ -5,7 +5,7 @@ import pytest
 
 from okada import diagrams as dg
 from okada.errors import PropagatingMismatchError, RankMismatchError
-from okada.fibonacci import FibonacciSet, chain_count, enumerate_yfs
+from okada.fibonacci import Chain, FibonacciSet, chain_count, enumerate_yfs
 from okada.polynomials import x_var
 from okada.rewriting import all_perms, perm_to_diagram
 
@@ -178,6 +178,21 @@ def test_chain_of_rank8_sample():
 def test_chain_of_identity():
     c = dg.chain_of(dg.bra(dg.identity(4)))
     assert [s.elements for s in c.sets] == [(), (1,), (1, 2), (1, 2, 3), (1, 2, 3, 4)]
+
+
+def _chain_by_restriction(h):
+    """``chain_of`` as one checked restriction per rank (the former
+    library construction), as an oracle."""
+    return Chain(tuple(dg.prop_lab(dg.restrict(h, i)) for i in range(h.rank + 1)))
+
+
+def test_chain_of_matches_the_restriction_oracle():
+    for n in range(9):
+        for h in dg.enumerate_half(n):
+            assert dg.chain_of(h) == _chain_by_restriction(h)
+    d = perm_to_diagram(tuple(range(1024, 0, -1)))
+    for h in (dg.bra(d), dg.ket(d)):
+        assert dg.chain_of(h) == _chain_by_restriction(h)
 
 
 def test_chain_bijection_roundtrip():

@@ -1,26 +1,193 @@
 import math
+from functools import lru_cache
+
+import pytest
 
 from okada import diagrams as dg
-from okada.algebra import free_diagram
+from okada.algebra import free_diagram, free_half_diagram
+from okada.errors import InternalInvariantError
 from okada.fibonacci import dominance_leq, enumerate_yfs
 from okada.monoid import (
+    EXTENDED_IDEMPOTENT_COUNTS,
     KNOWN_IDEMPOTENT_COUNTS,
     GreenClasses,
     aperiodicity_index,
     aperiodicity_max,
+    census_counts,
     green_classes,
     idempotent_count,
     involutive_count,
     is_idempotent,
     is_involutive,
+    iter_idempotents,
     j_class_rep,
     mproduct,
     r_class_rep,
 )
 from okada.rewriting import all_perms, perm_inverse, perm_to_diagram
 
-# number of involutions of S_n for n = 0..8
-INVOLUTION_COUNTS = (1, 1, 2, 4, 10, 26, 76, 232, 764)
+# number of involutions of S_n for n = 0..9
+INVOLUTION_COUNTS = (1, 1, 2, 4, 10, 26, 76, 232, 764, 2620)
+
+
+# ---------------------------------------------------------------------------
+# Brute-force oracles (the former library constructions)
+
+
+def _census_by_squaring(n):
+    """``(elements, idempotents, involutives)`` by forming ``e·e`` for
+    every element."""
+    total = idem = invol = 0
+    for s in enumerate_yfs(n):
+        halves = dg.enumerate_half(n, s)
+        for left in halves:
+            for right in halves:
+                d = dg.glue(left, right)
+                total += 1
+                if mproduct(d, d) == d:
+                    idem += 1
+                    if left == right:
+                        invol += 1
+    return total, idem, invol
+
+
+def _sccs(adj, radj):
+    """Kosaraju strongly-connected components; returns component index per node."""
+    n = len(adj)
+    seen = [False] * n
+    order = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        stack = [(s, 0)]
+        while stack:
+            v, i = stack[-1]
+            if i < len(adj[v]):
+                stack[-1] = (v, i + 1)
+                w = adj[v][i]
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, 0))
+            else:
+                order.append(v)
+                stack.pop()
+    comp = [-1] * n
+    c = 0
+    for s in reversed(order):
+        if comp[s] != -1:
+            continue
+        comp[s] = c
+        stack2 = [s]
+        while stack2:
+            v = stack2.pop()
+            for w in radj[v]:
+                if comp[w] == -1:
+                    comp[w] = c
+                    stack2.append(w)
+        c += 1
+    return comp
+
+
+def _group(comp):
+    buckets = {}
+    for i, c in enumerate(comp):
+        buckets.setdefault(c, []).append(i)
+    return tuple(sorted(tuple(sorted(b)) for b in buckets.values()))
+
+
+@lru_cache(maxsize=None)
+def _green_by_cayley_graphs(n):
+    """Green classes as strongly connected components of the right, left
+    and two-sided Cayley graphs over the generators (which is the same as
+    comparing one- and two-sided ideals), with the representatives found
+    by scanning each class."""
+    elements = dg.enumerate_diagrams(n)
+    index = {e: i for i, e in enumerate(elements)}
+    gens = [dg.generator(i, n) for i in range(1, n)]
+    m = len(elements)
+    right = [[] for _ in range(m)]
+    left = [[] for _ in range(m)]
+    rright = [[] for _ in range(m)]
+    rleft = [[] for _ in range(m)]
+    for i, e in enumerate(elements):
+        for g in gens:
+            j = index[mproduct(e, g)]
+            right[i].append(j)
+            rright[j].append(i)
+            k = index[mproduct(g, e)]
+            left[i].append(k)
+            rleft[k].append(i)
+    both = [right[i] + left[i] for i in range(m)]
+    rboth = [rright[i] + rleft[i] for i in range(m)]
+    r_classes = _group(_sccs(right, rright))
+    l_classes = _group(_sccs(left, rleft))
+    j_classes = _group(_sccs(both, rboth))
+    r_reps = []
+    for cls in r_classes:
+        reps = [i for i in cls if is_involutive(elements[i])]
+        assert len(reps) == 1, cls
+        r_reps.append(reps[0])
+    free_index = {index[free_diagram(s)] for s in enumerate_yfs(n)}
+    j_reps = []
+    for cls in j_classes:
+        reps = [i for i in cls if i in free_index]
+        assert len(reps) == 1, cls
+        j_reps.append(reps[0])
+    return GreenClasses(
+        n, elements, r_classes, l_classes, j_classes, tuple(r_reps), tuple(j_reps)
+    )
+
+
+def test_census_matches_the_squaring_oracle():
+    for n in range(9):
+        assert census_counts(n) == _census_by_squaring(n)
+
+
+def test_census_rank_9():
+    assert census_counts(9) == (math.factorial(9), EXTENDED_IDEMPOTENT_COUNTS[9], INVOLUTION_COUNTS[9])
+
+
+def test_iter_idempotents_matches_squaring_over_iter_diagrams():
+    for n in range(8):
+        assert list(iter_idempotents(n)) == [d for d in dg.iter_diagrams(n) if is_idempotent(d)]
+
+
+def test_green_classes_match_the_cayley_graph_oracle():
+    for n in range(8):
+        assert green_classes(n) == _green_by_cayley_graphs(n)
+
+
+def test_green_classes_require_one_representative_per_class(monkeypatch):
+    monkeypatch.setattr("okada.monoid.is_involutive", lambda e: True)
+    green_classes.cache_clear()
+    try:
+        with pytest.raises(InternalInvariantError, match="involutive elements"):
+            green_classes(3)
+    finally:
+        green_classes.cache_clear()
+
+
+def test_class_representatives_match_the_cayley_graph_oracle():
+    for n in range(8):
+        gc = _green_by_cayley_graphs(n)
+        for classes, reps, rep_of in (
+            (gc.r_classes, gc.r_reps, r_class_rep),
+            (gc.j_classes, gc.j_reps, j_class_rep),
+        ):
+            for cls, rep in zip(classes, reps):
+                for i in cls:
+                    assert rep_of(gc.elements[i]) == gc.elements[rep]
+
+
+def test_class_representatives_at_rank_1024():
+    d = perm_to_diagram(tuple(range(1024, 0, -1)))
+    r = r_class_rep(d)
+    assert is_involutive(r) and dg.bra(r) == dg.bra(d)
+    j = j_class_rep(d)
+    s = dg.prop_lab(d)
+    assert dg.prop_lab(j) == s
+    assert dg.bra(j) == dg.ket(j) == free_half_diagram(s)
 
 
 def chain_product(*ds):
@@ -79,6 +246,7 @@ def test_idempotent_census_small():
 
 def test_census_threads_agree():
     assert idempotent_count(5, threads=2) == KNOWN_IDEMPOTENT_COUNTS[5]
+    assert census_counts(7, threads=2) == census_counts(7)
 
 
 def test_aperiodicity():
