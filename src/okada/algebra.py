@@ -15,7 +15,6 @@ modules, and Gram matrices of the invariant bilinear forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping
@@ -272,14 +271,27 @@ def triangular_factorization(p: Perm) -> tuple[Perm, FibonacciSet, Perm]:
 # cellular structure
 
 
-@dataclass(frozen=True)
 class CellDatum:
     """Cellular data: dominance poset, index sets, basis map, involution."""
+
+    __slots__ = ("rank", "poset", "index_sets", "involution")
 
     rank: int
     poset: tuple[FibonacciSet, ...]  # dominance-ordered index (lex order here)
     index_sets: dict[FibonacciSet, tuple[dg.HalfArcDiagram, ...]]
     involution: Callable[[dg.ArcDiagram], dg.ArcDiagram]
+
+    def __init__(
+        self,
+        rank: int,
+        poset: tuple[FibonacciSet, ...],
+        index_sets: dict[FibonacciSet, tuple[dg.HalfArcDiagram, ...]],
+        involution: Callable[[dg.ArcDiagram], dg.ArcDiagram],
+    ) -> None:
+        _set_cell_rank(self, rank)
+        _set_cell_poset(self, poset)
+        _set_cell_index_sets(self, index_sets)
+        _set_cell_involution(self, involution)
 
     def basis_diagram(
         self, s: FibonacciSet, left: dg.HalfArcDiagram, right: dg.HalfArcDiagram
@@ -287,6 +299,37 @@ class CellDatum:
         if dg.prop_lab(left) != s or dg.prop_lab(right) != s:
             raise PropagatingMismatchError(f"halves do not both have labels {s}")
         return dg.glue(left, right)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not CellDatum:
+            return NotImplemented
+        return (self.rank, self.poset, self.index_sets, self.involution) == (
+            other.rank, other.poset, other.index_sets, other.involution
+        )
+
+    def __hash__(self) -> int:  # raises TypeError: ``index_sets`` is a dict
+        return hash((self.rank, self.poset, self.index_sets, self.involution))
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"CellDatum is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"CellDatum is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return CellDatum, (self.rank, self.poset, self.index_sets, self.involution)
+
+    def __repr__(self) -> str:
+        return (
+            f"CellDatum(rank={self.rank!r}, poset={self.poset!r}, "
+            f"index_sets={self.index_sets!r}, involution={self.involution!r})"
+        )
+
+
+_set_cell_rank = CellDatum.rank.__set__
+_set_cell_poset = CellDatum.poset.__set__
+_set_cell_index_sets = CellDatum.index_sets.__set__
+_set_cell_involution = CellDatum.involution.__set__
 
 
 def cell_datum(n: int) -> CellDatum:
@@ -361,11 +404,17 @@ def gram_matrix(s: FibonacciSet) -> tuple[tuple[Polynomial, ...], ...]:
     return tuple(rows)
 
 
+# Largest cell dimension ``gram_det`` expands: Leibniz sums d! products,
+# about 3 s at dimension 8.
+GRAM_DET_MAX_DIM = 8
+
+
 def gram_det(s: FibonacciSet) -> Polynomial:
-    """Symbolic determinant of the Gram matrix (Leibniz; cells up to 8)."""
+    """Symbolic determinant of the Gram matrix (Leibniz; cells up to
+    dimension ``GRAM_DET_MAX_DIM``)."""
     m = gram_matrix(s)
     d = len(m)
-    if d > 8:
+    if d > GRAM_DET_MAX_DIM:
         raise ValueError(f"cell of dimension {d} too large for the symbolic determinant")
     import itertools
 

@@ -10,33 +10,27 @@ Thread count for the census comes from ``--threads`` or the
 ``OKADA_THREADS`` environment variable; ``--seed`` drives the randomized
 parts of ``selftest``.  Identical invocations produce byte-identical
 output.
+
+Each call is a fresh process, so start-up is most of its cost: at module
+level this file imports only the standard library and
+:mod:`okada.errors`, and each subcommand imports the modules it uses.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
-import random
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import algebra as alg
-from . import diagrams as dg
-from . import monoid as mo
-from . import render as rd
-from . import rewriting as rw
-from . import serialize as ser
 from .errors import InternalInvariantError, OkadaError
-from .fibonacci import (
-    FibonacciSet,
-    dominance_leq,
-    dominance_meet,
-    enumerate_yfs,
-    free_set,
-    saturated_chains,
-)
+
+if TYPE_CHECKING:
+    from .diagrams import ArcDiagram
+    from .fibonacci import FibonacciSet
 
 # Largest rank each request accepts: the enumerate kinds, then the
 # commands whose cost grows fastest with the rank (n!-sized monoids for
@@ -72,12 +66,16 @@ def _check_rank(what: str, n: int) -> int:
 
 
 def _parse_set(text: str, n: int) -> FibonacciSet:
+    from .fibonacci import FibonacciSet
+
     items = tuple(int(t) for t in text.replace(",", " ").replace("{", " ").replace("}", " ").split())
     return FibonacciSet(n, items)
 
 
 def _emit(args, obj) -> None:
-    print(ser.dumps(obj), file=args.stdout)
+    from .serialize import dumps
+
+    print(dumps(obj), file=args.stdout)
 
 
 def _load_json(text: str) -> dict:
@@ -113,45 +111,49 @@ def _read_input(arg: str) -> str:
 
 
 def cmd_enumerate(args) -> int:
+    from . import serialize as ser
+
     n = _check_rank(args.kind, args.n)
-    count = 0
     if args.kind == "yfs":
-        for s in enumerate_yfs(n):
-            count += 1
-            if not args.count_only:
-                _emit(args, ser.fibset_to_obj(s))
+        from .fibonacci import enumerate_yfs
+
+        items, to_obj = enumerate_yfs(n), ser.fibset_to_obj
     elif args.kind == "diagrams":
-        for d in dg.iter_diagrams(n):
-            count += 1
-            if not args.count_only:
-                _emit(args, ser.diagram_to_obj(d))
+        from .diagrams import iter_diagrams
+
+        items, to_obj = iter_diagrams(n), ser.diagram_to_obj
     elif args.kind == "half":
+        from .diagrams import enumerate_half
+
         s = _parse_set(args.set, n) if args.set else None
-        for h in dg.enumerate_half(n, s):
-            count += 1
-            if not args.count_only:
-                _emit(args, ser.half_to_obj(h))
+        items, to_obj = enumerate_half(n, s), ser.half_to_obj
     elif args.kind == "chains":
+        from .fibonacci import enumerate_yfs, saturated_chains
+
         targets = [_parse_set(args.set, n)] if args.set else list(enumerate_yfs(n))
-        for s in targets:
-            for c in saturated_chains(s):
-                count += 1
-                if not args.count_only:
-                    _emit(args, ser.chain_to_obj(c))
-    elif args.kind == "idempotents":
+        items, to_obj = (c for s in targets for c in saturated_chains(s)), ser.chain_to_obj
+    else:  # idempotents
         if n > 8 and not args.extended:
             raise UsageError("idempotent enumeration beyond n=8 needs --extended")
-        for d in mo.iter_idempotents(n):
-            count += 1
-            if not args.count_only:
-                _emit(args, ser.diagram_to_obj(d))
+        from .monoid import iter_idempotents
+
+        items, to_obj = iter_idempotents(n), ser.diagram_to_obj
+    count = 0
+    for item in items:
+        count += 1
+        if not args.count_only:
+            print(ser.dumps(to_obj(item)), file=args.stdout)
     print(f"kind={args.kind} n={n} count={count}", file=args.stderr)
     if args.count_only:
         print(count, file=args.stdout)
     return 0
 
 
-def _input_to_diagram(raw: str, n: int | None) -> dg.ArcDiagram:
+def _input_to_diagram(raw: str, n: int | None) -> ArcDiagram:
+    from . import diagrams as dg
+    from . import monoid as mo
+    from . import serialize as ser
+
     text = _read_input(raw)
     if text.lstrip().startswith("{"):
         return ser.obj_to_diagram(_load_json(text))
@@ -164,6 +166,8 @@ def _input_to_diagram(raw: str, n: int | None) -> dg.ArcDiagram:
 
 
 def cmd_multiply(args) -> int:
+    from . import serialize as ser
+
     if args.mode == "generic":
         left, right = _read_input(args.left), _read_input(args.right)
         if left.lstrip().startswith("{") or right.lstrip().startswith("{"):
@@ -172,6 +176,8 @@ def cmd_multiply(args) -> int:
             _check_rank("multiply", max(a.rank, b.rank))
             _emit(args, ser.element_to_obj(a * b))
             return 0
+        from . import rewriting as rw
+
         w1, w2 = ser.parse_word(left), ser.parse_word(right)
         n = args.n if args.n is not None else max((*w1, *w2), default=0) + 1
         res = rw.multiply_words(w1, w2, _check_rank("multiply", n))
@@ -183,8 +189,12 @@ def cmd_multiply(args) -> int:
     if d1.rank != d2.rank:
         raise ValueError(f"rank mismatch: {d1.rank} vs {d2.rank}")
     if args.mode == "monoid":
+        from . import monoid as mo
+
         _emit(args, ser.diagram_to_obj(mo.mproduct(d1, d2)))
     else:  # y1
+        from . import diagrams as dg
+
         coeff, result = dg.product_y1(d1, d2)
         obj = ser.diagram_to_obj(result)
         obj["coeff_x"] = ser.poly_to_terms(coeff, result.rank)
@@ -193,6 +203,9 @@ def cmd_multiply(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    from . import rewriting as rw
+    from . import serialize as ser
+
     word = ser.parse_word(args.word)
     n = args.n if args.n is not None else max(word, default=0) + 1
     _emit(args, ser.normalization_to_obj(rw.normalize(word, _check_rank("normalize", n))))
@@ -200,6 +213,9 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_rs(args) -> int:
+    from . import rewriting as rw
+    from . import serialize as ser
+
     p = ser.parse_perm(args.perm)
     _check_rank("rs", len(p))
     left, right = rw.rs(p)
@@ -216,6 +232,9 @@ def cmd_rs(args) -> int:
 
 
 def cmd_rs_inverse(args) -> int:
+    from . import rewriting as rw
+    from . import serialize as ser
+
     left, right = ser.obj_to_rs_chains(_load_json(_read_input(args.chains)))
     _check_rank("rs", left.rank)
     p = rw.rs_inverse(left, right)
@@ -224,6 +243,11 @@ def cmd_rs_inverse(args) -> int:
 
 
 def cmd_green(args) -> int:
+    from . import diagrams as dg
+    from . import monoid as mo
+    from . import rewriting as rw
+    from . import serialize as ser
+
     gc = mo.green_classes(_check_rank("green", args.n))
     if args.format == "csv":
         print("kind,index,size,rep_perm", file=args.stdout)
@@ -274,6 +298,8 @@ def _census_threads(args) -> int:
 
 
 def cmd_census(args) -> int:
+    from . import monoid as mo
+
     threads = _census_threads(args)
     if args.max > _LIMITS["census"]:
         raise UsageError(f"census supports --max <= {_LIMITS['census']}")
@@ -310,7 +336,13 @@ def cmd_census(args) -> int:
 
 
 def cmd_gram(args) -> int:
+    from . import algebra as alg
+    from . import serialize as ser
+    from .fibonacci import chain_count
+
     s = _parse_set(args.set, _check_rank("gram", args.n))
+    if args.det and chain_count(s) > alg.GRAM_DET_MAX_DIM:
+        raise UsageError(f"gram --det supports cells of dimension <= {alg.GRAM_DET_MAX_DIM}")
     matrix = alg.gram_matrix(s)
     obj = {
         "schema": ser.SCHEMAS["gram"],
@@ -318,9 +350,12 @@ def cmd_gram(args) -> int:
         "dim": len(matrix),
         "matrix": [[ser.poly_to_terms(c, args.n) for c in row] for row in matrix],
     }
-    if args.det and len(matrix) <= 8:
+    if args.det:
         obj["det"] = ser.poly_to_terms(alg.gram_det(s), args.n)
     if args.specialize is not None:
+        import random
+        from fractions import Fraction
+
         rng = random.Random(args.specialize)
         values = {("x", i): Fraction(rng.randrange(2, 100), rng.randrange(1, 10)) for i in range(1, args.n)}
         values.update({("y", i): Fraction(rng.randrange(2, 100), rng.randrange(1, 10)) for i in range(1, args.n - 1)})
@@ -332,6 +367,11 @@ def cmd_gram(args) -> int:
 
 
 def cmd_factorize(args) -> int:
+    from . import algebra as alg
+    from . import rewriting as rw
+    from . import serialize as ser
+    from .fibonacci import free_set
+
     p = ser.parse_perm(args.perm)
     _check_rank("factorize", len(p))
     rho, s, tau = alg.triangular_factorization(p)
@@ -355,6 +395,9 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from . import render as rd
+    from . import serialize as ser
+
     fmt = args.format
     if args.kind in ("diagram", "half"):
         if args.input is None:
@@ -392,6 +435,15 @@ def _require(cond: bool, what: str) -> None:
 
 
 def cmd_selftest(args) -> int:
+    import random
+
+    from . import algebra as alg
+    from . import diagrams as dg
+    from . import monoid as mo
+    from . import rewriting as rw
+    from .fibonacci import dominance_leq, dominance_meet, enumerate_yfs, free_set
+    from .polynomials import x_var, y_var
+
     rng = random.Random(args.seed)
     failures = 0
 
@@ -415,8 +467,6 @@ def cmd_selftest(args) -> int:
             _require(count == mo.KNOWN_IDEMPOTENT_COUNTS[n], f"{count} idempotents at rank {n}")
 
     def presentation() -> None:
-        from .polynomials import x_var, y_var
-
         for n in range(2, 6):
             for i in range(1, n):
                 r = rw.normalize((i, i), n)
@@ -502,7 +552,9 @@ class UsageError(Exception):
     pass
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="okada",
         description="Exact diagram calculus for the Okada algebra and monoid.",

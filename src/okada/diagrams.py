@@ -31,12 +31,13 @@ arcs)`` constructor checks the perfect matching and the label types,
 and the parsers in :mod:`okada.serialize` also run :func:`validate`.
 Diagrams built here from other diagrams (:func:`compose`, :func:`glue`,
 :func:`mirror`, :func:`peel`, ...) skip those checks and only assert
-that every position was matched.
+that every position was matched; so do the halves built by :func:`bra`,
+:func:`ket`, :func:`restrict` and :func:`chain_inverse`, which only
+assert that their arcs account for all ``n`` nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -208,26 +209,35 @@ def _from_arrays(n: int, partner, height) -> ArcDiagram:
     return d
 
 
-@dataclass(frozen=True)
 class HalfArcDiagram:
     """Positive half of an arc diagram.
 
     Full arcs join two nodes of ``[n]``; half arcs keep one node and the
     label of the propagating arc they came from.  Together they must
-    partition ``[n]``.
+    partition ``[n]``.  Both are stored sorted; equality and hashing use
+    ``(rank, full_arcs, half_arcs)``.
+
+    ``HalfArcDiagram(rank, full_arcs, half_arcs)`` checks the partition
+    and the label types; halves the library builds itself go through
+    :func:`_half_from_arcs`, which only asserts that the arcs account for
+    all ``n`` nodes.
     """
+
+    __slots__ = ("rank", "full_arcs", "half_arcs")
 
     rank: int
     full_arcs: tuple[Arc, ...]
     half_arcs: tuple[HalfArc, ...]
 
-    def __post_init__(self) -> None:
-        n = self.rank
+    def __init__(
+        self, rank: int, full_arcs: tuple[Arc, ...], half_arcs: tuple[HalfArc, ...]
+    ) -> None:
+        n = rank
         if n < 0:
             raise ValueError("rank must be non-negative")
         seen = set()
         fulls = []
-        for a, b, h in self.full_arcs:
+        for a, b, h in full_arcs:
             if a > b:
                 a, b = b, a
             for e in (a, b):
@@ -240,7 +250,7 @@ class HalfArcDiagram:
                 raise ValueError(f"height must be a positive integer, got {h!r}")
             fulls.append(Arc(a, b, h))
         halves = []
-        for e, h in self.half_arcs:
+        for e, h in half_arcs:
             if not 1 <= e <= n:
                 raise ValueError(f"endpoint {e} out of range for rank {n}")
             if e in seen:
@@ -251,13 +261,59 @@ class HalfArcDiagram:
             halves.append(HalfArc(e, h))
         if len(seen) != n:
             raise ValueError(f"arcs must cover all of [1, {n}]")
-        object.__setattr__(self, "full_arcs", tuple(sorted(fulls)))
-        object.__setattr__(self, "half_arcs", tuple(sorted(halves)))
+        _set_half_rank(self, n)
+        _set_full_arcs(self, tuple(sorted(fulls)))
+        _set_half_arcs(self, tuple(sorted(halves)))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not HalfArcDiagram:
+            return NotImplemented
+        return (
+            self.rank == other.rank
+            and self.full_arcs == other.full_arcs
+            and self.half_arcs == other.half_arcs
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.full_arcs, self.half_arcs))
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"HalfArcDiagram is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"HalfArcDiagram is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return _half_from_arcs, (self.rank, self.full_arcs, self.half_arcs)
 
     def __repr__(self) -> str:
         body = ", ".join(f"({a},{b})h{h}" for a, b, h in self.full_arcs)
         tail = ", ".join(f"{e}|h{h}" for e, h in self.half_arcs)
         return f"HalfArcDiagram({self.rank}: {body}; {tail})"
+
+
+_set_half_rank = HalfArcDiagram.rank.__set__
+_set_full_arcs = HalfArcDiagram.full_arcs.__set__
+_set_half_arcs = HalfArcDiagram.half_arcs.__set__
+
+
+def _half_from_arcs(n: int, fulls, halves) -> HalfArcDiagram:
+    """Trusted constructor for halves the library builds itself.
+
+    ``fulls`` (as ``Arc``) and ``halves`` (as ``HalfArc``) must already
+    be sorted.  Skips the checks of ``HalfArcDiagram(rank, full_arcs,
+    half_arcs)`` and only asserts that the arcs account for all ``n``
+    nodes (two per full arc, one per half arc).
+    """
+    if 2 * len(fulls) + len(halves) != n:
+        raise InternalInvariantError(
+            f"rank-{n} half diagram built with {len(fulls)} full and {len(halves)} half arcs"
+        )
+    h = object.__new__(HalfArcDiagram)
+    _set_half_rank(h, n)
+    _set_full_arcs(h, tuple(fulls))
+    _set_half_arcs(h, tuple(halves))
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +472,7 @@ def bra(d: ArcDiagram) -> HalfArcDiagram:
             halves.append(HalfArc(p + 1, d.height[p]))
         elif p < q:
             fulls.append(Arc(p + 1, q + 1, d.height[p]))
-    return HalfArcDiagram(n, tuple(fulls), tuple(halves))
+    return _half_from_arcs(n, fulls, halves)
 
 
 def ket(d: ArcDiagram) -> HalfArcDiagram:
@@ -473,7 +529,8 @@ def restrict(h: HalfArcDiagram, r: int) -> HalfArcDiagram:
     fulls = [a for a in h.full_arcs if a.hi <= r]
     halves = [x for x in h.half_arcs if x.end <= r]
     halves.extend(HalfArc(a.lo, a.height) for a in h.full_arcs if a.lo <= r < a.hi)
-    return HalfArcDiagram(r, tuple(fulls), tuple(halves))
+    halves.sort()
+    return _half_from_arcs(r, fulls, halves)
 
 
 def chain_of(h: HalfArcDiagram) -> Chain:
@@ -519,8 +576,9 @@ def chain_inverse(chain: Chain) -> HalfArcDiagram:
             fulls.append(Arc(open_by_height.pop(h), i, h))
         else:  # covering step that appends a new largest element
             open_by_height[cur.elements[-1]] = i
-    halves = tuple(HalfArc(pos, h) for h, pos in open_by_height.items())
-    return HalfArcDiagram(chain.rank, tuple(fulls), halves)
+    fulls.sort()  # closed in order of their right ends
+    halves = [HalfArc(pos, h) for h, pos in open_by_height.items()]  # opened in node order
+    return _half_from_arcs(chain.rank, fulls, halves)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ a deterministic order (lexicographic on element sequences).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -82,7 +81,6 @@ def is_fibonacci_set(rank: int, elements: Sequence[int]) -> bool:
     return _parities_ok(rank, elements)
 
 
-@dataclass(frozen=True, order=True)
 class FibonacciSet:
     """A Fibonacci set; equality and ordering compare ``(rank, elements)``.
 
@@ -90,24 +88,67 @@ class FibonacciSet:
     values: ``FibonacciSet(5, (1, 2, 5)) != FibonacciSet(7, (1, 2, 5))``.
     """
 
+    __slots__ = ("rank", "elements")
+
     rank: int
     elements: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", tuple(self.elements))
-        _check_structure(self.rank, self.elements)
-        if not _parities_ok(self.rank, self.elements):
-            raise ValueError(
-                f"{self.elements} is not a Fibonacci set of rank {self.rank}"
-            )
+    def __init__(self, rank: int, elements: tuple[int, ...]) -> None:
+        elements = tuple(elements)
+        _check_structure(rank, elements)
+        if not _parities_ok(rank, elements):
+            raise ValueError(f"{elements} is not a Fibonacci set of rank {rank}")
+        _set_fs_rank(self, rank)
+        _set_fs_elements(self, elements)
 
     @property
     def size(self) -> int:
         return len(self.elements)
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FibonacciSet:
+            return NotImplemented
+        return self.rank == other.rank and self.elements == other.elements
+
+    def __lt__(self, other) -> bool:
+        if other.__class__ is not FibonacciSet:
+            return NotImplemented
+        return (self.rank, self.elements) < (other.rank, other.elements)
+
+    def __le__(self, other) -> bool:
+        if other.__class__ is not FibonacciSet:
+            return NotImplemented
+        return (self.rank, self.elements) <= (other.rank, other.elements)
+
+    def __gt__(self, other) -> bool:
+        if other.__class__ is not FibonacciSet:
+            return NotImplemented
+        return (self.rank, self.elements) > (other.rank, other.elements)
+
+    def __ge__(self, other) -> bool:
+        if other.__class__ is not FibonacciSet:
+            return NotImplemented
+        return (self.rank, self.elements) >= (other.rank, other.elements)
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.elements))
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"FibonacciSet is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"FibonacciSet is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return FibonacciSet, (self.rank, self.elements)
+
     def __repr__(self) -> str:  # {1,2,5}_5, matching the usual notation
         inner = ",".join(str(s) for s in self.elements)
         return "{%s}_%d" % (inner, self.rank)
+
+
+_set_fs_rank = FibonacciSet.rank.__set__
+_set_fs_elements = FibonacciSet.elements.__set__
 
 
 @lru_cache(maxsize=None)
@@ -176,19 +217,24 @@ def is_yf_cover(s: FibonacciSet, t: FibonacciSet) -> bool:
     return t.elements == s.elements[:-1] or t.elements[:-1] == s.elements
 
 
-@dataclass(frozen=True, order=True)
 class Chain:
-    """A saturated chain ``empty = C_0 < C_1 < ... < C_n`` of covers."""
+    """A saturated chain ``empty = C_0 < C_1 < ... < C_n`` of covers.
+
+    Equality and ordering compare the tuples of sets.
+    """
+
+    __slots__ = ("sets",)
 
     sets: tuple[FibonacciSet, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sets", tuple(self.sets))
-        if not self.sets or self.sets[0] != FibonacciSet(0, ()):
+    def __init__(self, sets: tuple[FibonacciSet, ...]) -> None:
+        sets = tuple(sets)
+        if not sets or sets[0] != FibonacciSet(0, ()):
             raise ValueError("chain must start at the empty set of rank 0")
-        for i, (a, b) in enumerate(zip(self.sets, self.sets[1:])):
+        for i, (a, b) in enumerate(zip(sets, sets[1:])):
             if not is_yf_cover(a, b):
                 raise ValueError(f"non-covering step at position {i}: {a} -> {b}")
+        _set_chain_sets(self, sets)
 
     @property
     def rank(self) -> int:
@@ -198,8 +244,48 @@ class Chain:
     def top(self) -> FibonacciSet:
         return self.sets[-1]
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Chain:
+            return NotImplemented
+        return self.sets == other.sets
+
+    def __lt__(self, other) -> bool:
+        if other.__class__ is not Chain:
+            return NotImplemented
+        return self.sets < other.sets
+
+    def __le__(self, other) -> bool:
+        if other.__class__ is not Chain:
+            return NotImplemented
+        return self.sets <= other.sets
+
+    def __gt__(self, other) -> bool:
+        if other.__class__ is not Chain:
+            return NotImplemented
+        return self.sets > other.sets
+
+    def __ge__(self, other) -> bool:
+        if other.__class__ is not Chain:
+            return NotImplemented
+        return self.sets >= other.sets
+
+    def __hash__(self) -> int:
+        return hash((self.sets,))
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"Chain is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"Chain is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return Chain, (self.sets,)
+
     def __repr__(self) -> str:
         return "Chain(" + " < ".join(repr(s) for s in self.sets) + ")"
+
+
+_set_chain_sets = Chain.sets.__set__
 
 
 @lru_cache(maxsize=None)

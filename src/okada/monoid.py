@@ -21,14 +21,15 @@ read this pairing and form no product:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 from . import diagrams as dg
-from .algebra import free_diagram
 from .errors import InternalInvariantError
 from .fibonacci import FibonacciSet, enumerate_yfs, saturated_chains
+
+# ``algebra.free_diagram`` is imported where it is used, so that the
+# monoid product does not load the algebra and rewriting layers.
 
 __all__ = [
     "mproduct",
@@ -218,15 +219,20 @@ def involutive_count(n: int, threads: int = 1) -> int:
 # Green relations
 
 
-@dataclass(frozen=True)
+_GREEN_FIELDS = ("rank", "elements", "r_classes", "l_classes", "j_classes", "r_reps", "j_reps")
+
+
 class GreenClasses:
     """R/L/J-partitions of the rank-``n`` monoid with canonical representatives.
 
     ``elements`` fixes the indexing; classes are tuples of sorted element
     indices, themselves sorted by smallest member.  ``r_reps[c]`` is the
     unique involutive element of R-class ``c``; ``j_reps[c]`` the unique
-    free element of J-class ``c``.
+    free element of J-class ``c``.  Equality, hashing and ``repr`` use
+    these seven fields.
     """
+
+    __slots__ = _GREEN_FIELDS + ("_lookup",)
 
     rank: int
     elements: tuple[dg.ArcDiagram, ...]
@@ -236,13 +242,66 @@ class GreenClasses:
     r_reps: tuple[int, ...]
     j_reps: tuple[int, ...]
 
+    def __init__(
+        self,
+        rank: int,
+        elements: tuple[dg.ArcDiagram, ...],
+        r_classes: tuple[tuple[int, ...], ...],
+        l_classes: tuple[tuple[int, ...], ...],
+        j_classes: tuple[tuple[int, ...], ...],
+        r_reps: tuple[int, ...],
+        j_reps: tuple[int, ...],
+    ) -> None:
+        values = (rank, elements, r_classes, l_classes, j_classes, r_reps, j_reps)
+        for name, value in zip(_GREEN_FIELDS, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_lookup", None)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in _GREEN_FIELDS)
+
     def class_of(self, e: dg.ArcDiagram, kind: str) -> tuple[int, ...]:
-        idx = self.elements.index(e)
-        classes = {"R": self.r_classes, "L": self.l_classes, "J": self.j_classes}[kind]
-        for cls in classes:
-            if idx in cls:
-                return cls
-        raise KeyError(e)
+        """The ``kind`` (``"R"``, ``"L"`` or ``"J"``) class holding ``e``.
+
+        The element -> index table and the index -> class tables are
+        built on the first call.
+        """
+        if self._lookup is None:
+            index = {d: i for i, d in enumerate(self.elements)}
+            owners = {}
+            for key, classes in (("R", self.r_classes), ("L", self.l_classes), ("J", self.j_classes)):
+                owner: list[tuple[int, ...]] = [()] * len(self.elements)
+                for cls in classes:
+                    for i in cls:
+                        owner[i] = cls
+                owners[key] = owner
+            object.__setattr__(self, "_lookup", (index, owners))
+        index, owners = self._lookup
+        owner = owners[kind]
+        if e not in index:
+            raise ValueError(f"{e!r} is not an element of the rank-{self.rank} monoid")
+        return owner[index[e]]
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GreenClasses:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"GreenClasses is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"GreenClasses is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return GreenClasses, self._fields()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in _GREEN_FIELDS)
+        return f"GreenClasses({body})"
 
 
 @lru_cache(maxsize=None)
@@ -279,6 +338,8 @@ def green_classes(n: int) -> GreenClasses:
                 f"R-class {cls} at rank {n} has {len(reps)} involutive elements"
             )
         r_reps.append(reps[0])
+    from .algebra import free_diagram
+
     frees = {free_diagram(s) for s in enumerate_yfs(n)}
     j_reps = []
     for cls in j_classes:
@@ -312,4 +373,6 @@ def r_class_rep(e: dg.ArcDiagram) -> dg.ArcDiagram:
 def j_class_rep(e: dg.ArcDiagram) -> dg.ArcDiagram:
     """The unique free element of the J-class of ``e``: the free element
     with the same propagating label set."""
+    from .algebra import free_diagram
+
     return free_diagram(dg.prop_lab(e))

@@ -19,8 +19,10 @@ True
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["Var", "Polynomial", "x_var", "y_var"]
 
@@ -83,7 +85,11 @@ class Polynomial:
     def _coerce(value) -> "Polynomial":
         if isinstance(value, Polynomial):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, int):
+            return Polynomial({(): value})
+        from fractions import Fraction  # imported here: only rational specializations need it
+
+        if isinstance(value, Fraction):
             return Polynomial({(): value})
         return NotImplemented
 

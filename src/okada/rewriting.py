@@ -33,14 +33,16 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import random
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import InternalInvariantError
-from .fibonacci import Chain
 from .polynomials import Polynomial, Term, Var
+
+if TYPE_CHECKING:
+    import random
+
+    from .fibonacci import Chain
 
 __all__ = [
     "Perm",
@@ -153,7 +155,6 @@ def check_word(word: Sequence[int], n: int) -> tuple[int, ...]:
 # heaps (diamond-diagram packings)
 
 
-@dataclass(frozen=True)
 class Heap:
     """Black-box occupancy of a diamond diagram.
 
@@ -165,18 +166,46 @@ class Heap:
     empty diagonals on the right.
     """
 
+    __slots__ = ("n", "rows")
+
     n: int
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != max(self.n - 1, 0):
-            raise ValueError(f"expected {self.n - 1} rows, got {len(self.rows)}")
-        for i, cols in enumerate(self.rows, start=1):
+    def __init__(self, n: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        if len(rows) != max(n - 1, 0):
+            raise ValueError(f"expected {n - 1} rows, got {len(rows)}")
+        for i, cols in enumerate(rows, start=1):
             for prev, cur in zip((0,) + tuple(cols), cols):
                 if cur <= prev:
                     raise ValueError(f"row {i} columns must increase: {cols}")
             if cols and cols[0] < i:
                 raise ValueError(f"row {i} starts left of the boundary: {cols}")
+        _set_heap_n(self, n)
+        _set_heap_rows(self, rows)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Heap:
+            return NotImplemented
+        return (self.n, self.rows) == (other.n, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rows))
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"Heap is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"Heap is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return Heap, (self.n, self.rows)
+
+    def __repr__(self) -> str:
+        return f"Heap(n={self.n!r}, rows={self.rows!r})"
+
+
+_set_heap_n = Heap.n.__set__
+_set_heap_rows = Heap.rows.__set__
 
 
 def heap_from_word(word: Sequence[int], n: int) -> Heap:
@@ -256,14 +285,52 @@ def trace_equal(w1: Sequence[int], w2: Sequence[int]) -> bool:
 # normalization
 
 
-@dataclass(frozen=True)
 class NormalizationResult:
     """Outcome of rewriting a word to its canonical code-word form."""
+
+    __slots__ = ("n", "coefficient", "word", "perm")
 
     n: int
     coefficient: Polynomial  # a monomial in the x and y parameters
     word: tuple[int, ...]  # the code word of `perm`
     perm: Perm
+
+    def __init__(self, n: int, coefficient: Polynomial, word: tuple[int, ...], perm: Perm) -> None:
+        _set_result_n(self, n)
+        _set_result_coefficient(self, coefficient)
+        _set_result_word(self, word)
+        _set_result_perm(self, perm)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not NormalizationResult:
+            return NotImplemented
+        return (self.n, self.coefficient, self.word, self.perm) == (
+            other.n, other.coefficient, other.word, other.perm
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.coefficient, self.word, self.perm))
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"NormalizationResult is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"NormalizationResult is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return NormalizationResult, (self.n, self.coefficient, self.word, self.perm)
+
+    def __repr__(self) -> str:
+        return (
+            f"NormalizationResult(n={self.n!r}, coefficient={self.coefficient!r}, "
+            f"word={self.word!r}, perm={self.perm!r})"
+        )
+
+
+_set_result_n = NormalizationResult.n.__set__
+_set_result_coefficient = NormalizationResult.coefficient.__set__
+_set_result_word = NormalizationResult.word.__set__
+_set_result_perm = NormalizationResult.perm.__set__
 
 
 def _reduction_candidates(word: Sequence[int]):

@@ -19,19 +19,23 @@ input, including a JSON value of the wrong shape, a diagram or half
 diagram that fails :func:`~okada.diagrams.validate` or
 :func:`~okada.diagrams.validate_half`, and a basis index that is not a
 permutation.  The library itself can still build invalid labellings.
+
+Each parser imports the module of the type it builds when it is called,
+so importing this module loads none of the library layers.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .algebra import AlgebraElement
-from .diagrams import Arc, ArcDiagram, HalfArc, HalfArcDiagram, half_violations, violations
-from .fibonacci import Chain, FibonacciSet
-from .polynomials import Polynomial
-from .rewriting import NormalizationResult, Perm
+if TYPE_CHECKING:
+    from .algebra import AlgebraElement
+    from .diagrams import ArcDiagram, HalfArcDiagram
+    from .fibonacci import Chain, FibonacciSet
+    from .polynomials import Polynomial
+    from .rewriting import NormalizationResult, Perm
 
 SCHEMAS = {
     "fibset": "okada.fibset/1",
@@ -93,6 +97,8 @@ def fibset_to_obj(s: FibonacciSet) -> dict:
 
 @_parser
 def obj_to_fibset(obj: dict) -> FibonacciSet:
+    from .fibonacci import FibonacciSet
+
     _check_schema(obj, "fibset")
     return FibonacciSet(_int(_expect(obj, "rank")), tuple(_int(x) for x in _expect(obj, "elements")))
 
@@ -110,6 +116,8 @@ def diagram_to_obj(d: ArcDiagram) -> dict:
 
 @_parser
 def obj_to_diagram(obj: dict) -> ArcDiagram:
+    from .diagrams import Arc, ArcDiagram, violations
+
     _check_schema(obj, "diagram")
     arcs = tuple(
         Arc(_int(rec["ends"][0]), _int(rec["ends"][1]), _int(rec["height"]))
@@ -133,6 +141,8 @@ def half_to_obj(h: HalfArcDiagram) -> dict:
 
 @_parser
 def obj_to_half(obj: dict) -> HalfArcDiagram:
+    from .diagrams import Arc, HalfArc, HalfArcDiagram, half_violations
+
     _check_schema(obj, "half")
     fulls = tuple(
         Arc(_int(rec["ends"][0]), _int(rec["ends"][1]), _int(rec["height"]))
@@ -160,6 +170,8 @@ def chain_to_obj(c: Chain) -> dict:
 
 @_parser
 def obj_to_chain(obj: dict) -> Chain:
+    from .fibonacci import Chain, FibonacciSet
+
     _check_schema(obj, "chain")
     sets = tuple(
         FibonacciSet(_int(rec["rank"]), tuple(_int(x) for x in rec["elements"]))
@@ -198,6 +210,8 @@ def poly_to_terms(p: Polynomial, n: int) -> list[dict]:
 
 
 def terms_to_poly(terms: list[dict]) -> Polynomial:
+    from .polynomials import Polynomial
+
     total = Polynomial.zero()
     for rec in terms:
         exps = {}
@@ -246,6 +260,8 @@ def element_to_obj(a: AlgebraElement) -> dict:
 
 @_parser
 def obj_to_element(obj: dict) -> AlgebraElement:
+    from .algebra import AlgebraElement
+
     _check_schema(obj, "element")
     rank = _int(_expect(obj, "rank"))
     coeffs = {}

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import okada
 from okada.cli import main
+from okada.polynomials import Polynomial
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -187,6 +188,25 @@ def test_gram_command():
     assert len(obj["matrix"]) == 2
 
 
+def test_gram_det_over_dimension_8_is_a_usage_error(monkeypatch):
+    # Refused up front, not answered without the determinant.
+    def never(*args, **kwargs):
+        raise AssertionError("library called for a refused --det request")
+
+    monkeypatch.setattr("okada.algebra.gram_matrix", never)
+    monkeypatch.setattr("okada.algebra.gram_det", never)
+    rc, out, err = run(["gram", "--n", "6", "--set", "1,4", "--det"])  # dimension 10
+    assert (rc, out) == (2, "")
+    assert "gram --det supports cells of dimension <= 8" in err
+    monkeypatch.undo()
+    monkeypatch.setattr("okada.algebra.gram_det", lambda s: Polynomial.one())
+    rc, out, _ = run(["gram", "--n", "5", "--set", "1", "--det"])
+    obj = json.loads(out)
+    assert (rc, obj["dim"], obj["det"]) == (0, 8, [{"x": [0] * 4, "y": [0] * 3, "c": 1}])
+    rc, out, _ = run(["gram", "--n", "6", "--set", "1,4"])
+    assert rc == 0 and json.loads(out)["dim"] == 10 and "det" not in json.loads(out)
+
+
 def test_factorize_command():
     rc, out, _ = run(["factorize", "2 1 3"])
     obj = json.loads(out)
@@ -256,7 +276,7 @@ def test_internal_invariant_exit_code(monkeypatch):
     def boom(n):
         raise InternalInvariantError("synthetic failure")
 
-    monkeypatch.setattr("okada.cli.mo.green_classes", boom)
+    monkeypatch.setattr("okada.monoid.green_classes", boom)
     rc, _, err = run(["green", "--n", "3"])
     assert rc == 4
     assert "internal invariant" in err
@@ -318,9 +338,10 @@ def test_rank_caps_refuse_oversized_requests_up_front(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("library called for an oversized request")
 
-    for target in ("mo.green_classes", "alg.gram_matrix", "alg.triangular_factorization",
-                   "rw.multiply_words", "rw.normalize", "dg.identity", "rw.rs", "rw.rs_inverse"):
-        monkeypatch.setattr(f"okada.cli.{target}", never)
+    for target in ("monoid.green_classes", "algebra.gram_matrix", "algebra.triangular_factorization",
+                   "rewriting.multiply_words", "rewriting.normalize", "diagrams.identity",
+                   "rewriting.rs", "rewriting.rs_inverse"):
+        monkeypatch.setattr(f"okada.{target}", never)
     element33 = json.dumps({"rank": 33, "terms": []})
     reversal1025 = " ".join(str(v) for v in range(1025, 0, -1))
     # the chains of the involution 2 1 4 3 ... at rank 1025: {}, {1}, {}, ...
@@ -374,7 +395,7 @@ def test_selftest_checks_survive_python_optimize():
 
 
 def test_selftest_reports_a_failed_check(monkeypatch):
-    monkeypatch.setattr("okada.cli.mo.idempotent_count", lambda n: -1)
+    monkeypatch.setattr("okada.monoid.idempotent_count", lambda n: -1)
     rc, out, err = run(["selftest"])
     assert rc == 4
     assert "FAIL idempotent census (n<=5): -1 idempotents at rank 0" in out
@@ -387,7 +408,7 @@ def test_census_refuses_bad_thread_counts_and_ranks_up_front(monkeypatch):
         raise AssertionError("census work started for a refused request")
 
     for target in ("census_counts", "idempotent_count", "green_classes"):
-        monkeypatch.setattr(f"okada.cli.mo.{target}", never)
+        monkeypatch.setattr(f"okada.monoid.{target}", never)
     monkeypatch.delenv("OKADA_THREADS", raising=False)
     for argv, message in (
         (["census", "--threads", "0"], "census supports 1 <= threads <= 64"),
@@ -419,7 +440,7 @@ def test_census_thread_count_and_caps_admitted(monkeypatch):
         seen.append((n, threads))
         return math.factorial(n), 0, 0
 
-    monkeypatch.setattr("okada.cli.mo.census_counts", fake_counts)
+    monkeypatch.setattr("okada.monoid.census_counts", fake_counts)
     monkeypatch.setenv("OKADA_THREADS", "3")
     assert run(["census", "--min", "10", "--max", "10"])[0] == 0
     assert run(["census", "--min", "10", "--max", "10", "--threads", "64"])[0] == 0
@@ -460,5 +481,22 @@ def test_cli_start_imports_no_process_pool():
     assert done.returncode == 0, done.stderr
     modules = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
                if line.startswith("import time:")]
-    assert "okada.monoid" in modules
     assert not [m for m in modules if m.split(".")[0] == "concurrent"]
+    # Each subcommand loads only what it uses: normalizing a word needs
+    # the rewriting layer and none of the diagram, monoid, algebra or
+    # render modules, nor dataclasses.
+    script = (
+        "import json, sys\n"
+        "from okada import cli\n"
+        "code = cli.main(['normalize', '1 2'])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    code, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    assert "okada.rewriting" in loaded
+    unwanted = ("concurrent", "dataclasses", "okada.monoid", "okada.algebra", "okada.render",
+                "okada.diagrams")
+    assert [m for m in loaded if m in unwanted or m.split(".")[0] in unwanted] == []

@@ -200,3 +200,34 @@ def test_trusted_build_with_unmatched_position_is_an_invariant_error():
     with pytest.raises(InternalInvariantError):
         dg._from_arrays(2, [1, 0], [1, 1])
     assert dg._from_arrays(1, [1, 0], [1, 1]) == dg.identity(1)
+
+
+def assert_half_same_as_checked(h):
+    """``h`` equals, and hashes like, its rebuild through the checking constructor."""
+    r = dg.HalfArcDiagram(h.rank, h.full_arcs, h.half_arcs)
+    assert r == h and hash(r) == hash(h)
+    assert (r.full_arcs, r.half_arcs) == (h.full_arcs, h.half_arcs)
+
+
+def test_trusted_halves_equal_checked_rebuilds():
+    for n in range(9):
+        for h in dg.enumerate_half(n):
+            assert_half_same_as_checked(h)
+            assert_half_same_as_checked(dg.chain_inverse(dg.chain_of(h)))
+            for r in range(n + 1):
+                assert_half_same_as_checked(dg.restrict(h, r))
+        if n <= 6:
+            for d in dg.enumerate_diagrams(n):
+                assert_half_same_as_checked(dg.bra(d))
+                assert_half_same_as_checked(dg.ket(d))
+
+
+def test_halves_pickle_and_trusted_build_with_wrong_cover_is_an_invariant_error():
+    for h in dg.enumerate_half(5):
+        for other in (pickle.loads(pickle.dumps(h)), copy.copy(h), copy.deepcopy(h)):
+            assert other == h and hash(other) == hash(h)
+    with pytest.raises(InternalInvariantError):
+        dg._half_from_arcs(3, [A(1, 2, 1)], [])
+    with pytest.raises(InternalInvariantError):
+        dg._half_from_arcs(1, [A(1, 2, 1)], [])
+    assert dg._half_from_arcs(2, [A(1, 2, 1)], []) == dg.bra(dg.generator(1, 2))

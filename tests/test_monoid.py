@@ -1,3 +1,4 @@
+import copy
 import math
 from functools import lru_cache
 
@@ -297,6 +298,30 @@ def test_class_representative_lookups():
         j = j_class_rep(e)
         assert j == free_diagram(dg.prop_lab(e))
         assert gc.class_of(e, "J") == gc.class_of(j, "J")
+
+
+def _classes_by_scan(gc, keys, e):
+    """The R-, L- and J-class of ``e`` by the linear scans
+    ``GreenClasses.class_of`` did before its lookup tables.  ``keys`` are
+    the ``(partner, height)`` pairs of ``gc.elements``, compared as plain
+    tuples so that the scan for the index stays fast."""
+    idx = keys.index((e.partner, e.height))
+    classes = (gc.r_classes, gc.l_classes, gc.j_classes)
+    return [next(cls for cls in kind if idx in cls) for kind in classes]
+
+
+def test_class_of_matches_the_linear_scan():
+    for n in range(8):
+        gc = green_classes(n)
+        keys = [(d.partner, d.height) for d in gc.elements]
+        for e in gc.elements:
+            twin = copy.copy(e)  # looked up by value, not identity
+            got = [gc.class_of(twin, kind) for kind in "RLJ"]
+            assert got == _classes_by_scan(gc, keys, e)
+    with pytest.raises(ValueError):
+        gc.class_of(dg.identity(3), "R")
+    with pytest.raises(KeyError):
+        gc.class_of(gc.elements[0], "X")
 
 
 def test_identity_r_class_is_trivial():
