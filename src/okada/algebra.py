@@ -20,6 +20,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
 from . import diagrams as dg
+from ._immutable import Immutable
 from .errors import InternalInvariantError, PropagatingMismatchError, RankMismatchError
 from .fibonacci import (
     FibonacciSet,
@@ -271,7 +272,7 @@ def triangular_factorization(p: Perm) -> tuple[Perm, FibonacciSet, Perm]:
 # cellular structure
 
 
-class CellDatum:
+class CellDatum(Immutable):
     """Cellular data: dominance poset, index sets, basis map, involution."""
 
     __slots__ = ("rank", "poset", "index_sets", "involution")
@@ -309,12 +310,6 @@ class CellDatum:
 
     def __hash__(self) -> int:  # raises TypeError: ``index_sets`` is a dict
         return hash((self.rank, self.poset, self.index_sets, self.involution))
-
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError(f"CellDatum is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name) -> None:
-        raise AttributeError(f"CellDatum is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
         return CellDatum, (self.rank, self.poset, self.index_sets, self.involution)

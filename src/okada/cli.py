@@ -11,9 +11,13 @@ Thread count for the census comes from ``--threads`` or the
 parts of ``selftest``.  Identical invocations produce byte-identical
 output.
 
-Each call is a fresh process, so start-up is most of its cost: at module
-level this file imports only the standard library and
-:mod:`okada.errors`, and each subcommand imports the modules it uses.
+Run as a program (``python -m okada.cli``, ``python -m okada`` or the
+``okada`` script), each call is a fresh process and start-up is most of
+its cost, so each subcommand imports only the modules it uses.  Imported
+as a module, ``okada.cli`` loads every library layer up front: an
+in-process caller of :func:`main` pays the imports once, and code that
+patches or wraps library functions after importing it sees every layer
+already loaded.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ import sys
 from typing import TYPE_CHECKING
 
 from .errors import InternalInvariantError, OkadaError
+
+if __name__ != "__main__":
+    from . import algebra, diagrams, fibonacci, monoid, polynomials, render, rewriting, serialize  # noqa: F401
 
 if TYPE_CHECKING:
     from .diagrams import ArcDiagram

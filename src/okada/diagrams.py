@@ -41,6 +41,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
+from ._immutable import Immutable
 from .errors import (
     InternalInvariantError,
     PropagatingMismatchError,
@@ -103,7 +104,7 @@ def order_key(e: int, n: int) -> int:
     return e if e > 0 else 2 * n + 1 + e
 
 
-class ArcDiagram:
+class ArcDiagram(Immutable):
     """Immutable arc diagram in the flat partner/height form.
 
     ``ArcDiagram(rank, arcs)`` checks that the arcs form a perfect
@@ -168,12 +169,6 @@ class ArcDiagram:
     def __hash__(self) -> int:
         return hash((self.rank, self.partner, self.height))
 
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError(f"ArcDiagram is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name) -> None:
-        raise AttributeError(f"ArcDiagram is immutable; cannot delete {name!r}")
-
     def __reduce__(self):
         return _from_arrays, (self.rank, self.partner, self.height)
 
@@ -209,7 +204,7 @@ def _from_arrays(n: int, partner, height) -> ArcDiagram:
     return d
 
 
-class HalfArcDiagram:
+class HalfArcDiagram(Immutable):
     """Positive half of an arc diagram.
 
     Full arcs join two nodes of ``[n]``; half arcs keep one node and the
@@ -276,12 +271,6 @@ class HalfArcDiagram:
 
     def __hash__(self) -> int:
         return hash((self.rank, self.full_arcs, self.half_arcs))
-
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError(f"HalfArcDiagram is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name) -> None:
-        raise AttributeError(f"HalfArcDiagram is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
         return _half_from_arcs, (self.rank, self.full_arcs, self.half_arcs)

@@ -22,6 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from ._immutable import Immutable
 from .errors import InternalInvariantError, RankMismatchError
 
 __all__ = [
@@ -81,7 +82,7 @@ def is_fibonacci_set(rank: int, elements: Sequence[int]) -> bool:
     return _parities_ok(rank, elements)
 
 
-class FibonacciSet:
+class FibonacciSet(Immutable):
     """A Fibonacci set; equality and ordering compare ``(rank, elements)``.
 
     The same element set at two different ranks gives two different
@@ -132,12 +133,6 @@ class FibonacciSet:
 
     def __hash__(self) -> int:
         return hash((self.rank, self.elements))
-
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError(f"FibonacciSet is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name) -> None:
-        raise AttributeError(f"FibonacciSet is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
         return FibonacciSet, (self.rank, self.elements)
@@ -217,7 +212,7 @@ def is_yf_cover(s: FibonacciSet, t: FibonacciSet) -> bool:
     return t.elements == s.elements[:-1] or t.elements[:-1] == s.elements
 
 
-class Chain:
+class Chain(Immutable):
     """A saturated chain ``empty = C_0 < C_1 < ... < C_n`` of covers.
 
     Equality and ordering compare the tuples of sets.
@@ -271,12 +266,6 @@ class Chain:
 
     def __hash__(self) -> int:
         return hash((self.sets,))
-
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError(f"Chain is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name) -> None:
-        raise AttributeError(f"Chain is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
         return Chain, (self.sets,)

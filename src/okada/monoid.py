@@ -25,6 +25,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from . import diagrams as dg
+from ._immutable import Immutable
 from .errors import InternalInvariantError
 from .fibonacci import FibonacciSet, enumerate_yfs, saturated_chains
 
@@ -222,7 +223,7 @@ def involutive_count(n: int, threads: int = 1) -> int:
 _GREEN_FIELDS = ("rank", "elements", "r_classes", "l_classes", "j_classes", "r_reps", "j_reps")
 
 
-class GreenClasses:
+class GreenClasses(Immutable):
     """R/L/J-partitions of the rank-``n`` monoid with canonical representatives.
 
     ``elements`` fixes the indexing; classes are tuples of sorted element
@@ -289,12 +290,6 @@ class GreenClasses:
 
     def __hash__(self) -> int:
         return hash(self._fields())
-
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError(f"GreenClasses is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name) -> None:
-        raise AttributeError(f"GreenClasses is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
         return GreenClasses, self._fields()

@@ -36,6 +36,7 @@ import itertools
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
+from ._immutable import Immutable
 from .errors import InternalInvariantError
 from .polynomials import Polynomial, Term, Var
 
@@ -155,7 +156,7 @@ def check_word(word: Sequence[int], n: int) -> tuple[int, ...]:
 # heaps (diamond-diagram packings)
 
 
-class Heap:
+class Heap(Immutable):
     """Black-box occupancy of a diamond diagram.
 
     ``rows[i-1]`` lists the occupied diagonals of row ``i`` (rows are
@@ -190,12 +191,6 @@ class Heap:
 
     def __hash__(self) -> int:
         return hash((self.n, self.rows))
-
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError(f"Heap is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name) -> None:
-        raise AttributeError(f"Heap is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
         return Heap, (self.n, self.rows)
@@ -285,7 +280,7 @@ def trace_equal(w1: Sequence[int], w2: Sequence[int]) -> bool:
 # normalization
 
 
-class NormalizationResult:
+class NormalizationResult(Immutable):
     """Outcome of rewriting a word to its canonical code-word form."""
 
     __slots__ = ("n", "coefficient", "word", "perm")
@@ -310,12 +305,6 @@ class NormalizationResult:
 
     def __hash__(self) -> int:
         return hash((self.n, self.coefficient, self.word, self.perm))
-
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError(f"NormalizationResult is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name) -> None:
-        raise AttributeError(f"NormalizationResult is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
         return NormalizationResult, (self.n, self.coefficient, self.word, self.perm)

@@ -471,32 +471,86 @@ def test_digit_arguments_are_words_not_file_names(tmp_path, monkeypatch):
 
 def test_cli_start_imports_no_process_pool():
     # Only census --threads > 1 starts worker processes, so only it may
-    # pay for importing concurrent.futures.
-    src = str(Path(okada.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "okada.cli", "normalize", "1 2"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    modules = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
-               if line.startswith("import time:")]
-    assert not [m for m in modules if m.split(".")[0] == "concurrent"]
-    # Each subcommand loads only what it uses: normalizing a word needs
-    # the rewriting layer and none of the diagram, monoid, algebra or
-    # render modules, nor dataclasses.
-    script = (
-        "import json, sys\n"
-        "from okada import cli\n"
-        "code = cli.main(['normalize', '1 2'])\n"
-        "print(json.dumps([code, sorted(sys.modules)]))\n"
-    )
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=60)
-    assert done.returncode == 0, done.stderr
-    code, loaded = json.loads(done.stdout.splitlines()[-1])
-    assert code == 0
-    assert "okada.rewriting" in loaded
+    # pay for importing concurrent.futures.  Run as a program, each
+    # subcommand loads only what it uses: normalizing a word needs the
+    # rewriting layer and none of the diagram, monoid, algebra or render
+    # modules, nor dataclasses.
     unwanted = ("concurrent", "dataclasses", "okada.monoid", "okada.algebra", "okada.render",
                 "okada.diagrams")
-    assert [m for m in loaded if m in unwanted or m.split(".")[0] in unwanted] == []
+    for entry in (["-m", "okada.cli"], ["-m", "okada"]):
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", *entry, "normalize", "1 2"],
+            capture_output=True, text=True, env=_src_env(), timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        modules = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+                   if line.startswith("import time:")]
+        assert "okada.rewriting" in modules
+        assert [m for m in modules if m in unwanted or m.split(".")[0] in unwanted] == []
+
+
+# Runs okada.cli as the main program once per argument list, each time in
+# a fresh namespace, and prints the exit codes and stdouts as JSON.
+_AS_PROGRAM = """
+import contextlib, io, json, runpy, sys
+results = []
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["okada", *argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            runpy.run_module("okada.cli", run_name="__main__")
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_every_subcommand_runs_as_a_program():
+    # Imported as a module (as here), okada.cli has every layer loaded, so
+    # only a run as the main program shows that each subcommand imports
+    # what it uses.  Exit codes and stdout must match in-process calls.
+    half = json.loads(run(["enumerate", "half", "--n", "3", "--set", "1"])[1].splitlines()[0])
+    chains = run(["rs", "2 1 3"])[1]
+    element = json.dumps({"rank": 3, "terms": [{"perm": [2, 1, 3], "coeff": [{"x": [1, 0], "y": [0], "c": 2}]}]})
+    calls = [
+        ["normalize", "1 2 1", "--n", "3"],
+        ["multiply", "generic", "1 1", "", "--n", "3"],
+        ["multiply", "generic", element, element],
+        ["multiply", "y1", "1", "2 1", "--n", "3"],
+        ["multiply", "monoid", "1", "2 1", "--n", "3"],
+        ["rs", "2 1 3"],
+        ["rs-inverse", chains],
+        ["factorize", "2 1 3"],
+        ["gram", "--n", "4", "--set", "1,4", "--det", "--specialize", "9"],
+        ["gram", "--n", "6", "--set", "1,4", "--det"],
+        ["green", "--n", "3", "--format", "csv"],
+        ["census", "--max", "4"],
+        ["render", "half", "--format", "svg", "--input", json.dumps(half)],
+        ["render", "dominance", "--format", "tikz", "--n", "3"],
+        ["render", "yfs", "--format", "svg", "--n", "3"],
+        ["selftest"],
+        ["normalize", "1 x 2"],
+    ]
+    calls += [["enumerate", kind, "--n", "3"] for kind in ("yfs", "diagrams", "half", "chains", "idempotents")]
+    done = subprocess.run([sys.executable, "-c", _AS_PROGRAM, json.dumps(calls)], capture_output=True,
+                          text=True, env=_src_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    for argv, (code, out) in zip(calls, json.loads(done.stdout)):
+        assert [code, out] == list(run(argv)[:2]), argv
+
+
+def test_importing_cli_as_a_module_loads_every_layer():
+    script = "import json, sys, okada.cli\nprint(json.dumps(sorted(sys.modules)))\n"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_src_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    layers = {f"okada.{m}" for m in ("algebra", "diagrams", "fibonacci", "monoid", "polynomials",
+                                      "render", "rewriting", "serialize")}
+    assert layers <= set(json.loads(done.stdout))
+
+
+def _src_env():
+    src = str(Path(okada.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
