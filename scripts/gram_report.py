@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from okada import serialize as ser
-from okada.algebra import gram_det, gram_det_specialized, gram_matrix
+from okada.algebra import GRAM_DET_MAX_DIM, gram_det, gram_det_specialized, gram_matrix
 from okada.fibonacci import enumerate_yfs
 
 
@@ -25,6 +25,8 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--det-dim-limit", type=int, default=6)
     args = ap.parse_args()
+    if args.det_dim_limit > GRAM_DET_MAX_DIM:
+        ap.error(f"--det-dim-limit must be at most {GRAM_DET_MAX_DIM}")
 
     rng = random.Random(args.seed)
     out = []

@@ -178,9 +178,14 @@ class AlgebraElement:
 def free_half_diagram(s: FibonacciSet) -> dg.HalfArcDiagram:
     """Half diagram of the free element: half arcs ``h(x) = x`` on ``s``,
     cups ``h(i, i+1) = i`` on the free set."""
-    fulls = tuple(dg.Arc(i, i + 1, i) for i in free_set(s))
-    halves = tuple(dg.HalfArc(x, x) for x in s.elements)
-    return dg.HalfArcDiagram(s.rank, fulls, halves)
+    partner = [-1] * s.rank
+    height: list[int | None] = [None] * s.rank
+    for x in s.elements:
+        height[x - 1] = x
+    for i in free_set(s):
+        partner[i - 1], partner[i] = i, i - 1
+        height[i - 1] = height[i] = i
+    return dg._half_from_arrays(s.rank, partner, height)
 
 
 def free_diagram(s: FibonacciSet) -> dg.ArcDiagram:

@@ -24,16 +24,21 @@ otherwise, so positions follow the boundary order.  ``partner[p]`` is
 the position matched to ``p`` and ``height[p]`` the label of that arc.
 Equality and hashing use ``(rank, partner, height)``; ``arcs`` is
 derived on demand in the canonical order (sorted by the earlier end).
-Values are immutable and hashable.
+A :class:`HalfArcDiagram` is stored the same way over its ``n`` nodes:
+node ``p + 1`` is position ``p``, ``partner[p]`` is the position joined
+to it by a full arc or ``-1`` at a half arc, and ``height[p]`` is the
+label at that node; ``full_arcs`` and ``half_arcs`` are derived on
+demand, sorted by node.  Values are immutable and hashable.
 
 Input is checked once, where it enters: the public ``ArcDiagram(rank,
-arcs)`` constructor checks the perfect matching and the label types,
-and the parsers in :mod:`okada.serialize` also run :func:`validate`.
-Diagrams built here from other diagrams (:func:`compose`, :func:`glue`,
-:func:`mirror`, :func:`peel`, ...) skip those checks and only assert
-that every position was matched; so do the halves built by :func:`bra`,
-:func:`ket`, :func:`restrict` and :func:`chain_inverse`, which only
-assert that their arcs account for all ``n`` nodes.
+arcs)`` and ``HalfArcDiagram(rank, full_arcs, half_arcs)`` constructors
+check the matching and the label types, and the parsers in
+:mod:`okada.serialize` also run :func:`validate` or
+:func:`validate_half`.  Diagrams and halves built here from other ones
+(:func:`compose`, :func:`glue`, :func:`mirror`, :func:`peel`,
+:func:`bra`, :func:`ket`, :func:`restrict`, :func:`chain_inverse`, ...)
+skip those checks and only assert that every position was matched and
+labelled.
 """
 
 from __future__ import annotations
@@ -205,24 +210,25 @@ def _from_arrays(n: int, partner, height) -> ArcDiagram:
 
 
 class HalfArcDiagram(Immutable):
-    """Positive half of an arc diagram.
+    """Positive half of an arc diagram, flat like :class:`ArcDiagram`.
 
     Full arcs join two nodes of ``[n]``; half arcs keep one node and the
-    label of the propagating arc they came from.  Together they must
-    partition ``[n]``.  Both are stored sorted; equality and hashing use
-    ``(rank, full_arcs, half_arcs)``.
+    label of the propagating arc they came from.  ``partner[p]`` is the
+    position joined to node ``p + 1`` by a full arc, or ``-1`` at a half
+    arc, and ``height[p]`` is its label.  Equality uses these tuples; the
+    hash is that of ``(rank, full_arcs, half_arcs)``, derived and sorted.
 
     ``HalfArcDiagram(rank, full_arcs, half_arcs)`` checks the partition
     and the label types; halves the library builds itself go through
-    :func:`_half_from_arcs`, which only asserts that the arcs account for
-    all ``n`` nodes.
+    :func:`_half_from_arrays`, which only asserts that every node is
+    labelled.
     """
 
-    __slots__ = ("rank", "full_arcs", "half_arcs")
+    __slots__ = ("rank", "partner", "height")
 
     rank: int
-    full_arcs: tuple[Arc, ...]
-    half_arcs: tuple[HalfArc, ...]
+    partner: tuple[int, ...]
+    height: tuple[int, ...]
 
     def __init__(
         self, rank: int, full_arcs: tuple[Arc, ...], half_arcs: tuple[HalfArc, ...]
@@ -230,50 +236,56 @@ class HalfArcDiagram(Immutable):
         n = rank
         if n < 0:
             raise ValueError("rank must be non-negative")
-        seen = set()
-        fulls = []
+        at: dict[int, tuple[int, int]] = {}  # node -> (partner position or -1, label)
         for a, b, h in full_arcs:
-            if a > b:
-                a, b = b, a
-            for e in (a, b):
+            for e in sorted((a, b)):
                 if not 1 <= e <= n:
                     raise ValueError(f"endpoint {e} out of range for rank {n}")
-                if e in seen:
+                if e in at:
                     raise ValueError(f"endpoint {e} used twice")
-                seen.add(e)
+                at[e] = (a + b - e - 1, h)
             if not (isinstance(h, int) and h >= 1):
                 raise ValueError(f"height must be a positive integer, got {h!r}")
-            fulls.append(Arc(a, b, h))
-        halves = []
         for e, h in half_arcs:
             if not 1 <= e <= n:
                 raise ValueError(f"endpoint {e} out of range for rank {n}")
-            if e in seen:
+            if e in at:
                 raise ValueError(f"endpoint {e} used twice")
-            seen.add(e)
+            at[e] = (-1, h)
             if not (isinstance(h, int) and h >= 1):
                 raise ValueError(f"height must be a positive integer, got {h!r}")
-            halves.append(HalfArc(e, h))
-        if len(seen) != n:
+        if len(at) != n:
             raise ValueError(f"arcs must cover all of [1, {n}]")
         _set_half_rank(self, n)
-        _set_full_arcs(self, tuple(sorted(fulls)))
-        _set_half_arcs(self, tuple(sorted(halves)))
+        _set_half_partner(self, tuple(at[e][0] for e in range(1, n + 1)))
+        _set_half_height(self, tuple(at[e][1] for e in range(1, n + 1)))
+
+    @property
+    def full_arcs(self) -> tuple[Arc, ...]:
+        """The full arcs, sorted by their left end."""
+        pairs = enumerate(zip(self.partner, self.height))
+        return tuple(Arc(p + 1, q + 1, h) for p, (q, h) in pairs if p < q)
+
+    @property
+    def half_arcs(self) -> tuple[HalfArc, ...]:
+        """The half arcs, sorted by node."""
+        pairs = enumerate(zip(self.partner, self.height))
+        return tuple(HalfArc(p + 1, h) for p, (q, h) in pairs if q < 0)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not HalfArcDiagram:
             return NotImplemented
         return (
             self.rank == other.rank
-            and self.full_arcs == other.full_arcs
-            and self.half_arcs == other.half_arcs
+            and self.partner == other.partner
+            and self.height == other.height
         )
 
     def __hash__(self) -> int:
         return hash((self.rank, self.full_arcs, self.half_arcs))
 
     def __reduce__(self):
-        return _half_from_arcs, (self.rank, self.full_arcs, self.half_arcs)
+        return _half_from_arrays, (self.rank, self.partner, self.height)
 
     def __repr__(self) -> str:
         body = ", ".join(f"({a},{b})h{h}" for a, b, h in self.full_arcs)
@@ -282,26 +294,25 @@ class HalfArcDiagram(Immutable):
 
 
 _set_half_rank = HalfArcDiagram.rank.__set__
-_set_full_arcs = HalfArcDiagram.full_arcs.__set__
-_set_half_arcs = HalfArcDiagram.half_arcs.__set__
+_set_half_partner = HalfArcDiagram.partner.__set__
+_set_half_height = HalfArcDiagram.height.__set__
 
 
-def _half_from_arcs(n: int, fulls, halves) -> HalfArcDiagram:
+def _half_from_arrays(n: int, partner, height) -> HalfArcDiagram:
     """Trusted constructor for halves the library builds itself.
 
-    ``fulls`` (as ``Arc``) and ``halves`` (as ``HalfArc``) must already
-    be sorted.  Skips the checks of ``HalfArcDiagram(rank, full_arcs,
-    half_arcs)`` and only asserts that the arcs account for all ``n``
-    nodes (two per full arc, one per half arc).
+    Skips the checks of ``HalfArcDiagram(rank, full_arcs, half_arcs)``
+    and only asserts that there are ``n`` nodes and every one of them
+    has a partner (``-1`` at a half arc) and a label.
     """
-    if 2 * len(fulls) + len(halves) != n:
+    if len(partner) != n or len(height) != n or None in partner or None in height:
         raise InternalInvariantError(
-            f"rank-{n} half diagram built with {len(fulls)} full and {len(halves)} half arcs"
+            f"rank-{n} half diagram built with unlabelled nodes: {partner} {height}"
         )
     h = object.__new__(HalfArcDiagram)
     _set_half_rank(h, n)
-    _set_full_arcs(h, tuple(fulls))
-    _set_half_arcs(h, tuple(halves))
+    _set_half_partner(h, tuple(partner))
+    _set_half_height(h, tuple(height))
     return h
 
 
@@ -344,33 +355,34 @@ def half_violations(h: HalfArcDiagram) -> tuple[str, ...]:
     the node parity, and they must assemble into a Fibonacci set.
     """
     n = h.rank
+    fulls, halves = h.full_arcs, h.half_arcs  # derived on each access
     out = []
-    for a, b, ht in h.full_arcs:
+    for a, b, ht in fulls:
         if ht > a:
             out.append(f"label: h({a},{b})={ht} exceeds {a}")
         if (ht - a) % 2 != 0:
             out.append(f"label: h({a},{b})={ht} has wrong parity at {a}")
-    for e, ht in h.half_arcs:
+    for e, ht in halves:
         if ht > e:
             out.append(f"label: half arc at {e} labeled {ht} > {e}")
         if (ht - e) % 2 != 0:
             out.append(f"label: half arc at {e} labeled {ht}, wrong parity")
-    for i, (a1, b1, h1) in enumerate(h.full_arcs):
-        for a2, b2, h2 in h.full_arcs[i + 1 :]:
+    for i, (a1, b1, h1) in enumerate(fulls):
+        for a2, b2, h2 in fulls[i + 1 :]:
             if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
                 out.append(f"crossing: ({a1},{b1}) and ({a2},{b2})")
             elif a1 < a2 and b2 < b1 and h2 <= h1:
                 out.append(f"nesting: h({a2},{b2})={h2} not above h({a1},{b1})={h1}")
             elif a2 < a1 and b1 < b2 and h1 <= h2:
                 out.append(f"nesting: h({a1},{b1})={h1} not above h({a2},{b2})={h2}")
-        for e, h2 in h.half_arcs:
+        for e, h2 in halves:
             if a1 < e < b1:
                 out.append(f"crossing: half arc at {e} under full arc ({a1},{b1})")
             elif e < a1 and h1 <= h2:
                 out.append(
                     f"nesting: h({a1},{b1})={h1} not above half arc {e} labeled {h2}"
                 )
-    heights = [ht for _, ht in h.half_arcs]
+    heights = [ht for _, ht in halves]
     if any(h2 <= h1 for h1, h2 in zip(heights, heights[1:])):
         out.append(f"nesting: half-arc labels not increasing: {heights}")
     else:
@@ -453,20 +465,16 @@ def mirror(d: ArcDiagram) -> ArcDiagram:
 def bra(d: ArcDiagram) -> HalfArcDiagram:
     """Positive half: full arcs keep both ends, propagating arcs keep labels."""
     n = d.rank
-    fulls = []
-    halves = []
-    for p in range(n):
-        q = d.partner[p]
-        if q >= n:
-            halves.append(HalfArc(p + 1, d.height[p]))
-        elif p < q:
-            fulls.append(Arc(p + 1, q + 1, d.height[p]))
-    return _half_from_arcs(n, fulls, halves)
+    return _half_from_arrays(n, [q if q < n else -1 for q in d.partner[:n]], d.height[:n])
 
 
 def ket(d: ArcDiagram) -> HalfArcDiagram:
-    """Negative half, read as the bra of the mirror."""
-    return bra(mirror(d))
+    """Negative half, read as the bra of the mirror: node ``-k`` becomes node ``k``."""
+    n = d.rank
+    last = 2 * n - 1
+    return _half_from_arrays(
+        n, [last - q if q >= n else -1 for q in d.partner[:n - 1:-1]], d.height[:n - 1:-1]
+    )
 
 
 def prop_lab(obj: ArcDiagram | HalfArcDiagram) -> FibonacciSet:
@@ -475,8 +483,8 @@ def prop_lab(obj: ArcDiagram | HalfArcDiagram) -> FibonacciSet:
     if isinstance(obj, ArcDiagram):
         labels = [h for q, h in zip(obj.partner[:n], obj.height) if q >= n]
     else:
-        labels = [h for _, h in obj.half_arcs]
-    return FibonacciSet(n, tuple(sorted(labels)))
+        labels = [h for q, h in zip(obj.partner, obj.height) if q < 0]
+    return FibonacciSet(n, tuple(labels))
 
 
 def glue(left: HalfArcDiagram, right: HalfArcDiagram) -> ArcDiagram:
@@ -484,42 +492,39 @@ def glue(left: HalfArcDiagram, right: HalfArcDiagram) -> ArcDiagram:
 
     Requires equal propagating label sets; the propagating arcs are
     matched by their labels (the nesting order is total on them, so the
-    matching is forced).
+    matching is forced).  Node ``k`` of ``right`` is position
+    ``2n - k`` of the result, so the heights are those of ``left``
+    followed by those of ``right`` reversed.
     """
     if left.rank != right.rank:
         raise RankMismatchError(f"ranks {left.rank} and {right.rank} differ")
-    lh, rh = left.half_arcs, right.half_arcs  # sorted by node
-    if [h for _, h in lh] != [h for _, h in rh]:
-        raise PropagatingMismatchError(
-            f"propagating labels differ: {[h for _, h in lh]} vs {[h for _, h in rh]}"
-        )
     n = left.rank
     last = 2 * n - 1
-    partner: list[int | None] = [None] * (2 * n)
-    height: list[int | None] = [None] * (2 * n)
-    for a, b, h in left.full_arcs:
-        partner[a - 1], partner[b - 1] = b - 1, a - 1
-        height[a - 1] = height[b - 1] = h
-    for a, b, h in right.full_arcs:
-        p, q = last - a + 1, last - b + 1
-        partner[p], partner[q] = q, p
-        height[p] = height[q] = h
-    for (a, h), (b, _) in zip(lh, rh):
-        p, q = a - 1, last - b + 1
-        partner[p], partner[q] = q, p
-        height[p] = height[q] = h
-    return _from_arrays(n, partner, height)
+    lp, lh, rp, rh = left.partner, left.height, right.partner, right.height
+    partner = [*lp, *[last - q for q in reversed(rp)]]
+    ends = [p for p, q in enumerate(lp) if q < 0]  # half arcs of left, by node
+    k = 0
+    for p, q in enumerate(rp):
+        if q < 0:  # the k-th half arc of right meets the k-th of left
+            if k == len(ends) or lh[ends[k]] != rh[p]:
+                break
+            a, b = ends[k], last - p
+            partner[a], partner[b] = b, a
+            k += 1
+    else:
+        if k == len(ends):
+            return _from_arrays(n, partner, lh + rh[::-1])
+    raise PropagatingMismatchError(
+        f"propagating labels differ: {[h for _, h in left.half_arcs]}"
+        f" vs {[h for _, h in right.half_arcs]}"
+    )
 
 
 def restrict(h: HalfArcDiagram, r: int) -> HalfArcDiagram:
     """Keep nodes ``<= r``; arcs cut by the restriction become half arcs."""
     if not 0 <= r <= h.rank:
         raise ValueError(f"restriction rank {r} out of range")
-    fulls = [a for a in h.full_arcs if a.hi <= r]
-    halves = [x for x in h.half_arcs if x.end <= r]
-    halves.extend(HalfArc(a.lo, a.height) for a in h.full_arcs if a.lo <= r < a.hi)
-    halves.sort()
-    return _half_from_arcs(r, fulls, halves)
+    return _half_from_arrays(r, [q if q < r else -1 for q in h.partner[:r]], h.height[:r])
 
 
 def chain_of(h: HalfArcDiagram) -> Chain:
@@ -531,21 +536,14 @@ def chain_of(h: HalfArcDiagram) -> Chain:
     valid half diagram a new label is the largest open one, so the list
     stays increasing.
     """
-    n = h.rank
-    opens = [0] * (n + 1)
-    closes = [0] * (n + 1)
-    for a, b, ht in h.full_arcs:
-        opens[a] = closes[b] = ht
-    for e, ht in h.half_arcs:
-        opens[e] = ht
     labels: list[int] = []
     sets = [FibonacciSet(0, ())]
-    for i in range(1, n + 1):
-        if closes[i]:
-            labels.remove(closes[i])
+    for p, (q, ht) in enumerate(zip(h.partner, h.height)):
+        if 0 <= q < p:
+            labels.remove(ht)
         else:
-            labels.append(opens[i])
-        sets.append(FibonacciSet(i, tuple(labels)))
+            labels.append(ht)
+        sets.append(FibonacciSet(p + 1, tuple(labels)))
     return Chain(tuple(sets))
 
 
@@ -556,18 +554,22 @@ def chain_inverse(chain: Chain) -> HalfArcDiagram:
     the current node with that label; deleting the largest label closes
     the open half arc carrying it into a full arc.
     """
-    open_by_height: dict[int, int] = {}
-    fulls = []
-    for i in range(1, chain.rank + 1):
-        prev, cur = chain.sets[i - 1], chain.sets[i]
+    open_at: dict[int, int] = {}  # label -> position of its open half arc
+    partner: list[int] = []
+    height: list[int] = []
+    for prev, cur in zip(chain.sets, chain.sets[1:]):
+        p = len(partner)
         if cur.elements == prev.elements[:-1]:
             h = prev.elements[-1]
-            fulls.append(Arc(open_by_height.pop(h), i, h))
+            q = open_at.pop(h)
+            partner[q] = p
+            partner.append(q)
         else:  # covering step that appends a new largest element
-            open_by_height[cur.elements[-1]] = i
-    fulls.sort()  # closed in order of their right ends
-    halves = [HalfArc(pos, h) for h, pos in open_by_height.items()]  # opened in node order
-    return _half_from_arcs(chain.rank, fulls, halves)
+            h = cur.elements[-1]
+            open_at[h] = p
+            partner.append(-1)
+        height.append(h)
+    return _half_from_arrays(chain.rank, partner, height)
 
 
 # ---------------------------------------------------------------------------

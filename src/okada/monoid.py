@@ -92,36 +92,21 @@ def aperiodicity_max(n: int) -> int:
 # ---------------------------------------------------------------------------
 # Idempotents from pairs of half diagrams
 
-# A half diagram in flat form: ``partner[p]`` is the node matched to node
-# ``p + 1`` (0-based, -1 for a half arc), ``height[p]`` the label there,
-# and ``ends`` the half arcs as ``(node, label)`` pairs.
-_Flat = tuple[list[int], list[int], tuple[tuple[int, int], ...]]
 
-
-def _flat(h: dg.HalfArcDiagram) -> _Flat:
-    partner = [-1] * h.rank
-    height = [0] * h.rank
-    for a, b, ht in h.full_arcs:
-        partner[a - 1], partner[b - 1] = b - 1, a - 1
-        height[a - 1] = height[b - 1] = ht
-    for e, ht in h.half_arcs:
-        height[e - 1] = ht
-    return partner, height, tuple((e - 1, ht) for e, ht in h.half_arcs)
-
-
-def _cell(n: int, s: FibonacciSet) -> tuple[tuple[dg.HalfArcDiagram, ...], list[_Flat]]:
-    """The halves of cell ``s`` in enumeration order, and their flat forms."""
+def _cell(n: int, s: FibonacciSet) -> tuple[tuple[dg.HalfArcDiagram, ...], list[list[int]]]:
+    """The halves of cell ``s`` in enumeration order, and the positions of their half arcs."""
     halves = dg.enumerate_half(n, s)
-    return halves, [_flat(h) for h in halves]
+    return halves, [[p for p, q in enumerate(h.partner) if q < 0] for h in halves]
 
 
-def _passes(left: _Flat, right: _Flat) -> bool:
+def _passes(left: dg.HalfArcDiagram, right: dg.HalfArcDiagram, ends: list[int]) -> bool:
     """True iff ``e = glue(L, R)`` satisfies ``e·e = e``; no product is formed.
 
-    In ``e·e`` the right boundary of the first factor (the nodes of
-    ``R``) meets the left boundary of the second (the nodes of ``L``).
-    The full arcs of ``L`` on the far left and of ``R`` on the far right
-    survive unchanged.  The propagating arc of ``e`` with label ``h``
+    ``ends`` lists the positions of the half arcs of ``R``.  In ``e·e``
+    the right boundary of the first factor (the nodes of ``R``) meets
+    the left boundary of the second (the nodes of ``L``).  The full
+    arcs of ``L`` on the far left and of ``R`` on the far right survive
+    unchanged.  The propagating arc of ``e`` with label ``h``
     enters the middle at the half arc of ``R`` labelled ``h`` and walks
     on, alternating full arcs of ``L`` and of ``R``, until it meets a
     half arc.  If that is a half arc of ``R``, the strand turns back
@@ -132,9 +117,10 @@ def _passes(left: _Flat, right: _Flat) -> bool:
     ``e``.  Otherwise every propagating arc comes back with its ends
     and label, and ``e·e = e``.  The walk stops at its first failure.
     """
-    lp, lh, _ = left
-    rp, rh, ends = right
-    for p, h in ends:
+    lp, lh = left.partner, left.height
+    rp, rh = right.partner, right.height
+    for p in ends:
+        h = rh[p]
         while True:
             q = lp[p]
             if q < 0:
@@ -149,18 +135,20 @@ def _passes(left: _Flat, right: _Flat) -> bool:
     return True
 
 
-def _idempotent_row(flats: list[_Flat], i: int) -> list[int]:
+def _idempotent_row(
+    halves: tuple[dg.HalfArcDiagram, ...], ends: list[list[int]], i: int
+) -> list[int]:
     """Indices ``j`` with ``glue(halves[i], halves[j])`` idempotent."""
-    left = flats[i]
-    return [j for j, right in enumerate(flats) if _passes(left, right)]
+    left = halves[i]
+    return [j for j, right in enumerate(halves) if _passes(left, right, ends[j])]
 
 
 def iter_idempotents(n: int) -> Iterator[dg.ArcDiagram]:
     """Stream the idempotents of rank ``n`` in :func:`~okada.diagrams.iter_diagrams` order."""
     for s in enumerate_yfs(n):
-        halves, flats = _cell(n, s)
+        halves, ends = _cell(n, s)
         for i, left in enumerate(halves):
-            for j in _idempotent_row(flats, i):
+            for j in _idempotent_row(halves, ends, i):
                 yield dg.glue(left, halves[j])
 
 
@@ -170,10 +158,10 @@ def _census_rows(args: tuple[int, tuple[int, ...], int, int]) -> tuple[int, int]
     The involutive elements are the diagonal pairs ``L == R``.
     """
     n, elements, start, stop = args
-    _, flats = _cell(n, FibonacciSet(n, elements))
+    halves, ends = _cell(n, FibonacciSet(n, elements))
     idem = invol = 0
     for i in range(start, stop):
-        row = _idempotent_row(flats, i)
+        row = _idempotent_row(halves, ends, i)
         idem += len(row)
         invol += i in row
     return idem, invol

@@ -136,6 +136,16 @@ def test_free_diagram_structure():
             assert perm_to_diagram(free_involution(s)) == d
 
 
+def test_free_half_diagram_equals_its_checked_rebuild():
+    for n in range(11):
+        for s in enumerate_yfs(n):
+            h = free_half_diagram(s)
+            rebuilt = dg.HalfArcDiagram(n, h.full_arcs, h.half_arcs)
+            assert rebuilt == h and hash(rebuilt) == hash(h)
+            assert (rebuilt.partner, rebuilt.height) == (h.partner, h.height)
+            assert dg.validate_half(h)
+
+
 def test_ideal_basis_top_is_everything():
     for n in range(1, 5):
         assert len(ideal_basis(F(n, tuple(range(1, n + 1))))) == math.factorial(n)

@@ -222,12 +222,32 @@ def test_trusted_halves_equal_checked_rebuilds():
                 assert_half_same_as_checked(dg.ket(d))
 
 
+def test_ket_is_the_bra_of_the_mirror():
+    for n in range(7):
+        for d in dg.enumerate_diagrams(n):
+            assert dg.ket(d) == dg.bra(dg.mirror(d))
+
+
+def test_checked_half_constructor_orders_its_arcs():
+    """Reversed ends and arcs out of order give the sorted value."""
+    H = dg.HalfArc
+    h = dg.HalfArcDiagram(6, (A(6, 5, 5), A(3, 2, 2)), (H(4, 4), H(1, 1)))
+    assert h.full_arcs == (A(2, 3, 2), A(5, 6, 5))
+    assert h.half_arcs == (H(1, 1), H(4, 4))
+    assert (h.partner, h.height) == ((-1, 2, 1, -1, 5, 4), (1, 2, 2, 4, 5, 5))
+    same = dg.HalfArcDiagram(6, h.full_arcs, h.half_arcs)
+    assert h == same and hash(h) == hash(same)
+    assert hash(h) == hash((6, h.full_arcs, h.half_arcs))
+
+
 def test_halves_pickle_and_trusted_build_with_wrong_cover_is_an_invariant_error():
     for h in dg.enumerate_half(5):
         for other in (pickle.loads(pickle.dumps(h)), copy.copy(h), copy.deepcopy(h)):
             assert other == h and hash(other) == hash(h)
     with pytest.raises(InternalInvariantError):
-        dg._half_from_arcs(3, [A(1, 2, 1)], [])
+        dg._half_from_arrays(3, [1, 0], [1, 1])  # wrong length
     with pytest.raises(InternalInvariantError):
-        dg._half_from_arcs(1, [A(1, 2, 1)], [])
-    assert dg._half_from_arcs(2, [A(1, 2, 1)], []) == dg.bra(dg.generator(1, 2))
+        dg._half_from_arrays(3, [1, 0, -1], [1, 1, None])  # unlabelled node
+    with pytest.raises(InternalInvariantError):
+        dg._half_from_arrays(2, [1, None], [1, 1])  # no partner
+    assert dg._half_from_arrays(2, [1, 0], [1, 1]) == dg.bra(dg.generator(1, 2))

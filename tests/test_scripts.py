@@ -1,0 +1,45 @@
+"""Smoke tests: every script in ``scripts/`` runs at a small size."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import okada
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(Path(okada.__file__).resolve().parents[1])
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+def test_aperiodicity_profile():
+    done = run_script("aperiodicity_profile.py", "--max", "5")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["rank", f"{n}:"] for n in range(6)
+    ]
+    assert [line.split()[2] for line in lines] == [f"max={k}" for k in (1, 1, 1, 1, 2, 2)]
+
+
+def test_gram_report():
+    done = run_script("gram_report.py", "--max", "3")
+    assert done.returncode == 0, done.stderr
+    cells = json.loads(done.stdout)
+    assert len(cells) == 1 + 1 + 2 + 3  # Fibonacci sets of ranks 0..3
+    assert all("det" in cell for cell in cells)
+
+
+def test_gram_report_refuses_a_det_dimension_over_the_library_limit():
+    done = run_script("gram_report.py", "--max", "6", "--det-dim-limit", "20")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "--det-dim-limit" in done.stderr
