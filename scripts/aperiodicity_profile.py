@@ -16,10 +16,15 @@ from okada import diagrams as dg
 from okada.monoid import aperiodicity_index
 
 
+MAX_RANK = 8  # the rank cap of `okada enumerate diagrams`
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max", type=int, default=6)
     args = ap.parse_args()
+    if not 0 <= args.max <= MAX_RANK:
+        ap.error(f"--max must be between 0 and {MAX_RANK}")
     for n in range(args.max + 1):
         profile = Counter(aperiodicity_index(d) for d in dg.iter_diagrams(n))
         dist = " ".join(f"k={k}:{profile[k]}" for k in sorted(profile))

@@ -19,12 +19,17 @@ from okada.algebra import GRAM_DET_MAX_DIM, gram_det, gram_det_specialized, gram
 from okada.fibonacci import enumerate_yfs
 
 
+MAX_RANK = 8  # the rank cap of `okada gram`
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max", type=int, default=5)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--det-dim-limit", type=int, default=6)
     args = ap.parse_args()
+    if not 0 <= args.max <= MAX_RANK:
+        ap.error(f"--max must be between 0 and {MAX_RANK}")
     if args.det_dim_limit > GRAM_DET_MAX_DIM:
         ap.error(f"--det-dim-limit must be at most {GRAM_DET_MAX_DIM}")
 

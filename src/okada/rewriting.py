@@ -24,8 +24,16 @@ Trace-adjacency is decided exactly:
   single ``v-1`` (anything further away commutes past the pattern).
 
 Both tests are read off in one left-to-right pass per rewriting step
-(see :func:`_reduction_candidates`).  The result is always cross-checked
-against the returned code word via Cartier-Foata normal forms, so a
+(see :func:`_reduction_candidates`).  A product ``E_p E_i`` of a basis
+element and a generator needs no such pass at first: the code word of
+``p`` is irreducible, so only the appended ``i`` can start a reduction,
+and a scan back from the end of the word to the last letter within 1 of
+``i`` finds it (see :func:`_mult_perm_by_generator`).
+
+Every result, from :func:`normalize` and from each generator step, is
+cross-checked against the code word of its permutation: the two must be
+equal as traces.  Trace equality compares Cartier-Foata normal forms,
+encoded as one sorted key per word (see :func:`_trace_key`), so a
 silently wrong reduction cannot escape.
 """
 
@@ -131,8 +139,9 @@ def word_from_code(p: Perm) -> tuple[int, ...]:
     transpositions; its length is the Coxeter length.
     """
     word: list[int] = []
-    for i, c in enumerate(code(p), start=1):
-        word.extend(range(i - 1, i - c - 1, -1))
+    for i, c in enumerate(code(p)):
+        if c:
+            word += range(i, i - c, -1)
     return tuple(word)
 
 
@@ -271,9 +280,45 @@ def cartier_foata(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(layer)) for layer in layers)
 
 
+def _trace_key(word: Sequence[int]):
+    """A key equal for two words iff their Cartier-Foata layers are.
+
+    One pass assigns each letter its layer as :func:`cartier_foata` does,
+    and one sort orders the ``(layer, letter)`` pairs, each encoded as
+    ``layer * span + letter``.  The letters lie in ``(lo, lo + span]``, so
+    for the ``lo`` and ``span`` kept in the key the encoding is one to
+    one, for letters of any size.  A layer never holds a letter twice, so
+    the sorted pairs are the layers.
+    """
+    if not word:
+        return ()
+    lo = min(word) - 1
+    span = max(word) - lo
+    depth: dict[int, int] = {}  # value -> layer of its latest occurrence
+    get = depth.get
+    pairs = []
+    for v in word:
+        d = get(v - 1, 0)
+        e = get(v, 0)
+        if e > d:
+            d = e
+        e = get(v + 1, 0)
+        if e > d:
+            d = e
+        d += 1
+        depth[v] = d
+        pairs.append(d * span + v)
+    pairs.sort()
+    return lo, span, tuple(pairs)
+
+
 def trace_equal(w1: Sequence[int], w2: Sequence[int]) -> bool:
-    """Equality of words modulo commutation of distant letters."""
-    return cartier_foata(w1) == cartier_foata(w2)
+    """Equality of words modulo commutation of distant letters.
+
+    Compares one sorted key per word (:func:`_trace_key`), which is
+    equivalent to comparing :func:`cartier_foata` layers.
+    """
+    return _trace_key(w1) == _trace_key(w2)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +397,39 @@ def _reduction_candidates(word: Sequence[int]):
     return sorted(cands)
 
 
+def _reduce(w: list[int], exps: dict[Var, int], rng: random.Random | None = None) -> None:
+    """Reduce ``w`` in place until it is irreducible, counting into ``exps``.
+
+    Each step reduces the least candidate (lowest row, then leftmost), or
+    a random one when ``rng`` is given.
+    """
+    while True:
+        cands = _reduction_candidates(w)
+        if not cands:
+            return
+        v, p, kind, q, r = rng.choice(cands) if rng else cands[0]
+        var = ("x", v) if kind == 0 else ("y", v - 1)
+        exps[var] = exps.get(var, 0) + 1
+        del w[r]
+        if kind == 1:
+            del w[q]
+
+
+def _certified_perm(w: list[int], n: int) -> tuple[Perm, tuple[int, ...]]:
+    """The permutation of the irreducible word ``w`` and its code word.
+
+    Raises :class:`InternalInvariantError` unless ``w`` and the code word
+    are equal as traces; equal words need no trace keys.
+    """
+    perm = perm_from_word(w, n)
+    canonical = word_from_code(perm)
+    if list(canonical) != w and _trace_key(w) != _trace_key(canonical):
+        raise InternalInvariantError(
+            f"irreducible word {tuple(w)} is not the code word of {perm}"
+        )
+    return perm, canonical
+
+
 def normalize(
     word: Sequence[int],
     n: int | None = None,
@@ -375,23 +453,8 @@ def normalize(
         n = max(word, default=0) + 1
     w = list(check_word(word, n))
     exps: dict[Var, int] = {}
-    while True:
-        cands = _reduction_candidates(w)
-        if not cands:
-            break
-        v, p, kind, q, r = rng.choice(cands) if rng else cands[0]
-        var = ("x", v) if kind == 0 else ("y", v - 1)
-        exps[var] = exps.get(var, 0) + 1
-        del w[r]
-        if kind == 1:
-            del w[q]
-    w = tuple(w)
-    perm = perm_from_word(w, n)
-    canonical = word_from_code(perm)
-    if cartier_foata(w) != cartier_foata(canonical):
-        raise InternalInvariantError(
-            f"irreducible word {w} is not the code word of {perm}"
-        )
+    _reduce(w, exps, rng)
+    perm, canonical = _certified_perm(w, n)
     return NormalizationResult(n, Polynomial.monomial(exps), canonical, perm)
 
 
@@ -404,21 +467,57 @@ def multiply_words(
     return normalize(tuple(w1) + tuple(w2), n)
 
 
+def _last_near(w: list[int], i: int, end: int) -> int:
+    """Position of the last letter of ``w[:end]`` within 1 of ``i``, or -1."""
+    q = end - 1
+    while q >= 0 and not i - 1 <= w[q] <= i + 1:
+        q -= 1
+    return q
+
+
 @lru_cache(maxsize=None)
 def _mult_perm_by_generator(p: Perm, i: int) -> tuple[Term, Perm]:
-    """``E_p E_i`` as the exponent term of its monomial and the result."""
-    r = normalize(word_from_code(p) + (i,), len(p))
-    _, term = r.coefficient.monomial_parts()
-    return term, r.perm
+    """``E_p E_i`` as the exponent term of its monomial and the result.
+
+    The code word ``w`` of ``p`` is irreducible, so only the appended ``i``
+    can start a reduction, and the last letter of ``w`` within 1 of ``i``
+    decides which: an ``i`` is a square (``x_i E_p``); an ``i-1`` whose
+    nearest such letter to the left is ``i`` is a zigzag, which records
+    ``y_{i-1}``, drops that ``i-1`` and the appended ``i``, and hands the
+    word to the reduction loop of :func:`normalize`, since zigzags can
+    cascade; anything else leaves ``w + (i,)`` irreducible.  The result
+    carries the same trace certificate as :func:`normalize`.
+    """
+    w = list(word_from_code(p))
+    exps: dict[Var, int] = {}
+    q = _last_near(w, i, len(w))
+    u = w[q] if q >= 0 else None
+    if u == i:  # square
+        exps[("x", i)] = 1
+    elif u == i - 1 and (r := _last_near(w, i, q)) >= 0 and w[r] == i:  # zigzag
+        exps[("y", i - 1)] = 1
+        del w[q]
+        _reduce(w, exps)
+    else:
+        w.append(i)
+    perm, _ = _certified_perm(w, len(p))
+    return tuple(sorted(exps.items())), perm
 
 
 def multiply_perms(p: Perm, q: Perm) -> tuple[Polynomial, Perm]:
     """Structure constants of the basis: ``E_p E_q = coeff * E_result``.
 
-    Folds ``q``'s code word into ``p`` one generator at a time (cached),
-    which agrees with :func:`multiply_words` by confluence.  The
-    coefficient is a monomial, so its exponents are summed and it is
-    built once.
+    Folds ``q``'s code word into ``p`` one generator at a time, which
+    agrees with :func:`multiply_words` by confluence.  Each step
+    ``E_p E_i`` is cached and computed by a tail scan of ``p``'s code word
+    (:func:`_mult_perm_by_generator`), not by a full :func:`normalize`,
+    and is certified by the same trace check.  The coefficient is a
+    monomial, so its exponents are summed and it is built once.
+
+    >>> multiply_perms((2, 1, 3), (2, 1, 3))
+    (x1, (2, 1, 3))
+    >>> multiply_perms((1, 3, 2), (2, 3, 1))  # E_2 E_1 E_2 = y_1 E_2
+    (y1, (1, 3, 2))
     """
     if len(p) != len(q):
         raise ValueError(f"rank mismatch: {len(p)} vs {len(q)}")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -171,6 +172,103 @@ def test_normalize_verification_catches_a_wrong_code_word(monkeypatch):
     monkeypatch.setattr(rewriting, "word_from_code", lambda p: ())
     with pytest.raises(InternalInvariantError):
         normalize((2, 1, 2, 2), 3)
+
+
+def _generator_step_oracle(p, i):
+    # The step as a full normalization of the code word with i appended.
+    r = normalize(word_from_code(p) + (i,), len(p))
+    _, term = r.coefficient.monomial_parts()
+    return term, r.perm
+
+
+def test_generator_step_kernel_matches_normalize_oracle():
+    kernel = rewriting._mult_perm_by_generator.__wrapped__
+    most = 0
+    for n in range(1, 8):
+        for p in all_perms(n):
+            for i in range(1, n):
+                term, perm = kernel(p, i)
+                assert (term, perm) == _generator_step_oracle(p, i), (p, i)
+                most = max(most, sum(e for _, e in term))
+    assert most == 3  # zigzags cascade: up to three reductions in one step of S_7
+
+
+def _commuting_shuffle(word, rng, steps):
+    # Random swaps of adjacent letters that commute keep the trace.
+    w = list(word)
+    for _ in range(steps):
+        k = rng.randrange(len(w) - 1)
+        if abs(w[k] - w[k + 1]) >= 2:
+            w[k], w[k + 1] = w[k + 1], w[k]
+    return w
+
+
+def _assert_trace_key_classes_are_cartier_foata_classes(words):
+    key_of_layers, layers_of_key = {}, {}
+    for w in words:
+        layers, key = cartier_foata(w), rewriting._trace_key(w)
+        assert key_of_layers.setdefault(layers, key) == key, w
+        assert layers_of_key.setdefault(key, layers) == layers, w
+
+
+def test_trace_key_separates_exactly_the_cartier_foata_classes():
+    _assert_trace_key_classes_are_cartier_foata_classes(
+        w for length in range(7) for w in itertools.product(range(1, 5), repeat=length)
+    )  # every word of length <= 6 at ranks <= 5
+    rng = random.Random(41)
+    same_count = 0
+    for _ in range(2000):
+        n = rng.randint(3, 40)
+        a = tuple(rng.randrange(1, n) for _ in range(rng.randint(2, 40)))
+        b = _commuting_shuffle(a, rng, rng.randint(0, 60))
+        k = rng.randrange(len(b) - 1)
+        change = rng.randrange(3)  # none, any adjacent swap, or a new letter
+        if change == 1:
+            b[k], b[k + 1] = b[k + 1], b[k]
+        elif change == 2:
+            b[k] = rng.randrange(1, n)
+        same = cartier_foata(a) == cartier_foata(b)
+        same_count += same
+        assert (rewriting._trace_key(a) == rewriting._trace_key(b)) == same, (a, b)
+        assert trace_equal(a, b) == same
+    assert min(same_count, 2000 - same_count) > 400
+
+
+@pytest.mark.parametrize("gap", [31, 32, 63, 64, 2**32, 2**70])
+def test_trace_key_is_exact_for_letters_far_apart(gap):
+    # No fixed bit width: letters in two clusters `gap` apart.
+    letters = (1, 2, 3, gap + 1, gap + 2, gap + 3)
+    _assert_trace_key_classes_are_cartier_foata_classes(
+        w for length in range(5) for w in itertools.product(letters, repeat=length)
+    )
+
+
+@pytest.mark.parametrize(
+    "word, i, term",
+    [
+        ((1, 2), 2, ((("x", 2), 1),)),  # square: E_2 E_2
+        ((1, 2, 1), 2, ((("y", 1), 1),)),  # zigzag: E_2 E_1 E_2
+        ((1,), 2, ()),  # no reduction: E_1 E_2
+    ],
+)
+def test_generator_step_verification_catches_a_wrong_code_word(monkeypatch, word, i, term):
+    # The step reads p's code word honestly; every later code word comes
+    # reversed, with the right letters but the wrong trace, so the final
+    # trace check has to fail in every case.
+    kernel = rewriting._mult_perm_by_generator.__wrapped__
+    p = perm_from_word(word, 3)
+    assert word_from_code(p) == word and kernel(p, i)[0] == term
+    honest = rewriting.word_from_code
+    calls = []
+
+    def corrupt(perm):
+        calls.append(perm)
+        return honest(perm) if len(calls) == 1 else honest(perm)[::-1]
+
+    monkeypatch.setattr(rewriting, "word_from_code", corrupt)
+    with pytest.raises(InternalInvariantError):
+        kernel(p, i)
+    assert len(calls) == 2
 
 
 def test_normalize_relations():

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import okada
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,3 +45,24 @@ def test_gram_report_refuses_a_det_dimension_over_the_library_limit():
     assert done.returncode == 2
     assert done.stdout == ""
     assert "--det-dim-limit" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "name, rank",
+    [
+        ("aperiodicity_profile.py", "-3"),
+        ("aperiodicity_profile.py", "9"),
+        ("gram_report.py", "-1"),
+        ("gram_report.py", "9"),
+    ],
+)
+def test_scripts_refuse_a_rank_out_of_range(name, rank):
+    done = run_script(name, "--max", rank)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "--max" in done.stderr
+
+
+def test_scripts_accept_rank_zero():
+    assert run_script("aperiodicity_profile.py", "--max", "0").stdout == "rank 0: max=1  k=1:1\n"
+    assert len(json.loads(run_script("gram_report.py", "--max", "0").stdout)) == 1
