@@ -306,6 +306,7 @@ def _census_threads(args) -> int:
 
 def cmd_census(args) -> int:
     from . import monoid as mo
+    from .fibonacci import chain_count, enumerate_yfs
 
     threads = _census_threads(args)
     if args.max > _LIMITS["census"]:
@@ -319,10 +320,10 @@ def cmd_census(args) -> int:
         total, idem, invol = mo.census_counts(n, threads)
         row = {"n": n, "elements": total, "idempotents": idem, "involutives": invol}
         if n <= args.green_max:
-            gc = mo.green_classes(n)
-            row["r_classes"] = len(gc.r_classes)
-            row["l_classes"] = len(gc.l_classes)
-            row["j_classes"] = len(gc.j_classes)
+            # one R- and one L-class per (cell, half), one J-class per cell (see green_classes)
+            cells = enumerate_yfs(n)
+            row["r_classes"] = row["l_classes"] = sum(chain_count(s) for s in cells)
+            row["j_classes"] = len(cells)
             row["max_aperiodicity"] = mo.aperiodicity_max(n)
         rows.append(row)
     if args.extended:

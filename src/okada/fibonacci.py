@@ -9,9 +9,11 @@ element" turns the ranked family into the Young-Fibonacci lattice.
 
 This module also implements Stanley's bijection with binary words over
 ``{1, 2}``, saturated chains (which index the irreducible modules of the
-rank-``n`` Okada algebra), the dominance order on each rank together
-with its lattice operations, and the bijection between Fibonacci sets
-and free subsets of ``{1, ..., n-1}``.
+rank-``n`` Okada algebra), the dominance order on each rank, and the
+bijection between Fibonacci sets and free subsets of ``{1, ..., n-1}``.
+The dominance lattice is given in closed form: meets and joins are
+aligned minima and maxima, the rank function is a formula in the size
+and the sum of a set, and the covers are two kinds of local moves.
 
 Everything here is an immutable value; all enumerations are returned in
 a deterministic order (lexicographic on element sequences).
@@ -171,38 +173,34 @@ def enumerate_yfs(n: int) -> tuple[FibonacciSet, ...]:
     return tuple(FibonacciSet(n, elems) for elems in sorted(found))
 
 
+def _yf_neighbours(s: FibonacciSet, rank: int) -> tuple[FibonacciSet, ...]:
+    """Sorted rank-``rank`` sets: ``s`` without its largest element, or with a new one."""
+    elems = s.elements
+    out = []
+    if elems:
+        out.append(FibonacciSet(rank, elems[:-1]))
+    lo = elems[-1] if elems else 0
+    want = (len(elems) + 1) % 2
+    for t in range(lo + 1, rank + 1):
+        if t % 2 == want:
+            out.append(FibonacciSet(rank, elems + (t,)))
+    return tuple(sorted(out))
+
+
 def yf_covers(s: FibonacciSet) -> tuple[FibonacciSet, ...]:
     """The rank ``n+1`` sets covering ``s`` in the Young-Fibonacci lattice.
 
     ``t`` covers ``s`` when one of the two is the other with its largest
     element removed.  Results come sorted lexicographically.
     """
-    n, elems = s.rank, s.elements
-    out = []
-    if elems:
-        out.append(FibonacciSet(n + 1, elems[:-1]))
-    lo = elems[-1] if elems else 0
-    want = (len(elems) + 1) % 2
-    for t in range(lo + 1, n + 2):
-        if t % 2 == want:
-            out.append(FibonacciSet(n + 1, elems + (t,)))
-    return tuple(sorted(out))
+    return _yf_neighbours(s, s.rank + 1)
 
 
 def yf_down_covers(s: FibonacciSet) -> tuple[FibonacciSet, ...]:
     """The rank ``n-1`` sets covered by ``s``; empty for rank 0."""
-    n, elems = s.rank, s.elements
-    if n == 0:
+    if s.rank == 0:
         return ()
-    out = []
-    if elems:
-        out.append(FibonacciSet(n - 1, elems[:-1]))
-    lo = elems[-1] if elems else 0
-    want = (len(elems) + 1) % 2
-    for t in range(lo + 1, n):
-        if t % 2 == want:
-            out.append(FibonacciSet(n - 1, elems + (t,)))
-    return tuple(sorted(out))
+    return _yf_neighbours(s, s.rank - 1)
 
 
 def is_yf_cover(s: FibonacciSet, t: FibonacciSet) -> bool:
@@ -352,13 +350,10 @@ def set_to_word(s: FibonacciSet) -> str:
 
 # ---------------------------------------------------------------------------
 # Dominance order
-
-
-def _dominance_leq_elems(s: tuple[int, ...], t: tuple[int, ...]) -> bool:
-    k, l = len(s), len(t)
-    if k > l:
-        return False
-    return all(s[k - 1 - i] <= t[l - 1 - i] for i in range(k))
+#
+# Every answer is read off the sets.  Align two rank-``n`` sets at their
+# largest elements: the ``i``-th largest (``i = 0, 1, ...``) always has the
+# parity of ``n - i``, so aligned elements share a parity.
 
 
 def dominance_leq(s: FibonacciSet, t: FibonacciSet) -> bool:
@@ -370,7 +365,8 @@ def dominance_leq(s: FibonacciSet, t: FibonacciSet) -> bool:
     """
     if s.rank != t.rank:
         raise RankMismatchError(f"cannot compare ranks {s.rank} and {t.rank}")
-    return _dominance_leq_elems(s.elements, t.elements)
+    a, b = s.elements, t.elements
+    return len(a) <= len(b) and all(x <= y for x, y in zip(reversed(a), reversed(b)))
 
 
 def dominance_lt(s: FibonacciSet, t: FibonacciSet) -> bool:
@@ -378,113 +374,96 @@ def dominance_lt(s: FibonacciSet, t: FibonacciSet) -> bool:
     return s != t and dominance_leq(s, t)
 
 
-@lru_cache(maxsize=None)
-def _dominance_tables(n: int):
-    """Per-rank tables: sets, index, down/up bitmasks, covers, rank function."""
-    sets = enumerate_yfs(n)
-    index = {s: i for i, s in enumerate(sets)}
-    m = len(sets)
-    down = [0] * m  # down[i] = bitmask of j with sets[j] <= sets[i]
-    up = [0] * m
-    for i, si in enumerate(sets):
-        for j, sj in enumerate(sets):
-            if _dominance_leq_elems(sj.elements, si.elements):
-                down[i] |= 1 << j
-                up[j] |= 1 << i
-    full = (1 << m) - 1
-    bottoms = [i for i in range(m) if up[i] == full]
-    tops = [i for i in range(m) if down[i] == full]
-    if len(bottoms) != 1 or len(tops) != 1:
-        raise InternalInvariantError(f"dominance order at rank {n} is not bounded")
-    covers = []
-    for i in range(m):
-        for j in range(m):
-            if i != j and down[j] >> i & 1:
-                if (down[j] & up[i]) == (1 << i) | (1 << j):
-                    covers.append((i, j))
-    # grade the poset from the bottom; every cover must raise the rank by 1
-    rank = [-1] * m
-    rank[bottoms[0]] = 0
-    pending = [bottoms[0]]
-    while pending:
-        i = pending.pop()
-        for a, b in covers:
-            if a == i:
-                if rank[b] == -1:
-                    rank[b] = rank[i] + 1
-                    pending.append(b)
-                elif rank[b] != rank[i] + 1:
-                    raise InternalInvariantError(
-                        f"dominance order at rank {n} is not graded"
-                    )
-    if min(rank) < 0:
-        raise InternalInvariantError(f"dominance order at rank {n} is disconnected")
-    for a, b in covers:
-        if rank[b] != rank[a] + 1:
-            raise InternalInvariantError(f"dominance order at rank {n} is not graded")
-    return sets, index, tuple(down), tuple(up), bottoms[0], tops[0], tuple(covers), tuple(rank)
-
-
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _unique_bound(n: int, a: FibonacciSet, b: FibonacciSet, which: str) -> FibonacciSet:
-    sets, index, down, up, _, _, _, _ = _dominance_tables(n)
-    masks = down if which == "meet" else up
-    common = masks[index[a]] & masks[index[b]]
-    # the bound is the element of `common` whose own down/up set is `common`
-    candidates = [i for i in _iter_bits(common) if masks[i] == common]
-    if len(candidates) != 1:
-        raise InternalInvariantError(
-            f"non-unique dominance {which} for {a} and {b}: {candidates}"
-        )
-    return sets[candidates[0]]
-
-
 def dominance_meet(s: FibonacciSet, t: FibonacciSet) -> FibonacciSet:
-    """Greatest lower bound in the dominance order (must be unique)."""
+    """Greatest lower bound: the aligned minima of the top ``min(|s|, |t|)``.
+
+    A set lies below both iff it is no longer than either and each of its
+    elements is at most both aligned ones, so at most their minimum; and
+    the minima increase and keep the parities, so they form a lower bound.
+
+    >>> dominance_meet(FibonacciSet(5, (1, 2, 3)), FibonacciSet(5, (5,)))
+    {3}_5
+    """
     if s.rank != t.rank:
         raise RankMismatchError(f"cannot meet ranks {s.rank} and {t.rank}")
-    return _unique_bound(s.rank, s, t, "meet")
+    a, b = s.elements, t.elements
+    m = min(len(a), len(b))
+    return FibonacciSet(s.rank, tuple(map(min, a[len(a) - m:], b[len(b) - m:])))
 
 
 def dominance_join(s: FibonacciSet, t: FibonacciSet) -> FibonacciSet:
-    """Least upper bound in the dominance order (must be unique)."""
+    """Least upper bound: the longer set, its top raised to the aligned maxima.
+
+    A set lies above both iff it is at least as long as the longer one and
+    each aligned element is at least both, so at least their maximum; the
+    longer set's untouched lower elements stay below the raised ones.
+
+    >>> dominance_join(FibonacciSet(5, (1, 2, 3)), FibonacciSet(5, (5,)))
+    {1,2,5}_5
+    """
     if s.rank != t.rank:
         raise RankMismatchError(f"cannot join ranks {s.rank} and {t.rank}")
-    return _unique_bound(s.rank, s, t, "join")
+    a, b = s.elements, t.elements
+    if len(a) > len(b):
+        a, b = b, a
+    cut = len(b) - len(a)
+    return FibonacciSet(s.rank, b[:cut] + tuple(map(max, a, b[cut:])))
 
 
 def dominance_bottom(n: int) -> FibonacciSet:
-    """The least element of the rank-``n`` dominance lattice (computed)."""
-    sets, _, _, _, bot, _, _, _ = _dominance_tables(n)
-    return sets[bot]
+    """The least element: ``{1}`` for odd ``n``, the empty set for even ``n``."""
+    return FibonacciSet(n, (1,) if n % 2 else ())
 
 
 def dominance_top(n: int) -> FibonacciSet:
     """The greatest element; always the full interval ``{1, ..., n}``."""
-    sets, _, _, _, _, top, _, _ = _dominance_tables(n)
-    return sets[top]
+    return FibonacciSet(n, tuple(range(1, n + 1)))
+
+
+@lru_cache(maxsize=None)
+def _dominance_tables(n: int) -> tuple[tuple[FibonacciSet, FibonacciSet], ...]:
+    """The sorted cover pairs of rank ``n``; see :func:`dominance_covers`."""
+    pairs = []
+    for s in enumerate_yfs(n):
+        e = s.elements
+        if n >= 2 and (not e or e[0] > 2):
+            pairs.append((s, FibonacciSet(n, (1, 2) + e)))
+        for i, x in enumerate(e):
+            if x + 2 < (e[i + 1] if i + 1 < len(e) else n + 1):
+                pairs.append((s, FibonacciSet(n, e[:i] + (x + 2,) + e[i + 1:])))
+    pairs.sort(key=lambda p: (p[0].elements, p[1].elements))
+    return tuple(pairs)
 
 
 def dominance_covers(n: int) -> tuple[tuple[FibonacciSet, FibonacciSet], ...]:
-    """All cover pairs ``(s, t)`` with ``s`` covered by ``t``, sorted."""
-    sets, _, _, _, _, _, covers, _ = _dominance_tables(n)
-    return tuple(sorted((sets[a], sets[b]) for a, b in covers))
+    """All cover pairs ``(s, t)`` with ``s`` covered by ``t``, sorted.
+
+    ``t`` covers ``s`` iff it is ``{1, 2} | s`` (``n >= 2``, no element of
+    ``s`` at most 2) or raises one element of ``s`` by 2 while staying
+    below the next one and at most ``n``.  Each such move adds exactly 1
+    to :func:`dominance_rank`.  If ``s < t``, some move stays below ``t``:
+    raise the largest element of ``s`` below its aligned element of ``t``
+    (which is 2 or more larger, by parity, while the elements above agree
+    with ``t``'s), or, if there is none, add ``{1, 2}``.  Moves thus reach
+    ``t`` from ``s``, so the rank grows strictly along the order, and a
+    cover is exactly one move.
+    """
+    return _dominance_tables(n)
 
 
 def dominance_rank(s: FibonacciSet) -> int:
-    """Height of ``s`` above the bottom of its dominance lattice.
+    """Height of ``s`` above the bottom: ``k^2 // 4 + (sum(s) - k(k+1)/2) / 2``.
 
-    Well defined because the lattice is ranked; gradedness is verified
-    when the per-rank tables are built.
+    Here ``k = |s|``; the halved term is an integer because the ``l``-th
+    smallest element has the parity of ``l``.  The bottom has rank 0 and
+    every cover adds exactly 1 (see :func:`dominance_covers`).
+
+    >>> dominance_rank(FibonacciSet(5, (1, 2, 5)))
+    3
     """
-    sets, index, _, _, _, _, _, rank = _dominance_tables(s.rank)
-    return rank[index[s]]
+    e = s.elements
+    k = len(e)
+    return k * k // 4 + (sum(e) - k * (k + 1) // 2) // 2
 
 
 # ---------------------------------------------------------------------------

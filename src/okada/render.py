@@ -18,6 +18,7 @@ from .fibonacci import (
     FibonacciSet,
     dominance_covers,
     dominance_rank,
+    dominance_top,
     enumerate_yfs,
     set_to_word,
     yf_covers,
@@ -209,117 +210,80 @@ def _node_id(s: FibonacciSet) -> str:
     return f"n{s.rank}_" + "_".join(str(x) for x in s.elements)
 
 
+def _elements(s: FibonacciSet) -> str:
+    return ",".join(str(x) for x in s.elements)
+
+
 def _node_label(s: FibonacciSet) -> str:
-    word = set_to_word(s) or "e"
-    inner = ",".join(str(x) for x in s.elements)
-    return f"{word} | {{{inner}}}_{s.rank}"
+    return f"{set_to_word(s) or 'e'} | {{{_elements(s)}}}_{s.rank}"
 
 
-def render_yfs_hasse_svg(max_rank: int) -> str:
-    sp_x, sp_y = 120, 70
-    rows = [enumerate_yfs(n) for n in range(max_rank + 1)]
+def _hasse_svg(rows, edges, nodes, label, sp_x: int, sp_y: int) -> str:
+    """Rows bottom-up and centred, a line per edge, then a label per node in ``nodes`` order."""
     width = max(len(r) for r in rows) * sp_x + 2 * _MARGIN
-    height = (max_rank + 1) * sp_y + _MARGIN
-
-    def pos(s: FibonacciSet):
-        row = rows[s.rank]
-        i = row.index(s)
-        x = width / 2 + (i - (len(row) - 1) / 2) * sp_x
-        y = height - _MARGIN - s.rank * sp_y
-        return x, y
-
-    lines = _svg_header(int(width), int(height))
-    for n in range(max_rank):
-        for s in rows[n]:
-            x1, y1 = pos(s)
-            for t in yf_covers(s):
-                x2, y2 = pos(t)
-                lines.append(
-                    f'<line x1="{_f(x1)}" y1="{_f(y1 - 10)}" x2="{_f(x2)}" y2="{_f(y2 + 10)}"/>'
-                )
-    lines.append("</g>")
-    for n in range(max_rank + 1):
-        for s in rows[n]:
-            x, y = pos(s)
-            lines.append(
-                f'<text x="{_f(x)}" y="{_f(y)}" font-size="11" text-anchor="middle" '
-                f'dominant-baseline="central">{_node_label(s)}</text>'
-            )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
-
-
-def render_yfs_hasse_tikz(max_rank: int) -> str:
-    rows = [enumerate_yfs(n) for n in range(max_rank + 1)]
-    lines = ["\\begin{tikzpicture}[>=latex,xscale=2.2,yscale=1.1]"]
-    for n, row in enumerate(rows):
+    height = len(rows) * sp_y + _MARGIN
+    pos = {}
+    for r, row in enumerate(rows):
         for i, s in enumerate(row):
-            x = _f(i - (len(row) - 1) / 2)
-            lines.append(
-                f"\\node ({_node_id(s)}) at ({x},{n}) {{${_node_label(s)}$}};"
-            )
-    for n in range(max_rank):
-        for s in rows[n]:
-            for t in yf_covers(s):
-                lines.append(f"\\draw[->] ({_node_id(s)}) -- ({_node_id(t)});")
-    lines.append("\\end{tikzpicture}")
-    return "\n".join(lines) + "\n"
-
-
-def render_dominance_svg(n: int) -> str:
-    sp_x, sp_y = 110, 64
-    sets = enumerate_yfs(n)
-    levels: dict[int, list[FibonacciSet]] = {}
-    for s in sets:
-        levels.setdefault(dominance_rank(s), []).append(s)
-    for level in levels.values():
-        level.sort()
-    depth = max(levels) if levels else 0
-    width = max(len(v) for v in levels.values()) * sp_x + 2 * _MARGIN
-    height = (depth + 1) * sp_y + _MARGIN
-
-    def pos(s: FibonacciSet):
-        r = dominance_rank(s)
-        row = levels[r]
-        x = width / 2 + (row.index(s) - (len(row) - 1) / 2) * sp_x
-        return x, height - _MARGIN - r * sp_y
-
-    lines = _svg_header(int(width), int(height))
-    for a, b in dominance_covers(n):
-        x1, y1 = pos(a)
-        x2, y2 = pos(b)
-        lines.append(
-            f'<line x1="{_f(x1)}" y1="{_f(y1 - 10)}" x2="{_f(x2)}" y2="{_f(y2 + 10)}"/>'
-        )
+            pos[s] = (width / 2 + (i - (len(row) - 1) / 2) * sp_x, height - _MARGIN - r * sp_y)
+    lines = _svg_header(width, height)
+    for a, b in edges:
+        (x1, y1), (x2, y2) = pos[a], pos[b]
+        lines.append(f'<line x1="{_f(x1)}" y1="{_f(y1 - 10)}" x2="{_f(x2)}" y2="{_f(y2 + 10)}"/>')
     lines.append("</g>")
-    for s in sets:
-        x, y = pos(s)
-        inner = ",".join(str(v) for v in s.elements)
+    for s in nodes:
+        x, y = pos[s]
         lines.append(
             f'<text x="{_f(x)}" y="{_f(y)}" font-size="11" text-anchor="middle" '
-            f'dominant-baseline="central">{{{inner}}}</text>'
+            f'dominant-baseline="central">{label(s)}</text>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
-def render_dominance_tikz(n: int) -> str:
-    sets = enumerate_yfs(n)
-    levels: dict[int, list[FibonacciSet]] = {}
-    for s in sets:
-        levels.setdefault(dominance_rank(s), []).append(s)
-    for level in levels.values():
-        level.sort()
-    lines = ["\\begin{tikzpicture}[>=latex,yscale=1.0]"]
-    for r in sorted(levels):
-        row = levels[r]
+def _hasse_tikz(rows, edges, label, options: str) -> str:
+    """Rows bottom-up and centred, a node per set, then an arrow per edge."""
+    lines = [f"\\begin{{tikzpicture}}[{options}]"]
+    for r, row in enumerate(rows):
         for i, s in enumerate(row):
             x = _f(i - (len(row) - 1) / 2)
-            inner = ",".join(str(v) for v in s.elements)
-            lines.append(
-                f"\\node ({_node_id(s)}) at ({x},{r}) {{$\\{{{inner}\\}}$}};"
-            )
-    for a, b in dominance_covers(n):
+            lines.append(f"\\node ({_node_id(s)}) at ({x},{r}) {{${label(s)}$}};")
+    for a, b in edges:
         lines.append(f"\\draw[->] ({_node_id(a)}) -- ({_node_id(b)});")
     lines.append("\\end{tikzpicture}")
     return "\n".join(lines) + "\n"
+
+
+def _yfs_layout(max_rank: int):
+    """One row per rank up to ``max_rank``, and the covering edges between them."""
+    rows = [enumerate_yfs(n) for n in range(max_rank + 1)]
+    edges = [(s, t) for row in rows[:-1] for s in row for t in yf_covers(s)]
+    return rows, edges
+
+
+def _dominance_layout(n: int):
+    """One row per dominance rank, each in lexicographic order, and the cover pairs."""
+    rows: list[list[FibonacciSet]] = [[] for _ in range(dominance_rank(dominance_top(n)) + 1)]
+    for s in enumerate_yfs(n):
+        rows[dominance_rank(s)].append(s)
+    return rows, dominance_covers(n)
+
+
+def render_yfs_hasse_svg(max_rank: int) -> str:
+    rows, edges = _yfs_layout(max_rank)
+    return _hasse_svg(rows, edges, [s for row in rows for s in row], _node_label, 120, 70)
+
+
+def render_yfs_hasse_tikz(max_rank: int) -> str:
+    rows, edges = _yfs_layout(max_rank)
+    return _hasse_tikz(rows, edges, _node_label, ">=latex,xscale=2.2,yscale=1.1")
+
+
+def render_dominance_svg(n: int) -> str:
+    rows, edges = _dominance_layout(n)
+    return _hasse_svg(rows, edges, enumerate_yfs(n), lambda s: f"{{{_elements(s)}}}", 110, 64)
+
+
+def render_dominance_tikz(n: int) -> str:
+    rows, edges = _dominance_layout(n)
+    return _hasse_tikz(rows, edges, lambda s: f"\\{{{_elements(s)}\\}}", ">=latex,yscale=1.0")

@@ -259,25 +259,18 @@ def cartier_foata(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     have equal layers iff they are equal modulo commutations.  A letter
     ``v`` sits one layer above the highest of the latest ``v-1``, ``v``
     and ``v+1`` before it (earlier ones lie lower still), so one pass
-    assigns every layer.
+    assigns every layer; the layers are read off :func:`_trace_key`.
     """
-    depth: dict[int, int] = {}  # value -> layer of its latest occurrence
-    get = depth.get
+    if not word:
+        return ()
+    lo, span, codes = _trace_key(word)
     layers: list[list[int]] = []
-    for v in word:
-        d = get(v - 1, 0)
-        e = get(v, 0)
-        if e > d:
-            d = e
-        e = get(v + 1, 0)
-        if e > d:
-            d = e
-        depth[v] = d + 1
-        if d == len(layers):
-            layers.append([v])
-        else:
-            layers[d].append(v)
-    return tuple(tuple(sorted(layer)) for layer in layers)
+    for code in codes:  # sorted by layer, then by letter
+        d, v = divmod(code - lo - 1, span)
+        if d > len(layers):
+            layers.append([])
+        layers[-1].append(lo + 1 + v)
+    return tuple(map(tuple, layers))
 
 
 def _trace_key(word: Sequence[int]):

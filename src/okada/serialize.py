@@ -194,17 +194,23 @@ def obj_to_rs_chains(obj: dict | list) -> tuple[Chain, Chain]:
 # -- polynomials and normalization results -----------------------------------
 
 
+def _exponent_vectors(term, n: int) -> tuple[list[int], list[int]]:
+    """The dense exponents of one monomial: x over 1..n-1, y over 1..n-2."""
+    xs = [0] * max(n - 1, 0)
+    ys = [0] * max(n - 2, 0)
+    for (kind, i), e in term:
+        if kind == "x":
+            xs[i - 1] = e
+        else:
+            ys[i - 1] = e
+    return xs, ys
+
+
 def poly_to_terms(p: Polynomial, n: int) -> list[dict]:
     """Dense exponent vectors per term: x over 1..n-1, y over 1..n-2."""
     out = []
     for term, c in p.terms():
-        xs = [0] * max(n - 1, 0)
-        ys = [0] * max(n - 2, 0)
-        for (kind, i), e in term:
-            if kind == "x":
-                xs[i - 1] = e
-            else:
-                ys[i - 1] = e
+        xs, ys = _exponent_vectors(term, n)
         out.append({"x": xs, "y": ys, "c": c})
     return out
 
@@ -228,13 +234,7 @@ def normalization_to_obj(r: NormalizationResult) -> dict:
     coeff, term = r.coefficient.monomial_parts()
     if coeff != 1:
         raise ValueError(f"normalization coefficient has multiplier {coeff}")
-    xs = [0] * max(r.n - 1, 0)
-    ys = [0] * max(r.n - 2, 0)
-    for (kind, i), e in term:
-        if kind == "x":
-            xs[i - 1] = e
-        else:
-            ys[i - 1] = e
+    xs, ys = _exponent_vectors(term, r.n)
     return {
         "schema": SCHEMAS["normalization"],
         "coeff_x": xs,

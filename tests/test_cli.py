@@ -180,6 +180,29 @@ def test_census_small():
     assert out.splitlines()[0].startswith("n,elements,idempotents")
 
 
+def test_census_green_columns_match_green_classes(monkeypatch):
+    # The census reads the Green columns off the cells; green_classes stays the oracle.
+    from okada import monoid
+
+    oracle = monoid.green_classes
+
+    def never(n):
+        raise AssertionError("census built green_classes")
+
+    monkeypatch.setattr(monoid, "green_classes", never)
+    monkeypatch.setattr(monoid, "census_counts", lambda n, threads=1: (0, 0, 0))
+    monkeypatch.setattr(monoid, "aperiodicity_max", lambda n: 0)
+    rc, out, _ = run(["census", "--max", "8", "--green-max", "8"])
+    assert rc == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [r["r_classes"] for r in rows] == [1, 1, 2, 4, 10, 26, 76, 232, 764]
+    for n, row in enumerate(rows):
+        gc = oracle(n)
+        assert (row["r_classes"], row["l_classes"], row["j_classes"]) == (
+            len(gc.r_classes), len(gc.l_classes), len(gc.j_classes)
+        ), n
+
+
 def test_gram_command():
     rc, out, _ = run(["gram", "--n", "4", "--set", "1,4", "--det", "--specialize", "9"])
     obj = json.loads(out)

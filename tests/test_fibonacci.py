@@ -173,8 +173,9 @@ def test_dominance_examples():
     assert not dominance_leq(F(5, (5,)), F(5, (1, 2, 3)))
     s = F(5, (1, 4, 5))
     assert dominance_leq(s, s)
-    with pytest.raises(RankMismatchError):
-        dominance_leq(F(3, (1,)), F(5, (1,)))
+    for op in (dominance_leq, dominance_meet, dominance_join):
+        with pytest.raises(RankMismatchError):
+            op(F(3, (1,)), F(5, (1,)))
 
 
 def test_dominance_is_partial_order():
@@ -225,6 +226,82 @@ def test_dominance_rank_function_monotone_on_covers():
         for a, b in dominance_covers(n):
             assert dominance_rank(b) == dominance_rank(a) + 1
         assert dominance_rank(dominance_bottom(n)) == 0
+
+
+def _iter_bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _dominance_by_search(n):
+    """The rank-n dominance lattice found by search over the order itself.
+
+    Down/up bitmasks per set; the bottom and top are the sets below and
+    above everything; covers are the pairs with nothing between them; the
+    rank is found by a breadth-first walk from the bottom.  The search
+    checks that the order is bounded, connected and graded, and each meet
+    and join is the unique common bound whose own down/up set is the set
+    of all common bounds.
+    """
+    sets = enumerate_yfs(n)
+    m = len(sets)
+    down = [0] * m  # down[i]: bitmask of the j with sets[j] <= sets[i]
+    up = [0] * m
+    for i, a in enumerate(sets):
+        for j, b in enumerate(sets):
+            if dominance_leq(b, a):
+                down[i] |= 1 << j
+                up[j] |= 1 << i
+    full = (1 << m) - 1
+    bottoms = [i for i in range(m) if up[i] == full]
+    tops = [i for i in range(m) if down[i] == full]
+    assert len(bottoms) == 1 and len(tops) == 1, f"rank {n} is not bounded"
+    covers = [
+        (i, j) for i in range(m) for j in range(m) if i != j and down[j] & up[i] == (1 << i) | (1 << j)
+    ]
+    rank = [None] * m
+    rank[bottoms[0]] = 0
+    pending = [bottoms[0]]
+    while pending:
+        i = pending.pop()
+        for a, b in covers:
+            if a == i and rank[b] is None:
+                rank[b] = rank[i] + 1
+                pending.append(b)
+    assert None not in rank, f"rank {n} is not connected"
+    assert all(rank[b] == rank[a] + 1 for a, b in covers), f"rank {n} is not graded"
+
+    def unique_bound(masks, a, b):
+        common = masks[a] & masks[b]
+        found = [i for i in _iter_bits(common) if masks[i] == common]
+        assert len(found) == 1, (sets[a], sets[b], found)
+        return sets[found[0]]
+
+    return {
+        "sets": sets,
+        "meet": lambda a, b: unique_bound(down, a, b),
+        "join": lambda a, b: unique_bound(up, a, b),
+        "rank": rank,
+        "bottom": sets[bottoms[0]],
+        "top": sets[tops[0]],
+        "covers": tuple(sorted((sets[a], sets[b]) for a, b in covers)),
+    }
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_dominance_closed_forms_match_search(n):
+    found = _dominance_by_search(n)
+    sets = found["sets"]
+    assert dominance_bottom(n) == found["bottom"]
+    assert dominance_top(n) == found["top"]
+    assert dominance_covers(n) == found["covers"]
+    for i, a in enumerate(sets):
+        assert dominance_rank(a) == found["rank"][i], a
+        for j, b in enumerate(sets):
+            assert dominance_meet(a, b) == found["meet"](i, j), (a, b)
+            assert dominance_join(a, b) == found["join"](i, j), (a, b)
 
 
 def test_free_set_examples():
