@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -9,6 +10,7 @@ import pytest
 from okada import algebra
 from okada import diagrams as dg
 from okada.algebra import (
+    GRAM_DET_MAX_DIM,
     AlgebraElement,
     cell_action,
     cell_datum,
@@ -22,6 +24,7 @@ from okada.algebra import (
     ideal_basis,
     triangular_factorization,
 )
+from okada._determinant import polynomial_det
 from okada.errors import InternalInvariantError, PropagatingMismatchError, RankMismatchError
 from okada.fibonacci import (
     FibonacciSet,
@@ -382,3 +385,178 @@ def test_gram_det_agrees_with_specialization():
     values.update({("y", i): Fraction(rng.randrange(1, 20)) for i in range(1, 3)})
     lhs = gram_det(s).specialize(values).constant_value()
     assert lhs == gram_det_specialized(s, values)
+
+
+def _leibniz_det(matrix):
+    """The former library determinant, as an oracle: the signed sum of
+    all ``d!`` products, one entry from each row and column."""
+    d = len(matrix)
+    total = Polynomial.zero()
+    for perm in itertools.permutations(range(d)):
+        sign = 1
+        for i in range(d):
+            for j in range(i + 1, d):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = Polynomial.integer(sign)
+        for i in range(d):
+            term = term * matrix[i][perm[i]]
+        total = total + term
+    return total
+
+
+def _cells(lo, hi):
+    """Every cell with rank at most 8 and dimension in ``lo .. hi``."""
+    return [s for n in range(9) for s in enumerate_yfs(n) if lo <= chain_count(s) <= hi]
+
+
+def _seeded_points(n, seed, count=3):
+    rng = random.Random(seed)
+    points = []
+    for _ in range(count):
+        values = {("x", i): Fraction(rng.randrange(2, 100), rng.randrange(1, 10)) for i in range(1, n)}
+        values.update(
+            {("y", i): Fraction(rng.randrange(2, 100), rng.randrange(1, 10)) for i in range(1, n - 1)}
+        )
+        points.append(values)
+    return points
+
+
+def _check_against_specialization(cells):
+    for s in cells:
+        det = gram_det(s)
+        for values in _seeded_points(s.rank, seed=chain_count(s) * 100 + s.rank):
+            assert det.specialize(values).constant_value() == gram_det_specialized(s, values), s
+
+
+def test_gram_det_equals_leibniz_up_to_dimension_7():
+    cells = _cells(0, 7)
+    assert len(cells) == 52
+    for s in cells:
+        assert gram_det(s) == _leibniz_det(gram_matrix(s)), s
+
+
+@pytest.mark.skipif(
+    not os.environ.get("OKADA_EXTENDED"),
+    reason="the 8! term Leibniz oracle runs only with OKADA_EXTENDED=1",
+)
+def test_extended_gram_det_equals_leibniz_at_dimension_8():
+    s = F(5, (1,))
+    assert chain_count(s) == 8
+    assert gram_det(s) == _leibniz_det(gram_matrix(s))
+
+
+def test_gram_det_matches_specialization_from_dimension_8_to_12():
+    cells = _cells(8, 12)
+    assert len(cells) == 9
+    _check_against_specialization(cells)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("OKADA_EXTENDED"),
+    reason="cells of dimension 13 and up run only with OKADA_EXTENDED=1",
+)
+def test_extended_gram_det_matches_specialization_up_to_the_limit():
+    cells = _cells(13, GRAM_DET_MAX_DIM)
+    assert sorted(chain_count(s) for s in cells) == [14] + [15] * 6
+    _check_against_specialization(cells)
+
+
+def test_gram_det_refuses_a_cell_over_the_limit():
+    for s in (F(7, (5,)), F(8, ())):
+        assert chain_count(s) > GRAM_DET_MAX_DIM
+        with pytest.raises(ValueError, match=f"dimension {chain_count(s)} too large"):
+            gram_det(s)
+
+
+def _integer_matrix(rows):
+    return tuple(tuple(Polynomial.integer(c) for c in row) for row in rows)
+
+
+def _perm_sign(perm):
+    """``(-1)^(d - cycles)``, counted without inversions."""
+    seen, cycles = set(), 0
+    for start in range(len(perm)):
+        if start not in seen:
+            cycles += 1
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return -1 if (len(perm) - cycles) % 2 else 1
+
+
+def test_polynomial_det_of_permutation_matrices_is_the_sign():
+    checked = 0
+    for d in range(6):
+        for perm in itertools.permutations(range(d)):
+            matrix = _integer_matrix([[int(perm[i] == j) for j in range(d)] for i in range(d)])
+            assert polynomial_det(matrix) == Polynomial.integer(_perm_sign(perm)), perm
+            checked += 1
+    assert checked == 1 + 1 + 2 + 6 + 24 + 120
+
+
+def test_polynomial_det_of_the_empty_matrix_is_one():
+    assert polynomial_det(()) == Polynomial.one()
+
+
+def test_polynomial_det_with_a_zero_row_column_or_repeated_row_is_zero():
+    x1, x2, y1 = x_var(1), x_var(2), y_var(1)
+    two, three, one, five = (Polynomial.integer(c) for c in (2, 3, 1, 5))
+    full = [[x1, x2 + 1, y1, two], [y1, x1 * x2, three, x2], [x2, one, x1 + y1, y1], [five, x1, x2, x1 * y1]]
+    assert polynomial_det(tuple(map(tuple, full))) != Polynomial.zero()
+    zero_row = [row[:] for row in full]
+    zero_row[2] = [Polynomial.zero()] * 4
+    zero_col = [[Polynomial.zero() if j == 1 else c for j, c in enumerate(row)] for row in full]
+    repeated = [full[0], full[1], full[0], full[3]]
+    for matrix in (zero_row, zero_col, repeated):
+        assert polynomial_det(tuple(map(tuple, matrix))) == Polynomial.zero()
+
+
+def test_polynomial_det_of_a_triangular_matrix_is_the_diagonal_product():
+    x1, x2, y1, y2 = x_var(1), x_var(2), y_var(1), y_var(2)
+    diag = [x1, x2 + 3, y1 ** 2 - x1, -2 * y2]
+    upper = tuple(
+        tuple(diag[i] if i == j else (x1 * y2 + j if j > i else Polynomial.zero()) for j in range(4))
+        for i in range(4)
+    )
+    lower = tuple(tuple(upper[j][i] for j in range(4)) for i in range(4))
+    product = diag[0] * diag[1] * diag[2] * diag[3]
+    assert polynomial_det(upper) == product
+    assert polynomial_det(lower) == product
+
+
+def test_polynomial_det_of_a_symbolic_3x3_is_its_cofactor_expansion():
+    x1, x2, x3, y1, y2 = x_var(1), x_var(2), x_var(3), y_var(1), y_var(2)
+    (a, b, c), (d, e, f), (g, h, i) = m = (
+        (x1 + 1, x2 * y1, y2 ** 3),
+        (x3 - y1, x1 ** 4, 2 * x2 + y2),
+        (y1 * y2, -x3, x1 * x2 - 7),
+    )
+    expected = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    assert polynomial_det(m) == expected
+
+
+def test_polynomial_det_equals_leibniz_on_random_matrices():
+    # High exponents and cancelling sums exercise the packed monomials.
+    rng = random.Random(12)
+    gens = [x_var(1), x_var(2), x_var(3), y_var(1), y_var(2)]
+    for _ in range(60):
+        d = rng.randrange(1, 6)
+        matrix = tuple(
+            tuple(
+                sum(
+                    (rng.randrange(-3, 4) * rng.choice(gens) ** rng.randrange(0, 9) for _ in range(rng.randrange(3))),
+                    Polynomial.zero(),
+                )
+                for _ in range(d)
+            )
+            for _ in range(d)
+        )
+        assert polynomial_det(matrix) == _leibniz_det(matrix)
+
+
+def test_polynomial_det_refuses_a_matrix_that_is_not_square():
+    with pytest.raises(ValueError, match="not square"):
+        polynomial_det(((Polynomial.one(), Polynomial.zero()),))
+

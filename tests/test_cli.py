@@ -8,8 +8,11 @@ import sys
 from pathlib import Path
 
 import okada
+from okada.algebra import gram_det
 from okada.cli import main
+from okada.fibonacci import FibonacciSet
 from okada.polynomials import Polynomial
+from okada.serialize import poly_to_terms
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -211,16 +214,16 @@ def test_gram_command():
     assert len(obj["matrix"]) == 2
 
 
-def test_gram_det_over_dimension_8_is_a_usage_error(monkeypatch):
+def test_gram_det_over_the_dimension_limit_is_a_usage_error(monkeypatch):
     # Refused up front, not answered without the determinant.
     def never(*args, **kwargs):
         raise AssertionError("library called for a refused --det request")
 
     monkeypatch.setattr("okada.algebra.gram_matrix", never)
     monkeypatch.setattr("okada.algebra.gram_det", never)
-    rc, out, err = run(["gram", "--n", "6", "--set", "1,4", "--det"])  # dimension 10
+    rc, out, err = run(["gram", "--n", "7", "--set", "5", "--det"])  # dimension 18
     assert (rc, out) == (2, "")
-    assert "gram --det supports cells of dimension <= 8" in err
+    assert "gram --det supports cells of dimension <= 15" in err
     monkeypatch.undo()
     monkeypatch.setattr("okada.algebra.gram_det", lambda s: Polynomial.one())
     rc, out, _ = run(["gram", "--n", "5", "--set", "1", "--det"])
@@ -228,6 +231,11 @@ def test_gram_det_over_dimension_8_is_a_usage_error(monkeypatch):
     assert (rc, obj["dim"], obj["det"]) == (0, 8, [{"x": [0] * 4, "y": [0] * 3, "c": 1}])
     rc, out, _ = run(["gram", "--n", "6", "--set", "1,4"])
     assert rc == 0 and json.loads(out)["dim"] == 10 and "det" not in json.loads(out)
+    monkeypatch.undo()
+    rc, out, _ = run(["gram", "--n", "6", "--set", "1,4", "--det"])
+    obj = json.loads(out)
+    s = FibonacciSet(6, (1, 4))
+    assert (rc, obj["dim"], obj["det"]) == (0, 10, poly_to_terms(gram_det(s), 6))
 
 
 def test_factorize_command():
@@ -289,7 +297,7 @@ def test_selftest_passes():
     rc, out, _ = run(["selftest", "--seed", "3"])
     assert rc == 0
     lines = out.splitlines()
-    assert len(lines) == 10
+    assert len(lines) == 11
     assert all(line.startswith("PASS") for line in lines)
 
 
@@ -410,9 +418,9 @@ def test_selftest_checks_survive_python_optimize():
     import ast
     import inspect
 
-    from okada import cli
+    from okada import _selftest
 
-    tree = ast.parse(inspect.getsource(cli.cmd_selftest))
+    tree = ast.parse(inspect.getsource(_selftest))
     asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert asserts == []
 
