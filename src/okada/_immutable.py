@@ -1,15 +1,86 @@
-"""Base class of the library's immutable ``__slots__`` value classes."""
+"""The one protocol of the library's value classes.
+
+A value class subclasses :class:`Immutable`, declares ``__slots__`` and
+names its public fields, in constructor order, in ``_fields``; an
+ordered class also sets ``_ordered = True``::
+
+    class FibonacciSet(Immutable):
+        __slots__ = _fields = ("rank", "elements")
+        _ordered = True
+
+The class then behaves like a frozen dataclass over ``_fields``.
+``__eq__`` and ``__hash__`` use the field tuple, and ``__eq__`` gives
+``NotImplemented`` for any other class.  An ordered class has ``__lt__``
+and ``__le__`` on field tuples, and Python answers ``>`` and ``>=``
+with their reflections.  ``__reduce__`` goes through the constructor, so
+unpickling and ``copy`` check their input like any other call.  The
+repr is ``Name(f=v, ...)``, and every attribute write or deletion raises
+``AttributeError``.  A class overrides any of these by defining it.
+
+``self._fill(*values)`` is the one way a value gets its fields.
+``__init__`` calls it after its checks, and the library's trusted
+builders call it on an ``object.__new__`` instance to skip them.  The
+first call for a class compiles that class's ``__eq__``, ``__hash__``,
+ordering methods and ``_fill`` for its field names, as ``dataclasses``
+and ``namedtuple`` do, and installs them on the class.  These methods
+sit on the hot paths of the census and of every dict keyed by values,
+and they read each field by name, as hand-written methods would;
+``operator.attrgetter`` versions made the monoid census measurably
+slower.  Compiling on first use, not at class creation, keeps import as
+cheap as the hand-written copies were: a process compiles only the
+classes it builds.
+"""
+
+
+def _compare(op: str, fields: tuple[str, ...]) -> str:
+    if len(fields) == 1:
+        return f"self.{fields[0]} {op} other.{fields[0]}"
+    mine = ", ".join(f"self.{f}" for f in fields)
+    theirs = ", ".join(f"other.{f}" for f in fields)
+    return f"({mine}) {op} ({theirs})"
+
+
+def _methods(fields: tuple[str, ...], ordered: bool) -> str:
+    """Source of the field-specialised methods of one class."""
+    guard = "    if other.__class__ is not cls:\n        return NotImplemented\n"
+    same = " and ".join(f"self.{f} == other.{f}" for f in fields)
+    src = [
+        f"def __eq__(self, other):\n{guard}    return {same}\n",
+        f"def __hash__(self):\n    return hash(({''.join(f'self.{f}, ' for f in fields)}))\n",
+        f"def _fill(self, {', '.join(fields)}):\n"
+        + "".join(f"    set_{f}(self, {f})\n" for f in fields),
+    ]
+    if ordered:
+        for name, op in (("__lt__", "<"), ("__le__", "<=")):
+            src.append(f"def {name}(self, other):\n{guard}    return {_compare(op, fields)}\n")
+    return "\n".join(src)
 
 
 class Immutable:
-    """Refuses every attribute write and deletion.
-
-    A subclass fills its slots once, in ``__init__``, through the slot
-    descriptors' ``__set__``, and writes its own ``__eq__``, ``__hash__``
-    and ``__reduce__``.
-    """
+    """Base of the value classes; see the module docstring."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _ordered = False
+
+    def _fill(self, *values) -> None:
+        """Install the class's compiled methods, then fill ``self``."""
+        cls = type(self)
+        env = {"cls": cls, **{f"set_{f}": getattr(cls, f).__set__ for f in cls._fields}}
+        methods: dict = {}
+        exec(_methods(cls._fields, cls._ordered), env, methods)
+        for name, fn in methods.items():
+            if name not in cls.__dict__:
+                fn.__qualname__ = f"{cls.__qualname__}.{name}"
+                setattr(cls, name, fn)
+        cls._fill(self, *values)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")

@@ -24,6 +24,7 @@ from ._immutable import Immutable
 from .errors import InternalInvariantError, PropagatingMismatchError, RankMismatchError
 from .fibonacci import (
     FibonacciSet,
+    chain_count,
     dominance_leq,
     enumerate_yfs,
     free_set,
@@ -58,13 +59,16 @@ __all__ = [
 ]
 
 
-class AlgebraElement:
-    """A finite formal sum of basis permutations with polynomial coefficients."""
+class AlgebraElement(Immutable):
+    """A finite formal sum of basis permutations with polynomial coefficients.
 
-    __slots__ = ("rank", "_coeffs")
+    Equal when rank and coefficients agree; not hashable, since the
+    coefficients are a dict.
+    """
+
+    __slots__ = _fields = ("rank", "_coeffs")
 
     def __init__(self, rank: int, coeffs: Mapping[Perm, Polynomial] | None = None):
-        self.rank = rank
         clean: dict[Perm, Polynomial] = {}
         if coeffs:
             for p, c in coeffs.items():
@@ -73,7 +77,7 @@ class AlgebraElement:
                 c = c if isinstance(c, Polynomial) else Polynomial.integer(c)
                 if c:
                     clean[p] = c
-        self._coeffs = clean
+        self._fill(rank, clean)
 
     # -- constructors ------------------------------------------------------
 
@@ -155,11 +159,6 @@ class AlgebraElement:
         return AlgebraElement(
             self.rank, {p: c.specialize(values) for p, c in self._coeffs.items()}
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.rank == other.rank and self._coeffs == other._coeffs
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -280,7 +279,7 @@ def triangular_factorization(p: Perm) -> tuple[Perm, FibonacciSet, Perm]:
 class CellDatum(Immutable):
     """Cellular data: dominance poset, index sets, basis map, involution."""
 
-    __slots__ = ("rank", "poset", "index_sets", "involution")
+    __slots__ = _fields = ("rank", "poset", "index_sets", "involution")
 
     rank: int
     poset: tuple[FibonacciSet, ...]  # dominance-ordered index (lex order here)
@@ -294,10 +293,7 @@ class CellDatum(Immutable):
         index_sets: dict[FibonacciSet, tuple[dg.HalfArcDiagram, ...]],
         involution: Callable[[dg.ArcDiagram], dg.ArcDiagram],
     ) -> None:
-        _set_cell_rank(self, rank)
-        _set_cell_poset(self, poset)
-        _set_cell_index_sets(self, index_sets)
-        _set_cell_involution(self, involution)
+        self._fill(rank, poset, index_sets, involution)
 
     def basis_diagram(
         self, s: FibonacciSet, left: dg.HalfArcDiagram, right: dg.HalfArcDiagram
@@ -305,31 +301,6 @@ class CellDatum(Immutable):
         if dg.prop_lab(left) != s or dg.prop_lab(right) != s:
             raise PropagatingMismatchError(f"halves do not both have labels {s}")
         return dg.glue(left, right)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not CellDatum:
-            return NotImplemented
-        return (self.rank, self.poset, self.index_sets, self.involution) == (
-            other.rank, other.poset, other.index_sets, other.involution
-        )
-
-    def __hash__(self) -> int:  # raises TypeError: ``index_sets`` is a dict
-        return hash((self.rank, self.poset, self.index_sets, self.involution))
-
-    def __reduce__(self):
-        return CellDatum, (self.rank, self.poset, self.index_sets, self.involution)
-
-    def __repr__(self) -> str:
-        return (
-            f"CellDatum(rank={self.rank!r}, poset={self.poset!r}, "
-            f"index_sets={self.index_sets!r}, involution={self.involution!r})"
-        )
-
-
-_set_cell_rank = CellDatum.rank.__set__
-_set_cell_poset = CellDatum.poset.__set__
-_set_cell_index_sets = CellDatum.index_sets.__set__
-_set_cell_involution = CellDatum.involution.__set__
 
 
 def cell_datum(n: int) -> CellDatum:
@@ -415,19 +386,18 @@ def gram_det(s: FibonacciSet) -> Polynomial:
 
     The determinant is the exact subset dynamic program of
     :func:`okada._determinant.polynomial_det`.  Cells over dimension
-    ``GRAM_DET_MAX_DIM`` raise ``ValueError``.
+    ``GRAM_DET_MAX_DIM`` raise ``ValueError`` before the matrix is built.
 
     >>> from okada.fibonacci import FibonacciSet
     >>> gram_det(FibonacciSet(4, (1, 4)))
     x1*x2*y1 - y1^2
     """
-    m = gram_matrix(s)
-    d = len(m)
+    d = chain_count(s)
     if d > GRAM_DET_MAX_DIM:
         raise ValueError(f"cell of dimension {d} too large for the symbolic determinant")
     from ._determinant import polynomial_det
 
-    return polynomial_det(m)
+    return polynomial_det(gram_matrix(s))
 
 
 def gram_det_specialized(

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -46,7 +45,8 @@ if TYPE_CHECKING:
 # and normalize, the Hasse diagrams that render draws).  Each finishes
 # within seconds at its cap.  ``threads`` bounds the census worker
 # processes: each one is a whole interpreter, so a request for thousands
-# of them is refused before any starts.
+# of them is refused before any starts.  ``letters`` bounds the words
+# of multiply and normalize, since rewriting is quadratic in their length.
 _LIMITS = {
     "yfs": 25,
     "diagrams": 8,
@@ -62,6 +62,7 @@ _LIMITS = {
     "multiply": 32,
     "normalize": 32,
     "render": 16,
+    "letters": 4096,
 }
 
 
@@ -70,6 +71,13 @@ def _check_rank(what: str, n: int) -> int:
     if not 0 <= n <= limit:
         raise UsageError(f"{what} supports 0 <= n <= {limit}")
     return n
+
+
+def _check_letters(what: str, word: tuple[int, ...]) -> tuple[int, ...]:
+    limit = _LIMITS["letters"]
+    if len(word) > limit:
+        raise UsageError(f"{what} supports words of at most {limit} letters")
+    return word
 
 
 def _parse_set(text: str, n: int) -> FibonacciSet:
@@ -164,7 +172,7 @@ def _input_to_diagram(raw: str, n: int | None) -> ArcDiagram:
     text = _read_input(raw)
     if text.lstrip().startswith("{"):
         return ser.obj_to_diagram(_load_json(text))
-    word = ser.parse_word(text)
+    word = _check_letters("multiply", ser.parse_word(text))
     rank = _check_rank("multiply", n if n is not None else max(word, default=0) + 1)
     d = dg.identity(rank)
     for i in word:
@@ -186,6 +194,7 @@ def cmd_multiply(args) -> int:
         from . import rewriting as rw
 
         w1, w2 = ser.parse_word(left), ser.parse_word(right)
+        _check_letters("multiply", w1 + w2)
         n = args.n if args.n is not None else max((*w1, *w2), default=0) + 1
         res = rw.multiply_words(w1, w2, _check_rank("multiply", n))
         _emit(args, ser.normalization_to_obj(res))
@@ -213,7 +222,7 @@ def cmd_normalize(args) -> int:
     from . import rewriting as rw
     from . import serialize as ser
 
-    word = ser.parse_word(args.word)
+    word = _check_letters("normalize", ser.parse_word(args.word))
     n = args.n if args.n is not None else max(word, default=0) + 1
     _emit(args, ser.normalization_to_obj(rw.normalize(word, _check_rank("normalize", n))))
     return 0
@@ -315,23 +324,22 @@ def cmd_census(args) -> int:
         raise UsageError("census needs 0 <= --min <= --max")
     if min(args.max, args.green_max) > _LIMITS["green"]:
         raise UsageError(f"census supports Green classes up to rank {_LIMITS['green']}")
+    ranks = list(range(args.min, args.max + 1))
+    if args.extended:  # the long runs: elements and idempotents only
+        ranks += [n for n in (9, 10) if n > args.max]
     rows = []
-    for n in range(args.min, args.max + 1):
+    for n in ranks:
         total, idem, invol = mo.census_counts(n, threads)
-        row = {"n": n, "elements": total, "idempotents": idem, "involutives": invol}
-        if n <= args.green_max:
+        row = {"n": n, "elements": total, "idempotents": idem}
+        if n <= args.max:
+            row["involutives"] = invol
+        if n <= min(args.max, args.green_max):
             # one R- and one L-class per (cell, half), one J-class per cell (see green_classes)
             cells = enumerate_yfs(n)
             row["r_classes"] = row["l_classes"] = sum(chain_count(s) for s in cells)
             row["j_classes"] = len(cells)
             row["max_aperiodicity"] = mo.aperiodicity_max(n)
         rows.append(row)
-    if args.extended:
-        for n in (9, 10):
-            if n <= args.max:
-                continue
-            idem = mo.idempotent_count(n, threads)
-            rows.append({"n": n, "elements": math.factorial(n), "idempotents": idem})
     if args.format == "csv":
         cols = ["n", "elements", "idempotents", "involutives", "r_classes", "l_classes", "j_classes", "max_aperiodicity"]
         print(",".join(cols), file=args.stdout)

@@ -118,7 +118,7 @@ class ArcDiagram(Immutable):
     can still be represented and diagnosed.
     """
 
-    __slots__ = ("rank", "partner", "height")
+    __slots__ = _fields = ("rank", "partner", "height")
 
     rank: int
     partner: tuple[int, ...]
@@ -148,9 +148,7 @@ class ArcDiagram(Immutable):
             height[p] = height[q] = h
         if len(seen) != 2 * n:
             raise ValueError(f"not a perfect matching of {2 * n} endpoints")
-        _set_rank(self, n)
-        _set_partner(self, tuple(partner))
-        _set_height(self, tuple(height))
+        self._fill(n, tuple(partner), tuple(height))
 
     @property
     def arcs(self) -> tuple[Arc, ...]:
@@ -162,29 +160,12 @@ class ArcDiagram(Immutable):
             if p < q
         )
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not ArcDiagram:
-            return NotImplemented
-        return (
-            self.rank == other.rank
-            and self.partner == other.partner
-            and self.height == other.height
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.partner, self.height))
-
     def __reduce__(self):
         return _from_arrays, (self.rank, self.partner, self.height)
 
     def __repr__(self) -> str:
         body = ", ".join(f"({a},{b})h{h}" for a, b, h in self.arcs)
         return f"ArcDiagram({self.rank}: {body})"
-
-
-_set_rank = ArcDiagram.rank.__set__
-_set_partner = ArcDiagram.partner.__set__
-_set_height = ArcDiagram.height.__set__
 
 
 def _node(p: int, n: int) -> int:
@@ -203,9 +184,7 @@ def _from_arrays(n: int, partner, height) -> ArcDiagram:
             f"rank-{n} diagram built with unmatched positions: {partner} {height}"
         )
     d = object.__new__(ArcDiagram)
-    _set_rank(d, n)
-    _set_partner(d, tuple(partner))
-    _set_height(d, tuple(height))
+    d._fill(n, tuple(partner), tuple(height))
     return d
 
 
@@ -224,7 +203,7 @@ class HalfArcDiagram(Immutable):
     labelled.
     """
 
-    __slots__ = ("rank", "partner", "height")
+    __slots__ = _fields = ("rank", "partner", "height")
 
     rank: int
     partner: tuple[int, ...]
@@ -256,9 +235,8 @@ class HalfArcDiagram(Immutable):
                 raise ValueError(f"height must be a positive integer, got {h!r}")
         if len(at) != n:
             raise ValueError(f"arcs must cover all of [1, {n}]")
-        _set_half_rank(self, n)
-        _set_half_partner(self, tuple(at[e][0] for e in range(1, n + 1)))
-        _set_half_height(self, tuple(at[e][1] for e in range(1, n + 1)))
+        nodes = range(1, n + 1)
+        self._fill(n, tuple(at[e][0] for e in nodes), tuple(at[e][1] for e in nodes))
 
     @property
     def full_arcs(self) -> tuple[Arc, ...]:
@@ -272,15 +250,6 @@ class HalfArcDiagram(Immutable):
         pairs = enumerate(zip(self.partner, self.height))
         return tuple(HalfArc(p + 1, h) for p, (q, h) in pairs if q < 0)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not HalfArcDiagram:
-            return NotImplemented
-        return (
-            self.rank == other.rank
-            and self.partner == other.partner
-            and self.height == other.height
-        )
-
     def __hash__(self) -> int:
         return hash((self.rank, self.full_arcs, self.half_arcs))
 
@@ -291,11 +260,6 @@ class HalfArcDiagram(Immutable):
         body = ", ".join(f"({a},{b})h{h}" for a, b, h in self.full_arcs)
         tail = ", ".join(f"{e}|h{h}" for e, h in self.half_arcs)
         return f"HalfArcDiagram({self.rank}: {body}; {tail})"
-
-
-_set_half_rank = HalfArcDiagram.rank.__set__
-_set_half_partner = HalfArcDiagram.partner.__set__
-_set_half_height = HalfArcDiagram.height.__set__
 
 
 def _half_from_arrays(n: int, partner, height) -> HalfArcDiagram:
@@ -310,9 +274,7 @@ def _half_from_arrays(n: int, partner, height) -> HalfArcDiagram:
             f"rank-{n} half diagram built with unlabelled nodes: {partner} {height}"
         )
     h = object.__new__(HalfArcDiagram)
-    _set_half_rank(h, n)
-    _set_half_partner(h, tuple(partner))
-    _set_half_height(h, tuple(height))
+    h._fill(n, tuple(partner), tuple(height))
     return h
 
 

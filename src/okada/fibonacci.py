@@ -91,7 +91,8 @@ class FibonacciSet(Immutable):
     values: ``FibonacciSet(5, (1, 2, 5)) != FibonacciSet(7, (1, 2, 5))``.
     """
 
-    __slots__ = ("rank", "elements")
+    __slots__ = _fields = ("rank", "elements")
+    _ordered = True
 
     rank: int
     elements: tuple[int, ...]
@@ -101,51 +102,15 @@ class FibonacciSet(Immutable):
         _check_structure(rank, elements)
         if not _parities_ok(rank, elements):
             raise ValueError(f"{elements} is not a Fibonacci set of rank {rank}")
-        _set_fs_rank(self, rank)
-        _set_fs_elements(self, elements)
+        self._fill(rank, elements)
 
     @property
     def size(self) -> int:
         return len(self.elements)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not FibonacciSet:
-            return NotImplemented
-        return self.rank == other.rank and self.elements == other.elements
-
-    def __lt__(self, other) -> bool:
-        if other.__class__ is not FibonacciSet:
-            return NotImplemented
-        return (self.rank, self.elements) < (other.rank, other.elements)
-
-    def __le__(self, other) -> bool:
-        if other.__class__ is not FibonacciSet:
-            return NotImplemented
-        return (self.rank, self.elements) <= (other.rank, other.elements)
-
-    def __gt__(self, other) -> bool:
-        if other.__class__ is not FibonacciSet:
-            return NotImplemented
-        return (self.rank, self.elements) > (other.rank, other.elements)
-
-    def __ge__(self, other) -> bool:
-        if other.__class__ is not FibonacciSet:
-            return NotImplemented
-        return (self.rank, self.elements) >= (other.rank, other.elements)
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.elements))
-
-    def __reduce__(self):
-        return FibonacciSet, (self.rank, self.elements)
-
     def __repr__(self) -> str:  # {1,2,5}_5, matching the usual notation
         inner = ",".join(str(s) for s in self.elements)
         return "{%s}_%d" % (inner, self.rank)
-
-
-_set_fs_rank = FibonacciSet.rank.__set__
-_set_fs_elements = FibonacciSet.elements.__set__
 
 
 @lru_cache(maxsize=None)
@@ -216,7 +181,8 @@ class Chain(Immutable):
     Equality and ordering compare the tuples of sets.
     """
 
-    __slots__ = ("sets",)
+    __slots__ = _fields = ("sets",)
+    _ordered = True
 
     sets: tuple[FibonacciSet, ...]
 
@@ -227,7 +193,7 @@ class Chain(Immutable):
         for i, (a, b) in enumerate(zip(sets, sets[1:])):
             if not is_yf_cover(a, b):
                 raise ValueError(f"non-covering step at position {i}: {a} -> {b}")
-        _set_chain_sets(self, sets)
+        self._fill(sets)
 
     @property
     def rank(self) -> int:
@@ -237,42 +203,8 @@ class Chain(Immutable):
     def top(self) -> FibonacciSet:
         return self.sets[-1]
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Chain:
-            return NotImplemented
-        return self.sets == other.sets
-
-    def __lt__(self, other) -> bool:
-        if other.__class__ is not Chain:
-            return NotImplemented
-        return self.sets < other.sets
-
-    def __le__(self, other) -> bool:
-        if other.__class__ is not Chain:
-            return NotImplemented
-        return self.sets <= other.sets
-
-    def __gt__(self, other) -> bool:
-        if other.__class__ is not Chain:
-            return NotImplemented
-        return self.sets > other.sets
-
-    def __ge__(self, other) -> bool:
-        if other.__class__ is not Chain:
-            return NotImplemented
-        return self.sets >= other.sets
-
-    def __hash__(self) -> int:
-        return hash((self.sets,))
-
-    def __reduce__(self):
-        return Chain, (self.sets,)
-
     def __repr__(self) -> str:
         return "Chain(" + " < ".join(repr(s) for s in self.sets) + ")"
-
-
-_set_chain_sets = Chain.sets.__set__
 
 
 @lru_cache(maxsize=None)

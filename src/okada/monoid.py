@@ -208,9 +208,6 @@ def involutive_count(n: int, threads: int = 1) -> int:
 # Green relations
 
 
-_GREEN_FIELDS = ("rank", "elements", "r_classes", "l_classes", "j_classes", "r_reps", "j_reps")
-
-
 class GreenClasses(Immutable):
     """R/L/J-partitions of the rank-``n`` monoid with canonical representatives.
 
@@ -218,10 +215,11 @@ class GreenClasses(Immutable):
     indices, themselves sorted by smallest member.  ``r_reps[c]`` is the
     unique involutive element of R-class ``c``; ``j_reps[c]`` the unique
     free element of J-class ``c``.  Equality, hashing and ``repr`` use
-    these seven fields.
+    these seven fields; ``_lookup`` caches the tables of :meth:`class_of`.
     """
 
-    __slots__ = _GREEN_FIELDS + ("_lookup",)
+    _fields = ("rank", "elements", "r_classes", "l_classes", "j_classes", "r_reps", "j_reps")
+    __slots__ = _fields + ("_lookup",)
 
     rank: int
     elements: tuple[dg.ArcDiagram, ...]
@@ -241,13 +239,8 @@ class GreenClasses(Immutable):
         r_reps: tuple[int, ...],
         j_reps: tuple[int, ...],
     ) -> None:
-        values = (rank, elements, r_classes, l_classes, j_classes, r_reps, j_reps)
-        for name, value in zip(_GREEN_FIELDS, values):
-            object.__setattr__(self, name, value)
+        self._fill(rank, elements, r_classes, l_classes, j_classes, r_reps, j_reps)
         object.__setattr__(self, "_lookup", None)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in _GREEN_FIELDS)
 
     def class_of(self, e: dg.ArcDiagram, kind: str) -> tuple[int, ...]:
         """The ``kind`` (``"R"``, ``"L"`` or ``"J"``) class holding ``e``.
@@ -270,21 +263,6 @@ class GreenClasses(Immutable):
         if e not in index:
             raise ValueError(f"{e!r} is not an element of the rank-{self.rank} monoid")
         return owner[index[e]]
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not GreenClasses:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return GreenClasses, self._fields()
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in _GREEN_FIELDS)
-        return f"GreenClasses({body})"
 
 
 @lru_cache(maxsize=None)

@@ -176,7 +176,7 @@ class Heap(Immutable):
     empty diagonals on the right.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = _fields = ("n", "rows")
 
     n: int
     rows: tuple[tuple[int, ...], ...]
@@ -190,26 +190,7 @@ class Heap(Immutable):
                     raise ValueError(f"row {i} columns must increase: {cols}")
             if cols and cols[0] < i:
                 raise ValueError(f"row {i} starts left of the boundary: {cols}")
-        _set_heap_n(self, n)
-        _set_heap_rows(self, rows)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Heap:
-            return NotImplemented
-        return (self.n, self.rows) == (other.n, other.rows)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.rows))
-
-    def __reduce__(self):
-        return Heap, (self.n, self.rows)
-
-    def __repr__(self) -> str:
-        return f"Heap(n={self.n!r}, rows={self.rows!r})"
-
-
-_set_heap_n = Heap.n.__set__
-_set_heap_rows = Heap.rows.__set__
+        self._fill(n, rows)
 
 
 def heap_from_word(word: Sequence[int], n: int) -> Heap:
@@ -321,7 +302,7 @@ def trace_equal(w1: Sequence[int], w2: Sequence[int]) -> bool:
 class NormalizationResult(Immutable):
     """Outcome of rewriting a word to its canonical code-word form."""
 
-    __slots__ = ("n", "coefficient", "word", "perm")
+    __slots__ = _fields = ("n", "coefficient", "word", "perm")
 
     n: int
     coefficient: Polynomial  # a monomial in the x and y parameters
@@ -329,35 +310,7 @@ class NormalizationResult(Immutable):
     perm: Perm
 
     def __init__(self, n: int, coefficient: Polynomial, word: tuple[int, ...], perm: Perm) -> None:
-        _set_result_n(self, n)
-        _set_result_coefficient(self, coefficient)
-        _set_result_word(self, word)
-        _set_result_perm(self, perm)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not NormalizationResult:
-            return NotImplemented
-        return (self.n, self.coefficient, self.word, self.perm) == (
-            other.n, other.coefficient, other.word, other.perm
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.coefficient, self.word, self.perm))
-
-    def __reduce__(self):
-        return NormalizationResult, (self.n, self.coefficient, self.word, self.perm)
-
-    def __repr__(self) -> str:
-        return (
-            f"NormalizationResult(n={self.n!r}, coefficient={self.coefficient!r}, "
-            f"word={self.word!r}, perm={self.perm!r})"
-        )
-
-
-_set_result_n = NormalizationResult.n.__set__
-_set_result_coefficient = NormalizationResult.coefficient.__set__
-_set_result_word = NormalizationResult.word.__set__
-_set_result_perm = NormalizationResult.perm.__set__
+        self._fill(n, coefficient, word, perm)
 
 
 def _reduction_candidates(word: Sequence[int]):

@@ -1,6 +1,8 @@
+import copy
 import itertools
 import math
 import os
+import pickle
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -43,6 +45,7 @@ from okada.rewriting import (
     perm_length,
     perm_to_diagram,
 )
+from okada.serialize import element_to_obj
 
 F = FibonacciSet
 
@@ -78,6 +81,23 @@ def test_rank_mismatch_rejected():
         E(1, 3) * E(1, 4)
     with pytest.raises(RankMismatchError):
         AlgebraElement(3, {(1, 2): Polynomial.one()})
+
+
+def test_algebra_element_is_an_unhashable_immutable_value():
+    a = AlgebraElement.from_perm((2, 1, 3), x_var(1)) + AlgebraElement.one(3)
+    before = element_to_obj(a)
+    for name in ("rank", "_coeffs", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 5)
+    for name in ("rank", "_coeffs"):
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a.rank == 3 and element_to_obj(a) == before
+    with pytest.raises(TypeError):
+        hash(a)
+    assert a.__eq__(object()) is NotImplemented and a != AlgebraElement.one(4)
+    for other in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert type(other) is AlgebraElement and other == a and repr(other) == repr(a)
 
 
 def test_associativity_random():
@@ -462,7 +482,12 @@ def test_extended_gram_det_matches_specialization_up_to_the_limit():
     _check_against_specialization(cells)
 
 
-def test_gram_det_refuses_a_cell_over_the_limit():
+def test_gram_det_refuses_a_cell_over_the_limit(monkeypatch):
+    # refused from the cell's dimension, before the matrix is built
+    def never(s):
+        raise AssertionError("gram_matrix built for an oversized cell")
+
+    monkeypatch.setattr(algebra, "gram_matrix", never)
     for s in (F(7, (5,)), F(8, ())):
         assert chain_count(s) > GRAM_DET_MAX_DIM
         with pytest.raises(ValueError, match=f"dimension {chain_count(s)} too large"):

@@ -183,6 +183,18 @@ def test_census_small():
     assert out.splitlines()[0].startswith("n,elements,idempotents")
 
 
+def test_census_extended_adds_the_long_ranks_with_three_keys():
+    from okada.monoid import EXTENDED_IDEMPOTENT_COUNTS, KNOWN_IDEMPOTENT_COUNTS
+
+    rc, out, _ = run(["census", "--min", "8", "--max", "8", "--extended"])
+    assert rc == 0
+    assert out.splitlines() == [
+        '{"n":8,"elements":40320,"idempotents":%d,"involutives":764}' % KNOWN_IDEMPOTENT_COUNTS[8],
+        '{"n":9,"elements":362880,"idempotents":%d}' % EXTENDED_IDEMPOTENT_COUNTS[9],
+        '{"n":10,"elements":3628800,"idempotents":%d}' % EXTENDED_IDEMPOTENT_COUNTS[10],
+    ]
+
+
 def test_census_green_columns_match_green_classes(monkeypatch):
     # The census reads the Green columns off the cells; green_classes stays the oracle.
     from okada import monoid
@@ -378,6 +390,8 @@ def test_rank_caps_refuse_oversized_requests_up_front(monkeypatch):
     # the chains of the involution 2 1 4 3 ... at rank 1025: {}, {1}, {}, ...
     chain1025 = {"sets": [{"rank": r, "elements": [1] * (r % 2)} for r in range(1026)]}
     chains1025 = json.dumps({"left": chain1025, "right": chain1025})
+    word2048, word4097 = " ".join(["1"] * 2048), " ".join(["1"] * 4097)
+    too_long = "supports words of at most 4096 letters"
     for argv, cap in (
         (["green", "--n", "9"], "green supports 0 <= n <= 8"),
         (["green", "--n", "-1"], "green supports 0 <= n <= 8"),
@@ -391,6 +405,10 @@ def test_rank_caps_refuse_oversized_requests_up_front(monkeypatch):
         (["multiply", "monoid", "1", "1", "--n", "33"], "multiply supports 0 <= n <= 32"),
         (["multiply", "y1", "1000000000", "1"], "multiply supports 0 <= n <= 32"),
         (["normalize", "1000000000"], "normalize supports 0 <= n <= 32"),
+        (["normalize", word4097], f"normalize {too_long}"),
+        (["multiply", "generic", word4097, ""], f"multiply {too_long}"),
+        (["multiply", "generic", word2048, word2048 + " 1"], f"multiply {too_long}"),
+        (["multiply", "monoid", word4097, "1"], f"multiply {too_long}"),
     ):
         rc, out, err = run(argv)
         assert (rc, out) == (2, ""), (argv, err)
@@ -409,6 +427,8 @@ def test_rank_caps_admit_requests_at_the_cap():
     assert rc == 0 and json.loads(out)["coeff_x"][30] == 1
     rc, out, _ = run(["normalize", "31 31"])
     assert rc == 0 and json.loads(out)["word"] == [31]
+    rc, out, _ = run(["multiply", "monoid", " ".join(["1"] * 4096), "1"])
+    assert rc == 0 and json.loads(out)["rank"] == 2
     rc, out, _ = run(["gram", "--n", "8", "--set", "1,2,3,4,5,6,7,8"])
     assert rc == 0 and json.loads(out)["dim"] == 1
 
