@@ -13,10 +13,10 @@ import sys
 from collections import Counter
 
 from okada import diagrams as dg
+from okada.cli import _LIMITS
 from okada.monoid import aperiodicity_index
 
-
-MAX_RANK = 8  # the rank cap of `okada enumerate diagrams`
+MAX_RANK = _LIMITS["diagrams"]  # the rank cap of `okada enumerate diagrams`
 
 
 def main() -> int:

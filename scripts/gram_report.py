@@ -12,14 +12,19 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
 from okada import serialize as ser
-from okada.algebra import GRAM_DET_MAX_DIM, gram_det, gram_det_specialized, gram_matrix
+from okada.algebra import (
+    GRAM_DET_MAX_DIM,
+    gram_det,
+    gram_det_specialized,
+    gram_matrix,
+    specialization_point,
+)
+from okada.cli import _LIMITS
 from okada.fibonacci import enumerate_yfs
 
-
-MAX_RANK = 8  # the rank cap of `okada gram`
+MAX_RANK = _LIMITS["gram"]  # the rank cap of `okada gram`
 
 
 def main() -> int:
@@ -36,10 +41,7 @@ def main() -> int:
     rng = random.Random(args.seed)
     out = []
     for n in range(args.max + 1):
-        values = {("x", i): Fraction(rng.randrange(2, 100), rng.randrange(1, 10)) for i in range(1, n)}
-        values.update(
-            {("y", i): Fraction(rng.randrange(2, 100), rng.randrange(1, 10)) for i in range(1, n - 1)}
-        )
+        values = specialization_point(n, rng)
         for s in enumerate_yfs(n):
             matrix = gram_matrix(s)
             entry = {

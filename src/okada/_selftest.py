@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 
 from . import algebra as alg
 from . import diagrams as dg
@@ -117,8 +116,7 @@ def cmd_selftest(args) -> int:
 
     def gram_dets() -> None:
         for n in range(6):
-            values = {("x", i): Fraction(rng.randrange(2, 100), rng.randrange(1, 10)) for i in range(1, n)}
-            values.update({("y", i): Fraction(rng.randrange(2, 100), rng.randrange(1, 10)) for i in range(1, n - 1)})
+            values = alg.specialization_point(n, rng)
             for s in enumerate_yfs(n):
                 got = alg.gram_det(s).specialize(values).constant_value()
                 want = alg.gram_det_specialized(s, values)

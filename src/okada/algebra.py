@@ -56,6 +56,7 @@ __all__ = [
     "gram_matrix",
     "gram_det",
     "gram_det_specialized",
+    "specialization_point",
 ]
 
 
@@ -425,3 +426,9 @@ def gram_det_specialized(
                 for cc in range(col, d):
                     m[r][cc] -= factor * m[col][cc]
     return det
+
+
+def specialization_point(n: int, rng) -> dict[Var, Fraction]:
+    """Random ``a/b``, ``2 <= a < 100`` and ``1 <= b < 10``, for x1..x(n-1), then y1..y(n-2)."""
+    names = [("x", i) for i in range(1, n)] + [("y", i) for i in range(1, n - 1)]
+    return {v: Fraction(rng.randrange(2, 100), rng.randrange(1, 10)) for v in names}

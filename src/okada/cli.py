@@ -128,6 +128,8 @@ def _read_input(arg: str) -> str:
 def cmd_enumerate(args) -> int:
     from . import serialize as ser
 
+    if args.set is not None and args.kind not in ("half", "chains"):
+        raise UsageError(f"enumerate {args.kind} takes no --set")
     n = _check_rank(args.kind, args.n)
     if args.kind == "yfs":
         from .fibonacci import enumerate_yfs
@@ -370,11 +372,8 @@ def cmd_gram(args) -> int:
         obj["det"] = ser.poly_to_terms(alg.gram_det(s), args.n)
     if args.specialize is not None:
         import random
-        from fractions import Fraction
 
-        rng = random.Random(args.specialize)
-        values = {("x", i): Fraction(rng.randrange(2, 100), rng.randrange(1, 10)) for i in range(1, args.n)}
-        values.update({("y", i): Fraction(rng.randrange(2, 100), rng.randrange(1, 10)) for i in range(1, args.n - 1)})
+        values = alg.specialization_point(args.n, random.Random(args.specialize))
         det = alg.gram_det_specialized(s, values)
         obj["specialized_det"] = str(det)
         obj["specialization"] = {f"{k[0]}{k[1]}": str(v) for k, v in sorted(values.items())}

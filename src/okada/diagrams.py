@@ -34,11 +34,11 @@ Input is checked once, where it enters: the public ``ArcDiagram(rank,
 arcs)`` and ``HalfArcDiagram(rank, full_arcs, half_arcs)`` constructors
 check the matching and the label types, and the parsers in
 :mod:`okada.serialize` also run :func:`validate` or
-:func:`validate_half`.  Diagrams and halves built here from other ones
-(:func:`compose`, :func:`glue`, :func:`mirror`, :func:`peel`,
-:func:`bra`, :func:`ket`, :func:`restrict`, :func:`chain_inverse`, ...)
-skip those checks and only assert that every position was matched and
-labelled.
+:func:`validate_half`, each one linear walk with a stack of open arcs.
+Diagrams and halves built here from other ones (:func:`compose`,
+:func:`glue`, :func:`mirror`, :func:`peel`, :func:`bra`, :func:`ket`,
+:func:`restrict`, :func:`chain_inverse`, ...) skip those checks and
+only assert that every position was matched and labelled.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .errors import (
     PropagatingMismatchError,
     RankMismatchError,
 )
-from .fibonacci import Chain, FibonacciSet, enumerate_yfs, saturated_chains
+from .fibonacci import Chain, FibonacciSet, enumerate_yfs, is_fibonacci_set, saturated_chains
 from .polynomials import Polynomial, x_var
 
 __all__ = [
@@ -146,9 +146,7 @@ class ArcDiagram(Immutable):
             p, q = order_key(a, n) - 1, order_key(b, n) - 1
             partner[p], partner[q] = q, p
             height[p] = height[q] = h
-        if len(seen) != 2 * n:
-            raise ValueError(f"not a perfect matching of {2 * n} endpoints")
-        self._fill(n, tuple(partner), tuple(height))
+        self._fill(n, tuple(partner), tuple(height))  # n arcs, 2n distinct ends: all matched
 
     @property
     def arcs(self) -> tuple[Arc, ...]:
@@ -216,23 +214,15 @@ class HalfArcDiagram(Immutable):
         if n < 0:
             raise ValueError("rank must be non-negative")
         at: dict[int, tuple[int, int]] = {}  # node -> (partner position or -1, label)
-        for a, b, h in full_arcs:
-            for e in sorted((a, b)):
-                if not 1 <= e <= n:
-                    raise ValueError(f"endpoint {e} out of range for rank {n}")
-                if e in at:
-                    raise ValueError(f"endpoint {e} used twice")
-                at[e] = (a + b - e - 1, h)
-            if not (isinstance(h, int) and h >= 1):
-                raise ValueError(f"height must be a positive integer, got {h!r}")
-        for e, h in half_arcs:
+        ends = [(e, a + b - e - 1, h) for a, b, h in full_arcs for e in sorted((a, b))]
+        for e, q, h in ends + [(e, -1, h) for e, h in half_arcs]:
             if not 1 <= e <= n:
                 raise ValueError(f"endpoint {e} out of range for rank {n}")
             if e in at:
                 raise ValueError(f"endpoint {e} used twice")
-            at[e] = (-1, h)
             if not (isinstance(h, int) and h >= 1):
                 raise ValueError(f"height must be a positive integer, got {h!r}")
+            at[e] = (q, h)
         if len(at) != n:
             raise ValueError(f"arcs must cover all of [1, {n}]")
         nodes = range(1, n + 1)
@@ -282,25 +272,46 @@ def _half_from_arrays(n: int, partner, height) -> HalfArcDiagram:
 # validation
 
 
+def _walk(partner, height, nodes) -> list[str]:
+    """Labels are checked where an arc opens, crossing and nesting where it
+    closes.  A half arc (partner ``-1``) closes past the end, so it is bounded
+    by its node and stays open.  Matching stops at the first crossing.
+    """
+
+    def arc(p: int) -> str:
+        q = partner[p]
+        if q < 0:
+            return f"half arc at {nodes[p]} labeled {height[p]}"
+        return f"h({nodes[p]},{nodes[q]})={height[p]}"
+
+    out, stack, crossed = [], [], False
+    for p, q in enumerate(partner):
+        if q < 0 or p < q:
+            m = abs(nodes[p]) if q < 0 else min(abs(nodes[p]), abs(nodes[q]))
+            if height[p] > m:
+                out.append(f"label: {arc(p)} exceeds min(|a|,|b|)={m}")
+            if (height[p] - m) % 2:
+                out.append(f"label: {arc(p)} has wrong parity (min={m})")
+            stack.append(p)
+        elif not crossed and stack[-1] != q:
+            out.append(f"crossing: {arc(q)} and {arc(stack[-1])}")
+            crossed = True
+        elif not crossed:
+            stack.pop()
+            if stack and height[q] <= height[stack[-1]]:  # the new top encloses q
+                out.append(f"nesting: {arc(q)} not above {arc(stack[-1])}")
+    halves = () if crossed else zip(stack, stack[1:])  # still open: the half arcs, outermost first
+    out += [f"nesting: {arc(b)} not above {arc(a)}" for a, b in halves if height[b] <= height[a]]
+    return out
+
+
 def violations(d: ArcDiagram) -> tuple[str, ...]:
-    """Crossing and label-condition failures of ``d`` (empty iff valid)."""
-    n = d.rank
-    out = []
-    spans = [(order_key(a, n), order_key(b, n), a, b, h) for a, b, h in d.arcs]
-    for i, (lo1, hi1, a1, b1, h1) in enumerate(spans):
-        m = min(abs(a1), abs(b1))
-        if h1 > m:
-            out.append(f"label: h({a1},{b1})={h1} exceeds min(|a|,|b|)={m}")
-        if (h1 - m) % 2 != 0:
-            out.append(f"label: h({a1},{b1})={h1} has wrong parity (min={m})")
-        for lo2, hi2, a2, b2, h2 in spans[i + 1 :]:
-            if lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1:
-                out.append(f"crossing: ({a1},{b1}) and ({a2},{b2})")
-            elif lo1 < lo2 and hi2 < hi1 and h2 <= h1:
-                out.append(f"nesting: h({a2},{b2})={h2} not above h({a1},{b1})={h1}")
-            elif lo2 < lo1 and hi1 < hi2 and h1 <= h2:
-                out.append(f"nesting: h({a1},{b1})={h1} not above h({a2},{b2})={h2}")
-    return tuple(out)
+    """Crossing and label-condition failures of ``d`` (empty iff valid).
+
+    >>> violations(identity(2)), violations(ArcDiagram(2, [(1, -2, 1), (2, -1, 1)]))
+    ((), ('crossing: h(1,-2)=1 and h(2,-1)=1',))
+    """
+    return tuple(_walk(d.partner, d.height, (*range(1, d.rank + 1), *range(-d.rank, 0))))
 
 
 def validate(d: ArcDiagram) -> bool:
@@ -309,49 +320,18 @@ def validate(d: ArcDiagram) -> bool:
 
 
 def half_violations(h: HalfArcDiagram) -> tuple[str, ...]:
-    """Label/crossing failures of a half diagram (empty iff valid).
+    """Failures of ``h`` walked as the left side of ``glue(h, h)``, or of a
+    half-arc label set that is not a Fibonacci set (empty iff valid).
 
-    A half arc blocks everything between its node and the right
-    boundary, so a full arc may not straddle it; labels on the half arcs
-    must be strictly increasing with the node (total nesting) and match
-    the node parity, and they must assemble into a Fibonacci set.
+    >>> half_violations(bra(identity(3)))
+    ()
+    >>> half_violations(HalfArcDiagram(3, [(1, 3, 1)], [(2, 2)]))
+    ('crossing: h(1,3)=1 and half arc at 2 labeled 2',)
     """
-    n = h.rank
-    fulls, halves = h.full_arcs, h.half_arcs  # derived on each access
-    out = []
-    for a, b, ht in fulls:
-        if ht > a:
-            out.append(f"label: h({a},{b})={ht} exceeds {a}")
-        if (ht - a) % 2 != 0:
-            out.append(f"label: h({a},{b})={ht} has wrong parity at {a}")
-    for e, ht in halves:
-        if ht > e:
-            out.append(f"label: half arc at {e} labeled {ht} > {e}")
-        if (ht - e) % 2 != 0:
-            out.append(f"label: half arc at {e} labeled {ht}, wrong parity")
-    for i, (a1, b1, h1) in enumerate(fulls):
-        for a2, b2, h2 in fulls[i + 1 :]:
-            if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
-                out.append(f"crossing: ({a1},{b1}) and ({a2},{b2})")
-            elif a1 < a2 and b2 < b1 and h2 <= h1:
-                out.append(f"nesting: h({a2},{b2})={h2} not above h({a1},{b1})={h1}")
-            elif a2 < a1 and b1 < b2 and h1 <= h2:
-                out.append(f"nesting: h({a1},{b1})={h1} not above h({a2},{b2})={h2}")
-        for e, h2 in halves:
-            if a1 < e < b1:
-                out.append(f"crossing: half arc at {e} under full arc ({a1},{b1})")
-            elif e < a1 and h1 <= h2:
-                out.append(
-                    f"nesting: h({a1},{b1})={h1} not above half arc {e} labeled {h2}"
-                )
-    heights = [ht for _, ht in halves]
-    if any(h2 <= h1 for h1, h2 in zip(heights, heights[1:])):
-        out.append(f"nesting: half-arc labels not increasing: {heights}")
-    else:
-        try:
-            FibonacciSet(n, tuple(sorted(heights)))
-        except ValueError:
-            out.append(f"labels: half-arc labels {heights} are not a Fibonacci set")
+    out = _walk(h.partner, h.height, range(1, h.rank + 1))
+    labels = [ht for q, ht in zip(h.partner, h.height) if q < 0]
+    if not out and not is_fibonacci_set(h.rank, labels):
+        out.append(f"labels: half-arc labels {labels} are not a Fibonacci set")
     return tuple(out)
 
 

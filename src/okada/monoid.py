@@ -152,27 +152,20 @@ def iter_idempotents(n: int) -> Iterator[dg.ArcDiagram]:
                 yield dg.glue(left, halves[j])
 
 
-def _census_rows(args: tuple[int, tuple[int, ...], int, int]) -> tuple[int, int]:
-    """(idempotents, involutives) among the rows ``start .. stop-1`` of one cell.
-
-    The involutive elements are the diagonal pairs ``L == R``.
-    """
+def _census_rows(args: tuple[int, tuple[int, ...], int, int]) -> int:
+    """Idempotents among the rows ``start .. stop-1`` of one cell."""
     n, elements, start, stop = args
     halves, ends = _cell(n, FibonacciSet(n, elements))
-    idem = invol = 0
-    for i in range(start, stop):
-        row = _idempotent_row(halves, ends, i)
-        idem += len(row)
-        invol += i in row
-    return idem, invol
+    return sum(len(_idempotent_row(halves, ends, i)) for i in range(start, stop))
 
 
 def census_counts(n: int, threads: int = 1) -> tuple[int, int, int]:
     """Totals ``(elements, idempotents, involutives)`` for rank ``n``.
 
-    With ``threads > 1`` the rows of every cell are split into blocks of
-    about equal work and the blocks run in worker processes, so the
-    largest cell does not bound the speed-up.
+    The involutives are the pairs ``glue(L, L)``, all idempotent: one
+    per half diagram.  With ``threads > 1`` the rows of every cell are
+    split into blocks of about equal work and the blocks run in worker
+    processes, so the largest cell does not bound the speed-up.
     """
     cells = [(s.elements, len(saturated_chains(s))) for s in enumerate_yfs(n)]
     total = sum(k * k for _, k in cells)
@@ -188,10 +181,10 @@ def census_counts(n: int, threads: int = 1) -> tuple[int, int, int]:
                 (n, elements, start, min(start + rows, k)) for start in range(0, k, rows)
             )
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_census_rows, jobs))
+            idem = sum(pool.map(_census_rows, jobs))
     else:
-        parts = [_census_rows((n, elements, 0, k)) for elements, k in cells]
-    return total, sum(p[0] for p in parts), sum(p[1] for p in parts)
+        idem = sum(_census_rows((n, elements, 0, k)) for elements, k in cells)
+    return total, idem, sum(k for _, k in cells)
 
 
 def idempotent_count(n: int, threads: int = 1) -> int:

@@ -124,8 +124,7 @@ def obj_to_diagram(obj: dict) -> ArcDiagram:
         for rec in _expect(obj, "arcs")
     )
     d = ArcDiagram(_int(_expect(obj, "rank")), arcs)
-    problems = violations(d)
-    if problems:
+    if problems := violations(d):
         raise ValueError("invalid diagram: " + "; ".join(problems))
     return d
 
@@ -152,8 +151,7 @@ def obj_to_half(obj: dict) -> HalfArcDiagram:
         HalfArc(_int(rec["end"]), _int(rec["height"])) for rec in _expect(obj, "half_arcs")
     )
     h = HalfArcDiagram(_int(_expect(obj, "rank")), fulls, halves)
-    problems = half_violations(h)
-    if problems:
+    if problems := half_violations(h):
         raise ValueError("invalid half diagram: " + "; ".join(problems))
     return h
 

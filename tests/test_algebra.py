@@ -24,6 +24,7 @@ from okada.algebra import (
     gram_det_specialized,
     gram_matrix,
     ideal_basis,
+    specialization_point,
     triangular_factorization,
 )
 from okada._determinant import polynomial_det
@@ -396,6 +397,16 @@ def test_gram_nonsingular_at_random_rational_points():
         )
         for s in enumerate_yfs(n):
             assert gram_det_specialized(s, values) != 0
+
+
+def test_specialization_point_draws_x_then_y_from_the_rng():
+    for n in range(7):
+        rng = random.Random(n)
+        want = {("x", i): Fraction(rng.randrange(2, 100), rng.randrange(1, 10)) for i in range(1, n)}
+        want.update({("y", i): Fraction(rng.randrange(2, 100), rng.randrange(1, 10)) for i in range(1, n - 1)})
+        mine = random.Random(n)
+        assert list(specialization_point(n, mine).items()) == list(want.items())
+        assert mine.random() == rng.random()
 
 
 def test_gram_det_agrees_with_specialization():

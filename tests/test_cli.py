@@ -56,6 +56,17 @@ def test_enumerate_usage_error_states_limit():
     assert "n <= 8" in err
 
 
+def test_enumerate_refuses_a_set_it_would_ignore():
+    for kind in ("yfs", "diagrams", "idempotents"):
+        for text in ("2", "1,2", ""):
+            rc, out, err = run(["enumerate", kind, "--n", "2", "--set", text, "--count-only"])
+            assert (rc, out) == (2, ""), (kind, text)
+            assert f"enumerate {kind} takes no --set" in err
+    for kind in ("half", "chains"):
+        assert run(["enumerate", kind, "--n", "2", "--set", "1,2", "--count-only"])[:2] == (0, "1\n")
+        assert run(["enumerate", kind, "--n", "2", "--set", "2", "--count-only"])[:2] == (3, "")
+
+
 def test_multiply_generic_words():
     rc, out, _ = run(["multiply", "generic", "1 1", ""])
     assert rc == 0
