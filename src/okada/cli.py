@@ -142,12 +142,12 @@ def cmd_enumerate(args) -> int:
     elif args.kind == "half":
         from .diagrams import enumerate_half
 
-        s = _parse_set(args.set, n) if args.set else None
+        s = _parse_set(args.set, n) if args.set is not None else None
         items, to_obj = enumerate_half(n, s), ser.half_to_obj
     elif args.kind == "chains":
         from .fibonacci import enumerate_yfs, saturated_chains
 
-        targets = [_parse_set(args.set, n)] if args.set else list(enumerate_yfs(n))
+        targets = [_parse_set(args.set, n)] if args.set is not None else list(enumerate_yfs(n))
         items, to_obj = (c for s in targets for c in saturated_chains(s)), ser.chain_to_obj
     else:  # idempotents
         if n > 8 and not args.extended:

@@ -65,6 +65,9 @@ def test_enumerate_refuses_a_set_it_would_ignore():
     for kind in ("half", "chains"):
         assert run(["enumerate", kind, "--n", "2", "--set", "1,2", "--count-only"])[:2] == (0, "1\n")
         assert run(["enumerate", kind, "--n", "2", "--set", "2", "--count-only"])[:2] == (3, "")
+        # an empty --set is the empty label set, not a missing one
+        assert run(["enumerate", kind, "--n", "2", "--set", "", "--count-only"])[:2] == (0, "1\n")
+        assert run(["enumerate", kind, "--n", "3", "--set", "", "--count-only"])[:2] == (3, "")
 
 
 def test_multiply_generic_words():
