@@ -214,23 +214,17 @@ def free_element(s: FibonacciSet) -> AlgebraElement:
 def ideal_basis(s: FibonacciSet) -> tuple[Perm, ...]:
     """Basis permutations of the two-sided ideal generated by the free element.
 
-    Computed as the support closure of the free diagram under left and
-    right multiplication by the generator diagrams (structure constants
-    are nonzero monomials, so support closure is the ideal's basis).
+    The ideal is spanned by the diagrams ``glue(L, R)`` of the cells
+    ``t`` that lie below ``s`` in the dominance order, so its basis is
+    read off those cells directly.
     """
     n = s.rank
-    gens = [dg.generator(i, n) for i in range(1, n)]
-    seed = free_diagram(s)
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        d = frontier.pop()
-        for g in gens:
-            for nxt, _ in (dg.compose(d, g), dg.compose(g, d)):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    return tuple(sorted(diagram_to_perm(d) for d in seen))
+    perms = []
+    for t in enumerate_yfs(n):
+        if dominance_leq(t, s):
+            halves = dg.enumerate_half(n, t)
+            perms += (diagram_to_perm(dg.glue(left, right)) for left in halves for right in halves)
+    return tuple(sorted(perms))
 
 
 # ---------------------------------------------------------------------------

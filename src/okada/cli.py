@@ -46,7 +46,8 @@ if TYPE_CHECKING:
 # within seconds at its cap.  ``threads`` bounds the census worker
 # processes: each one is a whole interpreter, so a request for thousands
 # of them is refused before any starts.  ``letters`` bounds the words
-# of multiply and normalize, since rewriting is quadratic in their length.
+# of multiply and normalize as an input bound: rewriting is linear in
+# their length, but each letter must still be parsed and held.
 _LIMITS = {
     "yfs": 25,
     "diagrams": 8,
@@ -317,7 +318,7 @@ def _census_threads(args) -> int:
 
 def cmd_census(args) -> int:
     from . import monoid as mo
-    from .fibonacci import chain_count, enumerate_yfs
+    from .fibonacci import enumerate_yfs
 
     threads = _census_threads(args)
     if args.max > _LIMITS["census"]:
@@ -336,10 +337,9 @@ def cmd_census(args) -> int:
         if n <= args.max:
             row["involutives"] = invol
         if n <= min(args.max, args.green_max):
-            # one R- and one L-class per (cell, half), one J-class per cell (see green_classes)
-            cells = enumerate_yfs(n)
-            row["r_classes"] = row["l_classes"] = sum(chain_count(s) for s in cells)
-            row["j_classes"] = len(cells)
+            # one R- and one L-class per half, as for the involutives; one J-class per cell
+            row["r_classes"] = row["l_classes"] = invol
+            row["j_classes"] = len(enumerate_yfs(n))
             row["max_aperiodicity"] = mo.aperiodicity_max(n)
         rows.append(row)
     if args.format == "csv":

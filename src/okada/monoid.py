@@ -27,7 +27,7 @@ from typing import Iterator
 from . import diagrams as dg
 from ._immutable import Immutable
 from .errors import InternalInvariantError
-from .fibonacci import FibonacciSet, enumerate_yfs, saturated_chains
+from .fibonacci import FibonacciSet, chain_count, enumerate_yfs, saturated_chains
 
 # ``algebra.free_diagram`` is imported where it is used, so that the
 # monoid product does not load the algebra and rewriting layers.
@@ -192,9 +192,9 @@ def idempotent_count(n: int, threads: int = 1) -> int:
     return census_counts(n, threads)[1]
 
 
-def involutive_count(n: int, threads: int = 1) -> int:
-    """Number of mirror-fixed elements (equals the involutions of S_n)."""
-    return census_counts(n, threads)[2]
+def involutive_count(n: int) -> int:
+    """Number of mirror-fixed elements ``glue(L, L)``, one per half diagram."""
+    return sum(chain_count(s) for s in enumerate_yfs(n))
 
 
 # ---------------------------------------------------------------------------

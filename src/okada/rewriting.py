@@ -23,12 +23,11 @@ Trace-adjacency is decided exactly:
   ``v``'s include exactly one letter from ``{v-1, v, v+1}``, namely a
   single ``v-1`` (anything further away commutes past the pattern).
 
-Both tests are read off in one left-to-right pass per rewriting step
-(see :func:`_reduction_candidates`).  A product ``E_p E_i`` of a basis
-element and a generator needs no such pass at first: the code word of
-``p`` is irreducible, so only the appended ``i`` can start a reduction,
-and a scan back from the end of the word to the last letter within 1 of
-``i`` finds it (see :func:`_mult_perm_by_generator`).
+Rewriting rests on one invariant: a letter appended to an irreducible
+word is the only one that can start a reduction, which :func:`_push`
+finds by a scan back from the end.  An irreducible word is a code word
+up to commutation, of at most ``n(n-1)/2`` letters, so :func:`normalize`
+is linear in the word length and ``E_p E_i`` is one push.
 
 Every result, from :func:`normalize` and from each generator step, is
 cross-checked against the code word of its permutation: the two must be
@@ -343,22 +342,38 @@ def _reduction_candidates(word: Sequence[int]):
     return sorted(cands)
 
 
-def _reduce(w: list[int], exps: dict[Var, int], rng: random.Random | None = None) -> None:
-    """Reduce ``w`` in place until it is irreducible, counting into ``exps``.
+def _last_near(w: list[int], i: int, end: int) -> int:
+    """Position of the last letter of ``w[:end]`` within 1 of ``i``, or -1."""
+    q = end - 1
+    while q >= 0 and not i - 1 <= w[q] <= i + 1:
+        q -= 1
+    return q
 
-    Each step reduces the least candidate (lowest row, then leftmost), or
-    a random one when ``rng`` is given.
+
+def _push(w: list[int], i: int, exps: dict[Var, int]) -> None:
+    """Append ``E_i`` to the irreducible word ``w`` in place, counting into ``exps``.
+
+    Only ``i`` can start a reduction; the last letter ``u`` of ``w`` within
+    1 of ``i`` decides which.  ``u = i`` is a square: record ``x_i``, drop
+    ``i``.  ``u = i-1`` after a nearest such letter ``i`` is a zigzag:
+    record ``y_{i-1}``, drop ``i`` and ``u``, and push the letters after
+    ``u`` again, since only they can now reduce.  Otherwise append ``i``.
     """
-    while True:
-        cands = _reduction_candidates(w)
-        if not cands:
-            return
-        v, p, kind, q, r = rng.choice(cands) if rng else cands[0]
-        var = ("x", v) if kind == 0 else ("y", v - 1)
+    todo = [i]
+    while todo:
+        i = todo.pop()
+        q = _last_near(w, i, len(w))
+        u = w[q] if q >= 0 else None
+        if u == i:  # square
+            var = ("x", i)
+        elif u == i - 1 and (r := _last_near(w, i, q)) >= 0 and w[r] == i:  # zigzag
+            var = ("y", i - 1)
+            todo += reversed(w[q + 1 :])
+            del w[q:]
+        else:
+            w.append(i)
+            continue
         exps[var] = exps.get(var, 0) + 1
-        del w[r]
-        if kind == 1:
-            del w[q]
 
 
 def _certified_perm(w: list[int], n: int) -> tuple[Perm, tuple[int, ...]]:
@@ -384,11 +399,12 @@ def normalize(
     """Rewrite ``word`` to the code word of a permutation, exactly.
 
     Squares contribute ``x_v`` factors, zigzags ``y_{v-1}`` factors, and
-    commutations are free.  Without ``rng`` the least candidate (lowest
-    row, then leftmost) is reduced each step; passing a seeded
-    ``random.Random`` randomizes the order.  Confluence makes the result
-    independent of these choices, and the final trace is verified to
-    equal the trace of the returned code word.
+    commutations are free.  Without ``rng`` the letters are pushed one
+    by one onto the empty word (:func:`_push`), in linear time; with a
+    seeded ``random.Random`` the reference engine picks at random among
+    all reductions of the whole word (:func:`_reduction_candidates`).
+    Confluence makes the result independent of the engine, and the final
+    trace is verified to equal the trace of the returned code word.
 
     >>> normalize((1, 1)).coefficient
     x1
@@ -397,9 +413,21 @@ def normalize(
     """
     if n is None:
         n = max(word, default=0) + 1
-    w = list(check_word(word, n))
+    word = check_word(word, n)
     exps: dict[Var, int] = {}
-    _reduce(w, exps, rng)
+    if rng is None:
+        w: list[int] = []
+        for i in word:
+            _push(w, i, exps)
+    else:
+        w = list(word)
+        while cands := _reduction_candidates(w):
+            v, p, kind, q, r = rng.choice(cands)
+            var = ("x", v) if kind == 0 else ("y", v - 1)
+            exps[var] = exps.get(var, 0) + 1
+            del w[r]
+            if kind == 1:
+                del w[q]
     perm, canonical = _certified_perm(w, n)
     return NormalizationResult(n, Polynomial.monomial(exps), canonical, perm)
 
@@ -408,44 +436,18 @@ def multiply_words(
     w1: Sequence[int], w2: Sequence[int], n: int | None = None
 ) -> NormalizationResult:
     """Normal form of the concatenation; the structure-constant oracle."""
-    if n is None:
-        n = max((*w1, *w2), default=0) + 1
     return normalize(tuple(w1) + tuple(w2), n)
-
-
-def _last_near(w: list[int], i: int, end: int) -> int:
-    """Position of the last letter of ``w[:end]`` within 1 of ``i``, or -1."""
-    q = end - 1
-    while q >= 0 and not i - 1 <= w[q] <= i + 1:
-        q -= 1
-    return q
 
 
 @lru_cache(maxsize=None)
 def _mult_perm_by_generator(p: Perm, i: int) -> tuple[Term, Perm]:
     """``E_p E_i`` as the exponent term of its monomial and the result.
 
-    The code word ``w`` of ``p`` is irreducible, so only the appended ``i``
-    can start a reduction, and the last letter of ``w`` within 1 of ``i``
-    decides which: an ``i`` is a square (``x_i E_p``); an ``i-1`` whose
-    nearest such letter to the left is ``i`` is a zigzag, which records
-    ``y_{i-1}``, drops that ``i-1`` and the appended ``i``, and hands the
-    word to the reduction loop of :func:`normalize`, since zigzags can
-    cascade; anything else leaves ``w + (i,)`` irreducible.  The result
-    carries the same trace certificate as :func:`normalize`.
+    One :func:`_push` onto the code word of ``p``, certified like :func:`normalize`.
     """
     w = list(word_from_code(p))
     exps: dict[Var, int] = {}
-    q = _last_near(w, i, len(w))
-    u = w[q] if q >= 0 else None
-    if u == i:  # square
-        exps[("x", i)] = 1
-    elif u == i - 1 and (r := _last_near(w, i, q)) >= 0 and w[r] == i:  # zigzag
-        exps[("y", i - 1)] = 1
-        del w[q]
-        _reduce(w, exps)
-    else:
-        w.append(i)
+    _push(w, i, exps)
     perm, _ = _certified_perm(w, len(p))
     return tuple(sorted(exps.items())), perm
 
@@ -455,10 +457,8 @@ def multiply_perms(p: Perm, q: Perm) -> tuple[Polynomial, Perm]:
 
     Folds ``q``'s code word into ``p`` one generator at a time, which
     agrees with :func:`multiply_words` by confluence.  Each step
-    ``E_p E_i`` is cached and computed by a tail scan of ``p``'s code word
-    (:func:`_mult_perm_by_generator`), not by a full :func:`normalize`,
-    and is certified by the same trace check.  The coefficient is a
-    monomial, so its exponents are summed and it is built once.
+    ``E_p E_i`` is one cached push (:func:`_mult_perm_by_generator`).  The
+    coefficient is a monomial, so its exponents are summed once.
 
     >>> multiply_perms((2, 1, 3), (2, 1, 3))
     (x1, (2, 1, 3))

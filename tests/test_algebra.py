@@ -193,6 +193,32 @@ def test_ideal_inclusions_match_dominance():
             assert bases[s] == expected
 
 
+def _ideal_basis_by_closure(s):
+    """Support closure of the free diagram under left and right
+    multiplication by the generator diagrams (the former library
+    construction), as an oracle: structure constants are nonzero
+    monomials, so the support closure is the ideal's basis."""
+    n = s.rank
+    gens = [dg.generator(i, n) for i in range(1, n)]
+    seed = free_diagram(s)
+    seen = {seed}
+    frontier = [seed]
+    while frontier:
+        d = frontier.pop()
+        for g in gens:
+            for nxt, _ in (dg.compose(d, g), dg.compose(g, d)):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return tuple(sorted(diagram_to_perm(d) for d in seen))
+
+
+def test_ideal_basis_matches_the_closure_oracle():
+    for n in range(7):
+        for s in enumerate_yfs(n):
+            assert ideal_basis(s) == _ideal_basis_by_closure(s), s
+
+
 def test_triangular_factorization_examples():
     n = 4
     idp = identity_perm(n)

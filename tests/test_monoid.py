@@ -234,6 +234,19 @@ def test_involutive_implies_idempotent():
         assert involutive_count(n) == count
 
 
+def test_involutive_count_is_the_census_column_without_a_census(monkeypatch):
+    from okada import monoid
+
+    column = [census_counts(n)[2] for n in range(9)]
+    assert column == list(INVOLUTION_COUNTS[:9])
+
+    def never(*args, **kwargs):
+        raise AssertionError("involutive_count ran the census")
+
+    monkeypatch.setattr(monoid, "census_counts", never)
+    assert [involutive_count(n) for n in range(9)] == column
+
+
 def test_involutives_are_the_involution_basis_elements():
     for n in range(1, 6):
         for p in all_perms(n):

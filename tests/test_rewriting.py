@@ -1,6 +1,8 @@
 import itertools
 import math
+import os
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,8 +177,9 @@ def test_normalize_verification_catches_a_wrong_code_word(monkeypatch):
 
 
 def _generator_step_oracle(p, i):
-    # The step as a full normalization of the code word with i appended.
-    r = normalize(word_from_code(p) + (i,), len(p))
+    # The step as a normalization of the code word with i appended by the
+    # candidate engine, which rescans the whole word: not by _push.
+    r = normalize(word_from_code(p) + (i,), len(p), rng=random.Random(i))
     _, term = r.coefficient.monomial_parts()
     return term, r.perm
 
@@ -191,6 +194,77 @@ def test_generator_step_kernel_matches_normalize_oracle():
                 assert (term, perm) == _generator_step_oracle(p, i), (p, i)
                 most = max(most, sum(e for _, e in term))
     assert most == 3  # zigzags cascade: up to three reductions in one step of S_7
+
+
+def _assert_normalize_matches_candidate_engine(words_with_rank):
+    for k, (w, n) in enumerate(words_with_rank):
+        a = normalize(w, n)
+        b = normalize(w, n, rng=random.Random(k))
+        assert (a.coefficient, a.word, a.perm) == (b.coefficient, b.word, b.perm), (w, n)
+
+
+def _all_words(n, max_len):
+    for length in range(max_len + 1):
+        for w in itertools.product(range(1, n), repeat=length):
+            yield w, n
+
+
+def test_normalize_matches_the_candidate_engine():
+    _assert_normalize_matches_candidate_engine(
+        itertools.chain(*(_all_words(n, 7) for n in range(1, 5)), _all_words(5, 6))
+    )
+    rng = random.Random(43)
+    sample = []
+    for _ in range(1000):
+        n = rng.randint(2, 14)
+        sample.append((tuple(rng.randrange(1, n) for _ in range(rng.randint(0, 120))), n))
+    _assert_normalize_matches_candidate_engine(sample)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("OKADA_EXTENDED"),
+    reason="the exhaustive rank-6 words run only with OKADA_EXTENDED=1",
+)
+def test_extended_normalize_matches_the_candidate_engine_at_rank_6():
+    _assert_normalize_matches_candidate_engine(_all_words(6, 7))
+
+
+def test_only_the_rng_engine_scans_for_candidates(monkeypatch):
+    scans = []
+    candidates = rewriting._reduction_candidates
+
+    def counting(word):
+        scans.append(tuple(word))
+        return candidates(word)
+
+    monkeypatch.setattr(rewriting, "_reduction_candidates", counting)
+    kernel = rewriting._mult_perm_by_generator.__wrapped__
+    for n in range(1, 6):
+        for p in all_perms(n):
+            for i in range(1, n):
+                kernel(p, i)
+            multiply_perms(p, p)
+    rng = random.Random(47)
+    for _ in range(200):
+        w = tuple(rng.randrange(1, 6) for _ in range(rng.randint(0, 30)))
+        normalize(w, 6)
+        multiply_words(w, w[::-1], 6)
+    assert scans == []
+    normalize((2, 1, 2), 3, rng=random.Random(0))
+    assert scans == [(2, 1, 2), (2,)]
+
+
+@pytest.mark.parametrize(
+    "word, n",
+    [((1,) * 4096, 2), (tuple(random.Random(4096).randrange(1, 32) for _ in range(4096)), 32)],
+    ids=["square-run", "random-rank-32"],
+)
+def test_normalize_is_fast_on_the_longest_cli_words(word, n):
+    # the CLI accepts words of up to 4096 letters; a quadratic rescan
+    # took over 2 s on either word
+    start = time.perf_counter()
+    normalize(word, n)
+    assert time.perf_counter() - start < 1.0
 
 
 def _commuting_shuffle(word, rng, steps):
