@@ -127,10 +127,9 @@ class AlgebraElement(Immutable):
             return NotImplemented
         if other.rank != self.rank:
             raise RankMismatchError(f"ranks {self.rank} and {other.rank} differ")
-        out = dict(self._coeffs)
-        for p, c in other._coeffs.items():
-            out[p] = out.get(p, Polynomial.zero()) + c
-        return AlgebraElement(self.rank, out)
+        return AlgebraElement(
+            self.rank, _sum_by_key([*self._coeffs.items(), *other._coeffs.items()])
+        )
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + other.scaled(-1)
@@ -146,13 +145,12 @@ class AlgebraElement(Immutable):
             return NotImplemented
         if other.rank != self.rank:
             raise RankMismatchError(f"ranks {self.rank} and {other.rank} differ")
-        out: dict[Perm, Polynomial] = {}
+        terms = []
         for p, cp in self._coeffs.items():
             for q, cq in other._coeffs.items():
                 coeff, r = multiply_perms(p, q)
-                add = cp * cq * coeff
-                out[r] = out.get(r, Polynomial.zero()) + add
-        return AlgebraElement(self.rank, out)
+                terms.append((r, cp * cq * coeff))
+        return AlgebraElement(self.rank, _sum_by_key(terms))
 
     __rmul__ = scaled
 
@@ -169,6 +167,14 @@ class AlgebraElement(Immutable):
             return f"AlgebraElement({self.rank}: 0)"
         parts = [f"({c})*E{list(p)}" for p, c in self.coefficients()]
         return f"AlgebraElement({self.rank}: " + " + ".join(parts) + ")"
+
+
+def _sum_by_key(terms: Iterable[tuple[object, Polynomial]]) -> dict:
+    """The polynomials of each key summed by :meth:`Polynomial.sum`, keys in first-seen order."""
+    groups: dict[object, list[Polynomial]] = {}
+    for key, c in terms:
+        groups.setdefault(key, []).append(c)
+    return {key: Polynomial.sum(cs) for key, cs in groups.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +326,12 @@ def cell_action(
     if isinstance(a, dg.ArcDiagram):
         a = AlgebraElement.from_diagram(a)
     hh = AlgebraElement.from_diagram(dg.glue(h, h))
-    out: dict[dg.HalfArcDiagram, Polynomial] = {}
+    terms = []
     for p, c in (a * hh).coefficients():
         d = perm_to_diagram(p)
         if dg.prop_lab(d) == s:
-            key = dg.bra(d)
-            out[key] = out.get(key, Polynomial.zero()) + c
-    return {k: v for k, v in out.items() if v}
+            terms.append((dg.bra(d), c))
+    return {k: v for k, v in _sum_by_key(terms).items() if v}
 
 
 @lru_cache(maxsize=None)
@@ -340,19 +345,22 @@ def gram_matrix(s: FibonacciSet) -> tuple[tuple[Polynomial, ...], ...]:
     Entry ``(i, j)`` is the coefficient ``phi(R_i, L_j)`` defined by
     ``C_{L,R_i} * C_{L_j,R} = phi(R_i, L_j) * C_{L,R}`` modulo diagrams
     with strictly dominated propagating labels; rows and columns follow
-    ``enumerate_half(n, s)``.
+    ``enumerate_half(n, s)``.  The form of a cellular algebra is symmetric
+    under its anti-involution, here ``mirror``, which swaps the halves of
+    every basis diagram and reverses products: ``phi(S, T) = phi(T, S)``.
+    So only the entries with ``i <= j`` are computed, each with its
+    landing checks, and each is mirrored into ``(j, i)``.
     """
     n = s.rank
     halves = dg.enumerate_half(n, s)
     ref = halves[0]
     top = dg.glue(ref, ref)
     right_perms = [_perm_of_diagram_cached(dg.glue(l_half, ref)) for l_half in halves]
-    rows = []
-    for r_half in halves:
+    rows = [[None] * len(halves) for _ in halves]
+    for i, r_half in enumerate(halves):
         left_perm = _perm_of_diagram_cached(dg.glue(ref, r_half))
-        row = []
-        for right_perm in right_perms:
-            coeff, prod = multiply_perms(left_perm, right_perm)
+        for j in range(i, len(halves)):
+            coeff, prod = multiply_perms(left_perm, right_perms[j])
             d = perm_to_diagram(prod)
             lab = dg.prop_lab(d)
             if lab == s:
@@ -360,15 +368,14 @@ def gram_matrix(s: FibonacciSet) -> tuple[tuple[Polynomial, ...], ...]:
                     raise InternalInvariantError(
                         f"cellular product at {s} landed on {d!r}"
                     )
-                row.append(coeff)
             elif dominance_leq(lab, s):
-                row.append(Polynomial.zero())
+                coeff = Polynomial.zero()
             else:
                 raise InternalInvariantError(
                     f"product at {s} raised propagating labels to {lab}"
                 )
-        rows.append(tuple(row))
-    return tuple(rows)
+            rows[i][j] = rows[j][i] = coeff
+    return tuple(map(tuple, rows))
 
 
 # Largest cell dimension ``gram_det`` expands.  The slowest cells at this

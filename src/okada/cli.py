@@ -48,6 +48,13 @@ if TYPE_CHECKING:
 # of them is refused before any starts.  ``letters`` bounds the words
 # of multiply and normalize as an input bound: rewriting is linear in
 # their length, but each letter must still be parsed and held.
+# ``products`` bounds a product of two element files at rank ``n`` by
+# its work, the coefficient terms of one side times those of the other,
+# times ``n**2``: each such pair is one monomial product and bounds the
+# basis products.  Per pair, the measured worst cost over ranks 2-32 is
+# 1.5-6 us times ``n**2``, the most at rank 32 next to the reversal: at
+# the cap, the longest permutations of rank 32 (16 times 16) take 2.0 s,
+# those of rank 16 (32 times 32) 0.9 s and of rank 7 (73 times 73) 0.7 s.
 _LIMITS = {
     "yfs": 25,
     "diagrams": 8,
@@ -64,6 +71,7 @@ _LIMITS = {
     "normalize": 32,
     "render": 16,
     "letters": 4096,
+    "products": 256 * 32**2,
 }
 
 
@@ -79,6 +87,18 @@ def _check_letters(what: str, word: tuple[int, ...]) -> tuple[int, ...]:
     if len(word) > limit:
         raise UsageError(f"{what} supports words of at most {limit} letters")
     return word
+
+
+def _check_products(a, b) -> None:
+    n = max(a.rank, b.rank, 1)
+    limit = _LIMITS["products"] // (n * n)
+    pairs = 1
+    for x in (a, b):
+        pairs *= sum(len(c.terms()) for _, c in x.coefficients())
+    if pairs > limit:
+        raise UsageError(
+            f"multiply at rank {n} supports at most {limit} products of coefficient terms, got {pairs}"
+        )
 
 
 def _parse_set(text: str, n: int) -> FibonacciSet:
@@ -192,6 +212,7 @@ def cmd_multiply(args) -> int:
             a = ser.obj_to_element(_load_json(left))
             b = ser.obj_to_element(_load_json(right))
             _check_rank("multiply", max(a.rank, b.rank))
+            _check_products(a, b)
             _emit(args, ser.element_to_obj(a * b))
             return 0
         from . import rewriting as rw

@@ -19,7 +19,7 @@ True
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -78,6 +78,23 @@ class Polynomial:
     def monomial(cls, exponents: Mapping[Var, int], coeff: int = 1) -> "Polynomial":
         term = tuple(sorted((v, e) for v, e in exponents.items() if e))
         return cls({term: coeff})
+
+    @classmethod
+    def sum(cls, polys: Iterable["Polynomial"]) -> "Polynomial":
+        """The sum of ``polys``, added in place into one dict of terms.
+
+        Linear in the number of terms, where folding ``+`` copies every
+        term so far on each addition.
+
+        >>> x1 = Polynomial.variable("x", 1)
+        >>> Polynomial.sum([x1, x1 * x1, -x1, Polynomial.integer(2)])
+        x1^2 + 2
+        """
+        out: dict[Term, int] = {}
+        for p in polys:
+            for t, c in p._terms.items():
+                out[t] = out.get(t, 0) + c
+        return cls(out)
 
     # -- ring structure ----------------------------------------------------
 

@@ -27,13 +27,14 @@ Rewriting rests on one invariant: a letter appended to an irreducible
 word is the only one that can start a reduction, which :func:`_push`
 finds by a scan back from the end.  An irreducible word is a code word
 up to commutation, of at most ``n(n-1)/2`` letters, so :func:`normalize`
-is linear in the word length and ``E_p E_i`` is one push.
+is linear in the word length, and ``E_p E_q`` pushes the code word of
+``q`` onto the code word of ``p``.
 
-Every result, from :func:`normalize` and from each generator step, is
-cross-checked against the code word of its permutation: the two must be
-equal as traces.  Trace equality compares Cartier-Foata normal forms,
-encoded as one sorted key per word (see :func:`_trace_key`), so a
-silently wrong reduction cannot escape.
+Every result of :func:`normalize` and of :func:`multiply_perms` carries
+one certificate: the reduced word is cross-checked against the code word
+of its permutation, and the two must be equal as traces.  Trace equality
+compares Cartier-Foata normal forms, encoded as one sorted key per word
+(see :func:`_trace_key`), so a silently wrong reduction cannot escape.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from ._immutable import Immutable
 from .errors import InternalInvariantError
-from .polynomials import Polynomial, Term, Var
+from .polynomials import Polynomial, Var
 
 if TYPE_CHECKING:
     import random
@@ -350,16 +351,20 @@ def _last_near(w: list[int], i: int, end: int) -> int:
     return q
 
 
-def _push(w: list[int], i: int, exps: dict[Var, int]) -> None:
-    """Append ``E_i`` to the irreducible word ``w`` in place, counting into ``exps``.
+def _push(w: list[int], letters: Sequence[int], exps: dict[Var, int]) -> None:
+    """Append ``E_i`` for each ``i`` of ``letters`` to the irreducible word
+    ``w`` in place, counting the reductions into ``exps``.
 
-    Only ``i`` can start a reduction; the last letter ``u`` of ``w`` within
-    1 of ``i`` decides which.  ``u = i`` is a square: record ``x_i``, drop
-    ``i``.  ``u = i-1`` after a nearest such letter ``i`` is a zigzag:
-    record ``y_{i-1}``, drop ``i`` and ``u``, and push the letters after
-    ``u`` again, since only they can now reduce.  Otherwise append ``i``.
+    Only the appended ``i`` can start a reduction; the last letter ``u``
+    of ``w`` within 1 of ``i`` decides which.  ``u = i`` is a square:
+    record ``x_i``, drop ``i``.  ``u = i-1`` after a nearest such letter
+    ``i`` is a zigzag: record ``y_{i-1}`` and drop ``i`` and ``u``.  No
+    letter after ``u`` lies within 1 of ``i``, so the letters after ``u``
+    up to the first ``i-2`` commute with ``u``, and dropping ``u`` leaves
+    them irreducible; only the later ones can now reduce, so they are
+    pushed again.  Otherwise append ``i``.
     """
-    todo = [i]
+    todo = list(reversed(letters))
     while todo:
         i = todo.pop()
         q = _last_near(w, i, len(w))
@@ -367,28 +372,38 @@ def _push(w: list[int], i: int, exps: dict[Var, int]) -> None:
         if u == i:  # square
             var = ("x", i)
         elif u == i - 1 and (r := _last_near(w, i, q)) >= 0 and w[r] == i:  # zigzag
-            var = ("y", i - 1)
-            todo += reversed(w[q + 1 :])
-            del w[q:]
+            var = ("y", u)
+            try:
+                k = w.index(u - 1, q + 1)
+            except ValueError:
+                k = len(w)
+            todo += reversed(w[k:])
+            del w[k:]
+            del w[q]
         else:
             w.append(i)
             continue
         exps[var] = exps.get(var, 0) + 1
 
 
-def _certified_perm(w: list[int], n: int) -> tuple[Perm, tuple[int, ...]]:
-    """The permutation of the irreducible word ``w`` and its code word.
+def _push_certified(
+    w: list[int], letters: Sequence[int], n: int, exps: dict[Var, int]
+) -> tuple[Polynomial, Perm, tuple[int, ...]]:
+    """Push ``letters`` onto the irreducible word ``w``, then certify it.
 
-    Raises :class:`InternalInvariantError` unless ``w`` and the code word
-    are equal as traces; equal words need no trace keys.
+    Returns the monomial counted into ``exps``, the permutation of ``w``
+    and its code word.  Raises :class:`InternalInvariantError` unless
+    ``w`` and the code word are equal as traces; equal words need no
+    trace keys.
     """
+    _push(w, letters, exps)
     perm = perm_from_word(w, n)
     canonical = word_from_code(perm)
     if list(canonical) != w and _trace_key(w) != _trace_key(canonical):
         raise InternalInvariantError(
             f"irreducible word {tuple(w)} is not the code word of {perm}"
         )
-    return perm, canonical
+    return Polynomial.monomial(exps), perm, canonical
 
 
 def normalize(
@@ -417,10 +432,9 @@ def normalize(
     exps: dict[Var, int] = {}
     if rng is None:
         w: list[int] = []
-        for i in word:
-            _push(w, i, exps)
+        letters = word
     else:
-        w = list(word)
+        w, letters = list(word), ()
         while cands := _reduction_candidates(w):
             v, p, kind, q, r = rng.choice(cands)
             var = ("x", v) if kind == 0 else ("y", v - 1)
@@ -428,8 +442,8 @@ def normalize(
             del w[r]
             if kind == 1:
                 del w[q]
-    perm, canonical = _certified_perm(w, n)
-    return NormalizationResult(n, Polynomial.monomial(exps), canonical, perm)
+    coeff, perm, canonical = _push_certified(w, letters, n, exps)
+    return NormalizationResult(n, coeff, canonical, perm)
 
 
 def multiply_words(
@@ -439,26 +453,13 @@ def multiply_words(
     return normalize(tuple(w1) + tuple(w2), n)
 
 
-@lru_cache(maxsize=None)
-def _mult_perm_by_generator(p: Perm, i: int) -> tuple[Term, Perm]:
-    """``E_p E_i`` as the exponent term of its monomial and the result.
-
-    One :func:`_push` onto the code word of ``p``, certified like :func:`normalize`.
-    """
-    w = list(word_from_code(p))
-    exps: dict[Var, int] = {}
-    _push(w, i, exps)
-    perm, _ = _certified_perm(w, len(p))
-    return tuple(sorted(exps.items())), perm
-
-
 def multiply_perms(p: Perm, q: Perm) -> tuple[Polynomial, Perm]:
     """Structure constants of the basis: ``E_p E_q = coeff * E_result``.
 
-    Folds ``q``'s code word into ``p`` one generator at a time, which
-    agrees with :func:`multiply_words` by confluence.  Each step
-    ``E_p E_i`` is one cached push (:func:`_mult_perm_by_generator`).  The
-    coefficient is a monomial, so its exponents are summed once.
+    Pushes ``q``'s code word onto ``p``'s, as :func:`normalize` pushes a
+    word onto the empty one; ``p``'s code word is irreducible, so the
+    push agrees with :func:`multiply_words` by confluence.  The result
+    carries one certificate for the whole product.
 
     >>> multiply_perms((2, 1, 3), (2, 1, 3))
     (x1, (2, 1, 3))
@@ -467,13 +468,25 @@ def multiply_perms(p: Perm, q: Perm) -> tuple[Polynomial, Perm]:
     """
     if len(p) != len(q):
         raise ValueError(f"rank mismatch: {len(p)} vs {len(q)}")
-    exps: dict[Var, int] = {}
-    cur = p
-    for i in word_from_code(q):
-        term, cur = _mult_perm_by_generator(cur, i)
-        for var, e in term:
-            exps[var] = exps.get(var, 0) + e
-    return Polynomial.monomial(exps), cur
+    coeff, perm, _ = _push_certified(list(word_from_code(p)), word_from_code(q), len(p), {})
+    return coeff, perm
+
+
+@lru_cache(maxsize=0)
+def _mult_perm_by_generator(p: Perm, i: int) -> tuple[Polynomial, Perm]:
+    """``E_p E_i``: :func:`multiply_perms` by the permutation whose code
+    word is ``(i,)``, so one letter is pushed onto ``p``'s code word.
+
+    The library multiplies whole code words and does not call it.  It
+    keeps the name of the former generator-step cache because the
+    benchmark's per-layer metrics ``cache._mult_perm_by_generator.*``
+    read a cache by that name; with ``maxsize=0`` it stores nothing and
+    only counts calls.
+
+    >>> _mult_perm_by_generator((2, 1, 3), 1)
+    (x1, (2, 1, 3))
+    """
+    return multiply_perms(p, perm_from_word((i,), len(p)))
 
 
 # ---------------------------------------------------------------------------

@@ -216,16 +216,18 @@ def poly_to_terms(p: Polynomial, n: int) -> list[dict]:
 def terms_to_poly(terms: list[dict]) -> Polynomial:
     from .polynomials import Polynomial
 
-    total = Polynomial.zero()
-    for rec in terms:
-        exps = {}
-        for kind in ("x", "y"):
-            for i, e in enumerate(rec.get(kind, ()), start=1):
-                if _int(e) < 0:
-                    raise ValueError(f"negative exponent {e} of {kind}{i}")
-                exps[(kind, i)] = e
-        total = total + Polynomial.monomial(exps, _int(rec.get("c", 1)))
-    return total
+    def monomials():
+        for rec in terms:
+            term = []  # x before y, each by index: already in variable order
+            for kind in ("x", "y"):
+                for i, e in enumerate(rec.get(kind, ()), start=1):
+                    if _int(e) < 0:
+                        raise ValueError(f"negative exponent {e} of {kind}{i}")
+                    if e:
+                        term.append(((kind, i), e))
+            yield Polynomial({tuple(term): _int(rec.get("c", 1))})
+
+    return Polynomial.sum(monomials())
 
 
 def normalization_to_obj(r: NormalizationResult) -> dict:

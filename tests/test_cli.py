@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import okada
@@ -445,6 +446,61 @@ def test_rank_caps_admit_requests_at_the_cap():
     assert rc == 0 and json.loads(out)["rank"] == 2
     rc, out, _ = run(["gram", "--n", "8", "--set", "1,2,3,4,5,6,7,8"])
     assert rc == 0 and json.loads(out)["dim"] == 1
+
+
+def _element_json(perms, coeff_terms=1):
+    # each perm carries `coeff_terms` distinct monomials x1^k
+    n = len(perms[0])
+    coeff = [{"x": [k] + [0] * (n - 2), "y": [0] * (n - 2), "c": 1} for k in range(coeff_terms)]
+    return json.dumps({"rank": n, "terms": [{"perm": list(p), "coeff": coeff} for p in perms]})
+
+
+def test_multiply_generic_work_cap(monkeypatch):
+    # The worst request at the cap: 16 x 16 basis products of perms next
+    # to the rank-32 reversal, the slowest products measured there.
+    from okada.cli import _LIMITS
+    from okada.rewriting import perm_compose, perm_from_word
+
+    assert _LIMITS["products"] == 16 * 16 * 32**2
+    w0 = tuple(range(32, 0, -1))
+    near = [perm_compose(w0, perm_from_word((i,), 32)) for i in range(1, 17)]
+    at_cap = _element_json(near)
+    start = time.perf_counter()
+    rc, out, err = run(["multiply", "generic", at_cap, at_cap])
+    assert rc == 0, err
+    assert time.perf_counter() - start < 20  # about 2 s unloaded
+    assert len(json.loads(out)["terms"]) >= 1
+
+    def never(*args, **kwargs):
+        raise AssertionError("multiplied an oversized request")
+
+    monkeypatch.setattr("okada.algebra.multiply_perms", never)
+    one, wide = _element_json(near[:1]), _element_json(near[:1], 257)
+    for left, right, work in ((wide, one, 257), (one, wide, 257), (at_cap, _element_json(near + [w0]), 272)):
+        rc, out, err = run(["multiply", "generic", left, right])
+        assert (rc, out) == (2, ""), err
+        assert f"at rank 32 supports at most 256 products of coefficient terms, got {work}" in err
+
+
+def test_multiply_generic_work_cap_scales_with_the_rank():
+    # The cap is 256 * 32**2 / n**2 coefficient-term pairs: at rank 7 a
+    # request of 1024 pairs is answered, and 5350 is one past the cap.
+    from okada import serialize as ser
+    from okada.rewriting import all_perms
+
+    perms = all_perms(7)[::630][:8]
+    small = _element_json(perms, 4)
+    rc, out, err = run(["multiply", "generic", small, small])
+    assert rc == 0, err
+    a = ser.obj_to_element(json.loads(small))
+    assert json.loads(out) == ser.element_to_obj(a * a)
+    assert 5349 * 7**2 <= 256 * 32**2 < 5350 * 7**2
+    for terms, rc_want in ((5349, 0), (5350, 2)):
+        rc, out, err = run(["multiply", "generic", _element_json(perms[:1]), _element_json(perms[1:2], terms)])
+        assert rc == rc_want, err
+        if rc_want == 2:
+            assert out == ""
+            assert "at rank 7 supports at most 5349 products of coefficient terms, got 5350" in err
 
 
 def test_selftest_checks_survive_python_optimize():

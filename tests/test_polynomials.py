@@ -83,3 +83,14 @@ def test_no_zero_terms_are_stored(a):
     diff = a - a
     assert diff == Polynomial.zero()
     assert not diff.terms()
+
+
+@settings(deadline=None)
+@given(st.lists(poly_strategy, max_size=6))
+def test_sum_equals_folded_addition(polys):
+    folded = Polynomial.zero()
+    for p in polys + [-p for p in polys[:2]]:
+        folded = folded + p
+    total = Polynomial.sum(polys + [-p for p in polys[:2]])
+    assert total == folded
+    assert total.terms() == folded.terms()

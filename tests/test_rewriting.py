@@ -3,6 +3,7 @@ import math
 import os
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,13 +185,20 @@ def _generator_step_oracle(p, i):
     return term, r.perm
 
 
+def _generator_step(p, i):
+    # E_p E_i through multiply_perms: the code word of s_i is (i,), so
+    # exactly one letter is pushed onto p's code word.
+    coeff, perm = multiply_perms(p, perm_from_word((i,), len(p)))
+    _, term = coeff.monomial_parts()
+    return term, perm
+
+
 def test_generator_step_kernel_matches_normalize_oracle():
-    kernel = rewriting._mult_perm_by_generator.__wrapped__
     most = 0
     for n in range(1, 8):
         for p in all_perms(n):
             for i in range(1, n):
-                term, perm = kernel(p, i)
+                term, perm = _generator_step(p, i)
                 assert (term, perm) == _generator_step_oracle(p, i), (p, i)
                 most = max(most, sum(e for _, e in term))
     assert most == 3  # zigzags cascade: up to three reductions in one step of S_7
@@ -238,11 +246,10 @@ def test_only_the_rng_engine_scans_for_candidates(monkeypatch):
         return candidates(word)
 
     monkeypatch.setattr(rewriting, "_reduction_candidates", counting)
-    kernel = rewriting._mult_perm_by_generator.__wrapped__
     for n in range(1, 6):
         for p in all_perms(n):
             for i in range(1, n):
-                kernel(p, i)
+                _generator_step(p, i)
             multiply_perms(p, p)
     rng = random.Random(47)
     for _ in range(200):
@@ -328,23 +335,23 @@ def test_trace_key_is_exact_for_letters_far_apart(gap):
     ],
 )
 def test_generator_step_verification_catches_a_wrong_code_word(monkeypatch, word, i, term):
-    # The step reads p's code word honestly; every later code word comes
-    # reversed, with the right letters but the wrong trace, so the final
-    # trace check has to fail in every case.
-    kernel = rewriting._mult_perm_by_generator.__wrapped__
+    # The step reads the code words of p and of s_i honestly; the code
+    # word of the result comes reversed, with the right letters but the
+    # wrong trace, so the final trace check has to fail in every case.
     p = perm_from_word(word, 3)
-    assert word_from_code(p) == word and kernel(p, i)[0] == term
+    step_term, result = _generator_step(p, i)
+    assert word_from_code(p) == word and step_term == term
     honest = rewriting.word_from_code
     calls = []
 
     def corrupt(perm):
         calls.append(perm)
-        return honest(perm) if len(calls) == 1 else honest(perm)[::-1]
+        return honest(perm) if len(calls) <= 2 else honest(perm)[::-1]
 
     monkeypatch.setattr(rewriting, "word_from_code", corrupt)
     with pytest.raises(InternalInvariantError):
-        kernel(p, i)
-    assert len(calls) == 2
+        _generator_step(p, i)
+    assert calls == [p, perm_from_word((i,), 3), result]
 
 
 def test_normalize_relations():
@@ -451,6 +458,37 @@ def test_multiply_perms_agrees_with_multiply_words():
             coeff, r = multiply_perms(p, q)
             direct = multiply_words(word_from_code(p), word_from_code(q), n)
             assert (coeff, r) == (direct.coefficient, direct.perm)
+
+
+def test_multiply_perms_matches_the_candidate_engine():
+    # multiply_words pushes like multiply_perms; the candidate engine
+    # rescans the whole concatenation instead.
+    rng = random.Random(12)
+    for k in range(500):
+        n = rng.randint(6, 16)
+        p, q = tuple(rng.sample(range(1, n + 1), n)), tuple(rng.sample(range(1, n + 1), n))
+        coeff, r = multiply_perms(p, q)
+        direct = normalize(word_from_code(p) + word_from_code(q), n, rng=random.Random(k))
+        assert (coeff, r) == (direct.coefficient, direct.perm), (p, q)
+
+
+def test_products_hold_no_memory():
+    # A cache of generator steps held about 130 MiB after 1000 such
+    # products, about 128 KiB each, so 100 of them would pass 1 MiB.
+    # An lru_cache of size 0 stores nothing and only counts calls.
+    caches = {name: v.cache_info() for name, v in vars(rewriting).items() if hasattr(v, "cache_info")}
+    assert all(info.maxsize == 0 for info in caches.values()), caches
+    rng = random.Random(32)
+    pairs = [tuple(tuple(rng.sample(range(1, 33), 32)) for _ in "pq") for _ in range(100)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for p, q in pairs:
+            multiply_perms(p, q)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20
 
 
 def test_structure_constant_degree_bound():

@@ -1,4 +1,8 @@
+import functools
 import json
+import operator
+import random
+import time
 
 import pytest
 
@@ -91,6 +95,22 @@ def test_element_roundtrip():
 def test_poly_terms_roundtrip():
     p = x_var(1) ** 2 * y_var(2) - 3 * x_var(3) + 7
     assert ser.terms_to_poly(ser.poly_to_terms(p, 5)) == p
+
+
+def test_long_coefficient_parses_in_linear_time():
+    # Folding `+` copied every term so far: 8000 terms took 110 s.
+    rng = random.Random(8000)
+    terms = [
+        {"x": rng.choices(range(4), k=31), "y": rng.choices(range(4), k=30), "c": rng.choice((1, -2, 3))}
+        for _ in range(8000)
+    ]
+    start = time.perf_counter()
+    p = ser.terms_to_poly(terms)
+    assert time.perf_counter() - start < 1.0
+    folded = functools.reduce(operator.add, (ser.terms_to_poly([t]) for t in terms[:300]))
+    assert ser.terms_to_poly(terms[:300]) == folded
+    assert ser.poly_to_terms(p, 32) == ser.poly_to_terms(ser.terms_to_poly(terms[::-1]), 32)
+    assert ser.terms_to_poly(terms[:2] + [{**terms[0], "c": -terms[0]["c"]}]) == ser.terms_to_poly(terms[1:2])
 
 
 def test_parse_helpers():
