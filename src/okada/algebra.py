@@ -32,14 +32,16 @@ from .fibonacci import (
 from .polynomials import Polynomial, Var
 from .rewriting import (
     Perm,
+    _multiply_code_words,
     diagram_to_perm,
     identity_perm,
-    multiply_perms,
+    multiply_perms,  # noqa: F401  (perfbench's tracer test wraps it as algebra.multiply_perms)
     normalize,
     perm_compose,
     perm_from_word,
     perm_length,
     perm_to_diagram,
+    word_from_code,
 )
 
 __all__ = [
@@ -145,12 +147,17 @@ class AlgebraElement(Immutable):
             return NotImplemented
         if other.rank != self.rank:
             raise RankMismatchError(f"ranks {self.rank} and {other.rank} differ")
+        # Each code word is read once.  The structure constant is one
+        # term, so multiplying it into cp first leaves one full product.
+        n = self.rank
+        right = [(word_from_code(q), cq) for q, cq in other._coeffs.items()]
         terms = []
         for p, cp in self._coeffs.items():
-            for q, cq in other._coeffs.items():
-                coeff, r = multiply_perms(p, q)
-                terms.append((r, cp * cq * coeff))
-        return AlgebraElement(self.rank, _sum_by_key(terms))
+            wp = word_from_code(p)
+            for wq, cq in right:
+                coeff, r = _multiply_code_words(wp, wq, n)
+                terms.append((r, (coeff * cp) * cq))
+        return AlgebraElement(n, _sum_by_key(terms))
 
     __rmul__ = scaled
 
@@ -349,18 +356,22 @@ def gram_matrix(s: FibonacciSet) -> tuple[tuple[Polynomial, ...], ...]:
     under its anti-involution, here ``mirror``, which swaps the halves of
     every basis diagram and reverses products: ``phi(S, T) = phi(T, S)``.
     So only the entries with ``i <= j`` are computed, each with its
-    landing checks, and each is mirrored into ``(j, i)``.
+    landing checks, and each is mirrored into ``(j, i)``.  The code word
+    of each row's and each column's basis permutation is read once, and
+    every entry multiplies two of them (each product certified).
     """
     n = s.rank
     halves = dg.enumerate_half(n, s)
     ref = halves[0]
     top = dg.glue(ref, ref)
-    right_perms = [_perm_of_diagram_cached(dg.glue(l_half, ref)) for l_half in halves]
+    right_words = [
+        word_from_code(_perm_of_diagram_cached(dg.glue(l_half, ref))) for l_half in halves
+    ]
     rows = [[None] * len(halves) for _ in halves]
     for i, r_half in enumerate(halves):
-        left_perm = _perm_of_diagram_cached(dg.glue(ref, r_half))
+        left_word = word_from_code(_perm_of_diagram_cached(dg.glue(ref, r_half)))
         for j in range(i, len(halves)):
-            coeff, prod = multiply_perms(left_perm, right_perms[j])
+            coeff, prod = _multiply_code_words(left_word, right_words[j], n)
             d = perm_to_diagram(prod)
             lab = dg.prop_lab(d)
             if lab == s:

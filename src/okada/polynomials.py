@@ -31,10 +31,28 @@ Term = tuple[tuple[Var, int], ...]  # ((var, exponent), ...) sorted by var
 
 
 def _mul_terms(a: Term, b: Term) -> Term:
-    exps: dict[Var, int] = dict(a)
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
+    """The product of two terms: one merge of their ``(var, exp)`` pairs,
+    both sorted by variable as every stored term is."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        (va, ea), (vb, eb) = a[i], b[j]
+        if va < vb:
+            out.append(a[i])
+            i += 1
+        elif vb < va:
+            out.append(b[j])
+            j += 1
+        else:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+    return (*out, *a[i:], *b[j:])
 
 
 def _term_sort_key(term: Term):
@@ -47,12 +65,23 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Term, int] | None = None):
-        clean = {}
+        # Every stored term is sorted by variable, which == and the term
+        # product (_mul_terms) rely on; terms equal once sorted add up.
+        clean: dict[Term, int] = {}
         if terms:
             for t, c in terms.items():
-                if c:
-                    clean[tuple(t)] = c
-        self._terms = clean
+                t = tuple(sorted(t))
+                clean[t] = clean.get(t, 0) + c
+        self._terms = {t: c for t, c in clean.items() if c}
+
+    @classmethod
+    def _from_sorted(cls, terms: Mapping[Term, int]) -> "Polynomial":
+        """The polynomial of ``terms`` whose tuples are already sorted by
+        variable, as every product and sum of stored terms is: only the
+        zero coefficients are dropped."""
+        out = cls.__new__(cls)
+        out._terms = {t: c for t, c in terms.items() if c}
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -94,7 +123,7 @@ class Polynomial:
         for p in polys:
             for t, c in p._terms.items():
                 out[t] = out.get(t, 0) + c
-        return cls(out)
+        return cls._from_sorted(out)
 
     # -- ring structure ----------------------------------------------------
 
@@ -117,12 +146,12 @@ class Polynomial:
         out = dict(self._terms)
         for t, c in other._terms.items():
             out[t] = out.get(t, 0) + c
-        return Polynomial(out)
+        return Polynomial._from_sorted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({t: -c for t, c in self._terms.items()})
+        return Polynomial._from_sorted({t: -c for t, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -142,7 +171,7 @@ class Polynomial:
             for tb, cb in other._terms.items():
                 t = _mul_terms(ta, tb)
                 out[t] = out.get(t, 0) + ca * cb
-        return Polynomial(out)
+        return Polynomial._from_sorted(out)
 
     __rmul__ = __mul__
 
@@ -212,7 +241,7 @@ class Polynomial:
                     rest.append((v, e))
             key = tuple(rest)
             out[key] = out.get(key, 0) + scale
-        return Polynomial(out)
+        return Polynomial._from_sorted(out)
 
     def __repr__(self) -> str:
         if not self._terms:

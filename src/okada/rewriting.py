@@ -35,12 +35,18 @@ one certificate: the reduced word is cross-checked against the code word
 of its permutation, and the two must be equal as traces.  Trace equality
 compares Cartier-Foata normal forms, encoded as one sorted key per word
 (see :func:`_trace_key`), so a silently wrong reduction cannot escape.
+The certificate uses the rank-indexed key ``_trace_key(word, n)``: both
+words have letters in ``1..n-1`` (the pushed letters are checked, and
+every run of a code word lies there), so the layers fit a list of
+``n + 1`` entries indexed by letter, and ``layer * (n + 1) + letter``
+encodes each pair one to one.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+from collections import defaultdict
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
@@ -254,36 +260,48 @@ def cartier_foata(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, layers))
 
 
-def _trace_key(word: Sequence[int]):
+def _trace_key(word: Sequence[int], n: int | None = None):
     """A key equal for two words iff their Cartier-Foata layers are.
 
     One pass assigns each letter its layer as :func:`cartier_foata` does,
     and one sort orders the ``(layer, letter)`` pairs, each encoded as
-    ``layer * span + letter``.  The letters lie in ``(lo, lo + span]``, so
-    for the ``lo`` and ``span`` kept in the key the encoding is one to
-    one, for letters of any size.  A layer never holds a letter twice, so
+    ``layer * span + letter``.  A layer never holds a letter twice, so
     the sorted pairs are the layers.
+
+    With a rank ``n`` the letters must lie in ``1..n-1``, as in every
+    word the certificate of :func:`_push_certified` compares.  The depths
+    are then a list of ``n + 1`` entries indexed by letter (``v - 1`` and
+    ``v + 1`` stay in ``0..n``), ``span`` is ``n + 1``, so the encoding is
+    one to one, and the key is the sorted codes alone; keys of one ``n``
+    compare.  Without ``n``, the case of the public :func:`cartier_foata`
+    and :func:`trace_equal`, the letters may be any integers: the depths
+    are a dict, the letters lie in ``(lo, lo + span]``, and the key keeps
+    ``lo`` and ``span``, so the encoding is one to one for letters of any
+    size.
     """
-    if not word:
-        return ()
-    lo = min(word) - 1
-    span = max(word) - lo
-    depth: dict[int, int] = {}  # value -> layer of its latest occurrence
-    get = depth.get
+    if n is None:
+        if not word:
+            return ()
+        lo = min(word) - 1
+        span = max(word) - lo
+        depth = defaultdict(int)  # value -> layer of its latest occurrence
+    else:
+        span = n + 1
+        depth = [0] * span
     pairs = []
     for v in word:
-        d = get(v - 1, 0)
-        e = get(v, 0)
+        d = depth[v - 1]
+        e = depth[v]
         if e > d:
             d = e
-        e = get(v + 1, 0)
+        e = depth[v + 1]
         if e > d:
             d = e
         d += 1
         depth[v] = d
         pairs.append(d * span + v)
     pairs.sort()
-    return lo, span, tuple(pairs)
+    return pairs if n is not None else (lo, span, tuple(pairs))
 
 
 def trace_equal(w1: Sequence[int], w2: Sequence[int]) -> bool:
@@ -343,14 +361,6 @@ def _reduction_candidates(word: Sequence[int]):
     return sorted(cands)
 
 
-def _last_near(w: list[int], i: int, end: int) -> int:
-    """Position of the last letter of ``w[:end]`` within 1 of ``i``, or -1."""
-    q = end - 1
-    while q >= 0 and not i - 1 <= w[q] <= i + 1:
-        q -= 1
-    return q
-
-
 def _push(w: list[int], letters: Sequence[int], exps: dict[Var, int]) -> None:
     """Append ``E_i`` for each ``i`` of ``letters`` to the irreducible word
     ``w`` in place, counting the reductions into ``exps``.
@@ -367,14 +377,23 @@ def _push(w: list[int], letters: Sequence[int], exps: dict[Var, int]) -> None:
     todo = list(reversed(letters))
     while todo:
         i = todo.pop()
-        q = _last_near(w, i, len(w))
+        lo, hi = i - 1, i + 1
+        q = len(w) - 1  # the last letter within 1 of i, or -1
+        while q >= 0 and not lo <= w[q] <= hi:
+            q -= 1
         u = w[q] if q >= 0 else None
+        if u == lo:  # a zigzag needs the letter before u within 1 of i to be i
+            r = q - 1
+            while r >= 0 and not lo <= w[r] <= hi:
+                r -= 1
+            if r < 0 or w[r] != i:
+                u = None
         if u == i:  # square
             var = ("x", i)
-        elif u == i - 1 and (r := _last_near(w, i, q)) >= 0 and w[r] == i:  # zigzag
-            var = ("y", u)
+        elif u == lo:  # zigzag
+            var = ("y", lo)
             try:
-                k = w.index(u - 1, q + 1)
+                k = w.index(lo - 1, q + 1)
             except ValueError:
                 k = len(w)
             todo += reversed(w[k:])
@@ -394,16 +413,31 @@ def _push_certified(
     Returns the monomial counted into ``exps``, the permutation of ``w``
     and its code word.  Raises :class:`InternalInvariantError` unless
     ``w`` and the code word are equal as traces; equal words need no
-    trace keys.
+    trace keys.  Both words have letters in ``1..n-1``, the pushed ones
+    checked by the caller and the code word's by construction, so the
+    rank-indexed :func:`_trace_key` is exact on them.
     """
     _push(w, letters, exps)
     perm = perm_from_word(w, n)
     canonical = word_from_code(perm)
-    if list(canonical) != w and _trace_key(w) != _trace_key(canonical):
+    if list(canonical) != w and _trace_key(w, n) != _trace_key(canonical, n):
         raise InternalInvariantError(
             f"irreducible word {tuple(w)} is not the code word of {perm}"
         )
-    return Polynomial.monomial(exps), perm, canonical
+    return Polynomial._from_sorted({tuple(sorted(exps.items())): 1}), perm, canonical
+
+
+def _multiply_code_words(
+    wp: Sequence[int], wq: Sequence[int], n: int
+) -> tuple[Polynomial, Perm]:
+    """``E_p E_q`` from the code words ``wp`` of ``p`` and ``wq`` of ``q``.
+
+    The product of :func:`multiply_perms`, with its certificate, for a
+    caller that multiplies each operand many times and so reads its code
+    word once.
+    """
+    coeff, perm, _ = _push_certified(list(wp), wq, n, {})
+    return coeff, perm
 
 
 def normalize(
@@ -468,8 +502,7 @@ def multiply_perms(p: Perm, q: Perm) -> tuple[Polynomial, Perm]:
     """
     if len(p) != len(q):
         raise ValueError(f"rank mismatch: {len(p)} vs {len(q)}")
-    coeff, perm, _ = _push_certified(list(word_from_code(p)), word_from_code(q), len(p), {})
-    return coeff, perm
+    return _multiply_code_words(word_from_code(p), word_from_code(q), len(p))
 
 
 @lru_cache(maxsize=0)

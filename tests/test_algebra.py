@@ -424,6 +424,40 @@ def test_extended_gram_matches_the_full_table_at_rank_8():
     _assert_gram_matches_full_table(cells)
 
 
+def test_products_of_code_words_read_once_are_still_certified(monkeypatch):
+    # gram_matrix and AlgebraElement products read the code word of each
+    # operand once and multiply those words.  The code word of each result
+    # must still be read and checked against the pushed word: here it
+    # comes with one extra letter, while every operand's stays honest, so
+    # the certificate must fail although every reduction is right.
+    from okada import rewriting
+
+    s = F(4, (1, 2))  # some entries drop below s, onto non-operands
+    halves = dg.enumerate_half(4, s)
+    ref = halves[0]
+    cell_operands = {diagram_to_perm(dg.glue(ref, h)) for h in halves}
+    cell_operands |= {diagram_to_perm(dg.glue(h, ref)) for h in halves}
+    a, b = E(1, 3) + E(2, 3), E(2, 3)  # E_1 E_2 is a new basis element
+    element_operands = set(a.support()) | set(b.support())
+    honest = rewriting.word_from_code
+    gram, product = gram_matrix(s), a * b
+    for operands, compute in ((cell_operands, lambda: gram_matrix(s)), (element_operands, lambda: a * b)):
+        corrupted = []
+
+        def corrupt(perm):
+            if perm in operands:
+                return honest(perm)
+            corrupted.append(perm)
+            return honest(perm) + (1,)
+
+        monkeypatch.setattr(rewriting, "word_from_code", corrupt)
+        with pytest.raises(InternalInvariantError):
+            compute()
+        assert corrupted, "no result code word was read"
+        monkeypatch.setattr(rewriting, "word_from_code", honest)
+    assert (gram_matrix(s), a * b) == (gram, product)
+
+
 def test_gram_extraction_independent_of_frame():
     # phi(R, L') must not depend on the outer indices used to extract it
     for n in (3, 4, 5):

@@ -474,7 +474,7 @@ def test_multiply_generic_work_cap(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("multiplied an oversized request")
 
-    monkeypatch.setattr("okada.algebra.multiply_perms", never)
+    monkeypatch.setattr("okada.algebra.AlgebraElement.__mul__", never)
     one, wide = _element_json(near[:1]), _element_json(near[:1], 257)
     for left, right, work in ((wide, one, 257), (one, wide, 257), (at_cap, _element_json(near + [w0]), 272)):
         rc, out, err = run(["multiply", "generic", left, right])
@@ -501,6 +501,71 @@ def test_multiply_generic_work_cap_scales_with_the_rank():
         if rc_want == 2:
             assert out == ""
             assert "at rank 7 supports at most 5349 products of coefficient terms, got 5350" in err
+
+
+# The library entry points that do the work of each subcommand.  A
+# refused request reaches none of them.
+WORK = [
+    *(f"okada.fibonacci.{f}" for f in ("enumerate_yfs", "saturated_chains", "chain_count")),
+    *(f"okada.diagrams.{f}" for f in ("iter_diagrams", "enumerate_half", "identity", "generator", "product_y1")),
+    *(f"okada.monoid.{f}" for f in ("iter_idempotents", "census_counts", "idempotent_count",
+                                    "green_classes", "mproduct", "aperiodicity_max")),
+    *(f"okada.algebra.{f}" for f in ("gram_matrix", "gram_det", "gram_det_specialized",
+                                     "triangular_factorization", "AlgebraElement.__mul__")),
+    *(f"okada.rewriting.{f}" for f in ("normalize", "multiply_words", "multiply_perms", "rs", "rs_inverse")),
+    *(f"okada.render.render_{f}" for f in ("diagram_svg", "diagram_tikz", "half_svg", "half_tikz",
+                                          "yfs_hasse_svg", "yfs_hasse_tikz", "dominance_svg", "dominance_tikz")),
+]
+
+
+def _one_past_each_limit(limits):
+    # One request per _LIMITS entry, one past its cap, and a piece of
+    # the message that names the cap.
+    def rank(key):
+        return str(limits[key] + 1), f"supports 0 <= n <= {limits[key]}"
+
+    def reversal(key):
+        return " ".join(str(v) for v in range(limits[key] + 1, 0, -1))
+
+    pairs = limits["products"] // 32**2  # at rank 32
+    one = _element_json([tuple(range(1, 33))])
+    return {
+        **{kind: (["enumerate", kind, "--n", rank(kind)[0]], rank(kind)[1])
+           for kind in ("yfs", "diagrams", "half", "chains")},
+        "idempotents": (["enumerate", "idempotents", "--n", rank("idempotents")[0], "--extended"],
+                        rank("idempotents")[1]),
+        "census": (["census", "--max", str(limits["census"] + 1)], f"--max <= {limits['census']}"),
+        "threads": (["census", "--threads", str(limits["threads"] + 1)],
+                    f"1 <= threads <= {limits['threads']}"),
+        "green": (["green", "--n", rank("green")[0]], rank("green")[1]),
+        "gram": (["gram", "--n", rank("gram")[0], "--set", "1"], rank("gram")[1]),
+        "factorize": (["factorize", reversal("factorize")], rank("factorize")[1]),
+        "rs": (["rs", reversal("rs")], rank("rs")[1]),
+        "multiply": (["multiply", "generic", "1", "1", "--n", rank("multiply")[0]], rank("multiply")[1]),
+        "normalize": (["normalize", "1", "--n", rank("normalize")[0]], rank("normalize")[1]),
+        "render": (["render", "yfs", "--format", "svg", "--n", rank("render")[0]], rank("render")[1]),
+        "letters": (["normalize", " ".join(["1"] * (limits["letters"] + 1))],
+                    f"words of at most {limits['letters']} letters"),
+        "products": (["multiply", "generic", one, _element_json([tuple(range(1, 33))], pairs + 1)],
+                     f"at most {pairs} products of coefficient terms, got {pairs + 1}"),
+    }
+
+
+def test_every_limit_refuses_one_past_its_cap(monkeypatch):
+    from okada.cli import _LIMITS
+
+    def never(*args, **kwargs):
+        raise AssertionError("library called for a request over a cap")
+
+    for target in WORK:
+        monkeypatch.setattr(target, never)
+    monkeypatch.delenv("OKADA_THREADS", raising=False)
+    cases = _one_past_each_limit(_LIMITS)
+    assert sorted(cases) == sorted(_LIMITS), "every _LIMITS entry needs a case here"
+    for key, (argv, message) in cases.items():
+        rc, out, err = run(argv)
+        assert (rc, out) == (2, ""), (key, err)
+        assert message in err, (key, err)
 
 
 def test_selftest_checks_survive_python_optimize():

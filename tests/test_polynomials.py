@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -94,3 +95,66 @@ def test_sum_equals_folded_addition(polys):
     total = Polynomial.sum(polys + [-p for p in polys[:2]])
     assert total == folded
     assert total.terms() == folded.terms()
+
+
+def _mul_terms_oracle(a, b):
+    # add the exponents in a dict, then sort by variable
+    exps = dict(a)
+    for v, e in b:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def test_mul_terms_is_the_dict_and_sort_product():
+    from okada.polynomials import _mul_terms
+
+    rng = random.Random(17)
+    pool = [(kind, i) for kind in "xy" for i in range(1, 7)]
+
+    def term(variables):
+        return tuple((v, rng.randint(1, 4)) for v in sorted(variables))
+
+    cases = [((), ()), ((), term(pool[:2])), (term(pool[3:5]), ())]
+    for _ in range(3000):
+        a = rng.sample(pool, rng.randint(0, 6))
+        shape = rng.randrange(3)  # shared variables, disjoint ones, or any
+        if shape == 0:
+            b = a[: rng.randint(0, len(a))] + rng.sample(pool, rng.randint(0, 3))
+        elif shape == 1:
+            b = rng.sample([v for v in pool if v not in a], rng.randint(0, 6))
+        else:
+            b = rng.sample(pool, rng.randint(0, 6))
+        cases.append((term(a), term(set(b))))
+    shared = disjoint = 0
+    for a, b in cases:
+        assert _mul_terms(a, b) == _mul_terms_oracle(a, b), (a, b)
+        overlap = {v for v, _ in a} & {v for v, _ in b}
+        shared += bool(overlap)
+        disjoint += bool(a and b and not overlap)
+    assert min(shared, disjoint) > 500
+
+
+def test_terms_are_stored_in_variable_order():
+    # the constructor sorts each term, so == and products do not depend
+    # on the order its caller listed the variables in
+    xy, yx = ((("x", 1), 1), (("y", 1), 2)), ((("y", 1), 2), (("x", 1), 1))
+    p = Polynomial({yx: 3})
+    assert p == x_var(1) * y_var(1) ** 2 * 3 and p.terms() == ((xy, 3),)
+    x2y2 = ((("x", 1), 2), (("y", 1), 2))
+    assert (p * x_var(1)).terms() == ((x2y2, 3),)
+    assert Polynomial({xy: 1, yx: 2}) == Polynomial({xy: 3})
+    assert Polynomial({xy: 1, yx: -1}) == Polynomial.zero()
+
+
+def test_polynomial_from_sorted_terms_is_an_ordinary_polynomial():
+    from okada.rewriting import multiply_perms, normalize
+
+    built = Polynomial._from_sorted({((("x", 1), 2), (("y", 3), 1)): 1})
+    assert built == Polynomial.monomial({("y", 3): 1, ("x", 1): 2})
+    assert hash(built) == hash(Polynomial.monomial({("y", 3): 1, ("x", 1): 2}))
+    one = Polynomial._from_sorted({(): 1})
+    assert one == Polynomial.one() and hash(one) == hash(Polynomial.one())
+    assert repr(built * one) == "x1^2*y3"
+    for coeff in (normalize((1, 2), 3).coefficient, multiply_perms((2, 1, 3), (1, 3, 2))[0]):
+        assert coeff == Polynomial.one() and hash(coeff) == hash(Polynomial.one())
+        assert coeff.terms() == Polynomial.one().terms()

@@ -284,20 +284,27 @@ def _commuting_shuffle(word, rng, steps):
     return w
 
 
-def _assert_trace_key_classes_are_cartier_foata_classes(words):
-    # cartier_foata decodes the key, so both are checked against peeling
-    key_of_layers, layers_of_key = {}, {}
-    for w in words:
-        layers, key = _cartier_foata_oracle(w), rewriting._trace_key(w)
-        assert cartier_foata(w) == layers, w
-        assert key_of_layers.setdefault(layers, key) == key, w
-        assert layers_of_key.setdefault(key, layers) == layers, w
+def _assert_trace_key_classes_are_cartier_foata_classes(words, n=None):
+    # cartier_foata decodes the key, so both are checked against peeling.
+    # With a rank n, whose letters 1..n-1 the words keep to, the
+    # rank-indexed key of the certificate must give the same classes.
+    keys = [lambda w: rewriting._trace_key(w)]
+    if n is not None:
+        keys.append(lambda w: tuple(rewriting._trace_key(w, n)))
+    for trace_key in keys:
+        key_of_layers, layers_of_key = {}, {}
+        for w in words:
+            layers, key = _cartier_foata_oracle(w), trace_key(w)
+            assert cartier_foata(w) == layers, w
+            assert key_of_layers.setdefault(layers, key) == key, w
+            assert layers_of_key.setdefault(key, layers) == layers, w
 
 
 def test_trace_key_separates_exactly_the_cartier_foata_classes():
-    _assert_trace_key_classes_are_cartier_foata_classes(
-        w for length in range(7) for w in itertools.product(range(1, 5), repeat=length)
-    )  # every word of length <= 6 at ranks <= 5
+    for n in range(1, 6):  # every word of length <= 6 at ranks <= 5
+        _assert_trace_key_classes_are_cartier_foata_classes(
+            [w for length in range(7) for w in itertools.product(range(1, n), repeat=length)], n
+        )
     rng = random.Random(41)
     same_count = 0
     for _ in range(2000):
@@ -314,6 +321,7 @@ def test_trace_key_separates_exactly_the_cartier_foata_classes():
         same_count += same
         assert (rewriting._trace_key(a) == rewriting._trace_key(b)) == same, (a, b)
         assert trace_equal(a, b) == same
+        _assert_trace_key_classes_are_cartier_foata_classes([a, b], n)
     assert min(same_count, 2000 - same_count) > 400
 
 
