@@ -301,6 +301,16 @@ def test_render_half_diagram():
     for fmt in ("svg", "tikz"):
         rc, out, _ = run(["render", "half", "--format", fmt, "--input", json.dumps(half)])
         assert rc == 0 and out
+    # nested full arcs (2,5) over (3,4), with half arcs below and above them
+    nested = {
+        "rank": 6,
+        "full_arcs": [{"ends": [2, 5], "height": 2}, {"ends": [3, 4], "height": 3}],
+        "half_arcs": [{"end": 1, "height": 1}, {"end": 6, "height": 2}],
+    }
+    for fmt in ("svg", "tikz"):
+        rc, out, err = run(["render", "half", "--format", fmt, "--input", json.dumps(nested)])
+        assert rc == 0, err
+        assert out == (FIXTURES / f"half_rank6_nested.{fmt}").read_text()
 
 
 def test_render_unknown_format_is_usage_error():
