@@ -101,6 +101,24 @@ def _check_products(a, b) -> None:
         )
 
 
+def _check_element_files(objs) -> None:
+    """Refuse a product of element files before parsing them: a declared rank
+    over the ``multiply`` cap, or a side of more basis plus coefficient terms
+    than twice the ``products`` pairs at that rank (more coefficient terms
+    fail that cap anyway unless the other side is zero, and a nonzero basis
+    term has one or more).  The parser reports the shapes this count skips."""
+    if not all(isinstance(obj, dict) and type(obj.get("rank")) is int for obj in objs):
+        raise ValueError("an element needs an integer 'rank'")
+    n = _check_rank("multiply", max(obj["rank"] for obj in objs))
+    limit = 2 * (_LIMITS["products"] // max(n, 1) ** 2)
+    for obj in objs:
+        terms = obj["terms"] if isinstance(obj.get("terms"), list) else []
+        coeffs = [t["coeff"] for t in terms if isinstance(t, dict) and isinstance(t.get("coeff"), list)]
+        size = len(terms) + sum(map(len, coeffs))
+        if size > limit:
+            raise UsageError(f"multiply at rank {n} supports element files of at most {limit} terms, got {size}")
+
+
 def _parse_set(text: str, n: int) -> FibonacciSet:
     from .fibonacci import FibonacciSet
 
@@ -117,7 +135,7 @@ def _emit(args, obj) -> None:
 def _load_json(text: str) -> dict:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nested too deeply: RecursionError
         raise ValueError(f"malformed JSON: {exc}") from exc
 
 
@@ -209,9 +227,9 @@ def cmd_multiply(args) -> int:
     if args.mode == "generic":
         left, right = _read_input(args.left), _read_input(args.right)
         if left.lstrip().startswith("{") or right.lstrip().startswith("{"):
-            a = ser.obj_to_element(_load_json(left))
-            b = ser.obj_to_element(_load_json(right))
-            _check_rank("multiply", max(a.rank, b.rank))
+            objs = _load_json(left), _load_json(right)
+            _check_element_files(objs)
+            a, b = (ser.obj_to_element(obj) for obj in objs)
             _check_products(a, b)
             _emit(args, ser.element_to_obj(a * b))
             return 0
@@ -434,33 +452,16 @@ def cmd_render(args) -> int:
     from . import render as rd
     from . import serialize as ser
 
-    fmt = args.format
     if args.kind in ("diagram", "half"):
         if args.input is None:
             raise UsageError(f"render {args.kind} needs --input")
+        subject = getattr(ser, f"obj_to_{args.kind}")(_load_json(_read_input(args.input)))
     elif args.n is None:
         raise UsageError(f"render {args.kind} needs --n")
     else:
-        _check_rank("render", args.n)
-    if args.kind == "diagram":
-        d = ser.obj_to_diagram(_load_json(_read_input(args.input)))
-        out = rd.render_diagram_svg(d) if fmt == "svg" else rd.render_diagram_tikz(d)
-    elif args.kind == "half":
-        h = ser.obj_to_half(_load_json(_read_input(args.input)))
-        out = rd.render_half_svg(h) if fmt == "svg" else rd.render_half_tikz(h)
-    elif args.kind == "dominance":
-        out = (
-            rd.render_dominance_svg(args.n)
-            if fmt == "svg"
-            else rd.render_dominance_tikz(args.n)
-        )
-    else:  # yfs
-        out = (
-            rd.render_yfs_hasse_svg(args.n)
-            if fmt == "svg"
-            else rd.render_yfs_hasse_tikz(args.n)
-        )
-    args.stdout.write(out)
+        subject = _check_rank("render", args.n)
+    name = "yfs_hasse" if args.kind == "yfs" else args.kind
+    args.stdout.write(getattr(rd, f"render_{name}_{args.format}")(subject))
     return 0
 
 

@@ -3,9 +3,12 @@
 Arc diagrams follow the usual drawing conventions: positive nodes run up
 the left column, negated nodes sit on the right with ``-1`` at the
 bottom, propagating arcs cross the strip, same-side arcs bow inward, and
-every arc carries its height in a small circle at the midpoint.  Hasse
-diagrams are emitted for the Young-Fibonacci lattice (up to a rank) and
-for the dominance order of a fixed rank.
+every arc carries its height in a small circle at the midpoint.  One
+routine per format draws every arc picture: a half diagram is the left
+column alone, and its half arc at ``e`` is drawn as the crossing arc
+``(e, -e)`` cut at the right column.  Hasse diagrams are emitted for the
+Young-Fibonacci lattice (up to a rank) and for the dominance order of a
+fixed rank.
 
 Output is plain text built from integers and fixed-precision floats, so
 identical inputs produce byte-identical documents.
@@ -52,154 +55,99 @@ def _svg_header(width: int, height: int) -> list[str]:
     ]
 
 
-def _label(cx: float, cy: float, text: str) -> str:
-    return (
-        f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="9.0" fill="white" stroke="black"/>'
-        f'<text x="{_f(cx)}" y="{_f(cy)}" font-size="11" fill="black" stroke="none" '
-        f'text-anchor="middle" dominant-baseline="central">{text}</text>'
-    )
-
-
-def _arc_paths(d: ArcDiagram, height: int):
-    """Path and label placement per arc, in canonical order."""
+def _svg(rank: int, arcs, right: bool) -> str:
+    """The SVG picture of arc triples ``(a, b, h)``, drawn in order and each
+    labelled with its height: cups bow inward from their column and every
+    other arc crosses the strip.  ``right`` adds the negated nodes' labels."""
+    height = 2 * _MARGIN + max(rank - 1, 0) * _SP
 
     def y(node: int) -> float:
         return height - _MARGIN - (abs(node) - 1) * _SP
 
-    out = []
-    for a, b, h in d.arcs:
+    lines = _svg_header(_XR + _MARGIN + (36 if right else 0), height)
+    labels = []
+    for a, b, h in arcs:
         ya, yb = y(a), y(b)
-        if a > 0 and b > 0:
-            bulge = _XL + 0.55 * _SP * (abs(b) - abs(a))
-            path = f"M {_f(_XL)} {_f(ya)} C {_f(bulge)} {_f(ya)} {_f(bulge)} {_f(yb)} {_f(_XL)} {_f(yb)}"
-            lx, ly = _XL + 0.41 * _SP * (abs(b) - abs(a)), (ya + yb) / 2
-        elif a < 0 and b < 0:
-            bulge = _XR - 0.55 * _SP * abs(abs(b) - abs(a))
-            path = f"M {_f(_XR)} {_f(ya)} C {_f(bulge)} {_f(ya)} {_f(bulge)} {_f(yb)} {_f(_XR)} {_f(yb)}"
-            lx, ly = _XR - 0.41 * _SP * abs(abs(b) - abs(a)), (ya + yb) / 2
+        if (a > 0) == (b > 0):
+            x, s = (_XL, 1) if a > 0 else (_XR, -1)
+            span = abs(abs(b) - abs(a))
+            bulge = x + s * 0.55 * _SP * span
+            path = f"M {_f(x)} {_f(ya)} C {_f(bulge)} {_f(ya)} {_f(bulge)} {_f(yb)} {_f(x)} {_f(yb)}"
+            lx = x + s * 0.41 * _SP * span
         else:
             path = f"M {_f(_XL)} {_f(ya)} L {_f(_XR)} {_f(yb)}"
-            lx, ly = (_XL + _XR) / 2, (ya + yb) / 2
-        out.append((path, lx, ly, h))
-    return out
+            lx = (_XL + _XR) / 2
+        lines.append(f'<path d="{path}"/>')
+        labels.append(
+            f'<circle cx="{_f(lx)}" cy="{_f((ya + yb) / 2)}" r="9.0" fill="white" stroke="black"/>'
+            f'<text x="{_f(lx)}" y="{_f((ya + yb) / 2)}" font-size="11" fill="black" stroke="none" '
+            f'text-anchor="middle" dominant-baseline="central">{h}</text>'
+        )
+    lines.append("</g>")
+    lines += labels
+    columns = [(_XL - 18, 1), (_XR + 18, -1)] if right else [(_XL - 18, 1)]
+    for k in range(1, rank + 1):
+        for x, sign in columns:
+            lines.append(
+                f'<text x="{_f(x)}" y="{_f(y(k))}" font-size="11" '
+                f'text-anchor="middle" dominant-baseline="central">{sign * k}</text>'
+            )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def _tikz(rank: int, arcs, right: bool) -> str:
+    """The TikZ form of :func:`_svg`: without ``right`` there are no
+    ``m{k}`` nodes, so an arc to ``-k`` ends where ``m{k}`` would sit."""
+    lines = [
+        "\\begin{tikzpicture}[xscale=0.7,yscale=0.45,thick]",
+        "\\tikzstyle{vertex}=[shape=rectangle,minimum height=15pt,inner sep=0pt]",
+        "\\tikzstyle{mid}=[draw,fill=white,shape=circle,minimum size=2pt,inner sep=1pt]",
+    ]
+    for k in range(1, rank + 1):
+        lines.append(f"\\node[vertex] (p{k}) at (-2.1,{_f(k * 1.5 - 1.5)}) {{{k}}};")
+        if right:
+            lines.append(f"\\node[vertex] (m{k}) at (2.1,{_f(k * 1.5 - 1.5)}) {{$\\overline{{{k}}}$}};")
+
+    def end(node: int) -> str:
+        if node > 0:
+            return f"p{node}"
+        return f"m{-node}" if right else f"2.1,{_f(-node * 1.5 - 1.5)}"
+
+    for a, b, h in arcs:
+        if (a > 0) == (b > 0):
+            lo, hi, s = (a, b, 1) if a > 0 else (b, a, -1)
+            span = abs(hi) - abs(lo)
+            off, up, dn = _f(s * 0.7 * span), _f(0.35 * span), _f(-0.35 * span)
+            lines.append(
+                f"\\draw ({end(lo)}) .. controls +({off},{up}) and +({off},{dn}) "
+                f".. ({end(hi)}) node[pos=0.5,mid] {{{h}}};"
+            )
+        else:
+            lines.append(f"\\draw ({end(a)}) -- ({end(b)}) node[pos=0.5,mid] {{{h}}};")
+    lines.append("\\end{tikzpicture}")
+    return "\n".join(lines) + "\n"
+
+
+def _half_arcs(h: HalfArcDiagram):
+    """The full arcs, then each half arc at ``e`` as the crossing arc ``(e, -e)``."""
+    return [*h.full_arcs, *((e, -e, ht) for e, ht in h.half_arcs)]
 
 
 def render_diagram_svg(d: ArcDiagram) -> str:
-    height = 2 * _MARGIN + max(d.rank - 1, 0) * _SP
-    lines = _svg_header(_XR + _MARGIN + 36, height)
-    for path, *_ in _arc_paths(d, height):
-        lines.append(f'<path d="{path}"/>')
-    lines.append("</g>")
-    for _, lx, ly, h in _arc_paths(d, height):
-        lines.append(_label(lx, ly, str(h)))
-
-    def y(node: int) -> float:
-        return height - _MARGIN - (abs(node) - 1) * _SP
-
-    for k in range(1, d.rank + 1):
-        lines.append(
-            f'<text x="{_f(_XL - 18)}" y="{_f(y(k))}" font-size="11" '
-            f'text-anchor="middle" dominant-baseline="central">{k}</text>'
-        )
-        lines.append(
-            f'<text x="{_f(_XR + 18)}" y="{_f(y(k))}" font-size="11" '
-            f'text-anchor="middle" dominant-baseline="central">-{k}</text>'
-        )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    return _svg(d.rank, d.arcs, True)
 
 
 def render_diagram_tikz(d: ArcDiagram) -> str:
-    lines = [
-        "\\begin{tikzpicture}[xscale=0.7,yscale=0.45,thick]",
-        "\\tikzstyle{vertex}=[shape=rectangle,minimum height=15pt,inner sep=0pt]",
-        "\\tikzstyle{mid}=[draw,fill=white,shape=circle,minimum size=2pt,inner sep=1pt]",
-    ]
-    for k in range(1, d.rank + 1):
-        yy = _f(k * 1.5 - 1.5)
-        lines.append(f"\\node[vertex] (p{k}) at (-2.1,{yy}) {{{k}}};")
-        lines.append(f"\\node[vertex] (m{k}) at (2.1,{yy}) {{$\\overline{{{k}}}$}};")
-
-    def name(node: int) -> str:
-        return f"p{node}" if node > 0 else f"m{-node}"
-
-    for a, b, h in d.arcs:
-        if a > 0 and b > 0:
-            off = _f(0.7 * (b - a))
-            up, dn = _f(0.35 * (b - a)), _f(-0.35 * (b - a))
-            lines.append(
-                f"\\draw ({name(a)}) .. controls +({off},{up}) and +({off},{dn}) "
-                f".. ({name(b)}) node[pos=0.5,mid] {{{h}}};"
-            )
-        elif a < 0 and b < 0:
-            span = abs(a) - abs(b)
-            off = _f(-0.7 * span)
-            up, dn = _f(0.35 * span), _f(-0.35 * span)
-            lines.append(
-                f"\\draw ({name(b)}) .. controls +({off},{up}) and +({off},{dn}) "
-                f".. ({name(a)}) node[pos=0.5,mid] {{{h}}};"
-            )
-        else:
-            lines.append(f"\\draw ({name(a)}) -- ({name(b)}) node[pos=0.5,mid] {{{h}}};")
-    lines.append("\\end{tikzpicture}")
-    return "\n".join(lines) + "\n"
+    return _tikz(d.rank, d.arcs, True)
 
 
 def render_half_svg(h: HalfArcDiagram) -> str:
-    height = 2 * _MARGIN + max(h.rank - 1, 0) * _SP
-
-    def y(node: int) -> float:
-        return height - _MARGIN - (node - 1) * _SP
-
-    lines = _svg_header(_XR + _MARGIN, height)
-    pieces = []
-    for a, b, ht in h.full_arcs:
-        bulge = _XL + 0.55 * _SP * (b - a)
-        pieces.append(
-            (
-                f"M {_f(_XL)} {_f(y(a))} C {_f(bulge)} {_f(y(a))} {_f(bulge)} {_f(y(b))} {_f(_XL)} {_f(y(b))}",
-                _XL + 0.41 * _SP * (b - a),
-                (y(a) + y(b)) / 2,
-                ht,
-            )
-        )
-    for e, ht in h.half_arcs:
-        pieces.append(
-            (f"M {_f(_XL)} {_f(y(e))} L {_f(_XR)} {_f(y(e))}", (_XL + _XR) / 2, y(e), ht)
-        )
-    for path, *_ in pieces:
-        lines.append(f'<path d="{path}"/>')
-    lines.append("</g>")
-    for _, lx, ly, ht in pieces:
-        lines.append(_label(lx, ly, str(ht)))
-    for k in range(1, h.rank + 1):
-        lines.append(
-            f'<text x="{_f(_XL - 18)}" y="{_f(y(k))}" font-size="11" '
-            f'text-anchor="middle" dominant-baseline="central">{k}</text>'
-        )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    return _svg(h.rank, _half_arcs(h), False)
 
 
 def render_half_tikz(h: HalfArcDiagram) -> str:
-    lines = [
-        "\\begin{tikzpicture}[xscale=0.7,yscale=0.45,thick]",
-        "\\tikzstyle{vertex}=[shape=rectangle,minimum height=15pt,inner sep=0pt]",
-        "\\tikzstyle{mid}=[draw,fill=white,shape=circle,minimum size=2pt,inner sep=1pt]",
-    ]
-    for k in range(1, h.rank + 1):
-        lines.append(f"\\node[vertex] (p{k}) at (-2.1,{_f(k * 1.5 - 1.5)}) {{{k}}};")
-    for a, b, ht in h.full_arcs:
-        off, up, dn = _f(0.7 * (b - a)), _f(0.35 * (b - a)), _f(-0.35 * (b - a))
-        lines.append(
-            f"\\draw (p{a}) .. controls +({off},{up}) and +({off},{dn}) "
-            f".. (p{b}) node[pos=0.5,mid] {{{ht}}};"
-        )
-    for e, ht in h.half_arcs:
-        yy = _f(e * 1.5 - 1.5)
-        lines.append(f"\\draw (p{e}) -- (2.1,{yy}) node[pos=0.5,mid] {{{ht}}};")
-    lines.append("\\end{tikzpicture}")
-    return "\n".join(lines) + "\n"
+    return _tikz(h.rank, _half_arcs(h), False)
 
 
 # ---------------------------------------------------------------------------

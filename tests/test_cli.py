@@ -513,6 +513,47 @@ def test_multiply_generic_work_cap_scales_with_the_rank():
             assert "at rank 7 supports at most 5349 products of coefficient terms, got 5350" in err
 
 
+def test_element_files_are_refused_by_size_before_parsing(monkeypatch):
+    # Each side may hold 2 * 256 * 32**2 / n**2 basis and coefficient
+    # terms: past that a zero times a huge element is refused unparsed.
+    def never(*args, **kwargs):
+        raise AssertionError("parsed a coefficient of an oversized request")
+
+    zero = json.dumps({"rank": 32, "terms": []})
+    ident = [tuple(range(1, 33))]
+    rc, out, err = run(["multiply", "generic", zero, _element_json(ident, 511)])
+    assert (rc, json.loads(out)["terms"]) == (0, []), err
+    monkeypatch.setattr("okada.serialize.terms_to_poly", never)
+    for left, right, size in ((zero, _element_json(ident, 80_000), 80_001), (_element_json(ident, 512), zero, 513)):
+        rc, out, err = run(["multiply", "generic", left, right])
+        assert (rc, out) == (2, ""), err
+        assert f"at rank 32 supports element files of at most 512 terms, got {size}" in err
+    # the declared rank is checked first, and a side that is no element is invalid input
+    over = _element_json([tuple(range(1, 34))], 40_000)
+    for right, rc_want, message in ((over, 2, "multiply supports 0 <= n <= 32"),
+                                    ("1", 3, "an element needs an integer 'rank'"),
+                                    ('{"rank": "2", "terms": []}', 3, "an element needs an integer 'rank'")):
+        rc, out, err = run(["multiply", "generic", over, right])
+        assert (rc, out) == (rc_want, ""), err
+        assert message in err
+
+
+def test_deeply_nested_json_is_invalid_input(tmp_path):
+    depth = 100_000
+    for text in ("[" * depth + "]" * depth, '{"a":' * depth + "1" + "}" * depth):
+        for argv in (["rs-inverse", text], ["multiply", "generic", text, text],
+                     ["render", "diagram", "--format", "svg", "--input", text],
+                     ["render", "half", "--format", "tikz", "--input", text]):
+            rc, out, err = run(argv)
+            assert (rc, out) == (3, ""), (argv[:2], err[:200])
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * depth + "]" * depth)
+    proc = subprocess.run([sys.executable, "-m", "okada.cli", "rs-inverse", str(deep)],
+                          capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr[-300:]
+    assert "malformed JSON" in proc.stderr and "Traceback" not in proc.stderr
+
+
 # The library entry points that do the work of each subcommand.  A
 # refused request reaches none of them.
 WORK = [
