@@ -76,7 +76,7 @@ class AlgebraElement(Immutable):
         if coeffs:
             for p, c in coeffs.items():
                 if len(p) != rank:
-                    raise RankMismatchError(f"basis index {p} does not have rank {rank}")
+                    raise RankMismatchError(f"basis index of length {len(p)} does not have rank {rank}")
                 c = c if isinstance(c, Polynomial) else Polynomial.integer(c)
                 if c:
                     clean[p] = c

@@ -21,6 +21,7 @@ a deterministic order (lexicographic on element sequences).
 
 from __future__ import annotations
 
+import reprlib
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -57,9 +58,9 @@ def _check_structure(rank: int, elements: Sequence[int]) -> None:
         raise ValueError(f"rank must be non-negative, got {rank}")
     for prev, cur in zip((0,) + tuple(elements), elements):
         if cur <= prev:
-            raise ValueError(f"elements must be strictly increasing, got {tuple(elements)}")
+            raise ValueError(f"elements must be strictly increasing, got {reprlib.repr(tuple(elements))}")
     if elements and (elements[0] < 1 or elements[-1] > rank):
-        raise ValueError(f"elements must lie in [1, {rank}], got {tuple(elements)}")
+        raise ValueError(f"elements must lie in [1, {rank}], got {reprlib.repr(tuple(elements))}")
 
 
 def _parities_ok(rank: int, elements: Sequence[int]) -> bool:
@@ -101,7 +102,7 @@ class FibonacciSet(Immutable):
         elements = tuple(elements)
         _check_structure(rank, elements)
         if not _parities_ok(rank, elements):
-            raise ValueError(f"{elements} is not a Fibonacci set of rank {rank}")
+            raise ValueError(f"{reprlib.repr(elements)} is not a Fibonacci set of rank {rank}")
         self._fill(rank, elements)
 
     @property
@@ -192,7 +193,7 @@ class Chain(Immutable):
             raise ValueError("chain must start at the empty set of rank 0")
         for i, (a, b) in enumerate(zip(sets, sets[1:])):
             if not is_yf_cover(a, b):
-                raise ValueError(f"non-covering step at position {i}: {a} -> {b}")
+                raise ValueError(f"non-covering step at position {i}: {reprlib.repr(a.elements)} -> {reprlib.repr(b.elements)}")
         self._fill(sets)
 
     @property

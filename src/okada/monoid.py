@@ -15,8 +15,8 @@ read this pairing and form no product:
 * the idempotent census tests each pair ``(L, R)`` by walking the half
   arcs of ``R`` through the arcs of ``L`` and ``R`` (:func:`_passes`);
 * the R-, L- and J-classes are the fibres of ``bra``, ``ket`` and
-  ``prop_lab``, so in the enumeration order they are the rows, the
-  columns and the whole of each cell.
+  ``prop_lab``: the rows, columns and whole of each cell, whose diagonal
+  holds the representatives ``glue(L, L)``, the free one among them.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from typing import Iterator
 from . import diagrams as dg
 from ._immutable import Immutable
 from .errors import InternalInvariantError
-from .fibonacci import FibonacciSet, chain_count, enumerate_yfs, saturated_chains
+from .fibonacci import FibonacciSet, chain_count, enumerate_yfs
 
-# ``algebra.free_diagram`` is imported where it is used, so that the
-# monoid product does not load the algebra and rewriting layers.
+# ``free_half_diagram`` and ``free_diagram`` are imported from ``algebra`` where
+# used, so that the monoid product does not load the algebra and rewriting layers.
 
 __all__ = [
     "mproduct",
@@ -167,7 +167,7 @@ def census_counts(n: int, threads: int = 1) -> tuple[int, int, int]:
     split into blocks of about equal work and the blocks run in worker
     processes, so the largest cell does not bound the speed-up.
     """
-    cells = [(s.elements, len(saturated_chains(s))) for s in enumerate_yfs(n)]
+    cells = [(s.elements, chain_count(s)) for s in enumerate_yfs(n)]
     total = sum(k * k for _, k in cells)
     if threads > 1:
         # Imported here: only the threaded census starts processes.
@@ -269,49 +269,34 @@ def green_classes(n: int) -> GreenClasses:
     ``off + i*k + j``, so its R-classes are the blocks of ``k``
     consecutive indices, its L-classes the strides of step ``k`` and its
     J-class the whole cell.  Listed cell by cell, each list is already
-    sorted by smallest member.
+    sorted by smallest member.  The representatives are read off the
+    diagonal of each cell: ``glue(L_i, L_i)``, at ``off + i*(k + 1)``, is
+    the one involutive element of row ``i``, and the one free element of
+    the cell where ``L_i`` is the free half.
+
+    >>> gc = green_classes(3)
+    >>> gc.r_reps, gc.j_reps
+    ((0, 3, 4, 5), (3, 4, 5))
     """
-    elements = dg.enumerate_diagrams(n)
+    from .algebra import free_half_diagram
+
+    elements: list[dg.ArcDiagram] = []
     r_classes: list[tuple[int, ...]] = []
     l_classes: list[tuple[int, ...]] = []
     j_classes: list[tuple[int, ...]] = []
-    off = 0
+    r_reps: list[int] = []
+    j_reps: list[int] = []
     for s in enumerate_yfs(n):
-        k = len(saturated_chains(s))
+        halves = dg.enumerate_half(n, s)
+        k, off = len(halves), len(elements)
         end = off + k * k
+        elements.extend(dg.glue(left, right) for left in halves for right in halves)
         r_classes.extend(tuple(range(row, row + k)) for row in range(off, end, k))
         l_classes.extend(tuple(range(col, end, k)) for col in range(off, off + k))
         j_classes.append(tuple(range(off, end)))
-        off = end
-
-    r_reps = []
-    for cls in r_classes:
-        reps = [i for i in cls if is_involutive(elements[i])]
-        if len(reps) != 1:
-            raise InternalInvariantError(
-                f"R-class {cls} at rank {n} has {len(reps)} involutive elements"
-            )
-        r_reps.append(reps[0])
-    from .algebra import free_diagram
-
-    frees = {free_diagram(s) for s in enumerate_yfs(n)}
-    j_reps = []
-    for cls in j_classes:
-        reps = [i for i in cls if elements[i] in frees]
-        if len(reps) != 1:
-            raise InternalInvariantError(
-                f"J-class {cls} at rank {n} has {len(reps)} free elements"
-            )
-        j_reps.append(reps[0])
-    return GreenClasses(
-        n,
-        elements,
-        tuple(r_classes),
-        tuple(l_classes),
-        tuple(j_classes),
-        tuple(r_reps),
-        tuple(j_reps),
-    )
+        r_reps.extend(range(off, end, k + 1))
+        j_reps.append(off + halves.index(free_half_diagram(s)) * (k + 1))
+    return GreenClasses(n, *map(tuple, (elements, r_classes, l_classes, j_classes, r_reps, j_reps)))
 
 
 def r_class_rep(e: dg.ArcDiagram) -> dg.ArcDiagram:

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import reprlib
 from collections import defaultdict
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
@@ -114,9 +115,8 @@ def perm_compose(p: Perm, q: Perm) -> Perm:
 
 
 def perm_length(p: Perm) -> int:
-    """Number of inversions (Coxeter length)."""
-    n = len(p)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+    """Number of inversions (Coxeter length): the sum of the :func:`code`."""
+    return sum(code(p))
 
 
 def all_perms(n: int) -> tuple[Perm, ...]:
@@ -588,6 +588,6 @@ def rs_inverse(left: Chain, right: Chain) -> Perm:
     if left.rank != right.rank:
         raise ValueError(f"chain ranks differ: {left.rank} vs {right.rank}")
     if left.top != right.top:
-        raise ValueError(f"chains end at {left.top} and {right.top}")
+        raise ValueError(f"chains end at {reprlib.repr(left.top.elements)} and {reprlib.repr(right.top.elements)}")
     d = diagrams.glue(diagrams.chain_inverse(left), diagrams.chain_inverse(right))
     return diagram_to_perm(d)

@@ -55,9 +55,16 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, separators=(",", ":"), sort_keys=False)
 
 
+def _describe(value: Any) -> str:
+    """The type of ``value`` and its length, never the value itself, so that
+    an error message stays short however large the invalid input."""
+    kind = type(value).__name__
+    return f"{kind} of length {len(value)}" if isinstance(value, (dict, list, str)) else kind
+
+
 def _expect(obj: Any, key: str):
     if not isinstance(obj, dict) or key not in obj:
-        raise ValueError(f"missing field {key!r} in {obj!r}")
+        raise ValueError(f"missing field {key!r} in {_describe(obj)}")
     return obj[key]
 
 
@@ -75,17 +82,17 @@ def _parser(parse):
     return checked
 
 
-def _int(value) -> int:
+def _int(value, field: str) -> int:
     """A JSON integer; a float, string or boolean in its place is malformed."""
     if type(value) is not int:
-        raise ValueError(f"expected an integer, got {value!r}")
+        raise ValueError(f"expected an integer in {field!r}, got {_describe(value)}")
     return value
 
 
 def _check_schema(obj: dict, kind: str) -> None:
     tag = obj.get("schema")
     if tag is not None and tag != SCHEMAS[kind]:
-        raise ValueError(f"schema mismatch: expected {SCHEMAS[kind]}, got {tag}")
+        raise ValueError(f"schema mismatch: expected {SCHEMAS[kind]}, got {_describe(tag)}")
 
 
 # -- Fibonacci sets ---------------------------------------------------------
@@ -95,12 +102,17 @@ def fibset_to_obj(s: FibonacciSet) -> dict:
     return {"schema": SCHEMAS["fibset"], "rank": s.rank, "elements": list(s.elements)}
 
 
-@_parser
-def obj_to_fibset(obj: dict) -> FibonacciSet:
+def _fibset(rec) -> FibonacciSet:
     from .fibonacci import FibonacciSet
 
+    rank = _int(_expect(rec, "rank"), "rank")
+    return FibonacciSet(rank, tuple(_int(x, "elements") for x in _expect(rec, "elements")))
+
+
+@_parser
+def obj_to_fibset(obj: dict) -> FibonacciSet:
     _check_schema(obj, "fibset")
-    return FibonacciSet(_int(_expect(obj, "rank")), tuple(_int(x) for x in _expect(obj, "elements")))
+    return _fibset(obj)
 
 
 # -- diagrams ----------------------------------------------------------------
@@ -114,18 +126,24 @@ def diagram_to_obj(d: ArcDiagram) -> dict:
     }
 
 
+def _arcs(recs) -> tuple:
+    from .diagrams import Arc
+
+    return tuple(
+        Arc(_int(rec["ends"][0], "ends"), _int(rec["ends"][1], "ends"), _int(rec["height"], "height"))
+        for rec in recs
+    )
+
+
 @_parser
 def obj_to_diagram(obj: dict) -> ArcDiagram:
-    from .diagrams import Arc, ArcDiagram, violations
+    from .diagrams import ArcDiagram, violations
 
     _check_schema(obj, "diagram")
-    arcs = tuple(
-        Arc(_int(rec["ends"][0]), _int(rec["ends"][1]), _int(rec["height"]))
-        for rec in _expect(obj, "arcs")
-    )
-    d = ArcDiagram(_int(_expect(obj, "rank")), arcs)
+    arcs = _arcs(_expect(obj, "arcs"))
+    d = ArcDiagram(_int(_expect(obj, "rank"), "rank"), arcs)
     if problems := violations(d):
-        raise ValueError("invalid diagram: " + "; ".join(problems))
+        raise ValueError(f"invalid diagram: {problems[0]} (1 of {len(problems)} violations)")
     return d
 
 
@@ -140,19 +158,16 @@ def half_to_obj(h: HalfArcDiagram) -> dict:
 
 @_parser
 def obj_to_half(obj: dict) -> HalfArcDiagram:
-    from .diagrams import Arc, HalfArc, HalfArcDiagram, half_violations
+    from .diagrams import HalfArc, HalfArcDiagram, half_violations
 
     _check_schema(obj, "half")
-    fulls = tuple(
-        Arc(_int(rec["ends"][0]), _int(rec["ends"][1]), _int(rec["height"]))
-        for rec in _expect(obj, "full_arcs")
-    )
+    fulls = _arcs(_expect(obj, "full_arcs"))
     halves = tuple(
-        HalfArc(_int(rec["end"]), _int(rec["height"])) for rec in _expect(obj, "half_arcs")
+        HalfArc(_int(rec["end"], "end"), _int(rec["height"], "height")) for rec in _expect(obj, "half_arcs")
     )
-    h = HalfArcDiagram(_int(_expect(obj, "rank")), fulls, halves)
+    h = HalfArcDiagram(_int(_expect(obj, "rank"), "rank"), fulls, halves)
     if problems := half_violations(h):
-        raise ValueError("invalid half diagram: " + "; ".join(problems))
+        raise ValueError(f"invalid half diagram: {problems[0]} (1 of {len(problems)} violations)")
     return h
 
 
@@ -168,14 +183,10 @@ def chain_to_obj(c: Chain) -> dict:
 
 @_parser
 def obj_to_chain(obj: dict) -> Chain:
-    from .fibonacci import Chain, FibonacciSet
+    from .fibonacci import Chain
 
     _check_schema(obj, "chain")
-    sets = tuple(
-        FibonacciSet(_int(rec["rank"]), tuple(_int(x) for x in rec["elements"]))
-        for rec in _expect(obj, "sets")
-    )
-    return Chain(sets)
+    return Chain(tuple(_fibset(rec) for rec in _expect(obj, "sets")))
 
 
 @_parser
@@ -221,11 +232,11 @@ def terms_to_poly(terms: list[dict]) -> Polynomial:
             term = []  # x before y, each by index: already in variable order
             for kind in ("x", "y"):
                 for i, e in enumerate(rec.get(kind, ()), start=1):
-                    if _int(e) < 0:
-                        raise ValueError(f"negative exponent {e} of {kind}{i}")
+                    if _int(e, kind) < 0:
+                        raise ValueError(f"negative exponent of {kind}{i}")
                     if e:
                         term.append(((kind, i), e))
-            yield Polynomial({tuple(term): _int(rec.get("c", 1))})
+            yield Polynomial({tuple(term): _int(rec.get("c", 1), "c")})
 
     return Polynomial.sum(monomials())
 
@@ -263,12 +274,12 @@ def obj_to_element(obj: dict) -> AlgebraElement:
     from .algebra import AlgebraElement
 
     _check_schema(obj, "element")
-    rank = _int(_expect(obj, "rank"))
+    rank = _int(_expect(obj, "rank"), "rank")
     coeffs = {}
     for rec in _expect(obj, "terms"):
-        p: Perm = _check_perm(tuple(_int(v) for v in rec["perm"]))
+        p: Perm = _check_perm(tuple(_int(v, "perm") for v in rec["perm"]))
         if p in coeffs:
-            raise ValueError(f"basis index {p} listed twice")
+            raise ValueError(f"basis index of length {len(p)} listed twice")
         c = terms_to_poly(rec["coeff"])
         for kind, i in c.variables():
             if i > rank - (1 if kind == "x" else 2):
@@ -292,5 +303,5 @@ def parse_perm(text: str) -> Perm:
 
 def _check_perm(p: Perm) -> Perm:
     if sorted(p) != list(range(1, len(p) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(p)}: {p}")
+        raise ValueError(f"not a permutation of 1..{len(p)}")
     return p

@@ -554,6 +554,37 @@ def test_deeply_nested_json_is_invalid_input(tmp_path):
     assert "malformed JSON" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_invalid_input_is_not_echoed(tmp_path):
+    # Each file is invalid input of about a megabyte; its error message
+    # names what is wrong without repeating it.
+    def arcs(n):
+        return [{"ends": [i, -i], "height": 1} for i in range(1, n + 1)]
+
+    def element(perm):
+        return {"rank": 2, "terms": [{"perm": perm, "coeff": [{"c": 1}]}]}
+
+    def chain(n):
+        return {"sets": [{"rank": 0, "elements": []}, {"rank": n, "elements": list(range(1, n + 1))}]}
+
+    diagram = ["render", "diagram", "--format", "svg", "--input"]
+    cases = {
+        "no_rank": (diagram, {"arcs": arcs(43_000)}),
+        "rank_text": (diagram, {"rank": "x" * 500_000, "arcs": []}),
+        "all_labels_1": (diagram, {"rank": 20_000, "arcs": arcs(20_000)}),
+        "schema_text": (diagram, {"schema": "x" * 500_000, "rank": 0, "arcs": []}),
+        "not_a_perm": (["multiply", "generic"], element([1] * 200_000)),
+        "long_perm": (["multiply", "generic"], element(list(range(1, 20_001)))),
+        "long_chain": (["rs-inverse"], {"left": chain(20_000), "right": chain(20_000)}),
+    }
+    for name, (argv, obj) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        files = [str(path)] * (2 if argv[0] == "multiply" else 1)
+        rc, out, err = run(argv + files)
+        assert (rc, out) == (3, ""), (name, err[:200])
+        assert err.startswith("invalid input:") and len(err.encode()) < 1024, (name, err[:200])
+
+
 # The library entry points that do the work of each subcommand.  A
 # refused request reaches none of them.
 WORK = [
@@ -617,6 +648,31 @@ def test_every_limit_refuses_one_past_its_cap(monkeypatch):
         rc, out, err = run(argv)
         assert (rc, out) == (2, ""), (key, err)
         assert message in err, (key, err)
+
+
+def _worst_at_each_cap(limits):
+    # The slowest request a _LIMITS entry admits, and its budget in
+    # seconds for a whole process: about ten times its time on an idle
+    # 2-vCPU host (green 0.5 s, census 2.3-2.8 s, factorize 0.4 s), so a
+    # loaded host passes and a hang fails.
+    reversal = " ".join(str(v) for v in range(limits["factorize"], 0, -1))
+    return {
+        "green": (["green", "--n", str(limits["green"])], 10),
+        "census": (["census", "--max", str(limits["census"]), "--green-max", str(limits["green"])], 30),
+        "factorize": (["factorize", reversal], 10),
+    }
+
+
+def test_the_worst_request_at_each_cap_finishes_within_its_budget():
+    from okada.cli import _LIMITS
+
+    cases = _worst_at_each_cap(_LIMITS)
+    assert set(cases) <= set(_LIMITS)
+    for key, (argv, budget) in cases.items():
+        # over budget, subprocess.run kills the process and raises TimeoutExpired
+        proc = subprocess.run([sys.executable, "-m", "okada.cli", *argv], stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, env=_src_env(), timeout=budget)
+        assert proc.returncode == 0, (key, proc.stderr[-300:])
 
 
 def test_selftest_checks_survive_python_optimize():

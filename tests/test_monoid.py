@@ -6,7 +6,6 @@ import pytest
 
 from okada import diagrams as dg
 from okada.algebra import free_diagram, free_half_diagram
-from okada.errors import InternalInvariantError
 from okada.fibonacci import dominance_leq, enumerate_yfs
 from okada.monoid import (
     EXTENDED_IDEMPOTENT_COUNTS,
@@ -159,12 +158,21 @@ def test_green_classes_match_the_cayley_graph_oracle():
         assert green_classes(n) == _green_by_cayley_graphs(n)
 
 
-def test_green_classes_require_one_representative_per_class(monkeypatch):
-    monkeypatch.setattr("okada.monoid.is_involutive", lambda e: True)
+def test_green_classes_search_for_nothing(monkeypatch):
+    # The representatives are read off the cell layout: no element is
+    # tested for being involutive or free.  The oracle scans with all
+    # three, so it runs before they are patched.
+    oracles = {n: _green_by_cayley_graphs(n) for n in range(7)}
+
+    def never(*args, **kwargs):
+        raise AssertionError("green_classes searched the elements")
+
+    for target in ("okada.monoid.is_involutive", "okada.diagrams.mirror", "okada.algebra.free_diagram"):
+        monkeypatch.setattr(target, never)
     green_classes.cache_clear()
     try:
-        with pytest.raises(InternalInvariantError, match="involutive elements"):
-            green_classes(3)
+        for n, oracle in oracles.items():
+            assert green_classes(n) == oracle
     finally:
         green_classes.cache_clear()
 

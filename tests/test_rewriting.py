@@ -58,12 +58,27 @@ def test_code_examples():
     assert word_from_code((2, 3, 1)) == (1, 2)
 
 
+def _inversions(p):
+    """The pairs ``i < j`` with ``p[i] > p[j]``, counted by definition."""
+    n = len(p)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+
+
 def test_code_word_roundtrip_and_length():
     for n in range(1, 7):
         for p in all_perms(n):
             w = word_from_code(p)
             assert perm_from_word(w, n) == p
-            assert len(w) == perm_length(p)
+            assert len(w) == _inversions(p)
+
+
+def test_perm_length_counts_the_inversions():
+    for n in range(8):
+        for p in all_perms(n):
+            assert perm_length(p) == _inversions(p)
+    rng = random.Random(1024)
+    for p in (tuple(range(1024, 0, -1)), *(tuple(rng.sample(range(1, 1025), 1024)) for _ in range(3))):
+        assert perm_length(p) == _inversions(p)
 
 
 def test_word_evaluation_is_multiplicative():
