@@ -209,10 +209,7 @@ def free_diagram(s: FibonacciSet) -> dg.ArcDiagram:
 
 def free_involution(s: FibonacciSet) -> Perm:
     """Product of the commuting simple transpositions over the free set."""
-    p = list(range(1, s.rank + 1))
-    for i in free_set(s):
-        p[i - 1], p[i] = p[i], p[i - 1]
-    return tuple(p)
+    return perm_from_word(free_set(s), s.rank)
 
 
 def free_element(s: FibonacciSet) -> AlgebraElement:

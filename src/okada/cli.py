@@ -42,12 +42,12 @@ if TYPE_CHECKING:
 # commands whose cost grows fastest with the rank (n!-sized monoids for
 # census and green, the largest cell for gram, the quadratic code-word
 # walks of factorize and rs, products of long code words for multiply
-# and normalize, the Hasse diagrams that render draws).  Each finishes
-# within seconds at its cap.  ``threads`` bounds the census worker
-# processes: each one is a whole interpreter, so a request for thousands
-# of them is refused before any starts.  ``letters`` bounds the words
-# of multiply and normalize as an input bound: rewriting is linear in
-# their length, but each letter must still be parsed and held.
+# and normalize, the pictures of render, from --n or an input file).
+# Each finishes within seconds at its cap.  ``threads`` bounds the census
+# worker processes: each one is a whole interpreter, so a request for
+# thousands of them is refused before any starts.  ``letters`` bounds the
+# words of multiply and normalize as an input bound: rewriting is linear
+# in their length, but each letter must still be parsed and held.
 # ``products`` bounds a product of two element files at rank ``n`` by
 # its work, the coefficient terms of one side times those of the other,
 # times ``n**2``: each such pair is one monomial product and bounds the
@@ -456,6 +456,7 @@ def cmd_render(args) -> int:
         if args.input is None:
             raise UsageError(f"render {args.kind} needs --input")
         subject = getattr(ser, f"obj_to_{args.kind}")(_load_json(_read_input(args.input)))
+        _check_rank("render", subject.rank)
     elif args.n is None:
         raise UsageError(f"render {args.kind} needs --n")
     else:

@@ -43,6 +43,7 @@ only assert that every position was matched and labelled.
 
 from __future__ import annotations
 
+import reprlib
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -130,19 +131,19 @@ class ArcDiagram(Immutable):
             raise ValueError("rank must be non-negative")
         arcs = tuple(arcs)
         if len(arcs) != n:  # before allocating: the rank may be absurd
-            raise ValueError(f"not a perfect matching of {2 * n} endpoints")
+            raise ValueError(f"not a perfect matching of {reprlib.repr(2 * n)} endpoints")
         partner: list[int | None] = [None] * (2 * n)
         height: list[int | None] = [None] * (2 * n)
         seen = set()
         for a, b, h in arcs:
             for e in (a, b):
                 if e == 0 or not -n <= e <= n:
-                    raise ValueError(f"endpoint {e} out of range for rank {n}")
+                    raise ValueError(f"endpoint {reprlib.repr(e)} out of range for rank {reprlib.repr(n)}")
                 if e in seen:
                     raise ValueError(f"endpoint {e} matched twice")
                 seen.add(e)
             if not (isinstance(h, int) and h >= 1):
-                raise ValueError(f"height must be a positive integer, got {h!r}")
+                raise ValueError(f"height must be a positive integer, got {reprlib.repr(h)}")
             p, q = order_key(a, n) - 1, order_key(b, n) - 1
             partner[p], partner[q] = q, p
             height[p] = height[q] = h
@@ -217,14 +218,14 @@ class HalfArcDiagram(Immutable):
         ends = [(e, a + b - e - 1, h) for a, b, h in full_arcs for e in sorted((a, b))]
         for e, q, h in ends + [(e, -1, h) for e, h in half_arcs]:
             if not 1 <= e <= n:
-                raise ValueError(f"endpoint {e} out of range for rank {n}")
+                raise ValueError(f"endpoint {reprlib.repr(e)} out of range for rank {reprlib.repr(n)}")
             if e in at:
                 raise ValueError(f"endpoint {e} used twice")
             if not (isinstance(h, int) and h >= 1):
-                raise ValueError(f"height must be a positive integer, got {h!r}")
+                raise ValueError(f"height must be a positive integer, got {reprlib.repr(h)}")
             at[e] = (q, h)
         if len(at) != n:
-            raise ValueError(f"arcs must cover all of [1, {n}]")
+            raise ValueError(f"arcs must cover all of [1, {reprlib.repr(n)}]")
         nodes = range(1, n + 1)
         self._fill(n, tuple(at[e][0] for e in nodes), tuple(at[e][1] for e in nodes))
 
@@ -281,8 +282,8 @@ def _walk(partner, height, nodes) -> list[str]:
     def arc(p: int) -> str:
         q = partner[p]
         if q < 0:
-            return f"half arc at {nodes[p]} labeled {height[p]}"
-        return f"h({nodes[p]},{nodes[q]})={height[p]}"
+            return f"half arc at {nodes[p]} labeled {reprlib.repr(height[p])}"
+        return f"h({nodes[p]},{nodes[q]})={reprlib.repr(height[p])}"
 
     out, stack, crossed = [], [], False
     for p, q in enumerate(partner):

@@ -55,12 +55,12 @@ __all__ = [
 
 def _check_structure(rank: int, elements: Sequence[int]) -> None:
     if rank < 0:
-        raise ValueError(f"rank must be non-negative, got {rank}")
+        raise ValueError(f"rank must be non-negative, got {reprlib.repr(rank)}")
     for prev, cur in zip((0,) + tuple(elements), elements):
         if cur <= prev:
             raise ValueError(f"elements must be strictly increasing, got {reprlib.repr(tuple(elements))}")
     if elements and (elements[0] < 1 or elements[-1] > rank):
-        raise ValueError(f"elements must lie in [1, {rank}], got {reprlib.repr(tuple(elements))}")
+        raise ValueError(f"elements must lie in [1, {reprlib.repr(rank)}], got {reprlib.repr(tuple(elements))}")
 
 
 def _parities_ok(rank: int, elements: Sequence[int]) -> bool:
@@ -102,7 +102,7 @@ class FibonacciSet(Immutable):
         elements = tuple(elements)
         _check_structure(rank, elements)
         if not _parities_ok(rank, elements):
-            raise ValueError(f"{reprlib.repr(elements)} is not a Fibonacci set of rank {rank}")
+            raise ValueError(f"{reprlib.repr(elements)} is not a Fibonacci set of rank {reprlib.repr(rank)}")
         self._fill(rank, elements)
 
     @property
@@ -118,25 +118,20 @@ class FibonacciSet(Immutable):
 def enumerate_yfs(n: int) -> tuple[FibonacciSet, ...]:
     """All rank-``n`` Fibonacci sets, lexicographic on element sequences.
 
+    Built by the Fibonacci recurrence: the rank-``k`` sets are the
+    rank-``k-1`` sets with ``k`` added and the rank-``k-2`` sets.  Dropping
+    ``k`` keeps every parity right at rank ``k-1``, and a set without ``k``
+    cannot end at ``k-1``, whose parity differs from the set's size.
+
     >>> [s.elements for s in enumerate_yfs(3)]
     [(1,), (1, 2, 3), (3,)]
     """
     if n < 0:
         raise ValueError("rank must be non-negative")
-    found: list[tuple[int, ...]] = []
-
-    def extend(prefix: list[int], last: int) -> None:
-        if (len(prefix) - n) % 2 == 0:
-            found.append(tuple(prefix))
-        want = (len(prefix) + 1) % 2
-        for s in range(last + 1, n + 1):
-            if s % 2 == want:
-                prefix.append(s)
-                extend(prefix, s)
-                prefix.pop()
-
-    extend([], 0)
-    return tuple(FibonacciSet(n, elems) for elems in sorted(found))
+    below, sets = [], [()]
+    for k in range(1, n + 1):
+        below, sets = sets, sorted(below + [e + (k,) for e in sets])
+    return tuple(FibonacciSet(n, elems) for elems in sets)
 
 
 def _yf_neighbours(s: FibonacciSet, rank: int) -> tuple[FibonacciSet, ...]:

@@ -40,6 +40,13 @@ words have letters in ``1..n-1`` (the pushed letters are checked, and
 every run of a code word lies there), so the layers fit a list of
 ``n + 1`` entries indexed by letter, and ``layer * (n + 1) + letter``
 encodes each pair one to one.
+
+The dictionary with the arc-diagram model is one rule, stated only
+here: rank ``r`` with code entry ``c`` owns the arc of height ``r - c``
+at position ``r - 1 + c`` of the rank-``r`` part (at ``c = 0`` the arc
+``h(r, -r) = r``, else the cap ``h(-(I+1), -I) = I`` with ``I = r - c``).
+:func:`perm_to_diagram` inserts these arcs from rank 1 up, and
+:func:`diagram_to_perm` deletes them from rank ``n`` down.
 """
 
 from __future__ import annotations
@@ -163,7 +170,7 @@ def check_word(word: Sequence[int], n: int) -> tuple[int, ...]:
     word = tuple(word)
     for v in word:
         if not 1 <= v <= n - 1:
-            raise ValueError(f"letter {v} out of range for rank {n}")
+            raise ValueError(f"letter {reprlib.repr(v)} out of range for rank {n}")
     return word
 
 
@@ -527,14 +534,8 @@ def _mult_perm_by_generator(p: Perm, i: int) -> tuple[Polynomial, Perm]:
 
 
 def perm_to_diagram(p: Perm):
-    """The diagram of the code word of ``p``, built from the code.
-
-    The exact inverse of :func:`diagram_to_perm`: rank ``r`` with code
-    entry ``c`` inserts the arc that :func:`diagram_to_perm` strips at
-    rank ``r``, the cap ``h(-(I+1), -I) = I`` with ``I = r - c`` at
-    position ``r + c - 1`` (for ``c = 0`` this is the propagating arc
-    ``h(r, -r) = r`` that :func:`diagrams.iota` adds).  Later positions
-    move up by two.  Code words are reduced, so evaluating one in the
+    """The diagram of the code word of ``p``: the dictionary arcs inserted
+    from rank 1 up.  Code words are reduced, so evaluating one in the
     diagram monoid closes no loop and this is its product exactly.
     """
     from . import diagrams
@@ -550,22 +551,26 @@ def perm_to_diagram(p: Perm):
 
 
 def diagram_to_perm(d) -> Perm:
-    """Invert :func:`perm_to_diagram` by repeatedly peeling the top rank."""
-    from . import diagrams
-
-    n = d.rank
+    """Invert :func:`perm_to_diagram`: ``rest`` holds the positions not yet
+    deleted, and the arc of rank ``r`` is the first adjacent pair from
+    index ``a = r - 1`` on joined with height ``2r - 1 - a``; its code
+    entry is ``a - r + 1``.  Then ``v`` goes in at index ``v - 1 - c_v``.
+    """
+    n, partner, height = d.rank, d.partner, d.height
+    rest = list(range(2 * n))
     cvec = [0] * n
-    cur = d
     for r in range(n, 0, -1):
-        if diagrams.has_iota_arc(cur):
-            cur = diagrams.iota_inverse(cur)
+        for a in range(r - 1, 2 * r - 1):
+            if partner[rest[a]] == rest[a + 1] and height[rest[a]] == 2 * r - 1 - a:
+                break
         else:
-            cur, start = diagrams.peel(cur)
-            cvec[r - 1] = r - start
-    word: list[int] = []
-    for i, c in enumerate(cvec, start=1):
-        word.extend(range(i - 1, i - c - 1, -1))
-    return perm_from_word(word, n)
+            raise InternalInvariantError(f"no arc to peel at rank {r} of a rank-{n} diagram")
+        cvec[r - 1] = a - r + 1
+        del rest[a : a + 2]
+    p: list[int] = []
+    for v, c in enumerate(cvec, start=1):
+        p.insert(v - 1 - c, v)
+    return tuple(p)
 
 
 def rs(p: Perm) -> tuple[Chain, Chain]:

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import os
@@ -313,6 +314,30 @@ def test_render_half_diagram():
         assert out == (FIXTURES / f"half_rank6_nested.{fmt}").read_text()
 
 
+def test_render_refuses_an_input_over_the_rank_cap(monkeypatch):
+    from okada import diagrams as dg
+    from okada import serialize as ser
+    from okada.cli import _LIMITS
+
+    cap = _LIMITS["render"]
+    inputs = {n: {"diagram": ser.diagram_to_obj(dg.identity(n)), "half": ser.half_to_obj(dg.bra(dg.identity(n)))}
+              for n in (cap, cap + 1)}
+    for kind, obj in inputs[cap].items():
+        rc, out, err = run(["render", kind, "--format", "svg", "--input", json.dumps(obj)])
+        assert rc == 0 and out.count("<path") == cap, (kind, err)
+
+    def never(*args, **kwargs):
+        raise AssertionError("rendered a picture over the rank cap")
+
+    for name in ("diagram_svg", "diagram_tikz", "half_svg", "half_tikz"):
+        monkeypatch.setattr(f"okada.render.render_{name}", never)
+    for kind, obj in inputs[cap + 1].items():
+        for fmt in ("svg", "tikz"):
+            rc, out, err = run(["render", kind, "--format", fmt, "--input", json.dumps(obj)])
+            assert (rc, out) == (2, ""), (kind, fmt, err)
+            assert f"render supports 0 <= n <= {cap}" in err
+
+
 def test_render_unknown_format_is_usage_error():
     rc, _, _ = run(["render", "diagram", "--format", "png", "--input", "{}"])
     assert rc == 2
@@ -576,6 +601,19 @@ def test_invalid_input_is_not_echoed(tmp_path):
         "long_perm": (["multiply", "generic"], element(list(range(1, 20_001)))),
         "long_chain": (["rs-inverse"], {"left": chain(20_000), "right": chain(20_000)}),
     }
+    # One integer of 4000 digits in a field that is otherwise small.
+    big = 10**3999
+    cases.update({
+        "huge_height": (diagram, {"rank": 1, "arcs": [{"ends": [1, -1], "height": -big}]}),
+        "huge_label": (diagram, {"rank": 1, "arcs": [{"ends": [1, -1], "height": big}]}),
+        "huge_rank": (diagram, {"rank": big, "arcs": []}),
+        "huge_endpoint": (diagram, {"rank": 1, "arcs": [{"ends": [big, -1], "height": 1}]}),
+        "huge_half_label": (["render", "half", "--format", "svg", "--input"],
+                            {"rank": 1, "full_arcs": [], "half_arcs": [{"end": 1, "height": big}]}),
+        "huge_set_rank": (["rs-inverse"], {"left": {"sets": [{"rank": -big, "elements": []}]},
+                                           "right": {"sets": [{"rank": 0, "elements": []}]}}),
+        "monoid_huge_rank": (["multiply", "monoid"], {"rank": big, "arcs": []}),
+    })
     for name, (argv, obj) in cases.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(obj))
@@ -583,6 +621,10 @@ def test_invalid_input_is_not_echoed(tmp_path):
         rc, out, err = run(argv + files)
         assert (rc, out) == (3, ""), (name, err[:200])
         assert err.startswith("invalid input:") and len(err.encode()) < 1024, (name, err[:200])
+    for argv in (["normalize", f"1 {big}", "--n", "5"], ["multiply", "generic", "1", str(big), "--n", "5"]):
+        rc, out, err = run(argv)
+        assert (rc, out) == (3, ""), (argv[0], err[:200])
+        assert err.startswith("invalid input:") and len(err.encode()) < 1024, (argv[0], err[:200])
 
 
 # The library entry points that do the work of each subcommand.  A
@@ -651,15 +693,45 @@ def test_every_limit_refuses_one_past_its_cap(monkeypatch):
 
 
 def _worst_at_each_cap(limits):
-    # The slowest request a _LIMITS entry admits, and its budget in
+    # The slowest request each _LIMITS entry admits, and its budget in
     # seconds for a whole process: about ten times its time on an idle
-    # 2-vCPU host (green 0.5 s, census 2.3-2.8 s, factorize 0.4 s), so a
-    # loaded host passes and a hang fails.
+    # 2-vCPU host, so a loaded host passes and a hang fails.  The idle
+    # times, over two states of the host: enumerate yfs 1.3-2.8 s,
+    # diagrams 1.0-2.2 s, half 0.35-0.6 s, chains 0.3-0.7 s, idempotents
+    # 0.8-1.2 s; gram 1.2-1.4 s; green 0.3-0.5 s; census 2.3-2.8 s;
+    # factorize 0.2-0.4 s; rs 0.10-0.13 s; render 0.14-0.3 s; the word
+    # requests (normalize, multiply, letters) 0.07-0.08 s; products
+    # 0.8-2.0 s.  Idempotents beyond rank 8 need --extended, which runs
+    # far longer than any budget here (8-14 s at rank 9, 139 s at 10).
+    # threads has no row: its worst case starts 64 worker processes, and
+    # test_census_refuses_bad_thread_counts_and_ranks_up_front covers it.
+    from okada.rewriting import perm_compose, perm_from_word, word_from_code
+
     reversal = " ".join(str(v) for v in range(limits["factorize"], 0, -1))
+    n = limits["normalize"]
+    cycle = itertools.cycle(word_from_code(tuple(range(n, 0, -1))))  # the rank-n reversal, repeated
+    long_word = " ".join(str(next(cycle)) for _ in range(limits["letters"]))
+    rng = random.Random(limits["letters"])
+    left, right = (" ".join(str(rng.randrange(1, limits["multiply"])) for _ in range(limits["letters"] // 2))
+                   for _ in range(2))
+    w0 = tuple(range(32, 0, -1))  # the products cap is set by rank 32 next to the reversal
+    near = _element_json([perm_compose(w0, perm_from_word((i,), 32)) for i in range(1, 17)])
     return {
+        "yfs": (["enumerate", "yfs", "--n", str(limits["yfs"])], 30),
+        "diagrams": (["enumerate", "diagrams", "--n", str(limits["diagrams"])], 25),
+        "half": (["enumerate", "half", "--n", str(limits["half"])], 10),
+        "chains": (["enumerate", "chains", "--n", str(limits["chains"])], 10),
+        "idempotents": (["enumerate", "idempotents", "--n", "8"], 15),
         "green": (["green", "--n", str(limits["green"])], 10),
         "census": (["census", "--max", str(limits["census"]), "--green-max", str(limits["green"])], 30),
+        "gram": (["gram", "--n", str(limits["gram"]), "--set", "", "--specialize", "1"], 15),
         "factorize": (["factorize", reversal], 10),
+        "rs": (["rs", " ".join(str(v) for v in range(limits["rs"], 0, -1))], 10),
+        "render": (["render", "yfs", "--format", "svg", "--n", str(limits["render"])], 10),
+        "normalize": (["normalize", long_word, "--n", str(n)], 10),
+        "letters": (["normalize", " ".join(["1"] * limits["letters"])], 10),
+        "multiply": (["multiply", "generic", left, right, "--n", str(limits["multiply"])], 10),
+        "products": (["multiply", "generic", near, near], 20),
     }
 
 
@@ -667,7 +739,8 @@ def test_the_worst_request_at_each_cap_finishes_within_its_budget():
     from okada.cli import _LIMITS
 
     cases = _worst_at_each_cap(_LIMITS)
-    assert set(cases) <= set(_LIMITS)
+    assert set(cases) == set(_LIMITS) - {"threads"}, "every _LIMITS entry but threads needs a row here"
+    assert _LIMITS["products"] == 16 * 16 * 32**2
     for key, (argv, budget) in cases.items():
         # over budget, subprocess.run kills the process and raises TimeoutExpired
         proc = subprocess.run([sys.executable, "-m", "okada.cli", *argv], stdout=subprocess.DEVNULL,

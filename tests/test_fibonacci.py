@@ -85,6 +85,33 @@ def test_enumerate_agrees_with_subset_filter():
     assert len(enumerate_yfs(6)) == 13
 
 
+def _sets_by_parity_walk(n):
+    """Every parity-checked prefix of ``[1, n]`` (the former library
+    construction), sorted, as an oracle for the recurrence."""
+    found = []
+
+    def extend(prefix, last):
+        if (len(prefix) - n) % 2 == 0:
+            found.append(tuple(prefix))
+        want = (len(prefix) + 1) % 2
+        for s in range(last + 1, n + 1):
+            if s % 2 == want:
+                prefix.append(s)
+                extend(prefix, s)
+                prefix.pop()
+
+    extend([], 0)
+    return sorted(found)
+
+
+def test_enumerate_matches_the_parity_walk_oracle():
+    for n in range(26):
+        # uncached, so the test process keeps no table of the large ranks
+        got = enumerate_yfs.__wrapped__(n)
+        assert [s.elements for s in got] == _sets_by_parity_walk(n), n
+        assert all(s.rank == n for s in got)
+
+
 def test_enumerate_rank5_sets():
     got = {s.elements for s in enumerate_yfs(5)}
     assert got == {

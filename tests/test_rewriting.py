@@ -558,6 +558,74 @@ def test_perm_to_diagram_matches_the_compose_chain_oracle():
             assert diagram_to_perm(d) == p
 
 
+def _diagram_to_perm_by_peeling(d):
+    """The top rank peeled off one diagram at a time, then the code word
+    evaluated swap by swap (the former library construction), as an
+    oracle."""
+    n = d.rank
+    cvec = [0] * n
+    cur = d
+    for r in range(n, 0, -1):
+        if dg.has_iota_arc(cur):
+            cur = dg.iota_inverse(cur)
+        else:
+            cur, start = dg.peel(cur)
+            cvec[r - 1] = r - start
+    word = []
+    for i, c in enumerate(cvec, start=1):
+        word.extend(range(i - 1, i - c - 1, -1))
+    return perm_from_word(word, n)
+
+
+def test_diagram_to_perm_builds_no_diagram_and_evaluates_no_word(monkeypatch):
+    cases = [(perm_to_diagram(p), p) for n in range(7) for p in all_perms(n)]
+    assert all(_diagram_to_perm_by_peeling(d) == p for d, p in cases)
+
+    def never(*args, **kwargs):
+        raise AssertionError("diagram_to_perm went through an intermediate diagram or word")
+
+    for target in ("diagrams._from_arrays", "diagrams.peel", "diagrams.iota_inverse",
+                   "diagrams.has_iota_arc", "rewriting.perm_from_word"):
+        monkeypatch.setattr(f"okada.{target}", never)
+    for d, p in cases:
+        assert diagram_to_perm(d) == p
+
+
+def _random_labelled_matching(rng, n):
+    ends = list(range(2 * n))
+    rng.shuffle(ends)
+    partner, height = [0] * (2 * n), [0] * (2 * n)
+    for a, b in zip(ends[::2], ends[1::2]):
+        partner[a], partner[b] = b, a
+        height[a] = height[b] = rng.randint(1, n)
+    return dg._from_arrays(n, partner, height)
+
+
+def _peel_outcome(convert, d):
+    try:
+        return convert(d)
+    except InternalInvariantError:
+        return "no arc to peel"
+
+
+def test_diagram_to_perm_matches_the_peel_chain_oracle():
+    rng = random.Random(1999)
+    perms = [tuple(rng.sample(range(1, n + 1), n)) for n in range(8, 21) for _ in range(20)]
+    perms += [tuple(range(1024, 0, -1)), tuple(rng.sample(range(1, 1025), 1024))]
+    for p in perms:
+        d = perm_to_diagram(p)
+        assert diagram_to_perm(d) == _diagram_to_perm_by_peeling(d) == p
+    outcomes = set()
+    for _ in range(3000):
+        d = _random_labelled_matching(rng, rng.randrange(8))
+        got = _peel_outcome(diagram_to_perm, d)
+        assert got == _peel_outcome(_diagram_to_perm_by_peeling, d), d
+        if isinstance(got, tuple):  # every arc was found, so d is the diagram of got
+            assert perm_to_diagram(got) == d
+        outcomes.add(isinstance(got, tuple))
+    assert outcomes == {False, True}
+
+
 def test_identity_and_generator_map():
     assert perm_to_diagram((1, 2, 3)) == dg.identity(3)
     assert perm_to_diagram((2, 1)) == dg.generator(1, 2)

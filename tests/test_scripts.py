@@ -1,6 +1,5 @@
 """Smoke tests: every script in ``scripts/`` runs at a small size."""
 
-import json
 import os
 import subprocess
 import sys
@@ -32,28 +31,11 @@ def test_aperiodicity_profile():
     assert [line.split()[2] for line in lines] == [f"max={k}" for k in (1, 1, 1, 1, 2, 2)]
 
 
-def test_gram_report():
-    done = run_script("gram_report.py", "--max", "3")
-    assert done.returncode == 0, done.stderr
-    cells = json.loads(done.stdout)
-    assert len(cells) == 1 + 1 + 2 + 3  # Fibonacci sets of ranks 0..3
-    assert all("det" in cell for cell in cells)
-
-
-def test_gram_report_refuses_a_det_dimension_over_the_library_limit():
-    done = run_script("gram_report.py", "--max", "6", "--det-dim-limit", "20")
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert "--det-dim-limit" in done.stderr
-
-
 @pytest.mark.parametrize(
     "name, rank",
     [
         ("aperiodicity_profile.py", "-3"),
         ("aperiodicity_profile.py", "9"),
-        ("gram_report.py", "-1"),
-        ("gram_report.py", "9"),
     ],
 )
 def test_scripts_refuse_a_rank_out_of_range(name, rank):
@@ -65,4 +47,3 @@ def test_scripts_refuse_a_rank_out_of_range(name, rank):
 
 def test_scripts_accept_rank_zero():
     assert run_script("aperiodicity_profile.py", "--max", "0").stdout == "rank 0: max=1  k=1:1\n"
-    assert len(json.loads(run_script("gram_report.py", "--max", "0").stdout)) == 1
