@@ -87,7 +87,6 @@ _EXPORTS = {
     "GreenClasses": "monoid",
     "aperiodicity_index": "monoid",
     "green_classes": "monoid",
-    "idempotent_count": "monoid",
     "is_idempotent": "monoid",
     "is_involutive": "monoid",
     "j_class_rep": "monoid",

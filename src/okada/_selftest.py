@@ -48,7 +48,7 @@ def cmd_selftest(args) -> int:
 
     def census() -> None:
         for n in range(6):
-            count = mo.idempotent_count(n)
+            count = mo.census_counts(n)[1]
             _require(count == mo.KNOWN_IDEMPOTENT_COUNTS[n], f"{count} idempotents at rank {n}")
 
     def presentation() -> None:

@@ -13,7 +13,8 @@ row (``L``) and column by column (``R``).  Both structural computations
 read this pairing and form no product:
 
 * the idempotent census tests each pair ``(L, R)`` by walking the half
-  arcs of ``R`` through the arcs of ``L`` and ``R`` (:func:`_passes`);
+  arcs of ``R`` through the arcs of ``L`` and ``R`` (:func:`_passes`),
+  in one list of row blocks (:func:`census_counts`, the one count);
 * the R-, L- and J-classes are the fibres of ``bra``, ``ket`` and
   ``prop_lab``: the rows, columns and whole of each cell, whose diagonal
   holds the representatives ``glue(L, L)``, the free one among them.
@@ -40,7 +41,6 @@ __all__ = [
     "aperiodicity_max",
     "iter_idempotents",
     "census_counts",
-    "idempotent_count",
     "involutive_count",
     "KNOWN_IDEMPOTENT_COUNTS",
     "EXTENDED_IDEMPOTENT_COUNTS",
@@ -93,10 +93,13 @@ def aperiodicity_max(n: int) -> int:
 # Idempotents from pairs of half diagrams
 
 
-def _cell(n: int, s: FibonacciSet) -> tuple[tuple[dg.HalfArcDiagram, ...], list[list[int]]]:
-    """The halves of cell ``s`` in enumeration order, and the positions of their half arcs."""
-    halves = dg.enumerate_half(n, s)
-    return halves, [[p for p, q in enumerate(h.partner) if q < 0] for h in halves]
+@lru_cache(maxsize=1)
+def _cell(s: FibonacciSet) -> list[tuple[dg.HalfArcDiagram, list[int]]]:
+    """The halves of cell ``s`` in enumeration order, each with the positions of its half arcs.
+
+    The memo keeps the current cell only, at most 945 halves (rank 10), so
+    the row blocks of one cell that a process runs in turn build it once."""
+    return [(h, [p for p, q in enumerate(h.partner) if q < 0]) for h in dg.enumerate_half(s.rank, s)]
 
 
 def _passes(left: dg.HalfArcDiagram, right: dg.HalfArcDiagram, ends: list[int]) -> bool:
@@ -135,61 +138,49 @@ def _passes(left: dg.HalfArcDiagram, right: dg.HalfArcDiagram, ends: list[int]) 
     return True
 
 
-def _idempotent_row(
-    halves: tuple[dg.HalfArcDiagram, ...], ends: list[list[int]], i: int
-) -> list[int]:
-    """Indices ``j`` with ``glue(halves[i], halves[j])`` idempotent."""
-    left = halves[i]
-    return [j for j, right in enumerate(halves) if _passes(left, right, ends[j])]
-
-
 def iter_idempotents(n: int) -> Iterator[dg.ArcDiagram]:
     """Stream the idempotents of rank ``n`` in :func:`~okada.diagrams.iter_diagrams` order."""
     for s in enumerate_yfs(n):
-        halves, ends = _cell(n, s)
-        for i, left in enumerate(halves):
-            for j in _idempotent_row(halves, ends, i):
-                yield dg.glue(left, halves[j])
+        cell = _cell(s)
+        for left, _ in cell:
+            for right, ends in cell:
+                if _passes(left, right, ends):
+                    yield dg.glue(left, right)
 
 
-def _census_rows(args: tuple[int, tuple[int, ...], int, int]) -> int:
-    """Idempotents among the rows ``start .. stop-1`` of one cell."""
-    n, elements, start, stop = args
-    halves, ends = _cell(n, FibonacciSet(n, elements))
-    return sum(len(_idempotent_row(halves, ends, i)) for i in range(start, stop))
+def _census_rows(job: tuple[FibonacciSet, int, int]) -> int:
+    """Idempotents among the rows ``start .. stop-1`` of cell ``s``."""
+    s, start, stop = job
+    cell = _cell(s)
+    return sum(1 for left, _ in cell[start:stop] for right, ends in cell if _passes(left, right, ends))
 
 
 def census_counts(n: int, threads: int = 1) -> tuple[int, int, int]:
     """Totals ``(elements, idempotents, involutives)`` for rank ``n``.
 
     The involutives are the pairs ``glue(L, L)``, all idempotent: one
-    per half diagram.  With ``threads > 1`` the rows of every cell are
-    split into blocks of about equal work and the blocks run in worker
-    processes, so the largest cell does not bound the speed-up.
+    per half diagram.  The idempotents come from one job list, the rows
+    of every cell in blocks of about ``elements // (4 * threads)`` pairs,
+    run in turn or, with ``threads > 1``, in worker processes.
     """
-    cells = [(s.elements, chain_count(s)) for s in enumerate_yfs(n)]
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    cells = [(s, chain_count(s)) for s in enumerate_yfs(n)]
     total = sum(k * k for _, k in cells)
-    if threads > 1:
+    block = max(1, total // (4 * threads))  # pairs per job
+    jobs = []
+    for s, k in cells:
+        rows = max(1, block // k)
+        jobs += [(s, start, min(start + rows, k)) for start in range(0, k, rows)]
+    if threads == 1:
+        idem = sum(map(_census_rows, jobs))
+    else:
         # Imported here: only the threaded census starts processes.
         from concurrent.futures import ProcessPoolExecutor
 
-        block = max(1, total // (4 * threads))  # pairs per job
-        jobs = []
-        for elements, k in cells:
-            rows = max(1, block // k)
-            jobs.extend(
-                (n, elements, start, min(start + rows, k)) for start in range(0, k, rows)
-            )
         with ProcessPoolExecutor(max_workers=threads) as pool:
             idem = sum(pool.map(_census_rows, jobs))
-    else:
-        idem = sum(_census_rows((n, elements, 0, k)) for elements, k in cells)
     return total, idem, sum(k for _, k in cells)
-
-
-def idempotent_count(n: int, threads: int = 1) -> int:
-    """Number of idempotents in the rank-``n`` monoid (streamed census)."""
-    return census_counts(n, threads)[1]
 
 
 def involutive_count(n: int) -> int:

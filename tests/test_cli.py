@@ -46,6 +46,26 @@ def test_enumerate_idempotents_count():
     assert rc == 0 and out.strip() == "4116"
 
 
+def test_idempotent_counts_come_from_the_census(monkeypatch):
+    from okada.monoid import EXTENDED_IDEMPOTENT_COUNTS, KNOWN_IDEMPOTENT_COUNTS
+
+    def never(*args, **kwargs):
+        raise AssertionError("--count-only built idempotent diagrams")
+
+    monkeypatch.setattr("okada.monoid.iter_idempotents", never)
+    monkeypatch.setattr("okada.diagrams.glue", never)
+    for n, want in [*enumerate(KNOWN_IDEMPOTENT_COUNTS), (9, EXTENDED_IDEMPOTENT_COUNTS[9])]:
+        argv = ["enumerate", "idempotents", "--n", str(n), "--count-only", *(["--extended"] if n > 8 else [])]
+        assert run(argv) == (0, f"{want}\n", f"kind=idempotents n={n} count={want}\n"), n
+
+
+def test_the_idempotent_stream_agrees_with_the_count():
+    for n in range(8):
+        rc, out, err = run(["enumerate", "idempotents", "--n", str(n)])
+        count = run(["enumerate", "idempotents", "--n", str(n), "--count-only"])
+        assert rc == 0 and count == (0, f"{len(out.splitlines())}\n", err), n
+
+
 def test_enumerate_half_filtered():
     rc, out, _ = run(["enumerate", "half", "--n", "3", "--set", "1"])
     assert rc == 0
@@ -632,8 +652,8 @@ def test_invalid_input_is_not_echoed(tmp_path):
 WORK = [
     *(f"okada.fibonacci.{f}" for f in ("enumerate_yfs", "saturated_chains", "chain_count")),
     *(f"okada.diagrams.{f}" for f in ("iter_diagrams", "enumerate_half", "identity", "generator", "product_y1")),
-    *(f"okada.monoid.{f}" for f in ("iter_idempotents", "census_counts", "idempotent_count",
-                                    "green_classes", "mproduct", "aperiodicity_max")),
+    *(f"okada.monoid.{f}" for f in ("iter_idempotents", "census_counts", "green_classes", "mproduct",
+                                    "aperiodicity_max")),
     *(f"okada.algebra.{f}" for f in ("gram_matrix", "gram_det", "gram_det_specialized",
                                      "triangular_factorization", "AlgebraElement.__mul__")),
     *(f"okada.rewriting.{f}" for f in ("normalize", "multiply_words", "multiply_perms", "rs", "rs_inverse")),
@@ -658,6 +678,10 @@ def _one_past_each_limit(limits):
            for kind in ("yfs", "diagrams", "half", "chains")},
         "idempotents": (["enumerate", "idempotents", "--n", rank("idempotents")[0], "--extended"],
                         rank("idempotents")[1]),
+        "idempotent_streams": (["enumerate", "idempotents", "--n", str(limits["idempotent_streams"] + 1),
+                                "--extended"],
+                               f"idempotent streams support n <= {limits['idempotent_streams']}; "
+                               "count with --extended --count-only"),
         "census": (["census", "--max", str(limits["census"] + 1)], f"--max <= {limits['census']}"),
         "threads": (["census", "--threads", str(limits["threads"] + 1)],
                     f"1 <= threads <= {limits['threads']}"),
@@ -697,12 +721,13 @@ def _worst_at_each_cap(limits):
     # seconds for a whole process: about ten times its time on an idle
     # 2-vCPU host, so a loaded host passes and a hang fails.  The idle
     # times, over two states of the host: enumerate yfs 1.3-2.8 s,
-    # diagrams 1.0-2.2 s, half 0.35-0.6 s, chains 0.3-0.7 s, idempotents
-    # 0.8-1.2 s; gram 1.2-1.4 s; green 0.3-0.5 s; census 2.3-2.8 s;
-    # factorize 0.2-0.4 s; rs 0.10-0.13 s; render 0.14-0.3 s; the word
-    # requests (normalize, multiply, letters) 0.07-0.08 s; products
-    # 0.8-2.0 s.  Idempotents beyond rank 8 need --extended, which runs
-    # far longer than any budget here (8-14 s at rank 9, 139 s at 10).
+    # diagrams 1.0-2.2 s, half 0.35-0.6 s, chains 0.3-0.7 s, the
+    # idempotent stream at rank 8 0.8-1.2 s and the idempotent count at
+    # rank 10, one census, 1.4-1.6 s; gram 1.2-1.4 s; green 0.3-0.5 s;
+    # census 2.3-2.8 s; factorize 0.2-0.4 s; rs 0.10-0.13 s; render
+    # 0.14-0.3 s; the word requests (normalize, multiply, letters)
+    # 0.07-0.08 s; products 0.8-2.0 s.  Idempotent streams stop at rank 8:
+    # with --extended they ran 8-14 s at rank 9 and 139 s at rank 10.
     # threads has no row: its worst case starts 64 worker processes, and
     # test_census_refuses_bad_thread_counts_and_ranks_up_front covers it.
     from okada.rewriting import perm_compose, perm_from_word, word_from_code
@@ -721,7 +746,9 @@ def _worst_at_each_cap(limits):
         "diagrams": (["enumerate", "diagrams", "--n", str(limits["diagrams"])], 25),
         "half": (["enumerate", "half", "--n", str(limits["half"])], 10),
         "chains": (["enumerate", "chains", "--n", str(limits["chains"])], 10),
-        "idempotents": (["enumerate", "idempotents", "--n", "8"], 15),
+        "idempotents": (["enumerate", "idempotents", "--n", str(limits["idempotents"]), "--extended",
+                         "--count-only"], 20),
+        "idempotent_streams": (["enumerate", "idempotents", "--n", str(limits["idempotent_streams"])], 15),
         "green": (["green", "--n", str(limits["green"])], 10),
         "census": (["census", "--max", str(limits["census"]), "--green-max", str(limits["green"])], 30),
         "gram": (["gram", "--n", str(limits["gram"]), "--set", "", "--specialize", "1"], 15),
@@ -761,7 +788,7 @@ def test_selftest_checks_survive_python_optimize():
 
 
 def test_selftest_reports_a_failed_check(monkeypatch):
-    monkeypatch.setattr("okada.monoid.idempotent_count", lambda n: -1)
+    monkeypatch.setattr("okada.monoid.census_counts", lambda n, threads=1: (math.factorial(n), -1, 1))
     rc, out, err = run(["selftest"])
     assert rc == 4
     assert "FAIL idempotent census (n<=5): -1 idempotents at rank 0" in out
@@ -773,7 +800,7 @@ def test_census_refuses_bad_thread_counts_and_ranks_up_front(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("census work started for a refused request")
 
-    for target in ("census_counts", "idempotent_count", "green_classes"):
+    for target in ("census_counts", "green_classes"):
         monkeypatch.setattr(f"okada.monoid.{target}", never)
     monkeypatch.delenv("OKADA_THREADS", raising=False)
     for argv, message in (

@@ -6,7 +6,7 @@ import pytest
 
 from okada import diagrams as dg
 from okada.algebra import free_diagram, free_half_diagram
-from okada.fibonacci import dominance_leq, enumerate_yfs
+from okada.fibonacci import chain_count, dominance_leq, enumerate_yfs
 from okada.monoid import (
     EXTENDED_IDEMPOTENT_COUNTS,
     KNOWN_IDEMPOTENT_COUNTS,
@@ -15,7 +15,6 @@ from okada.monoid import (
     aperiodicity_max,
     census_counts,
     green_classes,
-    idempotent_count,
     involutive_count,
     is_idempotent,
     is_involutive,
@@ -146,6 +145,7 @@ def test_census_matches_the_squaring_oracle():
 
 def test_census_rank_9():
     assert census_counts(9) == (math.factorial(9), EXTENDED_IDEMPOTENT_COUNTS[9], INVOLUTION_COUNTS[9])
+    assert census_counts(10) == (math.factorial(10), EXTENDED_IDEMPOTENT_COUNTS[10], 9496)
 
 
 def test_iter_idempotents_matches_squaring_over_iter_diagrams():
@@ -263,12 +263,71 @@ def test_involutives_are_the_involution_basis_elements():
 
 def test_idempotent_census_small():
     for n in range(7):
-        assert idempotent_count(n) == KNOWN_IDEMPOTENT_COUNTS[n]
+        assert census_counts(n)[1] == KNOWN_IDEMPOTENT_COUNTS[n]
 
 
 def test_census_threads_agree():
-    assert idempotent_count(5, threads=2) == KNOWN_IDEMPOTENT_COUNTS[5]
+    assert census_counts(5, threads=2)[1] == KNOWN_IDEMPOTENT_COUNTS[5]
     assert census_counts(7, threads=2) == census_counts(7)
+
+
+class _InProcessPool:
+    """Stands in for ``ProcessPoolExecutor``: maps in this process and starts no worker."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_the_census_job_list_covers_every_row_once(monkeypatch):
+    from okada import monoid
+
+    jobs = []
+
+    def record(job):
+        jobs.append(job)
+        return 0
+
+    monkeypatch.setattr(monoid, "_census_rows", record)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InProcessPool)
+    for n in range(13):
+        rows = [(s, i) for s in enumerate_yfs(n) for i in range(chain_count(s))]
+        for threads in (1, 2, 3, 64):
+            jobs.clear()
+            assert census_counts(n, threads) == (math.factorial(n), 0, involutive_count(n))
+            assert [(s, i) for s, start, stop in jobs for i in range(start, stop)] == rows, (n, threads)
+    # rank 7 in one thread: only the 48-half cell is over the 1260-pair block
+    jobs.clear()
+    census_counts(7)
+    assert len(jobs) == len(enumerate_yfs(7)) + 1
+
+
+def test_the_census_builds_each_cell_once(monkeypatch):
+    from okada import monoid
+
+    built = []
+    enumerate_half = dg.enumerate_half
+
+    def counted(n, s=None):
+        built.append(s)
+        return enumerate_half(n, s)
+
+    monkeypatch.setattr(dg, "enumerate_half", counted)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InProcessPool)
+    monoid._cell.cache_clear()
+    counts = KNOWN_IDEMPOTENT_COUNTS + (EXTENDED_IDEMPOTENT_COUNTS[9], EXTENDED_IDEMPOTENT_COUNTS[10])
+    for n in range(11):
+        built.clear()
+        assert census_counts(n, threads=4)[1] == counts[n]
+        assert built == list(enumerate_yfs(n)), n
 
 
 def test_aperiodicity():

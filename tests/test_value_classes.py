@@ -138,8 +138,8 @@ PUBLIC_NAMES = (
     "validate", "validate_half",
     "AlgebraElement", "cell_action", "cell_datum", "free_element", "free_involution",
     "gram_matrix", "ideal_basis", "triangular_factorization",
-    "GreenClasses", "aperiodicity_index", "green_classes", "idempotent_count",
-    "is_idempotent", "is_involutive", "j_class_rep", "mproduct", "r_class_rep",
+    "GreenClasses", "aperiodicity_index", "green_classes", "is_idempotent", "is_involutive",
+    "j_class_rep", "mproduct", "r_class_rep",
 )
 
 
