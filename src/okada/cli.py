@@ -25,8 +25,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
+from contextlib import redirect_stderr
 from typing import TYPE_CHECKING
 
 from .errors import InternalInvariantError, OkadaError
@@ -44,7 +46,7 @@ if TYPE_CHECKING:
 # walks of factorize and rs, products of long code words for multiply
 # and normalize, the pictures of render, from --n or an input file).
 # Each finishes within seconds at its cap.  ``idempotents`` caps the
-# count, one census (1.6 s at rank 10), and ``idempotent_streams`` the
+# count, one census (0.8-0.9 s at rank 10), and ``idempotent_streams`` the
 # stream (7.8 MB at rank 8, 820 MB at 10).  ``threads`` bounds the census
 # worker processes: each one is a whole interpreter, so a request for
 # thousands of them is refused before any starts.  ``letters`` bounds the
@@ -169,15 +171,34 @@ def _read_input(arg: str) -> str:
 
 def cmd_enumerate(args) -> int:
     from . import serialize as ser
+    from .fibonacci import chain_count, enumerate_yfs
 
     if args.set is not None and args.kind not in ("half", "chains"):
         raise UsageError(f"enumerate {args.kind} takes no --set")
     n = _check_rank(args.kind, args.n)
-    count = 0  # streamed items add one each
-    if args.kind == "yfs":
-        from .fibonacci import enumerate_yfs
+    limit = _LIMITS["idempotent_streams"]
+    if args.kind == "idempotents" and n > limit and not args.extended:
+        raise UsageError(f"idempotent enumeration beyond n={limit} needs --extended")
+    if args.kind == "idempotents" and n > limit and not args.count_only:
+        raise UsageError(f"idempotent streams support n <= {limit}; count with --extended --count-only")
+    s = _parse_set(args.set, n) if args.set is not None else None
+    targets = enumerate_yfs(n) if s is None else (s,)
+    if args.count_only:  # each kind is counted directly: nothing is built or streamed
+        if args.kind == "idempotents":
+            from .monoid import census_counts
 
-        items, to_obj = enumerate_yfs(n), ser.fibset_to_obj
+            count = census_counts(n)[1]
+        elif args.kind == "yfs":
+            count = len(targets)
+        elif args.kind == "diagrams":
+            count = math.factorial(n)
+        else:  # one half or chain per saturated chain
+            count = sum(map(chain_count, targets))
+        print(f"kind={args.kind} n={n} count={count}", file=args.stderr)
+        print(count, file=args.stdout)
+        return 0
+    if args.kind == "yfs":
+        items, to_obj = targets, ser.fibset_to_obj
     elif args.kind == "diagrams":
         from .diagrams import iter_diagrams
 
@@ -185,32 +206,20 @@ def cmd_enumerate(args) -> int:
     elif args.kind == "half":
         from .diagrams import enumerate_half
 
-        s = _parse_set(args.set, n) if args.set is not None else None
         items, to_obj = enumerate_half(n, s), ser.half_to_obj
     elif args.kind == "chains":
-        from .fibonacci import enumerate_yfs, saturated_chains
+        from .fibonacci import saturated_chains
 
-        targets = [_parse_set(args.set, n)] if args.set is not None else list(enumerate_yfs(n))
-        items, to_obj = (c for s in targets for c in saturated_chains(s)), ser.chain_to_obj
+        items, to_obj = (c for t in targets for c in saturated_chains(t)), ser.chain_to_obj
     else:  # idempotents
-        limit = _LIMITS["idempotent_streams"]
-        if n > limit and not args.extended:
-            raise UsageError(f"idempotent enumeration beyond n={limit} needs --extended")
-        if n > limit and not args.count_only:
-            raise UsageError(f"idempotent streams support n <= {limit}; count with --extended --count-only")
-        from . import monoid as mo
+        from .monoid import iter_idempotents
 
-        if args.count_only:  # one census: no diagram is built, and nothing is streamed
-            items, count = (), mo.census_counts(n)[1]
-        else:
-            items, to_obj = mo.iter_idempotents(n), ser.diagram_to_obj
+        items, to_obj = iter_idempotents(n), ser.diagram_to_obj
+    count = 0
     for item in items:
         count += 1
-        if not args.count_only:
-            print(ser.dumps(to_obj(item)), file=args.stdout)
+        print(ser.dumps(to_obj(item)), file=args.stdout)
     print(f"kind={args.kind} n={n} count={count}", file=args.stderr)
-    if args.count_only:
-        print(count, file=args.stdout)
     return 0
 
 
@@ -570,7 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None, stdout=None, stderr=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with redirect_stderr(stderr or sys.stderr):  # usage errors go to the stderr given
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     args.stdout = stdout or sys.stdout

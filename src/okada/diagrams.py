@@ -53,7 +53,7 @@ from .errors import (
     PropagatingMismatchError,
     RankMismatchError,
 )
-from .fibonacci import Chain, FibonacciSet, enumerate_yfs, is_fibonacci_set, saturated_chains
+from .fibonacci import Chain, FibonacciSet, _chain_codes, chain_count, enumerate_yfs, is_fibonacci_set
 from .polynomials import Polynomial, x_var
 
 __all__ = [
@@ -646,16 +646,26 @@ def enumerate_half(
 ) -> tuple[HalfArcDiagram, ...]:
     """All rank-``n`` half diagrams, optionally with propagating labels ``s``.
 
-    Ordered by propagating label set, then by the restriction chain; the
-    count per label set equals the number of saturated chains.
+    Ordered by label set, then by restriction chain as in
+    :func:`~okada.fibonacci.saturated_chains`.  The arrays of a half are
+    the step code of its chain: adding a label opens a half arc, removing
+    the largest closes it, as in :func:`chain_inverse`.  The codes grow up
+    the Young-Fibonacci lattice a rank at a time, each prefix extended by
+    the covers of its last set in increasing order.  Chains to one top
+    compare as their sequences of sets, so that order is the chain order.
     """
-    targets = (s,) if s is not None else enumerate_yfs(n)
-    out = []
-    for t in targets:
-        if t.rank != n:
-            raise RankMismatchError(f"label set {t} does not have rank {n}")
-        out.extend(chain_inverse(c) for c in saturated_chains(t))
-    return tuple(out)
+    if s is not None and s.rank != n:
+        raise RankMismatchError(f"label set {s} does not have rank {n}")
+    return tuple(_half_from_arrays(n, partner, height) for partner, height in _chain_codes(n, s))
+
+
+def _rank_cells(n: int) -> Iterator[tuple[FibonacciSet, tuple[HalfArcDiagram, ...]]]:
+    """Each rank-``n`` label set with its halves, cut from one :func:`enumerate_half` by chain counts."""
+    halves, off = enumerate_half(n), 0
+    for s in enumerate_yfs(n):
+        k = chain_count(s)
+        yield s, halves[off : off + k]
+        off += k
 
 
 def iter_diagrams(n: int) -> Iterator[ArcDiagram]:
@@ -665,8 +675,7 @@ def iter_diagrams(n: int) -> Iterator[ArcDiagram]:
     propagating labels, so no deduplication is needed and memory stays
     proportional to the number of half diagrams.
     """
-    for s in enumerate_yfs(n):
-        halves = enumerate_half(n, s)
+    for _, halves in _rank_cells(n):
         for left in halves:
             for right in halves:
                 yield glue(left, right)

@@ -134,18 +134,13 @@ def enumerate_yfs(n: int) -> tuple[FibonacciSet, ...]:
     return tuple(FibonacciSet(n, elems) for elems in sets)
 
 
-def _yf_neighbours(s: FibonacciSet, rank: int) -> tuple[FibonacciSet, ...]:
-    """Sorted rank-``rank`` sets: ``s`` without its largest element, or with a new one."""
-    elems = s.elements
-    out = []
-    if elems:
-        out.append(FibonacciSet(rank, elems[:-1]))
-    lo = elems[-1] if elems else 0
-    want = (len(elems) + 1) % 2
-    for t in range(lo + 1, rank + 1):
-        if t % 2 == want:
-            out.append(FibonacciSet(rank, elems + (t,)))
-    return tuple(sorted(out))
+def _yf_steps(elems: tuple[int, ...], rank: int) -> list[tuple[int, ...]]:
+    """The rank-``rank`` neighbours of ``elems``, sorted: less its largest
+    element (a prefix), then with each new largest element, whose parity
+    is that of the largest plus one."""
+    if not elems:
+        return [(u,) for u in range(1, rank + 1, 2)]
+    return [elems[:-1]] + [elems + (u,) for u in range(elems[-1] + 1, rank + 1, 2)]
 
 
 def yf_covers(s: FibonacciSet) -> tuple[FibonacciSet, ...]:
@@ -154,14 +149,12 @@ def yf_covers(s: FibonacciSet) -> tuple[FibonacciSet, ...]:
     ``t`` covers ``s`` when one of the two is the other with its largest
     element removed.  Results come sorted lexicographically.
     """
-    return _yf_neighbours(s, s.rank + 1)
+    return tuple(FibonacciSet(s.rank + 1, e) for e in _yf_steps(s.elements, s.rank + 1))
 
 
 def yf_down_covers(s: FibonacciSet) -> tuple[FibonacciSet, ...]:
     """The rank ``n-1`` sets covered by ``s``; empty for rank 0."""
-    if s.rank == 0:
-        return ()
-    return _yf_neighbours(s, s.rank - 1)
+    return tuple(FibonacciSet(s.rank - 1, e) for e in _yf_steps(s.elements, s.rank - 1)) if s.rank else ()
 
 
 def is_yf_cover(s: FibonacciSet, t: FibonacciSet) -> bool:
@@ -218,6 +211,38 @@ def saturated_chains(s: FibonacciSet) -> tuple[Chain, ...]:
         for c in saturated_chains(p)
     ]
     return tuple(sorted(chains))
+
+
+def _chain_codes(n: int, s: FibonacciSet | None = None) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The saturated chains to rank ``n`` (to ``s`` if given), by top, then
+    in chain order (see :func:`~okada.diagrams.enumerate_half`), as arrays
+    ``(partner, height)``: step ``p`` adds or removes the label
+    ``height[p]``, a removal and the addition it undoes point at each
+    other, and an addition never undone at ``-1``.  No :class:`Chain` is built.
+    """
+    tops = enumerate_yfs(n) if s is None else (s,)
+    below = None  # with s: the element tuples below s, by rank
+    if s is not None:
+        below = [{s.elements}]
+        for r in range(n, 0, -1):
+            below.insert(0, {e for t in below[0] for e in _yf_steps(t, r - 1)})
+    level = [((), (), (), ())]  # chain prefixes in chain order: set, partner, height, open steps
+    for p in range(n):
+        nxt = []
+        for elems, partner, height, opens in level:
+            for t in _yf_steps(elems, p + 1):
+                if below is not None and t not in below[p + 1]:
+                    continue
+                if len(t) < len(elems):  # remove the largest label, added at step q
+                    q = opens[-1]
+                    nxt.append((t, partner[:q] + (p,) + partner[q + 1 :] + (q,), height + (elems[-1],), opens[:-1]))
+                else:  # add a new largest label
+                    nxt.append((t, partner + (-1,), height + (t[-1],), opens + (p,)))
+        level = nxt
+    leaves: dict[tuple[int, ...], list] = {t.elements: [] for t in tops}
+    for elems, partner, height, _ in level:
+        leaves[elems].append((partner, height))
+    return [code for t in tops for code in leaves[t.elements]]
 
 
 def chain_count(s: FibonacciSet) -> int:

@@ -18,6 +18,13 @@ read this pairing and form no product:
 * the R-, L- and J-classes are the fibres of ``bra``, ``ket`` and
   ``prop_lab``: the rows, columns and whole of each cell, whose diagonal
   holds the representatives ``glue(L, L)``, the free one among them.
+
+The mirror is an anti-automorphism, ``mirror(c·d) = mirror(d)·mirror(c)``
+(reflecting a stack reverses it and keeps every label), and it swaps the
+halves, ``mirror(glue(L, R)) = glue(R, L)``.  So ``glue(L, R)`` and
+``glue(R, L)`` are idempotent together and share their aperiodicity index,
+and the census and :func:`aperiodicity_max` scan only the pairs ``i <= j``
+of each cell, ``glue(L, L)`` being idempotent.
 """
 
 from __future__ import annotations
@@ -85,8 +92,10 @@ def aperiodicity_index(e: dg.ArcDiagram) -> int:
 
 
 def aperiodicity_max(n: int) -> int:
-    """Largest aperiodicity index over the whole rank-``n`` monoid."""
-    return max((aperiodicity_index(e) for e in dg.iter_diagrams(n)), default=1)
+    """Largest aperiodicity index over the whole rank-``n`` monoid; only the
+    non-idempotents ``glue(L_i, L_j)``, ``i < j``, of each cell are powered."""
+    return max((aperiodicity_index(dg.glue(cell[i], cell[j])) for _, cell, ends in _rank(n) for i in range(len(cell))
+                for j in range(i + 1, len(cell)) if not _passes(cell[i], cell[j], ends[j])), default=1)
 
 
 # ---------------------------------------------------------------------------
@@ -94,12 +103,12 @@ def aperiodicity_max(n: int) -> int:
 
 
 @lru_cache(maxsize=1)
-def _cell(s: FibonacciSet) -> list[tuple[dg.HalfArcDiagram, list[int]]]:
-    """The halves of cell ``s`` in enumeration order, each with the positions of its half arcs.
+def _rank(n: int) -> list[tuple[FibonacciSet, tuple[dg.HalfArcDiagram, ...], list[list[int]]]]:
+    """Each rank-``n`` label set with its halves and their half-arc positions.
 
-    The memo keeps the current cell only, at most 945 halves (rank 10), so
-    the row blocks of one cell that a process runs in turn build it once."""
-    return [(h, [p for p, q in enumerate(h.partner) if q < 0]) for h in dg.enumerate_half(s.rank, s)]
+    The memo holds one rank (9496 halves at rank 10), so that a process
+    builds it once for all it asks of that rank."""
+    return [(s, cell, [[p for p, q in enumerate(h.partner) if q < 0] for h in cell]) for s, cell in dg._rank_cells(n)]
 
 
 def _passes(left: dg.HalfArcDiagram, right: dg.HalfArcDiagram, ends: list[int]) -> bool:
@@ -140,38 +149,43 @@ def _passes(left: dg.HalfArcDiagram, right: dg.HalfArcDiagram, ends: list[int]) 
 
 def iter_idempotents(n: int) -> Iterator[dg.ArcDiagram]:
     """Stream the idempotents of rank ``n`` in :func:`~okada.diagrams.iter_diagrams` order."""
-    for s in enumerate_yfs(n):
-        cell = _cell(s)
-        for left, _ in cell:
-            for right, ends in cell:
-                if _passes(left, right, ends):
+    for _, cell, ends in _rank(n):
+        for left in cell:
+            for right, e in zip(cell, ends):
+                if _passes(left, right, e):
                     yield dg.glue(left, right)
 
 
-def _census_rows(job: tuple[FibonacciSet, int, int]) -> int:
-    """Idempotents among the rows ``start .. stop-1`` of cell ``s``."""
-    s, start, stop = job
-    cell = _cell(s)
-    return sum(1 for left, _ in cell[start:stop] for right, ends in cell if _passes(left, right, ends))
+def _census_rows(job: tuple[int, int, int, int]) -> int:
+    """Idempotents among the pairs ``i <= j`` of the rows ``start .. stop-1``
+    of cell ``c`` of rank ``n``, a pair ``i < j`` counting for its mirror too."""
+    n, c, start, stop = job
+    _, cell, ends = _rank(n)[c]
+    return sum(1 + 2 * sum(_passes(cell[i], cell[j], ends[j]) for j in range(i + 1, len(cell)))
+               for i in range(start, stop))
 
 
 def census_counts(n: int, threads: int = 1) -> tuple[int, int, int]:
     """Totals ``(elements, idempotents, involutives)`` for rank ``n``.
 
     The involutives are the pairs ``glue(L, L)``, all idempotent: one
-    per half diagram.  The idempotents come from one job list, the rows
-    of every cell in blocks of about ``elements // (4 * threads)`` pairs,
+    per half diagram.  The idempotents come from one job list over the
+    pairs ``i <= j`` of every cell, in row blocks of about
+    ``pairs // (4 * threads)`` pairs (row ``i`` of ``k`` holds ``k - i``),
     run in turn or, with ``threads > 1``, in worker processes.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    cells = [(s, chain_count(s)) for s in enumerate_yfs(n)]
-    total = sum(k * k for _, k in cells)
-    block = max(1, total // (4 * threads))  # pairs per job
+    sizes = [chain_count(s) for s in enumerate_yfs(n)]
+    block = max(1, sum(k * (k + 1) // 2 for k in sizes) // (4 * threads))  # pairs per job
     jobs = []
-    for s, k in cells:
-        rows = max(1, block // k)
-        jobs += [(s, start, min(start + rows, k)) for start in range(0, k, rows)]
+    for c, k in enumerate(sizes):
+        start = pairs = 0
+        for i in range(k):
+            pairs += k - i
+            if pairs >= block or i == k - 1:
+                jobs.append((n, c, start, i + 1))
+                start, pairs = i + 1, 0
     if threads == 1:
         idem = sum(map(_census_rows, jobs))
     else:
@@ -180,7 +194,7 @@ def census_counts(n: int, threads: int = 1) -> tuple[int, int, int]:
 
         with ProcessPoolExecutor(max_workers=threads) as pool:
             idem = sum(pool.map(_census_rows, jobs))
-    return total, idem, sum(k for _, k in cells)
+    return sum(k * k for k in sizes), idem, sum(sizes)
 
 
 def involutive_count(n: int) -> int:
@@ -277,8 +291,7 @@ def green_classes(n: int) -> GreenClasses:
     j_classes: list[tuple[int, ...]] = []
     r_reps: list[int] = []
     j_reps: list[int] = []
-    for s in enumerate_yfs(n):
-        halves = dg.enumerate_half(n, s)
+    for s, halves, _ in _rank(n):
         k, off = len(halves), len(elements)
         end = off + k * k
         elements.extend(dg.glue(left, right) for left in halves for right in halves)

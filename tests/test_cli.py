@@ -66,6 +66,61 @@ def test_the_idempotent_stream_agrees_with_the_count():
         assert rc == 0 and count == (0, f"{len(out.splitlines())}\n", err), n
 
 
+def _direct_counts(kind, n):
+    """Counts by their recurrences: Fibonacci numbers for ``yfs``, ``n!``
+    for ``diagrams`` and the involutions of S_n for ``half`` and ``chains``."""
+    if kind == "diagrams":
+        return math.factorial(n)
+    a, b = 1, 1
+    for k in range(1, n):
+        a, b = b, (a + b if kind == "yfs" else b + k * a)
+    return b
+
+
+def test_counts_agree_with_the_streams():
+    from okada.fibonacci import enumerate_yfs
+
+    for n in range(7):
+        for kind in ("yfs", "diagrams", "half", "chains"):
+            rc, out, err = run(["enumerate", kind, "--n", str(n)])
+            count = run(["enumerate", kind, "--n", str(n), "--count-only"])
+            assert rc == 0 and count == (0, f"{len(out.splitlines())}\n", err), (kind, n)
+        for s in enumerate_yfs(n):
+            for kind in ("half", "chains"):
+                argv = ["enumerate", kind, "--n", str(n), "--set", ",".join(map(str, s.elements))]
+                rc, out, err = run(argv)
+                assert rc == 0 and run([*argv, "--count-only"]) == (0, f"{len(out.splitlines())}\n", err), argv
+
+
+def test_counts_up_to_each_cap_build_and_stream_nothing(monkeypatch):
+    from okada.cli import _LIMITS
+
+    def never(*args, **kwargs):
+        raise AssertionError("--count-only built or streamed an item")
+
+    for target in ("okada.diagrams.iter_diagrams", "okada.diagrams.enumerate_half", "okada.diagrams.glue",
+                   "okada.diagrams.chain_inverse", "okada.fibonacci.saturated_chains", "okada.fibonacci.Chain",
+                   "okada.serialize.dumps"):
+        monkeypatch.setattr(target, never)
+    for kind in ("yfs", "diagrams", "half", "chains"):
+        for n in range(_LIMITS[kind] + 1):
+            want = _direct_counts(kind, n)
+            assert run(["enumerate", kind, "--n", str(n), "--count-only"]) == (
+                0, f"{want}\n", f"kind={kind} n={n} count={want}\n"), (kind, n)
+
+
+def test_usage_errors_go_to_the_stderr_given(capsys):
+    for argv in (["bogus"], ["enumerate", "yfs", "--n", "x"]):
+        out, err = io.StringIO(), io.StringIO()
+        assert main(argv, stdout=out, stderr=err) == 2
+        assert err.getvalue().startswith("usage: ") and "error: " in err.getvalue(), argv
+        assert out.getvalue() == ""
+    assert capsys.readouterr() == ("", "")
+    proc = subprocess.run([sys.executable, "-m", "okada.cli", "bogus"], capture_output=True, text=True,
+                          env=_src_env())
+    assert (proc.returncode, proc.stdout) == (2, "") and proc.stderr.startswith("usage: ")
+
+
 def test_enumerate_half_filtered():
     rc, out, _ = run(["enumerate", "half", "--n", "3", "--set", "1"])
     assert rc == 0

@@ -219,6 +219,24 @@ def test_enumerate_half_filtered():
             assert all(dg.prop_lab(h) == s for h in halves)
 
 
+def test_the_lattice_walk_matches_the_chain_decoding(monkeypatch):
+    from okada import fibonacci
+    from okada.fibonacci import saturated_chains
+
+    want = {n: [tuple(dg.chain_inverse(c) for c in saturated_chains(s)) for s in enumerate_yfs(n)] for n in range(10)}
+
+    def never(*args, **kwargs):
+        raise AssertionError("enumerate_half decoded chains")
+
+    for owner in (fibonacci, dg):  # the defining module and the names diagrams imports
+        for name in ("Chain", "saturated_chains", "chain_inverse"):
+            monkeypatch.setattr(owner, name, never, raising=False)
+    for n, cells in want.items():
+        for s, halves in zip(enumerate_yfs(n), cells):
+            assert dg.enumerate_half(n, s) == halves, s
+        assert dg.enumerate_half(n) == sum(cells, ()), n
+
+
 def test_compose_unit_and_relations():
     for n in range(1, 6):
         e = dg.identity(n)

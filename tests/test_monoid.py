@@ -287,7 +287,7 @@ class _InProcessPool:
         return map(fn, jobs)
 
 
-def test_the_census_job_list_covers_every_row_once(monkeypatch):
+def test_the_census_job_list_covers_every_pair_once(monkeypatch):
     from okada import monoid
 
     jobs = []
@@ -299,35 +299,100 @@ def test_the_census_job_list_covers_every_row_once(monkeypatch):
     monkeypatch.setattr(monoid, "_census_rows", record)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InProcessPool)
     for n in range(13):
-        rows = [(s, i) for s in enumerate_yfs(n) for i in range(chain_count(s))]
+        sizes = [chain_count(s) for s in enumerate_yfs(n)]
+        rows = [(c, i) for c, k in enumerate(sizes) for i in range(k)]
         for threads in (1, 2, 3, 64):
             jobs.clear()
             assert census_counts(n, threads) == (math.factorial(n), 0, involutive_count(n))
-            assert [(s, i) for s, start, stop in jobs for i in range(start, stop)] == rows, (n, threads)
-    # rank 7 in one thread: only the 48-half cell is over the 1260-pair block
-    jobs.clear()
-    census_counts(7)
-    assert len(jobs) == len(enumerate_yfs(7)) + 1
+            # a job holds the pairs i <= j of its rows, so whole rows, each once, cover the triangle
+            assert [(c, i) for m, c, start, stop in jobs for i in range(start, stop)] == rows, (n, threads)
+            assert {m for m, *_ in jobs} <= {n}
+            # balanced by pairs: a block passes its share by less than one row
+            block = max(1, sum(k * (k + 1) // 2 for k in sizes) // (4 * threads))
+            for m, c, start, stop in jobs:
+                k = sizes[c]
+                held = (stop - start) * k - (start + stop - 1) * (stop - start) // 2
+                assert held < block + k and (held >= block or stop == k), (n, threads, c, start, stop)
 
 
-def test_the_census_builds_each_cell_once(monkeypatch):
+def test_a_census_job_tests_each_pair_above_the_diagonal_once(monkeypatch):
+    from okada import monoid
+
+    tested = []
+
+    def record(left, right, ends):
+        tested.append((id(left), id(right)))
+        return True
+
+    monkeypatch.setattr(monoid, "_passes", record)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InProcessPool)
+    for n in range(9):
+        cells = [[id(h) for h in halves] for _, halves, _ in monoid._rank(n)]
+        above = sorted((c[i], c[j]) for c in cells for i in range(len(c)) for j in range(i + 1, len(c)))
+        for threads in (1, 3):
+            tested.clear()
+            # every pair passes: the diagonal once and each pair above it twice give the whole square
+            assert census_counts(n, threads)[1] == math.factorial(n), (n, threads)
+            assert sorted(tested) == above, (n, threads)
+
+
+def test_the_census_builds_each_rank_once(monkeypatch):
     from okada import monoid
 
     built = []
     enumerate_half = dg.enumerate_half
 
     def counted(n, s=None):
-        built.append(s)
+        built.append((n, s))
         return enumerate_half(n, s)
 
     monkeypatch.setattr(dg, "enumerate_half", counted)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InProcessPool)
-    monoid._cell.cache_clear()
+    monoid._rank.cache_clear()
     counts = KNOWN_IDEMPOTENT_COUNTS + (EXTENDED_IDEMPOTENT_COUNTS[9], EXTENDED_IDEMPOTENT_COUNTS[10])
     for n in range(11):
         built.clear()
         assert census_counts(n, threads=4)[1] == counts[n]
-        assert built == list(enumerate_yfs(n)), n
+        assert built == [(n, None)], n
+        # the idempotents, Green classes and aperiodicity of the same rank reuse it
+        if n <= 6:
+            assert sum(1 for _ in iter_idempotents(n)) == counts[n]
+            green_classes.cache_clear()
+            green_classes(n)
+            aperiodicity_max(n)
+            assert built == [(n, None)], n
+
+
+def _pairs_of_cells(n):
+    for s in enumerate_yfs(n):
+        halves = dg.enumerate_half(n, s)
+        ends = [[p for p, q in enumerate(h.partner) if q < 0] for h in halves]
+        yield halves, ends
+
+
+def test_the_pair_test_is_mirror_symmetric():
+    from okada.monoid import _passes
+
+    for n in range(8):
+        for halves, ends in _pairs_of_cells(n):
+            for i, left in enumerate(halves):
+                for j, right in enumerate(halves):
+                    assert _passes(left, right, ends[j]) == _passes(right, left, ends[i]), (n, i, j)
+
+
+def test_the_census_matches_the_full_square():
+    from okada.monoid import _passes
+
+    for n in range(9):
+        square = sum(
+            _passes(left, right, e) for halves, ends in _pairs_of_cells(n) for left in halves for right, e in zip(halves, ends)
+        )
+        assert census_counts(n)[1] == square == KNOWN_IDEMPOTENT_COUNTS[n], n
+
+
+def test_aperiodicity_max_matches_the_full_scan():
+    for n in range(8):
+        assert aperiodicity_max(n) == max(aperiodicity_index(d) for d in dg.iter_diagrams(n)), n
 
 
 def test_aperiodicity():
