@@ -310,9 +310,8 @@ class CellDatum(Immutable):
 
 def cell_datum(n: int) -> CellDatum:
     """The cellular description of the rank-``n`` algebra."""
-    poset = enumerate_yfs(n)
-    index_sets = {s: dg.enumerate_half(n, s) for s in poset}
-    return CellDatum(n, poset, index_sets, dg.mirror)
+    index_sets = dict(dg._rank_cells(n))
+    return CellDatum(n, tuple(index_sets), index_sets, dg.mirror)
 
 
 def cell_action(
@@ -322,16 +321,17 @@ def cell_action(
 ) -> dict[dg.HalfArcDiagram, Polynomial]:
     """Left action of ``a`` on the cell-module basis vector ``h``.
 
-    ``a . h`` is the bra of ``a * glue(h, h)`` when the product keeps
-    propagating labels ``s``, and zero when the labels drop.
+    ``a . h`` is the bra of ``a * glue(h, F)``, with ``F`` the free half
+    of ``s``, when the product keeps propagating labels ``s``, and zero
+    when the labels drop; the ket plays no part, so any one will do.
     """
     if dg.prop_lab(h) != s:
         raise PropagatingMismatchError(f"{h} does not have propagating labels {s}")
     if isinstance(a, dg.ArcDiagram):
         a = AlgebraElement.from_diagram(a)
-    hh = AlgebraElement.from_diagram(dg.glue(h, h))
+    hf = AlgebraElement.from_diagram(dg.glue(h, free_half_diagram(s)))
     terms = []
-    for p, c in (a * hh).coefficients():
+    for p, c in (a * hf).coefficients():
         d = perm_to_diagram(p)
         if dg.prop_lab(d) == s:
             terms.append((dg.bra(d), c))
@@ -349,45 +349,45 @@ def gram_matrix(s: FibonacciSet) -> tuple[tuple[Polynomial, ...], ...]:
     Entry ``(i, j)`` is the coefficient ``phi(R_i, L_j)`` defined by
     ``C_{L,R_i} * C_{L_j,R} = phi(R_i, L_j) * C_{L,R}`` modulo diagrams
     with strictly dominated propagating labels; rows and columns follow
-    ``enumerate_half(n, s)``.  The form of a cellular algebra is symmetric
-    under its anti-involution, here ``mirror``, which swaps the halves of
-    every basis diagram and reverses products: ``phi(S, T) = phi(T, S)``.
-    So only the entries with ``i <= j`` are computed, each with its
-    landing checks, and each is mirrored into ``(j, i)``.  The code word
-    of each row's and each column's basis permutation is read once, and
-    every entry multiplies two of them (each product certified).
+    ``enumerate_half(n, s)``.  By the cellular axioms ``phi`` does not
+    depend on the outer halves ``L`` and ``R``, so every entry is framed
+    by the free half ``F`` of ``s``, whose basis words are the shortest
+    of the cell.  A product lands when its permutation is the free
+    involution of ``s``, the permutation of ``glue(F, F)``; any other is
+    turned into its diagram, whose labels must lie strictly below ``s``.
+    The form is symmetric under the anti-involution ``mirror``, which
+    swaps the halves of every basis diagram and reverses products:
+    ``phi(S, T) = phi(T, S)``.  So only the entries with ``i <= j`` are
+    computed, and each is mirrored into ``(j, i)``.  The code word of
+    each framed basis permutation is read once, and every entry
+    multiplies two of them (each product certified).
     """
     n = s.rank
     halves = dg.enumerate_half(n, s)
-    ref = halves[0]
-    top = dg.glue(ref, ref)
-    right_words = [
-        word_from_code(_perm_of_diagram_cached(dg.glue(l_half, ref))) for l_half in halves
-    ]
+    free, top = free_half_diagram(s), free_involution(s)
+    right_words = [word_from_code(_perm_of_diagram_cached(dg.glue(h, free))) for h in halves]
     rows = [[None] * len(halves) for _ in halves]
     for i, r_half in enumerate(halves):
-        left_word = word_from_code(_perm_of_diagram_cached(dg.glue(ref, r_half)))
+        left_word = word_from_code(_perm_of_diagram_cached(dg.glue(free, r_half)))
         for j in range(i, len(halves)):
             coeff, prod = _multiply_code_words(left_word, right_words[j], n)
-            d = perm_to_diagram(prod)
-            lab = dg.prop_lab(d)
-            if lab == s:
-                if d != top:
+            if prod != top:
+                d = perm_to_diagram(prod)
+                lab = dg.prop_lab(d)
+                if lab == s:
+                    raise InternalInvariantError(f"cellular product at {s} landed on {d!r}")
+                if not dominance_leq(lab, s):
                     raise InternalInvariantError(
-                        f"cellular product at {s} landed on {d!r}"
+                        f"product at {s} raised propagating labels to {lab}"
                     )
-            elif dominance_leq(lab, s):
                 coeff = Polynomial.zero()
-            else:
-                raise InternalInvariantError(
-                    f"product at {s} raised propagating labels to {lab}"
-                )
             rows[i][j] = rows[j][i] = coeff
     return tuple(map(tuple, rows))
 
 
 # Largest cell dimension ``gram_det`` expands.  The slowest cells at this
-# dimension with n <= 8, {7}_7 and {7,8}_8, take about 0.35 s each.
+# dimension with n <= 8, {7}_7 and {7,8}_8, take 0.2-0.35 s each, nearly
+# all of it in the determinant: their Gram matrices take 2-4 ms.
 GRAM_DET_MAX_DIM = 15
 
 

@@ -328,6 +328,22 @@ def test_cell_datum_exhausts_basis():
         assert cd.involution(dg.identity(n)) == dg.identity(n)
 
 
+def test_cell_datum_cuts_each_rank_from_one_walk(monkeypatch):
+    honest, calls = dg.enumerate_half, []
+
+    def counting(n, s=None):
+        calls.append((n, s))
+        return honest(n, s)
+
+    monkeypatch.setattr(dg, "enumerate_half", counting)
+    for n in range(0, 10):
+        calls.clear()
+        cd = cell_datum(n)
+        assert calls == [(n, None)], n
+        assert cd.poset == enumerate_yfs(n)
+        assert cd.index_sets == {s: honest(n, s) for s in enumerate_yfs(n)}
+
+
 def test_cell_basis_involution_swaps_indices():
     cd = cell_datum(4)
     for s in cd.poset:
@@ -372,6 +388,34 @@ def test_cell_action_is_a_module_action():
             assert lhs == {k: v for k, v in acc.items() if v}
 
 
+def _cell_action_on_the_diagonal(a, h, s):
+    # An oracle in another frame: a acts on glue(h, h), not on glue(h, F)
+    # with F the free half of s as in cell_action.
+    hh = AlgebraElement.from_diagram(dg.glue(h, h))
+    acc: dict = {}
+    for p, c in (a * hh).coefficients():
+        d = perm_to_diagram(p)
+        if dg.prop_lab(d) == s:
+            acc[dg.bra(d)] = acc.get(dg.bra(d), Polynomial.zero()) + c
+    return {k: v for k, v in acc.items() if v}
+
+
+def test_cell_action_does_not_depend_on_its_frame():
+    # The generators and every 7th permutation, on every half with n <= 5:
+    # the same dict, key order included.
+    actions = 0
+    for n in range(1, 6):
+        elements = [E(i, n) for i in range(1, n)]
+        elements += [AlgebraElement.from_perm(p) for p in all_perms(n)[::7]]
+        for s in enumerate_yfs(n):
+            for h in dg.enumerate_half(n, s):
+                for a in elements:
+                    got, want = cell_action(a, h, s), _cell_action_on_the_diagonal(a, h, s)
+                    assert list(got.items()) == list(want.items()), (a, h, s)
+                    actions += 1
+    assert actions == 659
+
+
 def test_gram_top_cell_is_identity():
     for n in range(1, 7):
         assert gram_matrix(F(n, tuple(range(1, n + 1)))) == ((Polynomial.one(),),)
@@ -379,7 +423,8 @@ def test_gram_top_cell_is_identity():
 
 def _full_gram_table(s):
     # Every entry computed on its own, one multiply_perms each, without
-    # the symmetry that gram_matrix relies on: the coefficient of
+    # the symmetry that gram_matrix relies on, in another frame than its
+    # free half and landing tested by diagram: the coefficient of
     # C_{ref,ref} in C_{ref,R_i} * C_{L_j,ref}, zero when the labels drop.
     halves = dg.enumerate_half(s.rank, s)
     ref = halves[0]
@@ -434,9 +479,9 @@ def test_products_of_code_words_read_once_are_still_certified(monkeypatch):
 
     s = F(4, (1, 2))  # some entries drop below s, onto non-operands
     halves = dg.enumerate_half(4, s)
-    ref = halves[0]
-    cell_operands = {diagram_to_perm(dg.glue(ref, h)) for h in halves}
-    cell_operands |= {diagram_to_perm(dg.glue(h, ref)) for h in halves}
+    free = free_half_diagram(s)  # the frame of gram_matrix
+    cell_operands = {diagram_to_perm(dg.glue(free, h)) for h in halves}
+    cell_operands |= {diagram_to_perm(dg.glue(h, free)) for h in halves}
     a, b = E(1, 3) + E(2, 3), E(2, 3)  # E_1 E_2 is a new basis element
     element_operands = set(a.support()) | set(b.support())
     honest = rewriting.word_from_code
@@ -456,6 +501,36 @@ def test_products_of_code_words_read_once_are_still_certified(monkeypatch):
         assert corrupted, "no result code word was read"
         monkeypatch.setattr(rewriting, "word_from_code", honest)
     assert (gram_matrix(s), a * b) == (gram, product)
+
+
+def test_gram_matrix_checks_where_its_products_land(monkeypatch):
+    # A product lands when its permutation is the free involution; with a
+    # wrong one every landed product is turned into its diagram and caught.
+    monkeypatch.setattr(algebra, "free_involution", lambda s: identity_perm(s.rank))
+    checked = 0
+    for n in range(2, 6):
+        for s in enumerate_yfs(n):
+            if free_set(s):
+                with pytest.raises(InternalInvariantError, match="landed on"):
+                    gram_matrix(s)
+                checked += 1
+    assert checked == 14
+
+
+def test_gram_matrix_builds_a_diagram_only_for_the_products_that_drop(monkeypatch):
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return perm_to_diagram(p)
+
+    monkeypatch.setattr(algebra, "perm_to_diagram", counting)
+    for n in range(1, 7):
+        for s in enumerate_yfs(n):
+            calls.clear()
+            g = gram_matrix(s)
+            zeros = sum(not g[i][j] for i in range(len(g)) for j in range(i, len(g)))
+            assert len(calls) == zeros, s
 
 
 def test_gram_extraction_independent_of_frame():
