@@ -1,17 +1,24 @@
 """Exact determinants of polynomial matrices.
 
-Only :func:`okada.algebra.gram_det` uses this module, and it imports it
-when first called, so processes that never take a symbolic determinant
-do not compile it.
+Two determinants of one square matrix: :func:`polynomial_det`, the
+symbolic determinant, and :func:`specialized_det`, the determinant at a
+rational point.  The library determinants
+:func:`okada.algebra.gram_det` and
+:func:`okada.algebra.gram_det_specialized` import this module when
+first called, and ``okada gram`` imports it only for ``--det`` or
+``--specialize``, so processes that never take a determinant do not
+compile it.  The ``selftest`` checks compare the two on every small
+Gram matrix.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from fractions import Fraction
+from typing import Mapping, Sequence
 
-from .polynomials import Polynomial
+from .polynomials import Polynomial, Var
 
-__all__ = ["polynomial_det"]
+__all__ = ["polynomial_det", "specialized_det"]
 
 
 def polynomial_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
@@ -75,3 +82,41 @@ def polynomial_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
         exponents = ((v, (code >> shift[v]) & field) for v in variables)
         out[tuple((v, e) for v, e in exponents if e)] = k
     return Polynomial(out)
+
+
+def specialized_det(
+    matrix: Sequence[Sequence[Polynomial]], values: Mapping[Var, int | Fraction]
+) -> Fraction:
+    """Exact determinant of a polynomial matrix at a full specialization.
+
+    Each distinct entry is specialized once, then Gaussian elimination
+    over ``Fraction`` swaps in the first nonzero pivot of each column and
+    returns 0 when a column has none.  ``values`` must give every
+    variable of the matrix.
+
+    >>> from okada.polynomials import x_var, y_var
+    >>> one = Polynomial.one()
+    >>> point = {("x", 1): 3, ("y", 1): Fraction(1, 2)}
+    >>> specialized_det(((x_var(1), one), (one, y_var(1))), point)
+    Fraction(1, 2)
+    """
+    distinct = {entry for row in matrix for entry in row}
+    at = {e: Fraction(e.specialize(values).constant_value()) for e in distinct}
+    m = [[at[entry] for entry in row] for row in matrix]
+    d = len(m)
+    det = Fraction(1)
+    for col in range(d):
+        pivot = next((r for r in range(col, d) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, d):
+            factor = m[r][col] * inv
+            if factor:
+                for cc in range(col, d):
+                    m[r][cc] -= factor * m[col][cc]
+    return det

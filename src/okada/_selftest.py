@@ -15,6 +15,7 @@ from . import algebra as alg
 from . import diagrams as dg
 from . import monoid as mo
 from . import rewriting as rw
+from ._determinant import polynomial_det, specialized_det
 from .errors import InternalInvariantError
 from .fibonacci import dominance_leq, dominance_meet, enumerate_yfs, free_set
 from .polynomials import x_var, y_var
@@ -118,8 +119,9 @@ def cmd_selftest(args) -> int:
         for n in range(6):
             values = alg.specialization_point(n, rng)
             for s in enumerate_yfs(n):
-                got = alg.gram_det(s).specialize(values).constant_value()
-                want = alg.gram_det_specialized(s, values)
+                m = alg.gram_matrix(s)
+                got = polynomial_det(m).specialize(values).constant_value()
+                want = specialized_det(m, values)
                 _require(got == want, f"Gram determinant of {s!r} is {got} at {values}, not {want}")
 
     check("dimension n! (n<=5)", dims)

@@ -413,28 +413,16 @@ def gram_det(s: FibonacciSet) -> Polynomial:
 def gram_det_specialized(
     s: FibonacciSet, values: Mapping[Var, int | Fraction]
 ) -> Fraction:
-    """Exact determinant of the Gram matrix at a full specialization."""
-    m = [
-        [Fraction(entry.specialize(values).constant_value()) for entry in row]
-        for row in gram_matrix(s)
-    ]
-    d = len(m)
-    det = Fraction(1)
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, d):
-            factor = m[r][col] * inv
-            if factor:
-                for cc in range(col, d):
-                    m[r][cc] -= factor * m[col][cc]
-    return det
+    """Exact determinant of the Gram matrix of ``s`` at a full specialization.
+
+    The Gram matrix goes to :func:`okada._determinant.specialized_det`,
+    which specializes each distinct entry once and eliminates over
+    ``Fraction``.  ``values`` must give every variable of the matrix.
+    Unlike :func:`gram_det`, this accepts a cell of any dimension.
+    """
+    from ._determinant import specialized_det
+
+    return specialized_det(gram_matrix(s), values)
 
 
 def specialization_point(n: int, rng) -> dict[Var, Fraction]:

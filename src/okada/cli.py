@@ -426,12 +426,16 @@ def cmd_gram(args) -> int:
         "matrix": [[ser.poly_to_terms(c, args.n) for c in row] for row in matrix],
     }
     if args.det:
-        obj["det"] = ser.poly_to_terms(alg.gram_det(s), args.n)
+        from ._determinant import polynomial_det
+
+        obj["det"] = ser.poly_to_terms(polynomial_det(matrix), args.n)
     if args.specialize is not None:
         import random
 
+        from ._determinant import specialized_det
+
         values = alg.specialization_point(args.n, random.Random(args.specialize))
-        det = alg.gram_det_specialized(s, values)
+        det = specialized_det(matrix, values)
         obj["specialized_det"] = str(det)
         obj["specialization"] = {f"{k[0]}{k[1]}": str(v) for k, v in sorted(values.items())}
     _emit(args, obj)

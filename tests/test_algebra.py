@@ -27,7 +27,7 @@ from okada.algebra import (
     specialization_point,
     triangular_factorization,
 )
-from okada._determinant import polynomial_det
+from okada._determinant import polynomial_det, specialized_det
 from okada.errors import InternalInvariantError, PropagatingMismatchError, RankMismatchError
 from okada.fibonacci import (
     FibonacciSet,
@@ -43,6 +43,7 @@ from okada.rewriting import (
     diagram_to_perm,
     identity_perm,
     multiply_perms,
+    normalize,
     perm_length,
     perm_to_diagram,
 )
@@ -75,6 +76,24 @@ def test_unit_and_bilinearity():
     c = E(3, 4)
     assert (a + b) * c == a * c + b * c
     assert a * (b + c) == a * b + a * c
+
+
+def test_from_word_and_diagram_terms_agree_with_the_permutation_basis():
+    rng = random.Random(31)
+    for n in range(2, 6):
+        total = AlgebraElement.one(n)
+        for _ in range(8):
+            w = tuple(rng.randrange(1, n) for _ in range(rng.randrange(0, 3 * n)))
+            r = normalize(w, n)
+            a = AlgebraElement.from_word(w, n)
+            assert a == AlgebraElement.from_perm(r.perm, r.coefficient), w
+            total = total + a.scaled(rng.randrange(-3, 4) * x_var(rng.randrange(1, n)))
+        terms = total.diagram_terms()
+        assert [diagram_to_perm(d) for d, _ in terms] == list(total.support())
+        rebuilt = AlgebraElement.zero(n)
+        for d, c in terms:
+            rebuilt = rebuilt + AlgebraElement.from_diagram(d, c)
+        assert rebuilt == total and len(terms) > 1, n
 
 
 def test_rank_mismatch_rejected():
@@ -695,18 +714,30 @@ def _perm_sign(perm):
     return -1 if (len(perm) - cycles) % 2 else 1
 
 
+# A rational point for every variable of the matrices below.
+POINT = {("x", 1): Fraction(3, 2), ("x", 2): Fraction(-5), ("x", 3): Fraction(2, 7),
+         ("y", 1): Fraction(7, 3), ("y", 2): Fraction(4)}
+
+
+def _specializes_alike(matrix, values=POINT):
+    """``specialized_det`` equals ``polynomial_det`` specialized at ``values``."""
+    return specialized_det(matrix, values) == polynomial_det(matrix).specialize(values).constant_value()
+
+
 def test_polynomial_det_of_permutation_matrices_is_the_sign():
     checked = 0
     for d in range(6):
         for perm in itertools.permutations(range(d)):
             matrix = _integer_matrix([[int(perm[i] == j) for j in range(d)] for i in range(d)])
             assert polynomial_det(matrix) == Polynomial.integer(_perm_sign(perm)), perm
+            assert _specializes_alike(matrix), perm
             checked += 1
     assert checked == 1 + 1 + 2 + 6 + 24 + 120
 
 
 def test_polynomial_det_of_the_empty_matrix_is_one():
     assert polynomial_det(()) == Polynomial.one()
+    assert specialized_det((), {}) == 1
 
 
 def test_polynomial_det_with_a_zero_row_column_or_repeated_row_is_zero():
@@ -714,12 +745,14 @@ def test_polynomial_det_with_a_zero_row_column_or_repeated_row_is_zero():
     two, three, one, five = (Polynomial.integer(c) for c in (2, 3, 1, 5))
     full = [[x1, x2 + 1, y1, two], [y1, x1 * x2, three, x2], [x2, one, x1 + y1, y1], [five, x1, x2, x1 * y1]]
     assert polynomial_det(tuple(map(tuple, full))) != Polynomial.zero()
+    assert _specializes_alike(full) and specialized_det(full, POINT) != 0
     zero_row = [row[:] for row in full]
     zero_row[2] = [Polynomial.zero()] * 4
     zero_col = [[Polynomial.zero() if j == 1 else c for j, c in enumerate(row)] for row in full]
     repeated = [full[0], full[1], full[0], full[3]]
     for matrix in (zero_row, zero_col, repeated):
         assert polynomial_det(tuple(map(tuple, matrix))) == Polynomial.zero()
+        assert specialized_det(matrix, POINT) == 0
 
 
 def test_polynomial_det_of_a_triangular_matrix_is_the_diagonal_product():
@@ -733,6 +766,7 @@ def test_polynomial_det_of_a_triangular_matrix_is_the_diagonal_product():
     product = diag[0] * diag[1] * diag[2] * diag[3]
     assert polynomial_det(upper) == product
     assert polynomial_det(lower) == product
+    assert _specializes_alike(upper) and _specializes_alike(lower)
 
 
 def test_polynomial_det_of_a_symbolic_3x3_is_its_cofactor_expansion():
@@ -744,6 +778,7 @@ def test_polynomial_det_of_a_symbolic_3x3_is_its_cofactor_expansion():
     )
     expected = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     assert polynomial_det(m) == expected
+    assert _specializes_alike(m)
 
 
 def test_polynomial_det_equals_leibniz_on_random_matrices():
@@ -763,6 +798,19 @@ def test_polynomial_det_equals_leibniz_on_random_matrices():
             for _ in range(d)
         )
         assert polynomial_det(matrix) == _leibniz_det(matrix)
+        assert _specializes_alike(matrix)
+
+
+def test_specialized_det_specializes_each_distinct_entry_once(monkeypatch):
+    s = F(6, ())
+    matrix, values = gram_matrix(s), specialization_point(6, random.Random(6))
+    want = gram_det(s).specialize(values).constant_value()
+    distinct = {entry for row in matrix for entry in row}
+    assert len(distinct) < len(matrix) ** 2
+    specialized, specialize = [], Polynomial.specialize
+    monkeypatch.setattr(Polynomial, "specialize", lambda p, v: specialized.append(p) or specialize(p, v))
+    assert specialized_det(matrix, values) == want
+    assert len(specialized) == len(distinct) and set(specialized) == distinct
 
 
 def test_polynomial_det_refuses_a_matrix_that_is_not_square():

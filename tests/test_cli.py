@@ -323,12 +323,12 @@ def test_gram_det_over_the_dimension_limit_is_a_usage_error(monkeypatch):
         raise AssertionError("library called for a refused --det request")
 
     monkeypatch.setattr("okada.algebra.gram_matrix", never)
-    monkeypatch.setattr("okada.algebra.gram_det", never)
+    monkeypatch.setattr("okada._determinant.polynomial_det", never)
     rc, out, err = run(["gram", "--n", "7", "--set", "5", "--det"])  # dimension 18
     assert (rc, out) == (2, "")
     assert "gram --det supports cells of dimension <= 15" in err
     monkeypatch.undo()
-    monkeypatch.setattr("okada.algebra.gram_det", lambda s: Polynomial.one())
+    monkeypatch.setattr("okada._determinant.polynomial_det", lambda matrix: Polynomial.one())
     rc, out, _ = run(["gram", "--n", "5", "--set", "1", "--det"])
     obj = json.loads(out)
     assert (rc, obj["dim"], obj["det"]) == (0, 8, [{"x": [0] * 4, "y": [0] * 3, "c": 1}])
@@ -339,6 +339,30 @@ def test_gram_det_over_the_dimension_limit_is_a_usage_error(monkeypatch):
     obj = json.loads(out)
     s = FibonacciSet(6, (1, 4))
     assert (rc, obj["dim"], obj["det"]) == (0, 10, poly_to_terms(gram_det(s), 6))
+
+
+def _count_gram_matrices(monkeypatch):
+    from okada import algebra
+
+    built, build = [], algebra.gram_matrix
+    monkeypatch.setattr("okada.algebra.gram_matrix", lambda s: built.append(s) or build(s))
+    return built
+
+
+def test_gram_det_and_specialize_build_the_gram_matrix_once(monkeypatch):
+    built = _count_gram_matrices(monkeypatch)
+    rc, out, _ = run(["gram", "--n", "6", "--set", "1,4", "--det", "--specialize", "5"])
+    obj = json.loads(out)
+    assert (rc, obj["dim"], built) == (0, 10, [FibonacciSet(6, (1, 4))])
+    assert "det" in obj and "specialized_det" in obj
+
+
+def test_selftest_builds_one_gram_matrix_per_cell(monkeypatch):
+    from okada.fibonacci import enumerate_yfs
+
+    built = _count_gram_matrices(monkeypatch)
+    assert run(["selftest", "--seed", "0"])[0] == 0
+    assert built == [s for n in range(6) for s in enumerate_yfs(n)]
 
 
 def test_factorize_command():
@@ -711,6 +735,7 @@ WORK = [
                                     "aperiodicity_max")),
     *(f"okada.algebra.{f}" for f in ("gram_matrix", "gram_det", "gram_det_specialized",
                                      "triangular_factorization", "AlgebraElement.__mul__")),
+    *(f"okada._determinant.{f}" for f in ("polynomial_det", "specialized_det")),
     *(f"okada.rewriting.{f}" for f in ("normalize", "multiply_words", "multiply_perms", "rs", "rs_inverse")),
     *(f"okada.render.render_{f}" for f in ("diagram_svg", "diagram_tikz", "half_svg", "half_tikz",
                                           "yfs_hasse_svg", "yfs_hasse_tikz", "dominance_svg", "dominance_tikz")),
@@ -778,7 +803,7 @@ def _worst_at_each_cap(limits):
     # times, over two states of the host: enumerate yfs 1.3-2.8 s,
     # diagrams 1.0-2.2 s, half 0.35-0.6 s, chains 0.3-0.7 s, the
     # idempotent stream at rank 8 0.8-1.2 s and the idempotent count at
-    # rank 10, one census, 1.4-1.6 s; gram 0.95-1.6 s; green 0.3-0.5 s;
+    # rank 10, one census, 1.4-1.6 s; gram 0.5-0.8 s; green 0.3-0.5 s;
     # census 2.3-2.8 s; factorize 0.2-0.4 s; rs 0.10-0.13 s; render
     # 0.14-0.3 s; the word requests (normalize, multiply, letters)
     # 0.07-0.08 s; products 0.8-2.0 s.  Idempotent streams stop at rank 8:

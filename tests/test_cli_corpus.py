@@ -87,6 +87,7 @@ def _quick_calls():
         calls += _gram_calls(n)
     calls += [["gram", "--n", "4", "--set", _set_text(s), "--specialize", "9"] for s in enumerate_yfs(4)]
     calls += [["gram", "--n", "5", "--set", "1,4", "--det", "--specialize", "2"]]
+    calls += [["gram", "--n", "6", "--set", _set_text(s), "--specialize", "7"] for s in enumerate_yfs(6)]
     for n in range(1, 6):
         calls += _perm_calls(n)
     rng = random.Random(0)
@@ -151,6 +152,8 @@ def _extended_calls():
             calls += [["enumerate", kind, "--n", str(n)], ["enumerate", kind, "--n", str(n), "--count-only"]]
         calls += [["green", "--n", str(n)], ["green", "--n", str(n), "--format", "csv"]]
         calls += _gram_calls(n)  # cells over the --det dimension cap are refused
+    calls += [["gram", "--n", "7", "--set", _set_text(s), "--specialize", "3"] for s in enumerate_yfs(7)]
+    calls.append(["gram", "--n", "8", "--set", "", "--specialize", "1"])
     calls += [["enumerate", kind, "--n", "10"] for kind in ("half", "chains")]
     calls += [["enumerate", "yfs", "--n", "25"], ["enumerate", "yfs", "--n", "25", "--count-only"]]
     calls.append(["enumerate", "idempotents", "--n", "10", "--extended", "--count-only"])
