@@ -100,10 +100,12 @@ def specialized_det(
     >>> specialized_det(((x_var(1), one), (one, y_var(1))), point)
     Fraction(1, 2)
     """
+    d = len(matrix)
+    if any(len(row) != d for row in matrix):
+        raise ValueError(f"matrix with {d} rows is not square")
     distinct = {entry for row in matrix for entry in row}
     at = {e: Fraction(e.specialize(values).constant_value()) for e in distinct}
     m = [[at[entry] for entry in row] for row in matrix]
-    d = len(m)
     det = Fraction(1)
     for col in range(d):
         pivot = next((r for r in range(col, d) if m[r][col] != 0), None)

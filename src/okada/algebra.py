@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Mapping
 
 from . import diagrams as dg
 from ._immutable import Immutable
+from .diagrams import free_diagram, free_half_diagram
 from .errors import InternalInvariantError, PropagatingMismatchError, RankMismatchError
 from .fibonacci import (
     FibonacciSet,
@@ -46,8 +47,6 @@ from .rewriting import (
 
 __all__ = [
     "AlgebraElement",
-    "free_half_diagram",
-    "free_diagram",
     "free_element",
     "free_involution",
     "ideal_basis",
@@ -186,25 +185,6 @@ def _sum_by_key(terms: Iterable[tuple[object, Polynomial]]) -> dict:
 
 # ---------------------------------------------------------------------------
 # free elements
-
-
-def free_half_diagram(s: FibonacciSet) -> dg.HalfArcDiagram:
-    """Half diagram of the free element: half arcs ``h(x) = x`` on ``s``,
-    cups ``h(i, i+1) = i`` on the free set."""
-    partner = [-1] * s.rank
-    height: list[int | None] = [None] * s.rank
-    for x in s.elements:
-        height[x - 1] = x
-    for i in free_set(s):
-        partner[i - 1], partner[i] = i, i - 1
-        height[i - 1] = height[i] = i
-    return dg._half_from_arrays(s.rank, partner, height)
-
-
-def free_diagram(s: FibonacciSet) -> dg.ArcDiagram:
-    """Diagram of the free element: bra and ket both equal the free half."""
-    h = free_half_diagram(s)
-    return dg.glue(h, h)
 
 
 def free_involution(s: FibonacciSet) -> Perm:

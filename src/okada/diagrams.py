@@ -37,8 +37,9 @@ check the matching and the label types, and the parsers in
 :func:`validate_half`, each one linear walk with a stack of open arcs.
 Diagrams and halves built here from other ones (:func:`compose`,
 :func:`glue`, :func:`mirror`, :func:`peel`, :func:`bra`, :func:`ket`,
-:func:`restrict`, :func:`chain_inverse`, ...) skip those checks and
-only assert that every position was matched and labelled.
+:func:`restrict`, :func:`chain_inverse`, ...) or from a label set (the
+free half, :func:`free_half_diagram`) skip those checks and only assert
+that every position was matched and labelled.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .errors import (
     PropagatingMismatchError,
     RankMismatchError,
 )
-from .fibonacci import Chain, FibonacciSet, _chain_codes, chain_count, enumerate_yfs, is_fibonacci_set
+from .fibonacci import Chain, FibonacciSet, _chain_codes, chain_count, enumerate_yfs, free_set, is_fibonacci_set
 from .polynomials import Polynomial, x_var
 
 __all__ = [
@@ -69,6 +70,8 @@ __all__ = [
     "validate_half",
     "identity",
     "generator",
+    "free_half_diagram",
+    "free_diagram",
     "has_iota_arc",
     "iota",
     "iota_inverse",
@@ -364,6 +367,25 @@ def generator(i: int, n: int) -> ArcDiagram:
     partner[last - i], partner[last - i + 1] = last - i + 1, last - i
     height[i - 1] = height[i] = height[last - i] = height[last - i + 1] = i
     return _from_arrays(n, partner, height)
+
+
+def free_half_diagram(s: FibonacciSet) -> HalfArcDiagram:
+    """Half diagram of the free element: half arcs ``h(x) = x`` on ``s``,
+    cups ``h(i, i+1) = i`` on the free set."""
+    partner = [-1] * s.rank
+    height: list[int | None] = [None] * s.rank
+    for x in s.elements:
+        height[x - 1] = x
+    for i in free_set(s):
+        partner[i - 1], partner[i] = i, i - 1
+        height[i - 1] = height[i] = i
+    return _half_from_arrays(s.rank, partner, height)
+
+
+def free_diagram(s: FibonacciSet) -> ArcDiagram:
+    """Diagram of the free element: bra and ket both equal the free half."""
+    h = free_half_diagram(s)
+    return glue(h, h)
 
 
 def has_iota_arc(d: ArcDiagram) -> bool:

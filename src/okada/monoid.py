@@ -22,13 +22,16 @@ read this pairing and form no product:
 The mirror is an anti-automorphism, ``mirror(c·d) = mirror(d)·mirror(c)``
 (reflecting a stack reverses it and keeps every label), and it swaps the
 halves, ``mirror(glue(L, R)) = glue(R, L)``.  So ``glue(L, R)`` and
-``glue(R, L)`` are idempotent together and share their aperiodicity index,
-and the census and :func:`aperiodicity_max` scan only the pairs ``i <= j``
-of each cell, ``glue(L, L)`` being idempotent.
+``glue(R, L)`` are idempotent together and share their aperiodicity index.
+Two scans therefore read only the pairs ``i <= j`` of each cell, ``glue(L, L)``
+being idempotent: the census (:func:`census_counts`) and the aperiodicity
+profile (:func:`aperiodicity_profile`, whose largest index is
+:func:`aperiodicity_max`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from typing import Iterator
 
@@ -37,14 +40,12 @@ from ._immutable import Immutable
 from .errors import InternalInvariantError
 from .fibonacci import FibonacciSet, chain_count, enumerate_yfs
 
-# ``free_half_diagram`` and ``free_diagram`` are imported from ``algebra`` where
-# used, so that the monoid product does not load the algebra and rewriting layers.
-
 __all__ = [
     "mproduct",
     "is_idempotent",
     "is_involutive",
     "aperiodicity_index",
+    "aperiodicity_profile",
     "aperiodicity_max",
     "iter_idempotents",
     "census_counts",
@@ -91,11 +92,34 @@ def aperiodicity_index(e: dg.ArcDiagram) -> int:
             raise InternalInvariantError(f"power tower of {e!r} did not stabilize")
 
 
+def aperiodicity_profile(n: int) -> dict[int, int]:
+    """Number of rank-``n`` elements at each aperiodicity index, by index.
+
+    One scan of the pairs ``i < j`` of each cell: ``glue(L_i, L_j)`` is
+    powered when it fails :func:`_passes` and counts twice, for its mirror
+    ``glue(L_j, L_i)`` has the same index.  The other elements, the
+    diagonal ``glue(L_i, L_i)`` among them, are the idempotents, at index
+    1.  The monoid is aperiodic, so every power tower stabilizes, but no
+    a-priori bound on the index is known.
+
+    >>> aperiodicity_profile(4)
+    {1: 22, 2: 2}
+    """
+    profile: Counter[int] = Counter()
+    elements = 0
+    for _, cell, ends in _rank(n):
+        elements += len(cell) ** 2
+        for i, left in enumerate(cell, 1):
+            for right, e in zip(cell[i:], ends[i:]):
+                if not _passes(left, right, e):
+                    profile[aperiodicity_index(dg.glue(left, right))] += 2
+    profile[1] = elements - sum(profile.values())
+    return dict(sorted(profile.items()))
+
+
 def aperiodicity_max(n: int) -> int:
-    """Largest aperiodicity index over the whole rank-``n`` monoid; only the
-    non-idempotents ``glue(L_i, L_j)``, ``i < j``, of each cell are powered."""
-    return max((aperiodicity_index(dg.glue(cell[i], cell[j])) for _, cell, ends in _rank(n) for i in range(len(cell))
-                for j in range(i + 1, len(cell)) if not _passes(cell[i], cell[j], ends[j])), default=1)
+    """Largest aperiodicity index over the whole rank-``n`` monoid."""
+    return max(aperiodicity_profile(n))
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +307,6 @@ def green_classes(n: int) -> GreenClasses:
     >>> gc.r_reps, gc.j_reps
     ((0, 3, 4, 5), (3, 4, 5))
     """
-    from .algebra import free_half_diagram
-
     elements: list[dg.ArcDiagram] = []
     r_classes: list[tuple[int, ...]] = []
     l_classes: list[tuple[int, ...]] = []
@@ -299,7 +321,7 @@ def green_classes(n: int) -> GreenClasses:
         l_classes.extend(tuple(range(col, end, k)) for col in range(off, off + k))
         j_classes.append(tuple(range(off, end)))
         r_reps.extend(range(off, end, k + 1))
-        j_reps.append(off + halves.index(free_half_diagram(s)) * (k + 1))
+        j_reps.append(off + halves.index(dg.free_half_diagram(s)) * (k + 1))
     return GreenClasses(n, *map(tuple, (elements, r_classes, l_classes, j_classes, r_reps, j_reps)))
 
 
@@ -316,6 +338,4 @@ def r_class_rep(e: dg.ArcDiagram) -> dg.ArcDiagram:
 def j_class_rep(e: dg.ArcDiagram) -> dg.ArcDiagram:
     """The unique free element of the J-class of ``e``: the free element
     with the same propagating label set."""
-    from .algebra import free_diagram
-
-    return free_diagram(dg.prop_lab(e))
+    return dg.free_diagram(dg.prop_lab(e))

@@ -16,7 +16,8 @@ identical inputs produce byte-identical documents.
 
 from __future__ import annotations
 
-from .diagrams import ArcDiagram, HalfArcDiagram
+from typing import TYPE_CHECKING
+
 from .fibonacci import (
     FibonacciSet,
     dominance_covers,
@@ -26,6 +27,9 @@ from .fibonacci import (
     set_to_word,
     yf_covers,
 )
+
+if TYPE_CHECKING:
+    from .diagrams import ArcDiagram, HalfArcDiagram
 
 __all__ = [
     "render_diagram_svg",

@@ -21,11 +21,11 @@ from okada import render as rd
 from okada import serialize as ser
 from okada.algebra import (
     cell_datum,
-    free_diagram,
     free_involution,
     gram_det_specialized,
     triangular_factorization,
 )
+from okada.diagrams import free_diagram
 from okada.fibonacci import (
     chain_count,
     dominance_covers,

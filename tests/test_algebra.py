@@ -16,9 +16,7 @@ from okada.algebra import (
     AlgebraElement,
     cell_action,
     cell_datum,
-    free_diagram,
     free_element,
-    free_half_diagram,
     free_involution,
     gram_det,
     gram_det_specialized,
@@ -28,6 +26,7 @@ from okada.algebra import (
     triangular_factorization,
 )
 from okada._determinant import polynomial_det, specialized_det
+from okada.diagrams import free_diagram, free_half_diagram
 from okada.errors import InternalInvariantError, PropagatingMismatchError, RankMismatchError
 from okada.fibonacci import (
     FibonacciSet,
@@ -816,4 +815,11 @@ def test_specialized_det_specializes_each_distinct_entry_once(monkeypatch):
 def test_polynomial_det_refuses_a_matrix_that_is_not_square():
     with pytest.raises(ValueError, match="not square"):
         polynomial_det(((Polynomial.one(), Polynomial.zero()),))
+
+
+def test_specialized_det_refuses_a_matrix_that_is_not_square():
+    one, zero = Polynomial.one(), Polynomial.zero()
+    for matrix in (((one, zero),), ((one,), (zero,)), ((one, zero), (zero,))):
+        with pytest.raises(ValueError, match="not square"):
+            specialized_det(matrix, {})
 

@@ -732,7 +732,7 @@ WORK = [
     *(f"okada.fibonacci.{f}" for f in ("enumerate_yfs", "saturated_chains", "chain_count")),
     *(f"okada.diagrams.{f}" for f in ("iter_diagrams", "enumerate_half", "identity", "generator", "product_y1")),
     *(f"okada.monoid.{f}" for f in ("iter_idempotents", "census_counts", "green_classes", "mproduct",
-                                    "aperiodicity_max")),
+                                    "aperiodicity_max", "aperiodicity_profile")),
     *(f"okada.algebra.{f}" for f in ("gram_matrix", "gram_det", "gram_det_specialized",
                                      "triangular_factorization", "AlgebraElement.__mul__")),
     *(f"okada._determinant.{f}" for f in ("polynomial_det", "specialized_det")),
@@ -947,19 +947,27 @@ def test_cli_start_imports_no_process_pool():
     # pay for importing concurrent.futures.  Run as a program, each
     # subcommand loads only what it uses: normalizing a word needs the
     # rewriting layer and none of the diagram, monoid, algebra or render
-    # modules, nor dataclasses.
-    unwanted = ("concurrent", "dataclasses", "okada.monoid", "okada.algebra", "okada.render",
-                "okada.diagrams")
-    for entry in (["-m", "okada.cli"], ["-m", "okada"]):
+    # modules, nor dataclasses; the Green classes take the free half from
+    # the diagrams, not the algebra; the Hasse diagrams need no diagram type.
+    normalize = (["normalize", "1 2"], "okada.rewriting",
+                 ("okada.monoid", "okada.algebra", "okada.render", "okada.diagrams"))
+    hasse = ("okada.render", ("okada.diagrams", "okada.polynomials"))
+    for entry, argv, used, unwanted in [
+        ("okada.cli", *normalize), ("okada", *normalize),
+        ("okada.cli", ["green", "--n", "4"], "okada.monoid", ("okada.algebra",)),
+        ("okada.cli", ["render", "yfs", "--format", "svg", "--n", "4"], *hasse),
+        ("okada.cli", ["render", "dominance", "--format", "tikz", "--n", "4"], *hasse),
+    ]:
         done = subprocess.run(
-            [sys.executable, "-X", "importtime", *entry, "normalize", "1 2"],
+            [sys.executable, "-X", "importtime", "-m", entry, *argv],
             capture_output=True, text=True, env=_src_env(), timeout=60,
         )
         assert done.returncode == 0, done.stderr
         modules = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
                    if line.startswith("import time:")]
-        assert "okada.rewriting" in modules
-        assert [m for m in modules if m in unwanted or m.split(".")[0] in unwanted] == []
+        assert used in modules, argv
+        banned = ("concurrent", "dataclasses", *unwanted)
+        assert [m for m in modules if m in banned or m.split(".")[0] in banned] == [], argv
 
 
 # Runs okada.cli as the main program once per argument list, each time in

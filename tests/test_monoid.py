@@ -1,11 +1,13 @@
 import copy
 import math
+import os
+from collections import Counter
 from functools import lru_cache
 
 import pytest
 
 from okada import diagrams as dg
-from okada.algebra import free_diagram, free_half_diagram
+from okada.diagrams import free_diagram, free_half_diagram
 from okada.fibonacci import chain_count, dominance_leq, enumerate_yfs
 from okada.monoid import (
     EXTENDED_IDEMPOTENT_COUNTS,
@@ -13,6 +15,7 @@ from okada.monoid import (
     GreenClasses,
     aperiodicity_index,
     aperiodicity_max,
+    aperiodicity_profile,
     census_counts,
     green_classes,
     involutive_count,
@@ -167,7 +170,8 @@ def test_green_classes_search_for_nothing(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("green_classes searched the elements")
 
-    for target in ("okada.monoid.is_involutive", "okada.diagrams.mirror", "okada.algebra.free_diagram"):
+    for target in ("okada.monoid.is_involutive", "okada.diagrams.mirror", "okada.diagrams.free_diagram",
+                   "okada.algebra.free_diagram"):
         monkeypatch.setattr(target, never)
     green_classes.cache_clear()
     try:
@@ -391,8 +395,14 @@ def test_the_census_matches_the_full_square():
 
 
 def test_aperiodicity_max_matches_the_full_scan():
-    for n in range(8):
-        assert aperiodicity_max(n) == max(aperiodicity_index(d) for d in dg.iter_diagrams(n)), n
+    # the profile over i <= j against every element powered, at rank 8 in the extended run
+    for n in range(9):
+        profile = aperiodicity_profile(n)
+        assert profile[1] == census_counts(n)[1] and sum(profile.values()) == math.factorial(n), n
+        assert aperiodicity_max(n) == max(profile), n
+        if n < 8 or os.environ.get("OKADA_EXTENDED"):
+            full = Counter(aperiodicity_index(d) for d in dg.iter_diagrams(n))
+            assert profile == full and list(profile) == sorted(full), n
 
 
 def test_aperiodicity():
