@@ -15,9 +15,8 @@ modules, and Gram matrices of the invariant bilinear forms.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from . import diagrams as dg
 from ._immutable import Immutable
@@ -44,6 +43,9 @@ from .rewriting import (
     perm_to_diagram,
     word_from_code,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "AlgebraElement",
@@ -206,14 +208,13 @@ def ideal_basis(s: FibonacciSet) -> tuple[Perm, ...]:
 
     The ideal is spanned by the diagrams ``glue(L, R)`` of the cells
     ``t`` that lie below ``s`` in the dominance order, so its basis is
-    read off those cells directly.
+    read off those cells directly, each built from its halves split once.
     """
     n = s.rank
     perms = []
     for t in enumerate_yfs(n):
         if dominance_leq(t, s):
-            halves = dg.enumerate_half(n, t)
-            perms += (diagram_to_perm(dg.glue(left, right)) for left in halves for right in halves)
+            perms += map(diagram_to_perm, dg._glue_cell(dg.enumerate_half(n, t)))
     return tuple(sorted(perms))
 
 
@@ -407,5 +408,8 @@ def gram_det_specialized(
 
 def specialization_point(n: int, rng) -> dict[Var, Fraction]:
     """Random ``a/b``, ``2 <= a < 100`` and ``1 <= b < 10``, for x1..x(n-1), then y1..y(n-2)."""
+    # Imported here: only a specialization needs the rationals.
+    from fractions import Fraction
+
     names = [("x", i) for i in range(1, n)] + [("y", i) for i in range(1, n - 1)]
     return {v: Fraction(rng.randrange(2, 100), rng.randrange(1, 10)) for v in names}

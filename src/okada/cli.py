@@ -321,11 +321,12 @@ def cmd_rs_inverse(args) -> int:
 def cmd_green(args) -> int:
     from . import diagrams as dg
     from . import monoid as mo
-    from . import rewriting as rw
     from . import serialize as ser
 
     gc = mo.green_classes(_check_rank("green", args.n))
     if args.format == "csv":
+        from . import rewriting as rw
+
         print("kind,index,size,rep_perm", file=args.stdout)
         for kind, classes, reps in (
             ("R", gc.r_classes, gc.r_reps),

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import reprlib
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from ._immutable import Immutable
 from .errors import (
@@ -55,7 +55,9 @@ from .errors import (
     RankMismatchError,
 )
 from .fibonacci import Chain, FibonacciSet, _chain_codes, chain_count, enumerate_yfs, free_set, is_fibonacci_set
-from .polynomials import Polynomial, x_var
+
+if TYPE_CHECKING:
+    from .polynomials import Polynomial
 
 __all__ = [
     "Arc",
@@ -485,6 +487,38 @@ def glue(left: HalfArcDiagram, right: HalfArcDiagram) -> ArcDiagram:
     )
 
 
+def _glue_cell(halves: Sequence[HalfArcDiagram]) -> Iterator[ArcDiagram]:
+    """``glue(L, R)`` for every ``L`` and then every ``R`` of one cell.
+
+    Each half is split once: as a left part, its arrays and the positions
+    of its half arcs, and as a right part, the same reflected into
+    positions ``n .. 2n-1`` as :func:`glue` places it.  Its rank and
+    half-arc labels are checked once, against the first half.  Each pair
+    then only joins a left and a right part and ties their half arcs in
+    order.  Cells come from the library, so a half of another rank or
+    with other labels is a library bug and raises
+    ``InternalInvariantError``.
+    """
+    if not halves:
+        return
+    first = halves[0]
+    n, last = first.rank, 2 * first.rank - 1
+    labels = [ht for q, ht in zip(first.partner, first.height) if q < 0]
+    lefts, rights = [], []
+    for h in halves:
+        ends = [p for p, q in enumerate(h.partner) if q < 0]
+        if h.rank != n or [h.height[p] for p in ends] != labels:
+            raise InternalInvariantError(f"{h!r} is not in the cell of {first!r}")
+        lefts.append((list(h.partner), h.height, ends))
+        rights.append(([last - q for q in reversed(h.partner)], h.height[::-1], [last - p for p in ends]))
+    for lp, lh, lends in lefts:
+        for rp, rh, rends in rights:
+            partner = lp + rp
+            for a, b in zip(lends, rends):
+                partner[a], partner[b] = b, a
+            yield _from_arrays(n, partner, lh + rh)
+
+
 def restrict(h: HalfArcDiagram, r: int) -> HalfArcDiagram:
     """Keep nodes ``<= r``; arcs cut by the restriction become half arcs."""
     if not 0 <= r <= h.rank:
@@ -627,6 +661,9 @@ def compose(c: ArcDiagram, d: ArcDiagram) -> tuple[ArcDiagram, tuple[LoopRecord,
 
 def product_y1(c: ArcDiagram, d: ArcDiagram) -> tuple[Polynomial, ArcDiagram]:
     """Diagram product at ``y = 1``: loop heights become ``x`` factors."""
+    # Imported here: only this product needs the polynomial ring.
+    from .polynomials import Polynomial, x_var
+
     result, loops = compose(c, d)
     coeff = Polynomial.one()
     for h, cnt in loops:
@@ -695,12 +732,12 @@ def iter_diagrams(n: int) -> Iterator[ArcDiagram]:
 
     Diagrams are produced by gluing pairs of half diagrams with equal
     propagating labels, so no deduplication is needed and memory stays
-    proportional to the number of half diagrams.
+    proportional to the number of half diagrams.  Each cell's ``k²``
+    diagrams are built from its ``k`` halves split once
+    (:func:`_glue_cell`).
     """
     for _, halves in _rank_cells(n):
-        for left in halves:
-            for right in halves:
-                yield glue(left, right)
+        yield from _glue_cell(halves)
 
 
 def enumerate_diagrams(n: int) -> tuple[ArcDiagram, ...]:

@@ -19,6 +19,10 @@ read this pairing and form no product:
   ``prop_lab``: the rows, columns and whole of each cell, whose diagonal
   holds the representatives ``glue(L, L)``, the free one among them.
 
+Where every element of a cell is needed (:func:`green_classes`, like
+:func:`~okada.diagrams.iter_diagrams`), its ``k²`` elements are built
+from its ``k`` halves split once, so no pair redoes a half's work.
+
 The mirror is an anti-automorphism, ``mirror(c·d) = mirror(d)·mirror(c)``
 (reflecting a stack reverses it and keeps every label), and it swaps the
 halves, ``mirror(glue(L, R)) = glue(R, L)``.  So ``glue(L, R)`` and
@@ -301,7 +305,8 @@ def green_classes(n: int) -> GreenClasses:
     sorted by smallest member.  The representatives are read off the
     diagonal of each cell: ``glue(L_i, L_i)``, at ``off + i*(k + 1)``, is
     the one involutive element of row ``i``, and the one free element of
-    the cell where ``L_i`` is the free half.
+    the cell where ``L_i`` is the free half.  Each cell's elements are
+    built from its halves split once, in that order.
 
     >>> gc = green_classes(3)
     >>> gc.r_reps, gc.j_reps
@@ -316,7 +321,7 @@ def green_classes(n: int) -> GreenClasses:
     for s, halves, _ in _rank(n):
         k, off = len(halves), len(elements)
         end = off + k * k
-        elements.extend(dg.glue(left, right) for left in halves for right in halves)
+        elements.extend(dg._glue_cell(halves))
         r_classes.extend(tuple(range(row, row + k)) for row in range(off, end, k))
         l_classes.extend(tuple(range(col, end, k)) for col in range(off, off + k))
         j_classes.append(tuple(range(off, end)))

@@ -944,17 +944,31 @@ def test_digit_arguments_are_words_not_file_names(tmp_path, monkeypatch):
 
 def test_cli_start_imports_no_process_pool():
     # Only census --threads > 1 starts worker processes, so only it may
-    # pay for importing concurrent.futures.  Run as a program, each
-    # subcommand loads only what it uses: normalizing a word needs the
-    # rewriting layer and none of the diagram, monoid, algebra or render
-    # modules, nor dataclasses; the Green classes take the free half from
-    # the diagrams, not the algebra; the Hasse diagrams need no diagram type.
+    # pay for importing concurrent.futures, and no subcommand needs
+    # dataclasses.  Run as a program, each subcommand loads only what it
+    # uses, read off -X importtime: one row per call, naming a module it
+    # loads and the modules it must not.
     normalize = (["normalize", "1 2"], "okada.rewriting",
                  ("okada.monoid", "okada.algebra", "okada.render", "okada.diagrams"))
     hasse = ("okada.render", ("okada.diagrams", "okada.polynomials"))
+    no_words = ("okada.polynomials", "okada.algebra", "okada.rewriting")
     for entry, argv, used, unwanted in [
+        # Normalizing a word needs the rewriting layer and no diagram type.
         ("okada.cli", *normalize), ("okada", *normalize),
-        ("okada.cli", ["green", "--n", "4"], "okada.monoid", ("okada.algebra",)),
+        # The monoid stands on the diagrams: the Green classes take the
+        # free half from them and read permutations only for csv, and
+        # only the y = 1 product counts its loops in polynomials.
+        ("okada.cli", ["green", "--n", "4"], "okada.monoid", no_words),
+        ("okada.cli", ["green", "--n", "4", "--format", "csv"], "okada.rewriting", ("okada.algebra",)),
+        ("okada.cli", ["census", "--max", "4"], "okada.monoid", no_words),
+        ("okada.cli", ["enumerate", "diagrams", "--n", "3"], "okada.diagrams", no_words),
+        ("okada.cli", ["multiply", "monoid", "1", "2 1", "--n", "3"], "okada.monoid", no_words),
+        ("okada.cli", ["multiply", "y1", "1", "2 1", "--n", "3"], "okada.polynomials",
+         ("okada.algebra", "okada.rewriting")),
+        # A factorization is exact over the integers; only a
+        # specialization needs the rationals.
+        ("okada.cli", ["factorize", "2 1 3"], "okada.algebra", ("fractions",)),
+        # The Hasse diagrams need no diagram type.
         ("okada.cli", ["render", "yfs", "--format", "svg", "--n", "4"], *hasse),
         ("okada.cli", ["render", "dominance", "--format", "tikz", "--n", "4"], *hasse),
     ]:

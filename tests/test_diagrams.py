@@ -4,8 +4,9 @@ import random
 import pytest
 
 from okada import diagrams as dg
-from okada.errors import PropagatingMismatchError, RankMismatchError
+from okada.errors import InternalInvariantError, PropagatingMismatchError, RankMismatchError
 from okada.fibonacci import Chain, FibonacciSet, chain_count, enumerate_yfs
+from okada.monoid import green_classes
 from okada.polynomials import x_var
 from okada.rewriting import all_perms, perm_to_diagram
 
@@ -152,6 +153,36 @@ def test_glue_roundtrip_and_mismatch():
         dg.glue(dg.bra(dg.identity(2)), dg.bra(dg.generator(1, 2)))
     with pytest.raises(RankMismatchError):
         dg.glue(dg.bra(dg.identity(2)), dg.bra(dg.identity(4)))
+
+
+def test_glue_cell_equals_glue_pair_by_pair():
+    # Halves split once must give what glue gives pair by pair, in the
+    # order of the nested loops over L and then R.
+    for n in range(8):
+        for _, cell in dg._rank_cells(n):
+            assert list(dg._glue_cell(cell)) == [dg.glue(left, right) for left in cell for right in cell]
+    assert list(dg._glue_cell(())) == []
+
+
+def test_glue_cell_refuses_a_foreign_half():
+    # The cell of {1} at rank 5.  {3} has as many half arcs with another
+    # label, {1, 2, 3} more of them, and {1} at rank 3 the same labels at
+    # another rank.  Planted first, inside or last, a foreign half is a
+    # library bug, raised before any diagram is built.
+    cell = dg.enumerate_half(5, F(5, (1,)))
+    for other in (F(5, (3,)), F(5, (1, 2, 3)), F(3, (1,))):
+        foreign = dg.enumerate_half(other.rank, other)[0]
+        for at in (0, 3, len(cell)):
+            planted = dg._glue_cell(cell[:at] + (foreign,) + cell[at:])
+            with pytest.raises(InternalInvariantError, match="not in the cell"):
+                next(planted)
+
+
+def test_green_classes_index_the_enumeration():
+    # The class layout of green_classes reads element indices off the
+    # order of iter_diagrams; both build their cells with _glue_cell.
+    for n in range(7):
+        assert green_classes(n).elements == tuple(dg.iter_diagrams(n))
 
 
 def test_restrict_examples():
