@@ -39,6 +39,7 @@ from .rewriting import (
     normalize,
     perm_compose,
     perm_from_word,
+    perm_inverse,
     perm_length,
     perm_to_diagram,
     word_from_code,
@@ -319,6 +320,7 @@ def cell_action(
     return {k: v for k, v in _sum_by_key(terms).items() if v}
 
 
+# Unused; kept because perfbench reads its cache statistics by this name.
 @lru_cache(maxsize=None)
 def _perm_of_diagram_cached(d: dg.ArcDiagram) -> Perm:
     return diagram_to_perm(d)
@@ -339,17 +341,18 @@ def gram_matrix(s: FibonacciSet) -> tuple[tuple[Polynomial, ...], ...]:
     The form is symmetric under the anti-involution ``mirror``, which
     swaps the halves of every basis diagram and reverses products:
     ``phi(S, T) = phi(T, S)``.  So only the entries with ``i <= j`` are
-    computed, and each is mirrored into ``(j, i)``.  The code word of
-    each framed basis permutation is read once, and every entry
-    multiplies two of them (each product certified).
+    computed, and each is mirrored into ``(j, i)``.  Each half is framed
+    once, by ``glue(R_i, F)``, whose mirror ``glue(F, R_i)`` has the inverse
+    permutation; every entry multiplies two code words (each certified).
     """
     n = s.rank
     halves = dg.enumerate_half(n, s)
     free, top = free_half_diagram(s), free_involution(s)
-    right_words = [word_from_code(_perm_of_diagram_cached(dg.glue(h, free))) for h in halves]
+    perms = [diagram_to_perm(dg.glue(h, free)) for h in halves]
+    right_words = [word_from_code(p) for p in perms]
     rows = [[None] * len(halves) for _ in halves]
-    for i, r_half in enumerate(halves):
-        left_word = word_from_code(_perm_of_diagram_cached(dg.glue(free, r_half)))
+    for i, p in enumerate(perms):
+        left_word = word_from_code(perm_inverse(p))
         for j in range(i, len(halves)):
             coeff, prod = _multiply_code_words(left_word, right_words[j], n)
             if prod != top:

@@ -114,6 +114,8 @@ def _check_element_files(objs) -> None:
     term has one or more).  The parser reports the shapes this count skips."""
     if not all(isinstance(obj, dict) and type(obj.get("rank")) is int for obj in objs):
         raise ValueError("an element needs an integer 'rank'")
+    if any(obj["rank"] < 0 for obj in objs):
+        raise ValueError("rank must be non-negative")
     n = _check_rank("multiply", max(obj["rank"] for obj in objs))
     limit = 2 * (_LIMITS["products"] // max(n, 1) ** 2)
     for obj in objs:
@@ -524,7 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=["generic", "y1", "monoid"])
     p.add_argument(
         "left",
-        help="generator word ('1 2 1'), element JSON (generic), or diagram JSON (y1/monoid)",
+        help="generator word ('1 2 1'), element JSON (generic), or diagram JSON (y1/monoid); "
+        "for y1/monoid a word is the monoid product of its generators, so its own loops give no x factor",
     )
     p.add_argument("right")
     p.add_argument("--n", type=int)

@@ -19,9 +19,9 @@ read this pairing and form no product:
   ``prop_lab``: the rows, columns and whole of each cell, whose diagonal
   holds the representatives ``glue(L, L)``, the free one among them.
 
-Where every element of a cell is needed (:func:`green_classes`, like
-:func:`~okada.diagrams.iter_diagrams`), its ``k²`` elements are built
-from its ``k`` halves split once, so no pair redoes a half's work.
+Where a cell's elements are built (:func:`green_classes`, and
+:func:`iter_idempotents`, which keeps those that pass), its ``k²`` elements
+come from its ``k`` halves split once, so no pair redoes a half's work.
 
 The mirror is an anti-automorphism, ``mirror(c·d) = mirror(d)·mirror(c)``
 (reflecting a stack reverses it and keeps every label), and it swaps the
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import compress
 from typing import Iterator
 
 from . import diagrams as dg
@@ -178,10 +179,8 @@ def _passes(left: dg.HalfArcDiagram, right: dg.HalfArcDiagram, ends: list[int]) 
 def iter_idempotents(n: int) -> Iterator[dg.ArcDiagram]:
     """Stream the idempotents of rank ``n`` in :func:`~okada.diagrams.iter_diagrams` order."""
     for _, cell, ends in _rank(n):
-        for left in cell:
-            for right, e in zip(cell, ends):
-                if _passes(left, right, e):
-                    yield dg.glue(left, right)
+        passes = (_passes(left, right, e) for left in cell for right, e in zip(cell, ends))
+        yield from compress(dg._glue_cell(cell), passes)
 
 
 def _census_rows(job: tuple[int, int, int, int]) -> int:

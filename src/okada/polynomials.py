@@ -208,9 +208,6 @@ class Polynomial:
     def variables(self) -> set[Var]:
         return {v for t in self._terms for v, _ in t}
 
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
-
     def monomial_parts(self) -> tuple[int, Term]:
         """Return ``(coefficient, term)``; raises unless one term."""
         if len(self._terms) != 1:

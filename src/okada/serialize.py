@@ -275,6 +275,8 @@ def obj_to_element(obj: dict) -> AlgebraElement:
 
     _check_schema(obj, "element")
     rank = _int(_expect(obj, "rank"), "rank")
+    if rank < 0:
+        raise ValueError("rank must be non-negative")
     coeffs = {}
     for rec in _expect(obj, "terms"):
         p: Perm = _check_perm(tuple(_int(v, "perm") for v in rec["perm"]))

@@ -4,6 +4,7 @@ import math
 import os
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -549,6 +550,26 @@ def test_gram_matrix_builds_a_diagram_only_for_the_products_that_drop(monkeypatc
             g = gram_matrix(s)
             zeros = sum(not g[i][j] for i in range(len(g)) for j in range(i, len(g)))
             assert len(calls) == zeros, s
+
+
+def test_gram_matrix_glues_and_reads_each_half_once(monkeypatch):
+    # Row i's left word is read off the inverse of its right permutation:
+    # glue(F, R_i) is the mirror of glue(R_i, F), so neither is built twice.
+    s = F(7, (1, 2, 7))
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr("okada.diagrams.glue", counted("glue", dg.glue))
+    monkeypatch.setattr(algebra, "diagram_to_perm", counted("diagram_to_perm", algebra.diagram_to_perm))
+    g = gram_matrix(s)
+    assert len(g) == chain_count(s) == 15
+    assert calls == {"glue": 15, "diagram_to_perm": 15}
 
 
 def test_gram_extraction_independent_of_frame():

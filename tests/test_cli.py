@@ -506,6 +506,9 @@ def test_invalid_objects_rejected_at_the_parse_boundary():
         ["rs-inverse", '{"left": 3, "right": []}'],
         ["multiply", "generic", bad_basis, gen],
         ["multiply", "generic", '{"rank": 2, "terms": [5]}', gen],
+        ["multiply", "generic", '{"rank": -1, "terms": []}', '{"rank": -1, "terms": []}'],
+        ["multiply", "monoid", '{"rank": -1, "arcs": []}', '{"rank": -1, "arcs": []}'],
+        ["render", "half", "--format", "tikz", "--input", '{"rank": -1, "full_arcs": [], "half_arcs": []}'],
     ):
         rc, out, err = run(argv)
         assert (rc, out) == (3, ""), (argv, rc, err)

@@ -156,6 +156,18 @@ def test_iter_idempotents_matches_squaring_over_iter_diagrams():
         assert list(iter_idempotents(n)) == [d for d in dg.iter_diagrams(n) if is_idempotent(d)]
 
 
+def test_iter_idempotents_builds_elements_only_through_the_cell_path(monkeypatch):
+    # Each cell's elements come from its halves split once; the checked
+    # single-pair glue is never called.
+    def never(*args):
+        raise AssertionError("iter_idempotents called glue")
+
+    oracles = {n: [e for e in dg.iter_diagrams(n) if is_idempotent(e)] for n in range(7)}
+    monkeypatch.setattr("okada.diagrams.glue", never)
+    for n, oracle in oracles.items():
+        assert list(iter_idempotents(n)) == oracle
+
+
 def test_green_classes_match_the_cayley_graph_oracle():
     for n in range(8):
         assert green_classes(n) == _green_by_cayley_graphs(n)

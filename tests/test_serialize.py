@@ -59,6 +59,7 @@ def test_malformed_objects_rejected():
         (ser.obj_to_rs_chains, [1]),
         (ser.obj_to_element, {"rank": 2, "terms": [{"perm": 12}]}),
         (ser.obj_to_element, {"rank": 2, "terms": [{"perm": [1, 1], "coeff": []}]}),
+        (ser.obj_to_element, {"rank": -2, "terms": []}),
     ):
         with pytest.raises(ValueError):
             parse(obj)
