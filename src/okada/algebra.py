@@ -16,19 +16,14 @@ modules, and Gram matrices of the invariant bilinear forms.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from . import diagrams as dg
 from ._immutable import Immutable
 from .diagrams import free_diagram, free_half_diagram
 from .errors import InternalInvariantError, PropagatingMismatchError, RankMismatchError
-from .fibonacci import (
-    FibonacciSet,
-    chain_count,
-    dominance_leq,
-    enumerate_yfs,
-    free_set,
-)
+from .fibonacci import FibonacciSet, chain_count, dominance_leq, free_set
 from .polynomials import Polynomial, Var
 from .rewriting import (
     Perm,
@@ -74,6 +69,8 @@ class AlgebraElement(Immutable):
     __slots__ = _fields = ("rank", "_coeffs")
 
     def __init__(self, rank: int, coeffs: Mapping[Perm, Polynomial] | None = None):
+        if rank < 0:
+            raise ValueError("rank must be non-negative")
         clean: dict[Perm, Polynomial] = {}
         if coeffs:
             for p, c in coeffs.items():
@@ -100,6 +97,8 @@ class AlgebraElement(Immutable):
 
     @classmethod
     def generator(cls, i: int, rank: int) -> "AlgebraElement":
+        if not 1 <= i <= rank - 1:
+            raise ValueError(f"generator index {i} out of range for rank {rank}")
         return cls.from_perm(perm_from_word((i,), rank))
 
     @classmethod
@@ -209,13 +208,13 @@ def ideal_basis(s: FibonacciSet) -> tuple[Perm, ...]:
 
     The ideal is spanned by the diagrams ``glue(L, R)`` of the cells
     ``t`` that lie below ``s`` in the dominance order, so its basis is
-    read off those cells directly, each built from its halves split once.
+    read off those cells of the rank's one layout, each built from its
+    halves split once (:func:`~okada.diagrams._rank_cells`).
     """
-    n = s.rank
     perms = []
-    for t in enumerate_yfs(n):
+    for t, halves, ends in dg._rank_cells(s.rank):
         if dominance_leq(t, s):
-            perms += map(diagram_to_perm, dg._glue_cell(dg.enumerate_half(n, t)))
+            perms += map(diagram_to_perm, dg._glue_cell(halves, ends, product(range(len(halves)), repeat=2)))
     return tuple(sorted(perms))
 
 
@@ -292,7 +291,7 @@ class CellDatum(Immutable):
 
 def cell_datum(n: int) -> CellDatum:
     """The cellular description of the rank-``n`` algebra."""
-    index_sets = dict(dg._rank_cells(n))
+    index_sets = {s: halves for s, halves, _ in dg._rank_cells(n)}
     return CellDatum(n, tuple(index_sets), index_sets, dg.mirror)
 
 

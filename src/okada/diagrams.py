@@ -46,7 +46,8 @@ from __future__ import annotations
 
 import reprlib
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from itertools import product
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from ._immutable import Immutable
 from .errors import (
@@ -54,7 +55,7 @@ from .errors import (
     PropagatingMismatchError,
     RankMismatchError,
 )
-from .fibonacci import Chain, FibonacciSet, _chain_codes, chain_count, enumerate_yfs, free_set, is_fibonacci_set
+from .fibonacci import Chain, FibonacciSet, _chain_codes, free_set, is_fibonacci_set
 
 if TYPE_CHECKING:
     from .polynomials import Polynomial
@@ -487,36 +488,36 @@ def glue(left: HalfArcDiagram, right: HalfArcDiagram) -> ArcDiagram:
     )
 
 
-def _glue_cell(halves: Sequence[HalfArcDiagram]) -> Iterator[ArcDiagram]:
-    """``glue(L, R)`` for every ``L`` and then every ``R`` of one cell.
+def _glue_cell(halves: Sequence[HalfArcDiagram], ends: Sequence[Sequence[int]],
+               pairs: Iterable[tuple[int, int]]) -> Iterator[ArcDiagram]:
+    """``glue(halves[i], halves[j])`` for each ``(i, j)`` of ``pairs``, in order.
 
-    Each half is split once: as a left part, its arrays and the positions
-    of its half arcs, and as a right part, the same reflected into
-    positions ``n .. 2n-1`` as :func:`glue` places it.  Its rank and
-    half-arc labels are checked once, against the first half.  Each pair
-    then only joins a left and a right part and ties their half arcs in
-    order.  Cells come from the library, so a half of another rank or
-    with other labels is a library bug and raises
-    ``InternalInvariantError``.
+    ``ends[i]`` lists the half-arc positions of ``halves[i]`` (see
+    :func:`_rank_cells`).  Each half is split once, into a left part and
+    a right part reflected into positions ``n .. 2n-1`` as :func:`glue`
+    places it, and its rank and half-arc labels are checked against the
+    first half: a half from another cell is a library bug and raises
+    ``InternalInvariantError``.  Each pair then only joins two parts and
+    ties their half arcs in order, so a caller builds only what it keeps.
     """
     if not halves:
         return
     first = halves[0]
     n, last = first.rank, 2 * first.rank - 1
-    labels = [ht for q, ht in zip(first.partner, first.height) if q < 0]
+    labels = [first.height[p] for p in ends[0]]
     lefts, rights = [], []
-    for h in halves:
-        ends = [p for p, q in enumerate(h.partner) if q < 0]
-        if h.rank != n or [h.height[p] for p in ends] != labels:
+    for h, e in zip(halves, ends):
+        if h.rank != n or [h.height[p] for p in e] != labels:
             raise InternalInvariantError(f"{h!r} is not in the cell of {first!r}")
-        lefts.append((list(h.partner), h.height, ends))
-        rights.append(([last - q for q in reversed(h.partner)], h.height[::-1], [last - p for p in ends]))
-    for lp, lh, lends in lefts:
-        for rp, rh, rends in rights:
-            partner = lp + rp
-            for a, b in zip(lends, rends):
-                partner[a], partner[b] = b, a
-            yield _from_arrays(n, partner, lh + rh)
+        lefts.append((list(h.partner), h.height, e))
+        rights.append(([last - q for q in reversed(h.partner)], h.height[::-1], [last - p for p in e]))
+    for i, j in pairs:
+        lp, lh, lends = lefts[i]
+        rp, rh, rends = rights[j]
+        partner = lp + rp
+        for a, b in zip(lends, rends):
+            partner[a], partner[b] = b, a
+        yield _from_arrays(n, partner, lh + rh)
 
 
 def restrict(h: HalfArcDiagram, r: int) -> HalfArcDiagram:
@@ -715,16 +716,18 @@ def enumerate_half(
     """
     if s is not None and s.rank != n:
         raise RankMismatchError(f"label set {s} does not have rank {n}")
-    return tuple(_half_from_arrays(n, partner, height) for partner, height in _chain_codes(n, s))
+    return tuple(_half_from_arrays(n, p, h) for _, codes in _chain_codes(n, s) for p, h, _ in codes)
 
 
-def _rank_cells(n: int) -> Iterator[tuple[FibonacciSet, tuple[HalfArcDiagram, ...]]]:
-    """Each rank-``n`` label set with its halves, cut from one :func:`enumerate_half` by chain counts."""
-    halves, off = enumerate_half(n), 0
-    for s in enumerate_yfs(n):
-        k = chain_count(s)
-        yield s, halves[off : off + k]
-        off += k
+@lru_cache(maxsize=1)
+def _rank_cells(n: int) -> tuple[tuple[FibonacciSet, tuple[HalfArcDiagram, ...], tuple[tuple[int, ...], ...]], ...]:
+    """The cell layout of rank ``n`` that every cell builder reads: each
+    label set with its halves and their half-arc positions, from one walk.
+
+    The memo holds one rank (9496 halves at rank 10), so that a process
+    walks it once for all it asks of that rank."""
+    return tuple((s, tuple(_half_from_arrays(n, p, h) for p, h, _ in codes), tuple(c[2] for c in codes))
+                 for s, codes in _chain_codes(n))
 
 
 def iter_diagrams(n: int) -> Iterator[ArcDiagram]:
@@ -736,8 +739,8 @@ def iter_diagrams(n: int) -> Iterator[ArcDiagram]:
     diagrams are built from its ``k`` halves split once
     (:func:`_glue_cell`).
     """
-    for _, halves in _rank_cells(n):
-        yield from _glue_cell(halves)
+    for _, halves, ends in _rank_cells(n):
+        yield from _glue_cell(halves, ends, product(range(len(halves)), repeat=2))
 
 
 def enumerate_diagrams(n: int) -> tuple[ArcDiagram, ...]:

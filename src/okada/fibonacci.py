@@ -213,12 +213,14 @@ def saturated_chains(s: FibonacciSet) -> tuple[Chain, ...]:
     return tuple(sorted(chains))
 
 
-def _chain_codes(n: int, s: FibonacciSet | None = None) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The saturated chains to rank ``n`` (to ``s`` if given), by top, then
-    in chain order (see :func:`~okada.diagrams.enumerate_half`), as arrays
-    ``(partner, height)``: step ``p`` adds or removes the label
-    ``height[p]``, a removal and the addition it undoes point at each
-    other, and an addition never undone at ``-1``.  No :class:`Chain` is built.
+def _chain_codes(n: int, s: FibonacciSet | None = None) -> list[tuple[FibonacciSet, list[tuple[tuple[int, ...], ...]]]]:
+    """Each top of rank ``n`` (``s`` alone if given) with its saturated
+    chains in chain order (see :func:`~okada.diagrams.enumerate_half`), as
+    codes ``(partner, height, opens)``: step ``p`` adds or removes the
+    label ``height[p]``, a removal and the addition it undoes point at
+    each other, an addition never undone at ``-1``, and ``opens`` lists
+    those steps, the half-arc positions, in increasing order.  No
+    :class:`Chain` is built.
     """
     tops = enumerate_yfs(n) if s is None else (s,)
     below = None  # with s: the element tuples below s, by rank
@@ -240,9 +242,9 @@ def _chain_codes(n: int, s: FibonacciSet | None = None) -> list[tuple[tuple[int,
                     nxt.append((t, partner + (-1,), height + (t[-1],), opens + (p,)))
         level = nxt
     leaves: dict[tuple[int, ...], list] = {t.elements: [] for t in tops}
-    for elems, partner, height, _ in level:
-        leaves[elems].append((partner, height))
-    return [code for t in tops for code in leaves[t.elements]]
+    for elems, partner, height, opens in level:
+        leaves[elems].append((partner, height, opens))
+    return [(t, leaves[t.elements]) for t in tops]
 
 
 def chain_count(s: FibonacciSet) -> int:

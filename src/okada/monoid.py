@@ -19,9 +19,10 @@ read this pairing and form no product:
   ``prop_lab``: the rows, columns and whole of each cell, whose diagonal
   holds the representatives ``glue(L, L)``, the free one among them.
 
-Where a cell's elements are built (:func:`green_classes`, and
-:func:`iter_idempotents`, which keeps those that pass), its ``k²`` elements
-come from its ``k`` halves split once, so no pair redoes a half's work.
+Every scan reads the rank's one cell layout (:func:`~okada.diagrams._rank_cells`)
+and builds only the elements it keeps, from each cell's halves split once:
+all of them for :func:`green_classes`, those that pass for
+:func:`iter_idempotents`, those that fail for :func:`aperiodicity_profile`.
 
 The mirror is an anti-automorphism, ``mirror(c·d) = mirror(d)·mirror(c)``
 (reflecting a stack reverses it and keeps every label), and it swaps the
@@ -37,13 +38,13 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import compress
+from itertools import product
 from typing import Iterator
 
 from . import diagrams as dg
 from ._immutable import Immutable
 from .errors import InternalInvariantError
-from .fibonacci import FibonacciSet, chain_count, enumerate_yfs
+from .fibonacci import chain_count, enumerate_yfs
 
 __all__ = [
     "mproduct",
@@ -112,12 +113,12 @@ def aperiodicity_profile(n: int) -> dict[int, int]:
     """
     profile: Counter[int] = Counter()
     elements = 0
-    for _, cell, ends in _rank(n):
-        elements += len(cell) ** 2
-        for i, left in enumerate(cell, 1):
-            for right, e in zip(cell[i:], ends[i:]):
-                if not _passes(left, right, e):
-                    profile[aperiodicity_index(dg.glue(left, right))] += 2
+    for _, halves, ends in dg._rank_cells(n):
+        k = len(halves)
+        elements += k * k
+        failing = ((i, j) for i in range(k) for j in range(i + 1, k) if not _passes(halves[i], halves[j], ends[j]))
+        for e in dg._glue_cell(halves, ends, failing):
+            profile[aperiodicity_index(e)] += 2
     profile[1] = elements - sum(profile.values())
     return dict(sorted(profile.items()))
 
@@ -131,16 +132,7 @@ def aperiodicity_max(n: int) -> int:
 # Idempotents from pairs of half diagrams
 
 
-@lru_cache(maxsize=1)
-def _rank(n: int) -> list[tuple[FibonacciSet, tuple[dg.HalfArcDiagram, ...], list[list[int]]]]:
-    """Each rank-``n`` label set with its halves and their half-arc positions.
-
-    The memo holds one rank (9496 halves at rank 10), so that a process
-    builds it once for all it asks of that rank."""
-    return [(s, cell, [[p for p, q in enumerate(h.partner) if q < 0] for h in cell]) for s, cell in dg._rank_cells(n)]
-
-
-def _passes(left: dg.HalfArcDiagram, right: dg.HalfArcDiagram, ends: list[int]) -> bool:
+def _passes(left: dg.HalfArcDiagram, right: dg.HalfArcDiagram, ends: tuple[int, ...]) -> bool:
     """True iff ``e = glue(L, R)`` satisfies ``e·e = e``; no product is formed.
 
     ``ends`` lists the positions of the half arcs of ``R``.  In ``e·e``
@@ -177,17 +169,18 @@ def _passes(left: dg.HalfArcDiagram, right: dg.HalfArcDiagram, ends: list[int]) 
 
 
 def iter_idempotents(n: int) -> Iterator[dg.ArcDiagram]:
-    """Stream the idempotents of rank ``n`` in :func:`~okada.diagrams.iter_diagrams` order."""
-    for _, cell, ends in _rank(n):
-        passes = (_passes(left, right, e) for left in cell for right, e in zip(cell, ends))
-        yield from compress(dg._glue_cell(cell), passes)
+    """Stream the rank-``n`` idempotents in :func:`~okada.diagrams.iter_diagrams` order; only they are built."""
+    for _, halves, ends in dg._rank_cells(n):
+        k = len(halves)
+        keep = ((i, j) for i in range(k) for j in range(k) if _passes(halves[i], halves[j], ends[j]))
+        yield from dg._glue_cell(halves, ends, keep)
 
 
 def _census_rows(job: tuple[int, int, int, int]) -> int:
     """Idempotents among the pairs ``i <= j`` of the rows ``start .. stop-1``
     of cell ``c`` of rank ``n``, a pair ``i < j`` counting for its mirror too."""
     n, c, start, stop = job
-    _, cell, ends = _rank(n)[c]
+    _, cell, ends = dg._rank_cells(n)[c]
     return sum(1 + 2 * sum(_passes(cell[i], cell[j], ends[j]) for j in range(i + 1, len(cell)))
                for i in range(start, stop))
 
@@ -317,10 +310,10 @@ def green_classes(n: int) -> GreenClasses:
     j_classes: list[tuple[int, ...]] = []
     r_reps: list[int] = []
     j_reps: list[int] = []
-    for s, halves, _ in _rank(n):
+    for s, halves, ends in dg._rank_cells(n):
         k, off = len(halves), len(elements)
         end = off + k * k
-        elements.extend(dg._glue_cell(halves))
+        elements.extend(dg._glue_cell(halves, ends, product(range(k), repeat=2)))
         r_classes.extend(tuple(range(row, row + k)) for row in range(off, end, k))
         l_classes.extend(tuple(range(col, end, k)) for col in range(off, off + k))
         j_classes.append(tuple(range(off, end)))

@@ -101,6 +101,17 @@ def test_rank_mismatch_rejected():
         E(1, 3) * E(1, 4)
     with pytest.raises(RankMismatchError):
         AlgebraElement(3, {(1, 2): Polynomial.one()})
+    for build in (lambda: AlgebraElement(-1), lambda: AlgebraElement.zero(-2), lambda: AlgebraElement(-1, {})):
+        with pytest.raises(ValueError, match="rank must be non-negative"):
+            build()
+
+
+def test_generator_index_out_of_range_rejected():
+    # perm_from_word would read 0 and -1 as p[-1] and answer wrongly.
+    for i, n in ((0, 3), (-1, 3), (3, 3), (1, 1), (1, 0)):
+        with pytest.raises(ValueError, match=f"generator index {i} out of range for rank {n}"):
+            AlgebraElement.generator(i, n)
+    assert [AlgebraElement.generator(i, 3).support() for i in (1, 2)] == [((2, 1, 3),), ((1, 3, 2),)]
 
 
 def test_algebra_element_is_an_unhashable_immutable_value():
@@ -348,19 +359,20 @@ def test_cell_datum_exhausts_basis():
 
 
 def test_cell_datum_cuts_each_rank_from_one_walk(monkeypatch):
-    honest, calls = dg.enumerate_half, []
+    honest, calls = dg._chain_codes, []
 
     def counting(n, s=None):
         calls.append((n, s))
         return honest(n, s)
 
-    monkeypatch.setattr(dg, "enumerate_half", counting)
+    monkeypatch.setattr(dg, "_chain_codes", counting)
     for n in range(0, 10):
+        dg._rank_cells.cache_clear()
         calls.clear()
         cd = cell_datum(n)
         assert calls == [(n, None)], n
         assert cd.poset == enumerate_yfs(n)
-        assert cd.index_sets == {s: honest(n, s) for s in enumerate_yfs(n)}
+        assert cd.index_sets == {s: dg.enumerate_half(n, s) for s in enumerate_yfs(n)}
 
 
 def test_cell_basis_involution_swaps_indices():

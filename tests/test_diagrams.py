@@ -155,13 +155,34 @@ def test_glue_roundtrip_and_mismatch():
         dg.glue(dg.bra(dg.identity(2)), dg.bra(dg.identity(4)))
 
 
+def _half_arc_positions(partner):
+    return [p for p, q in enumerate(partner) if q < 0]
+
+
+def test_the_walk_records_each_half_arc_position():
+    # The open steps of each chain code are the half arcs of its half,
+    # over a whole rank and over the single-cell walk to a given top, and
+    # the rank's cell layout hands them on unchanged.
+    from okada.fibonacci import _chain_codes
+
+    for n in range(11):
+        for walk in (_chain_codes(n), *(_chain_codes(n, s) for s in enumerate_yfs(n))):
+            for _, codes in walk:
+                assert all(list(opens) == _half_arc_positions(partner) for partner, _, opens in codes), n
+        for s, halves, ends in dg._rank_cells(n):
+            assert [list(e) for e in ends] == [_half_arc_positions(h.partner) for h in halves], s
+
+
 def test_glue_cell_equals_glue_pair_by_pair():
     # Halves split once must give what glue gives pair by pair, in the
-    # order of the nested loops over L and then R.
+    # order of the pair list: the square row by row, the same reversed,
+    # and the pairs above the diagonal.
     for n in range(8):
-        for _, cell in dg._rank_cells(n):
-            assert list(dg._glue_cell(cell)) == [dg.glue(left, right) for left in cell for right in cell]
-    assert list(dg._glue_cell(())) == []
+        for _, cell, ends in dg._rank_cells(n):
+            square = [(i, j) for i in range(len(cell)) for j in range(len(cell))]
+            for pairs in (square, square[::-1], [(i, j) for i, j in square if i < j]):
+                assert list(dg._glue_cell(cell, ends, pairs)) == [dg.glue(cell[i], cell[j]) for i, j in pairs]
+    assert list(dg._glue_cell((), (), ())) == []
 
 
 def test_glue_cell_refuses_a_foreign_half():
@@ -170,10 +191,14 @@ def test_glue_cell_refuses_a_foreign_half():
     # another rank.  Planted first, inside or last, a foreign half is a
     # library bug, raised before any diagram is built.
     cell = dg.enumerate_half(5, F(5, (1,)))
+    ends = [_half_arc_positions(h.partner) for h in cell]
     for other in (F(5, (3,)), F(5, (1, 2, 3)), F(3, (1,))):
         foreign = dg.enumerate_half(other.rank, other)[0]
         for at in (0, 3, len(cell)):
-            planted = dg._glue_cell(cell[:at] + (foreign,) + cell[at:])
+            halves = cell[:at] + (foreign,) + cell[at:]
+            marks = ends[:at] + [_half_arc_positions(foreign.partner)] + ends[at:]
+            every = [(i, j) for i in range(len(halves)) for j in range(len(halves))]
+            planted = dg._glue_cell(halves, marks, every)
             with pytest.raises(InternalInvariantError, match="not in the cell"):
                 next(planted)
 

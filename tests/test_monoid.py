@@ -158,14 +158,22 @@ def test_iter_idempotents_matches_squaring_over_iter_diagrams():
 
 def test_iter_idempotents_builds_elements_only_through_the_cell_path(monkeypatch):
     # Each cell's elements come from its halves split once; the checked
-    # single-pair glue is never called.
+    # single-pair glue is never called, and only the idempotents are built.
     def never(*args):
         raise AssertionError("iter_idempotents called glue")
 
-    oracles = {n: [e for e in dg.iter_diagrams(n) if is_idempotent(e)] for n in range(7)}
+    def counted(*args):
+        built.append(args[0])
+        return honest(*args)
+
+    oracles = {n: [e for e in dg.iter_diagrams(n) if is_idempotent(e)] for n in range(8)}
+    honest, built = dg._from_arrays, []
     monkeypatch.setattr("okada.diagrams.glue", never)
+    monkeypatch.setattr(dg, "_from_arrays", counted)
     for n, oracle in oracles.items():
+        built.clear()
         assert list(iter_idempotents(n)) == oracle
+        assert len(built) == KNOWN_IDEMPOTENT_COUNTS[n], n
 
 
 def test_green_classes_match_the_cayley_graph_oracle():
@@ -343,7 +351,7 @@ def test_a_census_job_tests_each_pair_above_the_diagonal_once(monkeypatch):
     monkeypatch.setattr(monoid, "_passes", record)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InProcessPool)
     for n in range(9):
-        cells = [[id(h) for h in halves] for _, halves, _ in monoid._rank(n)]
+        cells = [[id(h) for h in halves] for _, halves, _ in dg._rank_cells(n)]
         above = sorted((c[i], c[j]) for c in cells for i in range(len(c)) for j in range(i + 1, len(c)))
         for threads in (1, 3):
             tested.clear()
@@ -352,19 +360,22 @@ def test_a_census_job_tests_each_pair_above_the_diagonal_once(monkeypatch):
             assert sorted(tested) == above, (n, threads)
 
 
-def test_the_census_builds_each_rank_once(monkeypatch):
-    from okada import monoid
-
-    built = []
-    enumerate_half = dg.enumerate_half
+def _count_walks(monkeypatch):
+    """Record the arguments of every lattice walk the cell builders make."""
+    walks, honest = [], dg._chain_codes
 
     def counted(n, s=None):
-        built.append((n, s))
-        return enumerate_half(n, s)
+        walks.append((n, s))
+        return honest(n, s)
 
-    monkeypatch.setattr(dg, "enumerate_half", counted)
+    monkeypatch.setattr(dg, "_chain_codes", counted)
+    dg._rank_cells.cache_clear()
+    return walks
+
+
+def test_the_census_builds_each_rank_once(monkeypatch):
+    built = _count_walks(monkeypatch)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InProcessPool)
-    monoid._rank.cache_clear()
     counts = KNOWN_IDEMPOTENT_COUNTS + (EXTENDED_IDEMPOTENT_COUNTS[9], EXTENDED_IDEMPOTENT_COUNTS[10])
     for n in range(11):
         built.clear()
@@ -377,6 +388,25 @@ def test_the_census_builds_each_rank_once(monkeypatch):
             green_classes(n)
             aperiodicity_max(n)
             assert built == [(n, None)], n
+
+
+def test_one_walk_serves_every_cell_consumer(monkeypatch):
+    # All that is asked of one rank's cells reads its one layout.
+    from okada.algebra import cell_datum, ideal_basis
+
+    walks = _count_walks(monkeypatch)
+    for n in range(8):
+        walks.clear()
+        census_counts(n)
+        green_classes.cache_clear()
+        green_classes(n)
+        aperiodicity_profile(n)
+        list(iter_idempotents(n))
+        list(dg.iter_diagrams(n))
+        cell_datum(n)
+        for s in enumerate_yfs(n):
+            ideal_basis(s)
+        assert walks == [(n, None)], n
 
 
 def _pairs_of_cells(n):
@@ -406,8 +436,13 @@ def test_the_census_matches_the_full_square():
         assert census_counts(n)[1] == square == KNOWN_IDEMPOTENT_COUNTS[n], n
 
 
-def test_aperiodicity_max_matches_the_full_scan():
-    # the profile over i <= j against every element powered, at rank 8 in the extended run
+def test_aperiodicity_max_matches_the_full_scan(monkeypatch):
+    # the profile over i <= j against every element powered, at rank 8 in the
+    # extended run; the failing pairs are joined from halves split once, never by glue
+    def never(*args):
+        raise AssertionError("aperiodicity_profile called glue")
+
+    monkeypatch.setattr("okada.diagrams.glue", never)
     for n in range(9):
         profile = aperiodicity_profile(n)
         assert profile[1] == census_counts(n)[1] and sum(profile.values()) == math.factorial(n), n
