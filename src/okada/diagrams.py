@@ -713,8 +713,12 @@ def enumerate_half(
     the Young-Fibonacci lattice a rank at a time, each prefix extended by
     the covers of its last set in increasing order.  Chains to one top
     compare as their sequences of sets, so that order is the chain order.
+    Without ``s`` the halves are read off the rank's one cell layout
+    (:func:`_rank_cells`); with ``s`` one cell is walked alone.
     """
-    if s is not None and s.rank != n:
+    if s is None:
+        return tuple(h for _, halves, _ in _rank_cells(n) for h in halves)
+    if s.rank != n:
         raise RankMismatchError(f"label set {s} does not have rank {n}")
     return tuple(_half_from_arrays(n, p, h) for _, codes in _chain_codes(n, s) for p, h, _ in codes)
 

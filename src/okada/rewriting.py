@@ -32,14 +32,19 @@ is linear in the word length, and ``E_p E_q`` pushes the code word of
 
 Every result of :func:`normalize` and of :func:`multiply_perms` carries
 one certificate: the reduced word is cross-checked against the code word
-of its permutation, and the two must be equal as traces.  Trace equality
-compares Cartier-Foata normal forms, encoded as one sorted key per word
-(see :func:`_trace_key`), so a silently wrong reduction cannot escape.
-The certificate uses the rank-indexed key ``_trace_key(word, n)``: both
-words have letters in ``1..n-1`` (the pushed letters are checked, and
-every run of a code word lies there), so the layers fit a list of
-``n + 1`` entries indexed by letter, and ``layer * (n + 1) + letter``
-encodes each pair one to one.
+of its permutation, and the two must be equal as traces, so a silently
+wrong reduction cannot escape.  The check compares lexicographic normal
+forms (Anisimov-Knuth): a trace has a least word, and one insertion pass
+(:func:`_lex_normal_form`) finds it by moving each letter left past every
+greater letter it commutes with.  In a least word a letter that commutes
+with its right neighbour is smaller than it, so a run of letters that all
+commute with an inserted ``a`` cannot step down from above ``a`` to below
+``a`` (that step would be at least 4); the insertion stops exactly where
+the least word puts ``a``.  The code word of ``p`` is the least reduced
+word of ``p``, and every word of its trace is a reduced word of ``p``, so
+it is the least word of its trace.  Hence the pushed word and the code
+word are one trace iff the pass turns the first into the second, letter
+for letter.
 
 The dictionary with the arc-diagram model is one rule, stated only
 here: rank ``r`` with code entry ``c`` owns the arc of height ``r - c``
@@ -254,6 +259,8 @@ def cartier_foata(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     ``v`` sits one layer above the highest of the latest ``v-1``, ``v``
     and ``v+1`` before it (earlier ones lie lower still), so one pass
     assigns every layer; the layers are read off :func:`_trace_key`.
+    The certificate of :func:`normalize` needs no layers: it compares
+    lexicographic normal forms (:func:`_lex_normal_form`).
     """
     if not word:
         return ()
@@ -267,34 +274,21 @@ def cartier_foata(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, layers))
 
 
-def _trace_key(word: Sequence[int], n: int | None = None):
+def _trace_key(word: Sequence[int]):
     """A key equal for two words iff their Cartier-Foata layers are.
 
     One pass assigns each letter its layer as :func:`cartier_foata` does,
     and one sort orders the ``(layer, letter)`` pairs, each encoded as
     ``layer * span + letter``.  A layer never holds a letter twice, so
-    the sorted pairs are the layers.
-
-    With a rank ``n`` the letters must lie in ``1..n-1``, as in every
-    word the certificate of :func:`_push_certified` compares.  The depths
-    are then a list of ``n + 1`` entries indexed by letter (``v - 1`` and
-    ``v + 1`` stay in ``0..n``), ``span`` is ``n + 1``, so the encoding is
-    one to one, and the key is the sorted codes alone; keys of one ``n``
-    compare.  Without ``n``, the case of the public :func:`cartier_foata`
-    and :func:`trace_equal`, the letters may be any integers: the depths
-    are a dict, the letters lie in ``(lo, lo + span]``, and the key keeps
-    ``lo`` and ``span``, so the encoding is one to one for letters of any
-    size.
+    the sorted pairs are the layers.  The letters may be any integers:
+    they lie in ``(lo, lo + span]``, and the key keeps ``lo`` and
+    ``span``, so the encoding is one to one for letters of any size.
     """
-    if n is None:
-        if not word:
-            return ()
-        lo = min(word) - 1
-        span = max(word) - lo
-        depth = defaultdict(int)  # value -> layer of its latest occurrence
-    else:
-        span = n + 1
-        depth = [0] * span
+    if not word:
+        return ()
+    lo = min(word) - 1
+    span = max(word) - lo
+    depth = defaultdict(int)  # value -> layer of its latest occurrence
     pairs = []
     for v in word:
         d = depth[v - 1]
@@ -308,7 +302,7 @@ def _trace_key(word: Sequence[int], n: int | None = None):
         depth[v] = d
         pairs.append(d * span + v)
     pairs.sort()
-    return pairs if n is not None else (lo, span, tuple(pairs))
+    return lo, span, tuple(pairs)
 
 
 def trace_equal(w1: Sequence[int], w2: Sequence[int]) -> bool:
@@ -382,34 +376,56 @@ def _push(w: list[int], letters: Sequence[int], exps: dict[Var, int]) -> None:
     pushed again.  Otherwise append ``i``.
     """
     todo = list(reversed(letters))
+    pop, append = todo.pop, w.append
     while todo:
-        i = todo.pop()
+        i = pop()
         lo, hi = i - 1, i + 1
-        q = len(w) - 1  # the last letter within 1 of i, or -1
+        q = len(w) - 1  # the last letter within 1 of i
         while q >= 0 and not lo <= w[q] <= hi:
             q -= 1
-        u = w[q] if q >= 0 else None
-        if u == lo:  # a zigzag needs the letter before u within 1 of i to be i
+        if q < 0:
+            append(i)
+            continue
+        u = w[q]
+        if u == i:  # square
+            var = ("x", i)
+        elif u == hi:
+            append(i)
+            continue
+        else:  # u = i-1: a zigzag needs the letter before u within 1 of i to be i
             r = q - 1
             while r >= 0 and not lo <= w[r] <= hi:
                 r -= 1
             if r < 0 or w[r] != i:
-                u = None
-        if u == i:  # square
-            var = ("x", i)
-        elif u == lo:  # zigzag
+                append(i)
+                continue
             var = ("y", lo)
             try:
                 k = w.index(lo - 1, q + 1)
             except ValueError:
-                k = len(w)
-            todo += reversed(w[k:])
-            del w[k:]
+                pass
+            else:
+                todo += reversed(w[k:])
+                del w[k:]
             del w[q]
-        else:
-            w.append(i)
-            continue
         exps[var] = exps.get(var, 0) + 1
+
+
+def _lex_normal_form(word: Sequence[int]) -> list[int]:
+    """The lexicographically least word of the trace of ``word``.
+
+    Each letter ``a`` moves left while the letter before it is greater
+    than ``a + 1``: it passes only greater letters that commute with it,
+    and stops where the least word puts it (see the module docstring).
+    """
+    out: list[int] = []
+    for a in word:
+        b = a + 1
+        j = len(out) - 1
+        while j >= 0 and out[j] > b:
+            j -= 1
+        out.insert(j + 1, a)
+    return out
 
 
 def _push_certified(
@@ -419,15 +435,16 @@ def _push_certified(
 
     Returns the monomial counted into ``exps``, the permutation of ``w``
     and its code word.  Raises :class:`InternalInvariantError` unless
-    ``w`` and the code word are equal as traces; equal words need no
-    trace keys.  Both words have letters in ``1..n-1``, the pushed ones
-    checked by the caller and the code word's by construction, so the
-    rank-indexed :func:`_trace_key` is exact on them.
+    ``w`` and the code word are equal as traces.  The code word is the
+    least word of its trace (see the module docstring), so that holds iff
+    the lexicographic normal form of ``w`` is the code word.  Words of
+    different lengths are never one trace, and the length check comes
+    first, so the pass never runs on more than ``n(n-1)/2`` letters.
     """
     _push(w, letters, exps)
     perm = perm_from_word(w, n)
     canonical = word_from_code(perm)
-    if list(canonical) != w and _trace_key(w, n) != _trace_key(canonical, n):
+    if len(w) != len(canonical) or _lex_normal_form(w) != list(canonical):
         raise InternalInvariantError(
             f"irreducible word {tuple(w)} is not the code word of {perm}"
         )

@@ -403,6 +403,7 @@ def test_one_walk_serves_every_cell_consumer(monkeypatch):
         aperiodicity_profile(n)
         list(iter_idempotents(n))
         list(dg.iter_diagrams(n))
+        dg.enumerate_half(n)
         cell_datum(n)
         for s in enumerate_yfs(n):
             ideal_basis(s)

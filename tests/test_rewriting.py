@@ -192,6 +192,53 @@ def test_normalize_verification_catches_a_wrong_code_word(monkeypatch):
         normalize((2, 1, 2, 2), 3)
 
 
+def _plant_push_fault(monkeypatch, fault):
+    # An honest push followed by `fault` on the pushed word; returns the
+    # words the certificate's insertion pass runs on.
+    honest, lex_normal_form = rewriting._push, rewriting._lex_normal_form
+    passes = []
+
+    def faulty(w, letters, exps):
+        honest(w, letters, exps)
+        fault(w)
+
+    def counted(word):
+        passes.append(tuple(word))
+        return lex_normal_form(word)
+
+    monkeypatch.setattr(rewriting, "_push", faulty)
+    monkeypatch.setattr(rewriting, "_lex_normal_form", counted)
+    return passes
+
+
+def _swap_the_last_non_commuting_pair(w):
+    k = max(k for k in range(len(w) - 1) if abs(w[k] - w[k + 1]) == 1)
+    w[k], w[k + 1] = w[k + 1], w[k]
+
+
+def test_verification_catches_a_push_with_the_right_letters_in_the_wrong_trace(monkeypatch):
+    # The code word 2 1 3 2 with its 3 2 swapped is a reduced word of
+    # the same length holding the zigzag 2 1 2: the length check passes
+    # it, and only the insertion pass can tell it from a code word.
+    passes = _plant_push_fault(monkeypatch, _swap_the_last_non_commuting_pair)
+    with pytest.raises(InternalInvariantError):
+        normalize((2, 1, 3, 2), 4)
+    with pytest.raises(InternalInvariantError):
+        multiply_perms(perm_from_word((2, 1), 4), perm_from_word((3, 2), 4))
+    assert passes == [(2, 1, 2, 3)] * 2
+
+
+def test_verification_catches_a_push_that_leaves_an_extra_letter(monkeypatch):
+    # A square left in place: the word is longer than the code word of
+    # its permutation, which the length check sees before any pass.
+    passes = _plant_push_fault(monkeypatch, lambda w: w.append(w[-1]))
+    with pytest.raises(InternalInvariantError):
+        normalize((1, 2), 3)
+    with pytest.raises(InternalInvariantError):
+        multiply_perms(perm_from_word((1,), 3), perm_from_word((2,), 3))
+    assert passes == []
+
+
 def _generator_step_oracle(p, i):
     # The step as a normalization of the code word with i appended by the
     # candidate engine, which rescans the whole word: not by _push.
@@ -299,14 +346,47 @@ def _commuting_shuffle(word, rng, steps):
     return w
 
 
-def _assert_trace_key_classes_are_cartier_foata_classes(words, n=None):
+def _commutation_class(word):
+    # Every word reached from `word` by swapping adjacent letters that commute.
+    seen, todo = {word}, [word]
+    while todo:
+        w = todo.pop()
+        for k in range(len(w) - 1):
+            if abs(w[k] - w[k + 1]) >= 2:
+                v = w[:k] + (w[k + 1], w[k]) + w[k + 2 :]
+                if v not in seen:
+                    seen.add(v)
+                    todo.append(v)
+    return seen
+
+
+def test_lex_normal_form_is_the_least_word_of_its_trace():
+    # Every word over 1..5 of length <= 6, each class enumerated once.
+    done = set()
+    for length in range(7):
+        for w in itertools.product(range(1, 6), repeat=length):
+            if w not in done:
+                trace = _commutation_class(w)
+                least = list(min(trace))
+                for v in trace:
+                    assert rewriting._lex_normal_form(v) == least, v
+                done |= trace
+    assert len(done) == 19531
+
+
+def test_code_words_are_the_least_words_of_their_traces():
+    for n in range(7):
+        for p in all_perms(n):
+            w = word_from_code(p)
+            assert min(_commutation_class(w)) == w, p
+
+
+def _assert_trace_key_classes_are_cartier_foata_classes(words):
     # cartier_foata decodes the key, so both are checked against peeling.
-    # With a rank n, whose letters 1..n-1 the words keep to, the
-    # rank-indexed key of the certificate must give the same classes.
-    keys = [lambda w: rewriting._trace_key(w)]
-    if n is not None:
-        keys.append(lambda w: tuple(rewriting._trace_key(w, n)))
-    for trace_key in keys:
+    # The lexicographic normal form of the certificate must give the same
+    # classes: one form per class, and one class per form.
+    words = list(words)
+    for trace_key in (rewriting._trace_key, lambda w: tuple(rewriting._lex_normal_form(w))):
         key_of_layers, layers_of_key = {}, {}
         for w in words:
             layers, key = _cartier_foata_oracle(w), trace_key(w)
@@ -318,7 +398,7 @@ def _assert_trace_key_classes_are_cartier_foata_classes(words, n=None):
 def test_trace_key_separates_exactly_the_cartier_foata_classes():
     for n in range(1, 6):  # every word of length <= 6 at ranks <= 5
         _assert_trace_key_classes_are_cartier_foata_classes(
-            [w for length in range(7) for w in itertools.product(range(1, n), repeat=length)], n
+            w for length in range(7) for w in itertools.product(range(1, n), repeat=length)
         )
     rng = random.Random(41)
     same_count = 0
@@ -336,7 +416,7 @@ def test_trace_key_separates_exactly_the_cartier_foata_classes():
         same_count += same
         assert (rewriting._trace_key(a) == rewriting._trace_key(b)) == same, (a, b)
         assert trace_equal(a, b) == same
-        _assert_trace_key_classes_are_cartier_foata_classes([a, b], n)
+        _assert_trace_key_classes_are_cartier_foata_classes([a, b])
     assert min(same_count, 2000 - same_count) > 400
 
 
