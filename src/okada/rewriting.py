@@ -26,9 +26,11 @@ Trace-adjacency is decided exactly:
 Rewriting rests on one invariant: a letter appended to an irreducible
 word is the only one that can start a reduction, which :func:`_push`
 finds by a scan back from the end.  An irreducible word is a code word
-up to commutation, of at most ``n(n-1)/2`` letters, so :func:`normalize`
-is linear in the word length, and ``E_p E_q`` pushes the code word of
-``q`` onto the code word of ``p``.
+up to commutation, of at most ``n(n-1)/2`` letters, so each appended
+letter scans back over at most that many; for a fixed rank
+:func:`normalize` is linear in the word length, but the scans grow with
+the rank (see the ``_push`` FOUND entry in ``CHANGES.md``).  ``E_p E_q``
+pushes the code word of ``q`` onto the code word of ``p``.
 
 Every result of :func:`normalize` and of :func:`multiply_perms` carries
 one certificate: the reduced word is cross-checked against the code word
@@ -59,7 +61,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import reprlib
-from collections import defaultdict
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
@@ -172,6 +173,8 @@ def perm_from_word(word: Sequence[int], n: int) -> Perm:
 
 
 def check_word(word: Sequence[int], n: int) -> tuple[int, ...]:
+    if n < 0:
+        raise ValueError("rank must be non-negative")
     word = tuple(word)
     for v in word:
         if not 1 <= v <= n - 1:
@@ -200,6 +203,8 @@ class Heap(Immutable):
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        if n < 0:
+            raise ValueError("rank must be non-negative")
         if len(rows) != max(n - 1, 0):
             raise ValueError(f"expected {n - 1} rows, got {len(rows)}")
         for i, cols in enumerate(rows, start=1):
@@ -258,60 +263,24 @@ def cartier_foata(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     have equal layers iff they are equal modulo commutations.  A letter
     ``v`` sits one layer above the highest of the latest ``v-1``, ``v``
     and ``v+1`` before it (earlier ones lie lower still), so one pass
-    assigns every layer; the layers are read off :func:`_trace_key`.
-    The certificate of :func:`normalize` needs no layers: it compares
+    assigns every layer, and each layer is sorted at the end.  The
+    certificate of :func:`normalize` needs no layers: it compares
     lexicographic normal forms (:func:`_lex_normal_form`).
     """
-    if not word:
-        return ()
-    lo, span, codes = _trace_key(word)
+    depth: dict[int, int] = {}  # value -> layer of its latest occurrence
     layers: list[list[int]] = []
-    for code in codes:  # sorted by layer, then by letter
-        d, v = divmod(code - lo - 1, span)
-        if d > len(layers):
-            layers.append([])
-        layers[-1].append(lo + 1 + v)
-    return tuple(map(tuple, layers))
-
-
-def _trace_key(word: Sequence[int]):
-    """A key equal for two words iff their Cartier-Foata layers are.
-
-    One pass assigns each letter its layer as :func:`cartier_foata` does,
-    and one sort orders the ``(layer, letter)`` pairs, each encoded as
-    ``layer * span + letter``.  A layer never holds a letter twice, so
-    the sorted pairs are the layers.  The letters may be any integers:
-    they lie in ``(lo, lo + span]``, and the key keeps ``lo`` and
-    ``span``, so the encoding is one to one for letters of any size.
-    """
-    if not word:
-        return ()
-    lo = min(word) - 1
-    span = max(word) - lo
-    depth = defaultdict(int)  # value -> layer of its latest occurrence
-    pairs = []
     for v in word:
-        d = depth[v - 1]
-        e = depth[v]
-        if e > d:
-            d = e
-        e = depth[v + 1]
-        if e > d:
-            d = e
-        d += 1
-        depth[v] = d
-        pairs.append(d * span + v)
-    pairs.sort()
-    return lo, span, tuple(pairs)
+        d = max(depth.get(v - 1, 0), depth.get(v, 0), depth.get(v + 1, 0))
+        depth[v] = d + 1
+        if d == len(layers):
+            layers.append([])
+        layers[d].append(v)
+    return tuple(tuple(sorted(layer)) for layer in layers)
 
 
 def trace_equal(w1: Sequence[int], w2: Sequence[int]) -> bool:
-    """Equality of words modulo commutation of distant letters.
-
-    Compares one sorted key per word (:func:`_trace_key`), which is
-    equivalent to comparing :func:`cartier_foata` layers.
-    """
-    return _trace_key(w1) == _trace_key(w2)
+    """Equality of words modulo commutation of distant letters."""
+    return cartier_foata(w1) == cartier_foata(w2)
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +442,12 @@ def normalize(
 
     Squares contribute ``x_v`` factors, zigzags ``y_{v-1}`` factors, and
     commutations are free.  Without ``rng`` the letters are pushed one
-    by one onto the empty word (:func:`_push`), in linear time; with a
-    seeded ``random.Random`` the reference engine picks at random among
-    all reductions of the whole word (:func:`_reduction_candidates`).
+    by one onto the empty word (:func:`_push`), in time linear in the
+    word length for a fixed rank (each letter scans back over up to
+    ``n(n-1)/2`` letters; see the ``_push`` FOUND entry in
+    ``CHANGES.md``); with a seeded ``random.Random`` the reference
+    engine picks at random among all reductions of the whole word
+    (:func:`_reduction_candidates`).
     Confluence makes the result independent of the engine, and the final
     trace is verified to equal the trace of the returned code word.
 
@@ -485,7 +457,7 @@ def normalize(
     (2,)
     """
     if n is None:
-        n = max(word, default=0) + 1
+        n = max((0, *word)) + 1
     word = check_word(word, n)
     exps: dict[Var, int] = {}
     if rng is None:

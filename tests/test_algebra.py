@@ -101,7 +101,12 @@ def test_rank_mismatch_rejected():
         E(1, 3) * E(1, 4)
     with pytest.raises(RankMismatchError):
         AlgebraElement(3, {(1, 2): Polynomial.one()})
-    for build in (lambda: AlgebraElement(-1), lambda: AlgebraElement.zero(-2), lambda: AlgebraElement(-1, {})):
+    for build in (
+        lambda: AlgebraElement(-1),
+        lambda: AlgebraElement.zero(-2),
+        lambda: AlgebraElement(-1, {}),
+        lambda: AlgebraElement.from_word((), -1),
+    ):
         with pytest.raises(ValueError, match="rank must be non-negative"):
             build()
 

@@ -115,6 +115,9 @@ def test_heap_validation():
         Heap(3, ((1,), (1,)))  # row 2 left of its boundary
     with pytest.raises(ValueError):
         Heap(3, ((2, 2), ()))  # non-increasing columns
+    for build in (lambda: Heap(-2, ()), lambda: heap_from_word((), -4)):
+        with pytest.raises(ValueError, match="rank must be non-negative"):
+            build()
 
 
 def test_is_packed():
@@ -382,17 +385,21 @@ def test_code_words_are_the_least_words_of_their_traces():
 
 
 def _assert_trace_key_classes_are_cartier_foata_classes(words):
-    # cartier_foata decodes the key, so both are checked against peeling.
-    # The lexicographic normal form of the certificate must give the same
-    # classes: one form per class, and one class per form.
-    words = list(words)
-    for trace_key in (rewriting._trace_key, lambda w: tuple(rewriting._lex_normal_form(w))):
-        key_of_layers, layers_of_key = {}, {}
-        for w in words:
-            layers, key = _cartier_foata_oracle(w), trace_key(w)
-            assert cartier_foata(w) == layers, w
-            assert key_of_layers.setdefault(layers, key) == key, w
-            assert layers_of_key.setdefault(key, layers) == layers, w
+    # cartier_foata and trace_equal are checked against peeling: each word
+    # is trace-equal to its class representative, and each representative
+    # differs from the next one.  The lexicographic normal form of the
+    # certificate must give the same classes: one form per class, and one
+    # class per form.
+    key_of_layers, layers_of_key, representative = {}, {}, {}
+    for w in words:
+        layers, key = _cartier_foata_oracle(w), tuple(rewriting._lex_normal_form(w))
+        assert cartier_foata(w) == layers, w
+        assert trace_equal(w, representative.setdefault(layers, w)), w
+        assert key_of_layers.setdefault(layers, key) == key, w
+        assert layers_of_key.setdefault(key, layers) == layers, w
+    reps = list(representative.values())
+    for a, b in zip(reps, reps[1:]):
+        assert not trace_equal(a, b), (a, b)
 
 
 def test_trace_key_separates_exactly_the_cartier_foata_classes():
@@ -414,7 +421,6 @@ def test_trace_key_separates_exactly_the_cartier_foata_classes():
             b[k] = rng.randrange(1, n)
         same = _cartier_foata_oracle(a) == _cartier_foata_oracle(b)
         same_count += same
-        assert (rewriting._trace_key(a) == rewriting._trace_key(b)) == same, (a, b)
         assert trace_equal(a, b) == same
         _assert_trace_key_classes_are_cartier_foata_classes([a, b])
     assert min(same_count, 2000 - same_count) > 400
@@ -473,6 +479,11 @@ def test_normalize_relations():
 def test_normalize_rejects_out_of_range_letters():
     with pytest.raises(ValueError):
         normalize((3,), n=3)
+    with pytest.raises(ValueError, match="letter -5 out of range for rank 1"):
+        normalize((-5,))  # the inferred rank is at least 1
+    for build in (lambda: normalize((), -3), lambda: multiply_words((), (), -2)):
+        with pytest.raises(ValueError, match="rank must be non-negative"):
+            build()
 
 
 def test_diamond_word_normalization_consistent_with_diagram_model():
