@@ -334,43 +334,57 @@ def gram_matrix(s: FibonacciSet) -> tuple[tuple[Polynomial, ...], ...]:
     ``enumerate_half(n, s)``.  By the cellular axioms ``phi`` does not
     depend on the outer halves ``L`` and ``R``, so every entry is framed
     by the free half ``F`` of ``s``, whose basis words are the shortest
-    of the cell.  A product lands when its permutation is the free
-    involution of ``s``, the permutation of ``glue(F, F)``; any other is
-    turned into its diagram, whose labels must lie strictly below ``s``.
-    The form is symmetric under the anti-involution ``mirror``, which
-    swaps the halves of every basis diagram and reverses products:
-    ``phi(S, T) = phi(T, S)``.  So only the entries with ``i <= j`` are
-    computed, and each is mirrored into ``(j, i)``.  Each half is framed
-    once, by ``glue(R_i, F)``, whose mirror ``glue(F, R_i)`` has the inverse
-    permutation; every entry multiplies two code words (each certified).
+    of the cell.  The form is symmetric under the anti-involution
+    ``mirror``, which swaps the halves of every basis diagram and
+    reverses products: ``phi(S, T) = phi(T, S)``.  So only the entries
+    with ``i <= j`` are computed, and each is mirrored into ``(j, i)``.
+
+    An entry is non-zero exactly when ``glue(L_j, R_i)`` is idempotent in
+    the monoid: the middle of its square is ``R_i`` meeting ``L_j``, so
+    ``C_{L_j,R_i}^2 = phi(R_i, L_j) C_{L_j,R_i}`` modulo lower cells, and
+    with every parameter at 1 a non-zero ``phi``, one monomial, becomes 1.
+    So the diagram model's walk :func:`~okada.diagrams._passes`, which
+    forms no product, picks the non-zero entries, and only those are
+    multiplied, as two code words (:func:`~okada.rewriting._multiply_code_words`).
+    Each half is framed once, by ``glue(R_i, F)``, whose mirror
+    ``glue(F, R_i)`` has the inverse permutation.
+
+    Checked at run time: every product is certified by the word model,
+    and must land on the free involution of ``s``, the permutation of
+    ``glue(F, F)``, or ``InternalInvariantError`` is raised, so every
+    non-zero entry cross-checks the two models.  Checked in the tests: a
+    zero entry forms no product, so that it is zero is checked against a
+    table that multiplies every entry, in another frame, with the
+    landing read off the product's diagram (``_full_gram_table`` in
+    ``tests/test_algebra.py``), over every cell with ``n <= 7`` and, in
+    the extended tier, ``n = 8``.
     """
     n = s.rank
-    halves = dg.enumerate_half(n, s)
+    halves, ends = dg._cell(s)
+    passes = dg._passes
     free, top = free_half_diagram(s), free_involution(s)
     perms = [diagram_to_perm(dg.glue(h, free)) for h in halves]
     right_words = [word_from_code(p) for p in perms]
-    rows = [[None] * len(halves) for _ in halves]
+    zero = Polynomial.zero()
+    rows = [[zero] * len(halves) for _ in halves]
     for i, p in enumerate(perms):
         left_word = word_from_code(perm_inverse(p))
+        right, right_ends = halves[i], ends[i]
         for j in range(i, len(halves)):
-            coeff, prod = _multiply_code_words(left_word, right_words[j], n)
-            if prod != top:
-                d = perm_to_diagram(prod)
-                lab = dg.prop_lab(d)
-                if lab == s:
-                    raise InternalInvariantError(f"cellular product at {s} landed on {d!r}")
-                if not dominance_leq(lab, s):
+            if passes(halves[j], right, right_ends):
+                coeff, prod = _multiply_code_words(left_word, right_words[j], n)
+                if prod != top:
                     raise InternalInvariantError(
-                        f"product at {s} raised propagating labels to {lab}"
+                        f"cellular product at {s} landed on {prod}, not on the free involution {top}"
                     )
-                coeff = Polynomial.zero()
-            rows[i][j] = rows[j][i] = coeff
+                rows[i][j] = rows[j][i] = coeff
     return tuple(map(tuple, rows))
 
 
 # Largest cell dimension ``gram_det`` expands.  The slowest cells at this
-# dimension with n <= 8, {7}_7 and {7,8}_8, take 0.2-0.35 s each, nearly
-# all of it in the determinant: their Gram matrices take 2-4 ms.
+# dimension with n <= 8, {}_6, {7}_7 and {7,8}_8, take 0.15-0.25 s each
+# on a loaded 2-vCPU x86 host, nearly all of it in the determinant: their
+# Gram matrices take 1.5-1.8 ms.
 GRAM_DET_MAX_DIM = 15
 
 

@@ -520,6 +520,46 @@ def _glue_cell(halves: Sequence[HalfArcDiagram], ends: Sequence[Sequence[int]],
         yield _from_arrays(n, partner, lh + rh)
 
 
+def _passes(left: HalfArcDiagram, right: HalfArcDiagram, ends: tuple[int, ...]) -> bool:
+    """True iff ``e = glue(L, R)`` satisfies ``e·e = e``; no product is formed.
+
+    ``ends`` lists the positions of the half arcs of ``R``.  In ``e·e``
+    the right boundary of the first factor (the nodes of ``R``) meets
+    the left boundary of the second (the nodes of ``L``).  The full
+    arcs of ``L`` on the far left and of ``R`` on the far right survive
+    unchanged.  The propagating arc of ``e`` with label ``h``
+    enters the middle at the half arc of ``R`` labelled ``h`` and walks
+    on, alternating full arcs of ``L`` and of ``R``, until it meets a
+    half arc.  If that is a half arc of ``R``, the strand turns back
+    into a new cup; if it is a half arc of ``L`` with a label other than
+    ``h``, the strand leaves at another node; if an arc on the way is
+    lower than ``h``, the strand's label drops (a strand takes the
+    minimum label of its pieces).  Each of these changes an arc of
+    ``e``.  Otherwise every propagating arc comes back with its ends
+    and label, and ``e·e = e``.  The walk stops at its first failure.
+
+    Two callers read it: the idempotent scans of :mod:`okada.monoid`,
+    and :func:`okada.algebra.gram_matrix`, whose entry ``phi(R, L)`` is
+    non-zero exactly when ``glue(L, R)`` passes.
+    """
+    lp, lh = left.partner, left.height
+    rp, rh = right.partner, right.height
+    for p in ends:
+        h = rh[p]
+        while True:
+            q = lp[p]
+            if q < 0:
+                if lh[p] != h:
+                    return False
+                break
+            if lh[p] < h or rh[q] < h:
+                return False
+            p = rp[q]
+            if p < 0:
+                return False
+    return True
+
+
 def restrict(h: HalfArcDiagram, r: int) -> HalfArcDiagram:
     """Keep nodes ``<= r``; arcs cut by the restriction become half arcs."""
     if not 0 <= r <= h.rank:
@@ -714,13 +754,26 @@ def enumerate_half(
     the covers of its last set in increasing order.  Chains to one top
     compare as their sequences of sets, so that order is the chain order.
     Without ``s`` the halves are read off the rank's one cell layout
-    (:func:`_rank_cells`); with ``s`` one cell is walked alone.
+    (:func:`_rank_cells`); with ``s`` one cell is walked alone (:func:`_cell`).
     """
     if s is None:
         return tuple(h for _, halves, _ in _rank_cells(n) for h in halves)
     if s.rank != n:
         raise RankMismatchError(f"label set {s} does not have rank {n}")
-    return tuple(_half_from_arrays(n, p, h) for _, codes in _chain_codes(n, s) for p, h, _ in codes)
+    return _cell(s)[0]
+
+
+def _halves_of_codes(n: int, codes) -> tuple[tuple[HalfArcDiagram, ...], tuple[tuple[int, ...], ...]]:
+    """The halves of the chain codes ``(partner, height, opens)`` of one
+    cell, and their half-arc positions (the ``opens``)."""
+    return tuple(_half_from_arrays(n, p, h) for p, h, _ in codes), tuple(c[2] for c in codes)
+
+
+def _cell(s: FibonacciSet) -> tuple[tuple[HalfArcDiagram, ...], tuple[tuple[int, ...], ...]]:
+    """The halves of the cell of ``s`` and their half-arc positions, from
+    the walk of that cell alone."""
+    ((_, codes),) = _chain_codes(s.rank, s)
+    return _halves_of_codes(s.rank, codes)
 
 
 @lru_cache(maxsize=1)
@@ -730,8 +783,7 @@ def _rank_cells(n: int) -> tuple[tuple[FibonacciSet, tuple[HalfArcDiagram, ...],
 
     The memo holds one rank (9496 halves at rank 10), so that a process
     walks it once for all it asks of that rank."""
-    return tuple((s, tuple(_half_from_arrays(n, p, h) for p, h, _ in codes), tuple(c[2] for c in codes))
-                 for s, codes in _chain_codes(n))
+    return tuple((s, *_halves_of_codes(n, codes)) for s, codes in _chain_codes(n))
 
 
 def iter_diagrams(n: int) -> Iterator[ArcDiagram]:

@@ -13,7 +13,7 @@ row (``L``) and column by column (``R``).  Both structural computations
 read this pairing and form no product:
 
 * the idempotent census tests each pair ``(L, R)`` by walking the half
-  arcs of ``R`` through the arcs of ``L`` and ``R`` (:func:`_passes`),
+  arcs of ``R`` through the arcs of ``L`` and ``R`` (:func:`~okada.diagrams._passes`),
   in one list of row blocks (:func:`census_counts`, the one count);
 * the R-, L- and J-classes are the fibres of ``bra``, ``ket`` and
   ``prop_lab``: the rows, columns and whole of each cell, whose diagonal
@@ -43,6 +43,7 @@ from typing import Iterator
 
 from . import diagrams as dg
 from ._immutable import Immutable
+from .diagrams import _passes
 from .errors import InternalInvariantError
 from .fibonacci import chain_count, enumerate_yfs
 
@@ -102,7 +103,7 @@ def aperiodicity_profile(n: int) -> dict[int, int]:
     """Number of rank-``n`` elements at each aperiodicity index, by index.
 
     One scan of the pairs ``i < j`` of each cell: ``glue(L_i, L_j)`` is
-    powered when it fails :func:`_passes` and counts twice, for its mirror
+    powered when it fails :func:`~okada.diagrams._passes` and counts twice, for its mirror
     ``glue(L_j, L_i)`` has the same index.  The other elements, the
     diagonal ``glue(L_i, L_i)`` among them, are the idempotents, at index
     1.  The monoid is aperiodic, so every power tower stabilizes, but no
@@ -130,42 +131,6 @@ def aperiodicity_max(n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Idempotents from pairs of half diagrams
-
-
-def _passes(left: dg.HalfArcDiagram, right: dg.HalfArcDiagram, ends: tuple[int, ...]) -> bool:
-    """True iff ``e = glue(L, R)`` satisfies ``e·e = e``; no product is formed.
-
-    ``ends`` lists the positions of the half arcs of ``R``.  In ``e·e``
-    the right boundary of the first factor (the nodes of ``R``) meets
-    the left boundary of the second (the nodes of ``L``).  The full
-    arcs of ``L`` on the far left and of ``R`` on the far right survive
-    unchanged.  The propagating arc of ``e`` with label ``h``
-    enters the middle at the half arc of ``R`` labelled ``h`` and walks
-    on, alternating full arcs of ``L`` and of ``R``, until it meets a
-    half arc.  If that is a half arc of ``R``, the strand turns back
-    into a new cup; if it is a half arc of ``L`` with a label other than
-    ``h``, the strand leaves at another node; if an arc on the way is
-    lower than ``h``, the strand's label drops (a strand takes the
-    minimum label of its pieces).  Each of these changes an arc of
-    ``e``.  Otherwise every propagating arc comes back with its ends
-    and label, and ``e·e = e``.  The walk stops at its first failure.
-    """
-    lp, lh = left.partner, left.height
-    rp, rh = right.partner, right.height
-    for p in ends:
-        h = rh[p]
-        while True:
-            q = lp[p]
-            if q < 0:
-                if lh[p] != h:
-                    return False
-                break
-            if lh[p] < h or rh[q] < h:
-                return False
-            p = rp[q]
-            if p < 0:
-                return False
-    return True
 
 
 def iter_idempotents(n: int) -> Iterator[dg.ArcDiagram]:

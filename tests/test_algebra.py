@@ -462,6 +462,8 @@ def _full_gram_table(s):
     # the symmetry that gram_matrix relies on, in another frame than its
     # free half and landing tested by diagram: the coefficient of
     # C_{ref,ref} in C_{ref,R_i} * C_{L_j,ref}, zero when the labels drop.
+    # gram_matrix multiplies only the entries the idempotent walk admits;
+    # this table forms every product, so it is the oracle for the zeros.
     halves = dg.enumerate_half(s.rank, s)
     ref = halves[0]
     table = []
@@ -483,16 +485,38 @@ def _full_gram_table(s):
 
 
 def _assert_gram_matches_full_table(cells):
+    """Check each cell's Gram matrix against the full table; return the tables."""
+    tables = {}
     for s in cells:
         g = gram_matrix(s)
-        assert g == _full_gram_table(s), s
+        tables[s] = _full_gram_table(s)
+        assert g == tables[s], s
         assert g == tuple(zip(*g)), s  # the mirror symmetry phi(S, T) = phi(T, S)
+    return tables
+
+
+def _assert_gram_support_is_the_census(n, tables):
+    # glue(L_j, R_i) is idempotent iff phi(R_i, L_j) != 0, so the non-zero
+    # entries of each cell are its census row count and, over the rank, the
+    # idempotent count.  They are counted on the full table, which forms
+    # every product: gram_matrix picks its non-zero entries by the census
+    # walk itself, so counted on it the check would be circular.
+    from okada import monoid
+
+    total = 0
+    for c, (s, halves, _) in enumerate(dg._rank_cells(n)):
+        nnz = sum(map(bool, itertools.chain.from_iterable(tables[s])))
+        assert nnz == monoid._census_rows((n, c, 0, len(halves))), s
+        total += nnz
+    assert total == monoid.census_counts(n)[1], n
 
 
 def test_gram_symmetry_and_mirror():
     cells = [s for n in range(1, 8) for s in enumerate_yfs(n)]
     assert len(cells) == 53
-    _assert_gram_matches_full_table(cells)
+    tables = _assert_gram_matches_full_table(cells)
+    for n in range(1, 8):
+        _assert_gram_support_is_the_census(n, tables)
 
 
 @pytest.mark.skipif(
@@ -502,46 +526,47 @@ def test_gram_symmetry_and_mirror():
 def test_extended_gram_matches_the_full_table_at_rank_8():
     cells = enumerate_yfs(8)
     assert len(cells) == 34
-    _assert_gram_matches_full_table(cells)
+    _assert_gram_support_is_the_census(8, _assert_gram_matches_full_table(cells))
 
 
 def test_products_of_code_words_read_once_are_still_certified(monkeypatch):
     # gram_matrix and AlgebraElement products read the code word of each
-    # operand once and multiply those words.  The code word of each result
-    # must still be read and checked against the pushed word: here it
-    # comes with one extra letter, while every operand's stays honest, so
-    # the certificate must fail although every reduction is right.
+    # operand once, through okada.algebra, and multiply those words.  The
+    # certificate must still read the code word of each landed permutation
+    # itself, through okada.rewriting, and compare it with the pushed word:
+    # here that read alone comes with one extra letter, while every
+    # operand's stays honest, so the certificate must fail although every
+    # reduction is right.
     from okada import rewriting
 
-    s = F(4, (1, 2))  # some entries drop below s, onto non-operands
-    halves = dg.enumerate_half(4, s)
-    free = free_half_diagram(s)  # the frame of gram_matrix
-    cell_operands = {diagram_to_perm(dg.glue(free, h)) for h in halves}
-    cell_operands |= {diagram_to_perm(dg.glue(h, free)) for h in halves}
+    s = F(4, (1, 2))  # some entries are zero, and form no product
     a, b = E(1, 3) + E(2, 3), E(2, 3)  # E_1 E_2 is a new basis element
-    element_operands = set(a.support()) | set(b.support())
+    element_landings = {multiply_perms(p, q)[1] for p in a.support() for q in b.support()}
     honest = rewriting.word_from_code
     gram, product = gram_matrix(s), a * b
-    for operands, compute in ((cell_operands, lambda: gram_matrix(s)), (element_operands, lambda: a * b)):
+    # every product gram_matrix forms lands on the free involution
+    for landings, compute in (({free_involution(s)}, lambda: gram_matrix(s)), (element_landings, lambda: a * b)):
         corrupted = []
 
         def corrupt(perm):
-            if perm in operands:
+            if perm not in landings:
                 return honest(perm)
             corrupted.append(perm)
             return honest(perm) + (1,)
 
         monkeypatch.setattr(rewriting, "word_from_code", corrupt)
-        with pytest.raises(InternalInvariantError):
+        with pytest.raises(InternalInvariantError, match="is not the code word"):
             compute()
-        assert corrupted, "no result code word was read"
+        assert corrupted, "no landed code word was read"
         monkeypatch.setattr(rewriting, "word_from_code", honest)
     assert (gram_matrix(s), a * b) == (gram, product)
 
 
 def test_gram_matrix_checks_where_its_products_land(monkeypatch):
     # A product lands when its permutation is the free involution; with a
-    # wrong one every landed product is turned into its diagram and caught.
+    # wrong one the first product the walk admits lands elsewhere and is
+    # refused.  Cells with an empty free set have the identity as their
+    # free involution, so the wrong one is right there.
     monkeypatch.setattr(algebra, "free_involution", lambda s: identity_perm(s.rank))
     checked = 0
     for n in range(2, 6):
@@ -553,20 +578,64 @@ def test_gram_matrix_checks_where_its_products_land(monkeypatch):
     assert checked == 14
 
 
-def test_gram_matrix_builds_a_diagram_only_for_the_products_that_drop(monkeypatch):
-    calls = []
+def test_gram_matrix_multiplies_only_the_non_zero_entries(monkeypatch):
+    from okada import rewriting
 
-    def counting(p):
-        calls.append(p)
-        return perm_to_diagram(p)
+    products, diagrams = [], []
+    multiply, draw = rewriting._multiply_code_words, rewriting.perm_to_diagram
 
-    monkeypatch.setattr(algebra, "perm_to_diagram", counting)
+    def counting(*args):
+        products.append(args)
+        return multiply(*args)
+
+    def recording(p):
+        diagrams.append(p)
+        return draw(p)
+
+    monkeypatch.setattr(algebra, "_multiply_code_words", counting)
+    monkeypatch.setattr(algebra, "perm_to_diagram", recording)
+    monkeypatch.setattr(rewriting, "perm_to_diagram", recording)
     for n in range(1, 7):
         for s in enumerate_yfs(n):
-            calls.clear()
+            products.clear()
             g = gram_matrix(s)
-            zeros = sum(not g[i][j] for i in range(len(g)) for j in range(i, len(g)))
-            assert len(calls) == zeros, s
+            non_zero = sum(bool(g[i][j]) for i in range(len(g)) for j in range(i, len(g)))
+            assert len(products) == non_zero, s
+    assert diagrams == []
+
+
+def _planted_walks(cell):
+    """For each pair ``(i, j)``, ``i <= j``, of the cell, the honest walk with
+    its answer for ``glue(L_j, R_i)`` and its mirror flipped, and that answer."""
+    honest = dg._passes
+    halves, ends = dg._cell(cell)
+    for i in range(len(halves)):
+        for j in range(i, len(halves)):
+            flipped = {(halves[j], halves[i]), (halves[i], halves[j])}
+            yield (lambda left, right, e, flipped=flipped: honest(left, right, e) != ((left, right) in flipped),
+                   honest(halves[j], halves[i], ends[i]))
+
+
+def test_gram_matrix_fails_a_walk_planted_wrong_either_way(monkeypatch):
+    # The walk decides which entries are multiplied.  Admitting a pair that
+    # is not idempotent forms a product that drops below the cell, refused
+    # at run time; rejecting an idempotent pair zeroes an entry, which only
+    # the full table catches.  Each pair of every cell with a zero entry.
+    cells = [s for n in range(1, 6) for s in enumerate_yfs(n) if not all(map(all, gram_matrix(s)))]
+    admitted = rejected = 0
+    for s in cells:
+        for walk, idempotent in _planted_walks(s):
+            monkeypatch.setattr(dg, "_passes", walk)
+            if idempotent:
+                with pytest.raises(AssertionError):
+                    _assert_gram_matches_full_table([s])
+                rejected += 1
+            else:
+                with pytest.raises(InternalInvariantError, match="landed on"):
+                    gram_matrix(s)
+                admitted += 1
+    monkeypatch.undo()
+    assert (len(cells), admitted, rejected) == (4, 7, 25)
 
 
 def test_gram_matrix_glues_and_reads_each_half_once(monkeypatch):

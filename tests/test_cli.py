@@ -806,7 +806,7 @@ def _worst_at_each_cap(limits):
     # times, over two states of the host: enumerate yfs 1.3-2.8 s,
     # diagrams 1.0-2.2 s, half 0.35-0.6 s, chains 0.3-0.7 s, the
     # idempotent stream at rank 8 0.8-1.2 s and the idempotent count at
-    # rank 10, one census, 1.4-1.6 s; gram 0.5-0.8 s; green 0.3-0.5 s;
+    # rank 10, one census, 1.4-1.6 s; gram 0.5-0.6 s; green 0.3-0.5 s;
     # census 2.3-2.8 s; factorize 0.2-0.4 s; rs 0.10-0.13 s; render
     # 0.14-0.3 s; the word requests (normalize, multiply, letters)
     # 0.07-0.08 s; products 0.8-2.0 s.  Idempotent streams stop at rank 8:
