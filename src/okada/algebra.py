@@ -28,6 +28,7 @@ from .polynomials import Polynomial, Var
 from .rewriting import (
     Perm,
     _multiply_code_words,
+    _runs,
     diagram_to_perm,
     identity_perm,
     multiply_perms,  # noqa: F401  (perfbench's tracer test wraps it as algebra.multiply_perms)
@@ -148,15 +149,16 @@ class AlgebraElement(Immutable):
             return NotImplemented
         if other.rank != self.rank:
             raise RankMismatchError(f"ranks {self.rank} and {other.rank} differ")
-        # Each code word is read once.  The structure constant is one
-        # term, so multiplying it into cp first leaves one full product.
+        # The runs of each left operand and the code word of each right one
+        # are read once.  The structure constant is one term, so
+        # multiplying it into cp first leaves one full product.
         n = self.rank
         right = [(word_from_code(q), cq) for q, cq in other._coeffs.items()]
         terms = []
         for p, cp in self._coeffs.items():
-            wp = word_from_code(p)
+            bot = _runs(p)
             for wq, cq in right:
-                coeff, r = _multiply_code_words(wp, wq, n)
+                coeff, r = _multiply_code_words(p, bot, wq)
                 terms.append((r, (coeff * cp) * cq))
         return AlgebraElement(n, _sum_by_key(terms))
 
@@ -345,7 +347,8 @@ def gram_matrix(s: FibonacciSet) -> tuple[tuple[Polynomial, ...], ...]:
     with every parameter at 1 a non-zero ``phi``, one monomial, becomes 1.
     So the diagram model's walk :func:`~okada.diagrams._passes`, which
     forms no product, picks the non-zero entries, and only those are
-    multiplied, as two code words (:func:`~okada.rewriting._multiply_code_words`).
+    multiplied, the code word of the right operand pushed onto the runs
+    of the left one (:func:`~okada.rewriting._multiply_code_words`).
     Each half is framed once, by ``glue(R_i, F)``, whose mirror
     ``glue(F, R_i)`` has the inverse permutation.
 
@@ -359,7 +362,6 @@ def gram_matrix(s: FibonacciSet) -> tuple[tuple[Polynomial, ...], ...]:
     ``tests/test_algebra.py``), over every cell with ``n <= 7`` and, in
     the extended tier, ``n = 8``.
     """
-    n = s.rank
     halves, ends = dg._cell(s)
     passes = dg._passes
     free, top = free_half_diagram(s), free_involution(s)
@@ -368,11 +370,12 @@ def gram_matrix(s: FibonacciSet) -> tuple[tuple[Polynomial, ...], ...]:
     zero = Polynomial.zero()
     rows = [[zero] * len(halves) for _ in halves]
     for i, p in enumerate(perms):
-        left_word = word_from_code(perm_inverse(p))
+        left = perm_inverse(p)
+        left_runs = _runs(left)
         right, right_ends = halves[i], ends[i]
         for j in range(i, len(halves)):
             if passes(halves[j], right, right_ends):
-                coeff, prod = _multiply_code_words(left_word, right_words[j], n)
+                coeff, prod = _multiply_code_words(left, left_runs, right_words[j])
                 if prod != top:
                     raise InternalInvariantError(
                         f"cellular product at {s} landed on {prod}, not on the free involution {top}"

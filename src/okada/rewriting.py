@@ -24,29 +24,23 @@ Trace-adjacency is decided exactly:
   single ``v-1`` (anything further away commutes past the pattern).
 
 Rewriting rests on one invariant: a letter appended to an irreducible
-word is the only one that can start a reduction, which :func:`_push`
-finds by a scan back from the end.  An irreducible word is a code word
-up to commutation, of at most ``n(n-1)/2`` letters, so each appended
-letter scans back over at most that many; for a fixed rank
-:func:`normalize` is linear in the word length, but the scans grow with
-the rank (see the ``_push`` FOUND entry in ``CHANGES.md``).  ``E_p E_q``
-pushes the code word of ``q`` onto the code word of ``p``.
+word is the only one that can start a reduction.  An irreducible word is
+the code word of a permutation ``p`` up to commutation, a run
+``k, k-1, ..., bot[k]`` for each ``k``, so :func:`_push` keeps ``p`` and
+the run bottoms ``bot`` and finds the one reduction, if any, by scanning
+at most ``n`` runs, not the up to ``n(n-1)/2`` letters of the word.
+``E_p E_q`` pushes the code word of ``q`` onto the runs of ``p``.
 
 Every result of :func:`normalize` and of :func:`multiply_perms` carries
-one certificate: the reduced word is cross-checked against the code word
-of its permutation, and the two must be equal as traces, so a silently
-wrong reduction cannot escape.  The check compares lexicographic normal
-forms (Anisimov-Knuth): a trace has a least word, and one insertion pass
-(:func:`_lex_normal_form`) finds it by moving each letter left past every
-greater letter it commutes with.  In a least word a letter that commutes
-with its right neighbour is smaller than it, so a run of letters that all
-commute with an inserted ``a`` cannot step down from above ``a`` to below
-``a`` (that step would be at least 4); the insertion stops exactly where
-the least word puts ``a``.  The code word of ``p`` is the least reduced
-word of ``p``, and every word of its trace is a reduced word of ``p``, so
-it is the least word of its trace.  Hence the pushed word and the code
-word are one trace iff the pass turns the first into the second, letter
-for letter.
+one certificate.  A letter ``j`` that extends run ``k`` must swap an
+ascent of ``p`` whose upper entry is ``k + 1``, the value run ``k``
+carries, and at the end ``bot`` must be the run bottoms of the code of
+``p``, read afresh by :func:`code`; otherwise ``InternalInvariantError``
+is raised.  So a step that leaves the state of one code word cannot
+escape.  A step that keeps it, such as a zigzag that drops its cut
+letters, is the tests' to catch, against the random reference engine,
+whose reduced word is certified by pushing it onto the empty code word,
+where no reduction may fire.
 
 The dictionary with the arc-diagram model is one rule, stated only
 here: rank ``r`` with code entry ``c`` owns the arc of height ``r - c``
@@ -138,16 +132,35 @@ def all_perms(n: int) -> tuple[Perm, ...]:
 
 
 def code(p: Perm) -> tuple[int, ...]:
-    """Lehmer-style code: ``c_i = #{j < i : p^-1(j) > p^-1(i)}``."""
+    """Lehmer-style code: ``c_i = #{j < i : p^-1(j) > p^-1(i)}``.
+
+    Raises ``ValueError`` unless ``p`` is a permutation of ``1..n``.
+    """
     # c_v counts the smaller values right of v: read p from the right,
     # keeping the values passed so far sorted.
-    out = [0] * len(p)
+    n = len(p)
+    out = [0] * n
     passed: list[int] = []
     for v in reversed(p):
+        if not 1 <= v <= n:
+            break
         c = bisect.bisect_left(passed, v)
         out[v - 1] = c
         passed.insert(c, v)
+    if passed != list(range(1, n + 1)):
+        raise ValueError(f"not a permutation of 1..{n}")
     return tuple(out)
+
+
+def _runs(p: Perm) -> list[int]:
+    """The run bottoms of the code word of ``p``: its run ``k`` is
+    ``k, k-1, ..., bot[k]``, empty when ``bot[k] = k + 1``."""
+    return [v - c for v, c in enumerate(code(p), start=1)]
+
+
+def _code_word(bot: Sequence[int]) -> tuple[int, ...]:
+    """The code word with run bottoms ``bot``."""
+    return tuple(itertools.chain.from_iterable(range(k, b - 1, -1) for k, b in enumerate(bot)))
 
 
 def word_from_code(p: Perm) -> tuple[int, ...]:
@@ -263,9 +276,7 @@ def cartier_foata(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     have equal layers iff they are equal modulo commutations.  A letter
     ``v`` sits one layer above the highest of the latest ``v-1``, ``v``
     and ``v+1`` before it (earlier ones lie lower still), so one pass
-    assigns every layer, and each layer is sorted at the end.  The
-    certificate of :func:`normalize` needs no layers: it compares
-    lexicographic normal forms (:func:`_lex_normal_form`).
+    assigns every layer, and each layer is sorted at the end.
     """
     depth: dict[int, int] = {}  # value -> layer of its latest occurrence
     layers: list[list[int]] = []
@@ -331,106 +342,79 @@ def _reduction_candidates(word: Sequence[int]):
     return sorted(cands)
 
 
-def _push(w: list[int], letters: Sequence[int], exps: dict[Var, int]) -> None:
-    """Append ``E_i`` for each ``i`` of ``letters`` to the irreducible word
-    ``w`` in place, counting the reductions into ``exps``.
+def _push(p: list[int], bot: list[int], letters: Sequence[int], exps: dict[Var, int]) -> None:
+    """Append ``E_j`` for each ``j`` of ``letters`` to the code word of
+    ``p``, with run bottoms ``bot``, in place, counting the reductions
+    into ``exps``.
 
-    Only the appended ``i`` can start a reduction; the last letter ``u``
-    of ``w`` within 1 of ``i`` decides which.  ``u = i`` is a square:
-    record ``x_i``, drop ``i``.  ``u = i-1`` after a nearest such letter
-    ``i`` is a zigzag: record ``y_{i-1}`` and drop ``i`` and ``u``.  No
-    letter after ``u`` lies within 1 of ``i``, so the letters after ``u``
-    up to the first ``i-2`` commute with ``u``, and dropping ``u`` leaves
-    them irreducible; only the later ones can now reduce, so they are
-    pushed again.  Otherwise append ``i``.
+    The runs after the last run ``k`` with ``bot[k] <= j + 1`` hold only
+    letters above ``j + 1``, so ``j`` commutes back to the end of run
+    ``k``.  As ``bot[j] <= j + 1``, ``k >= j``, and a step scans at most
+    ``n`` runs.  With ``b = bot[k]``:
+
+    * ``b == j``: run ``k`` ends in ``j``, a square; record ``x_j``.
+    * ``b < j``: run ``k`` ends in ``j, j-1, ..., b``, and ``j`` commutes
+      back past ``j-2, ..., b`` into the zigzag ``j, j-1, j``; record
+      ``y_{j-1}`` and cut run ``k`` after ``j``.  ``p`` loses
+      ``s_{j-1}...s_b``: ``p[b-1:j]`` rotates left by one.  The cut
+      letters ``j-2, ..., b`` commute with the later runs, so they are
+      pushed again.
+    * otherwise ``b == j + 1``: run ``k`` grows by ``j``.  Then ``p``
+      holds ``k + 1`` at index ``j`` and rises there, and ``p[j-1:j+1]``
+      swaps.
     """
     todo = list(reversed(letters))
-    pop, append = todo.pop, w.append
+    pop = todo.pop
+    last = len(bot) - 1
     while todo:
-        i = pop()
-        lo, hi = i - 1, i + 1
-        q = len(w) - 1  # the last letter within 1 of i
-        while q >= 0 and not lo <= w[q] <= hi:
-            q -= 1
-        if q < 0:
-            append(i)
+        j = pop()
+        k, hi = last, j + 1
+        while bot[k] > hi:
+            k -= 1
+        b = bot[k]
+        if b == j:  # square
+            var = ("x", j)
+        elif b < j:  # zigzag
+            var = ("y", j - 1)
+            bot[k] = j
+            p[b - 1 : j] = p[b:j] + p[b - 1 : b]
+            todo += range(b, j - 1)
+        else:
+            if p[j - 1] > p[j] or p[j] != k + 1:
+                raise InternalInvariantError(f"{j} does not extend run {k} of {tuple(p)}")
+            p[j - 1], p[j] = p[j], p[j - 1]
+            bot[k] = j
             continue
-        u = w[q]
-        if u == i:  # square
-            var = ("x", i)
-        elif u == hi:
-            append(i)
-            continue
-        else:  # u = i-1: a zigzag needs the letter before u within 1 of i to be i
-            r = q - 1
-            while r >= 0 and not lo <= w[r] <= hi:
-                r -= 1
-            if r < 0 or w[r] != i:
-                append(i)
-                continue
-            var = ("y", lo)
-            try:
-                k = w.index(lo - 1, q + 1)
-            except ValueError:
-                pass
-            else:
-                todo += reversed(w[k:])
-                del w[k:]
-            del w[q]
         exps[var] = exps.get(var, 0) + 1
 
 
-def _lex_normal_form(word: Sequence[int]) -> list[int]:
-    """The lexicographically least word of the trace of ``word``.
-
-    Each letter ``a`` moves left while the letter before it is greater
-    than ``a + 1``: it passes only greater letters that commute with it,
-    and stops where the least word puts it (see the module docstring).
+def _push_certified(p: list[int], bot: list[int], letters: Sequence[int], exps: dict[Var, int]) -> Perm:
+    """Push ``letters`` onto the code word of ``p`` with run bottoms
+    ``bot``, then certify it: raises :class:`InternalInvariantError`
+    unless ``bot`` ends as the run bottoms of the permutation reached.
     """
-    out: list[int] = []
-    for a in word:
-        b = a + 1
-        j = len(out) - 1
-        while j >= 0 and out[j] > b:
-            j -= 1
-        out.insert(j + 1, a)
-    return out
+    _push(p, bot, letters, exps)
+    perm = tuple(p)
+    if _runs(perm) != bot:
+        raise InternalInvariantError(f"runs down to {bot} are not the code word of {perm}")
+    return perm
 
 
-def _push_certified(
-    w: list[int], letters: Sequence[int], n: int, exps: dict[Var, int]
-) -> tuple[Polynomial, Perm, tuple[int, ...]]:
-    """Push ``letters`` onto the irreducible word ``w``, then certify it.
-
-    Returns the monomial counted into ``exps``, the permutation of ``w``
-    and its code word.  Raises :class:`InternalInvariantError` unless
-    ``w`` and the code word are equal as traces.  The code word is the
-    least word of its trace (see the module docstring), so that holds iff
-    the lexicographic normal form of ``w`` is the code word.  Words of
-    different lengths are never one trace, and the length check comes
-    first, so the pass never runs on more than ``n(n-1)/2`` letters.
-    """
-    _push(w, letters, exps)
-    perm = perm_from_word(w, n)
-    canonical = word_from_code(perm)
-    if len(w) != len(canonical) or _lex_normal_form(w) != list(canonical):
-        raise InternalInvariantError(
-            f"irreducible word {tuple(w)} is not the code word of {perm}"
-        )
-    return Polynomial._from_sorted({tuple(sorted(exps.items())): 1}), perm, canonical
+def _monomial(exps: dict[Var, int]) -> Polynomial:
+    return Polynomial._from_sorted({tuple(sorted(exps.items())): 1})
 
 
-def _multiply_code_words(
-    wp: Sequence[int], wq: Sequence[int], n: int
-) -> tuple[Polynomial, Perm]:
-    """``E_p E_q`` from the code words ``wp`` of ``p`` and ``wq`` of ``q``.
+def _multiply_code_words(p: Perm, bot: Sequence[int], wq: Sequence[int]) -> tuple[Polynomial, Perm]:
+    """``E_p E_q`` from ``p``, the run bottoms ``bot`` of its code word
+    and the code word ``wq`` of ``q``.
 
     The product of :func:`multiply_perms`, with its certificate, for a
-    caller that multiplies each operand many times and so reads its code
-    word once.
+    caller that multiplies each operand many times and so reads its runs
+    or code word once.
     """
-    coeff, perm, _ = _push_certified(list(wp), wq, n, {})
-    return coeff, perm
+    exps: dict[Var, int] = {}
+    perm = _push_certified(list(p), list(bot), wq, exps)
+    return _monomial(exps), perm
 
 
 def normalize(
@@ -442,14 +426,12 @@ def normalize(
 
     Squares contribute ``x_v`` factors, zigzags ``y_{v-1}`` factors, and
     commutations are free.  Without ``rng`` the letters are pushed one
-    by one onto the empty word (:func:`_push`), in time linear in the
-    word length for a fixed rank (each letter scans back over up to
-    ``n(n-1)/2`` letters; see the ``_push`` FOUND entry in
-    ``CHANGES.md``); with a seeded ``random.Random`` the reference
+    by one onto the empty code word (:func:`_push`), each step scanning
+    at most ``n`` runs.  With a seeded ``random.Random`` the reference
     engine picks at random among all reductions of the whole word
-    (:func:`_reduction_candidates`).
-    Confluence makes the result independent of the engine, and the final
-    trace is verified to equal the trace of the returned code word.
+    (:func:`_reduction_candidates`), and its reduced word is certified by
+    pushing it onto the empty code word, where no reduction may fire.
+    Confluence makes the result independent of the engine.
 
     >>> normalize((1, 1)).coefficient
     x1
@@ -460,11 +442,11 @@ def normalize(
         n = max((0, *word)) + 1
     word = check_word(word, n)
     exps: dict[Var, int] = {}
+    bot = list(range(1, n + 1))
     if rng is None:
-        w: list[int] = []
-        letters = word
+        perm = _push_certified(list(bot), bot, word, exps)
     else:
-        w, letters = list(word), ()
+        w = list(word)
         while cands := _reduction_candidates(w):
             v, p, kind, q, r = rng.choice(cands)
             var = ("x", v) if kind == 0 else ("y", v - 1)
@@ -472,8 +454,11 @@ def normalize(
             del w[r]
             if kind == 1:
                 del w[q]
-    coeff, perm, canonical = _push_certified(w, letters, n, exps)
-    return NormalizationResult(n, coeff, canonical, perm)
+        fired: dict[Var, int] = {}
+        perm = _push_certified(list(bot), bot, w, fired)
+        if fired:
+            raise InternalInvariantError(f"the reduced word {tuple(w)} still reduces")
+    return NormalizationResult(n, _monomial(exps), _code_word(bot), perm)
 
 
 def multiply_words(
@@ -486,10 +471,11 @@ def multiply_words(
 def multiply_perms(p: Perm, q: Perm) -> tuple[Polynomial, Perm]:
     """Structure constants of the basis: ``E_p E_q = coeff * E_result``.
 
-    Pushes ``q``'s code word onto ``p``'s, as :func:`normalize` pushes a
-    word onto the empty one; ``p``'s code word is irreducible, so the
-    push agrees with :func:`multiply_words` by confluence.  The result
-    carries one certificate for the whole product.
+    Pushes ``q``'s code word onto the runs of ``p``'s, as
+    :func:`normalize` pushes a word onto the empty code word, each step
+    scanning at most ``n`` runs; by confluence the push agrees with
+    :func:`multiply_words`.  The result carries one certificate for the
+    whole product.
 
     >>> multiply_perms((2, 1, 3), (2, 1, 3))
     (x1, (2, 1, 3))
@@ -498,7 +484,7 @@ def multiply_perms(p: Perm, q: Perm) -> tuple[Polynomial, Perm]:
     """
     if len(p) != len(q):
         raise ValueError(f"rank mismatch: {len(p)} vs {len(q)}")
-    return _multiply_code_words(word_from_code(p), word_from_code(q), len(p))
+    return _multiply_code_words(p, _runs(p), word_from_code(q))
 
 
 @lru_cache(maxsize=0)

@@ -530,35 +530,37 @@ def test_extended_gram_matches_the_full_table_at_rank_8():
 
 
 def test_products_of_code_words_read_once_are_still_certified(monkeypatch):
-    # gram_matrix and AlgebraElement products read the code word of each
-    # operand once, through okada.algebra, and multiply those words.  The
-    # certificate must still read the code word of each landed permutation
-    # itself, through okada.rewriting, and compare it with the pushed word:
-    # here that read alone comes with one extra letter, while every
-    # operand's stays honest, so the certificate must fail although every
-    # reduction is right.
+    # gram_matrix and AlgebraElement products read the runs of each left
+    # operand and the code word of each right one once, through
+    # okada.algebra, and push the code word onto the runs.  The
+    # certificate must still read the runs of each landed permutation
+    # itself, through okada.rewriting, and compare them with the pushed
+    # runs: here that read alone comes with one bottom too low, while
+    # every operand's stays honest, so the certificate must fail although
+    # every reduction is right.
     from okada import rewriting
 
     s = F(4, (1, 2))  # some entries are zero, and form no product
     a, b = E(1, 3) + E(2, 3), E(2, 3)  # E_1 E_2 is a new basis element
     element_landings = {multiply_perms(p, q)[1] for p in a.support() for q in b.support()}
-    honest = rewriting.word_from_code
+    honest = rewriting._runs
     gram, product = gram_matrix(s), a * b
     # every product gram_matrix forms lands on the free involution
     for landings, compute in (({free_involution(s)}, lambda: gram_matrix(s)), (element_landings, lambda: a * b)):
         corrupted = []
 
         def corrupt(perm):
-            if perm not in landings:
-                return honest(perm)
-            corrupted.append(perm)
-            return honest(perm) + (1,)
+            bot = honest(perm)
+            if perm in landings:
+                corrupted.append(perm)
+                bot[-1] -= 1
+            return bot
 
-        monkeypatch.setattr(rewriting, "word_from_code", corrupt)
-        with pytest.raises(InternalInvariantError, match="is not the code word"):
+        monkeypatch.setattr(rewriting, "_runs", corrupt)
+        with pytest.raises(InternalInvariantError, match="not the code word"):
             compute()
-        assert corrupted, "no landed code word was read"
-        monkeypatch.setattr(rewriting, "word_from_code", honest)
+        assert corrupted, "no landed permutation was read"
+        monkeypatch.setattr(rewriting, "_runs", honest)
     assert (gram_matrix(s), a * b) == (gram, product)
 
 

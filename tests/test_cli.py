@@ -809,7 +809,7 @@ def _worst_at_each_cap(limits):
     # rank 10, one census, 1.4-1.6 s; gram 0.5-0.6 s; green 0.3-0.5 s;
     # census 2.3-2.8 s; factorize 0.2-0.4 s; rs 0.10-0.13 s; render
     # 0.14-0.3 s; the word requests (normalize, multiply, letters)
-    # 0.07-0.08 s; products 0.8-2.0 s.  Idempotent streams stop at rank 8:
+    # 0.07-0.08 s; products 0.3-0.5 s.  Idempotent streams stop at rank 8:
     # with --extended they ran 8-14 s at rank 9 and 139 s at rank 10.
     # threads has no row: its worst case starts 64 worker processes, and
     # test_census_refuses_bad_thread_counts_and_ranks_up_front covers it.

@@ -1,0 +1,96 @@
+"""Oracle strength as a table: a fault planted in a fast path must fail
+the check that guards it.
+
+Each row names a fast path, one planted fault and the check that must
+catch it.  A fault is planted by recompiling the one function from its
+source with one change; each change must match the source exactly once,
+so a rewrite of the function fails the table instead of passing it
+silently.
+
+The rows of the push kernel (``rewriting._push``) run every product of
+two permutations of rank at most 5.  A product either raises
+``InternalInvariantError`` (caught at run time by the certificate), gives
+the honest answer, or gives a wrong one without raising (missed).  The
+meta check turns the certificate's checks into no-ops: then every row
+must report its fault as missed, which shows that the certificate, not
+the planting, caught it.
+"""
+
+import inspect
+import itertools
+import textwrap
+
+import pytest
+import test_rewriting
+
+from okada import rewriting
+from okada.errors import InternalInvariantError
+from okada.rewriting import all_perms, multiply_perms
+
+PAIRS = [pq for n in range(6) for pq in itertools.product(all_perms(n), repeat=2)]
+
+
+def _recompiled(func, *changes):
+    """``func`` compiled from its source with each ``(old, new)`` applied,
+    in the globals of its module, which it leaves untouched."""
+    source = textwrap.dedent(inspect.getsource(func))
+    for old, new in changes:
+        assert source.count(old) == 1, (func.__name__, old)
+        source = source.replace(old, new)
+    namespace = {}
+    exec(compile(source, inspect.getsourcefile(func), "exec"), func.__globals__, namespace)
+    return namespace[func.__name__]
+
+
+# The certificate's checks: the append step's and the final one.
+APPEND_CHECK = ("if p[j - 1] > p[j] or p[j] != k + 1:", "if False:")
+FINAL_CHECK = ("if _runs(perm) != bot:", "if False:")
+
+# fault -> (change to _push, products caught at run time, products missed)
+PUSH_ROWS = {
+    "drop the square branch": (("if b == j:  # square", "if False:  # square"), 8728, 0),
+    "drop the zigzag branch": (("elif b < j:  # zigzag", "elif False:  # zigzag"), 12564, 0),
+    "skip the rotation": (("p[b - 1 : j] = p[b:j] + p[b - 1 : b]", "pass"), 12564, 0),
+    "set the wrong bottom after a zigzag": (
+        ("bot[k] = j\n            p[b - 1 : j]", "bot[k] = j - 1\n            p[b - 1 : j]"), 12564, 0),
+    "forget the bottom after an append": (
+        ("p[j], p[j - 1]\n            bot[k] = j\n", "p[j], p[j - 1]\n"), 14088, 0),
+    # the state stays one code word, so only the candidate engine sees it
+    "drop the re-push": (("todo += range(b, j - 1)", "pass"), 0, 8628),
+}
+
+
+@pytest.fixture(scope="module")
+def honest_products():
+    return [multiply_perms(p, q) for p, q in PAIRS]
+
+
+def _outcomes(honest_products):
+    caught = missed = 0
+    for (p, q), want in zip(PAIRS, honest_products):
+        try:
+            got = multiply_perms(p, q)
+        except InternalInvariantError:
+            caught += 1
+        else:
+            missed += got != want
+    return caught, missed
+
+
+@pytest.mark.parametrize("fault", PUSH_ROWS)
+def test_a_fault_planted_in_the_push_kernel_is_caught(monkeypatch, honest_products, fault):
+    change, caught, missed = PUSH_ROWS[fault]
+    monkeypatch.setattr(rewriting, "_push", _recompiled(rewriting._push, change))
+    assert _outcomes(honest_products) == (caught, missed)
+    if missed:
+        with pytest.raises(AssertionError):
+            test_rewriting.test_multiply_perms_matches_the_candidate_engine()
+
+
+@pytest.mark.parametrize("fault", PUSH_ROWS)
+def test_a_push_fault_is_missed_with_the_certificate_off(monkeypatch, honest_products, fault):
+    change = PUSH_ROWS[fault][0]
+    monkeypatch.setattr(rewriting, "_push", _recompiled(rewriting._push, change, APPEND_CHECK))
+    monkeypatch.setattr(rewriting, "_push_certified", _recompiled(rewriting._push_certified, FINAL_CHECK))
+    caught, missed = _outcomes(honest_products)
+    assert caught == 0 and missed > 0

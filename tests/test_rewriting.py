@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import random
+import re
 import time
 import tracemalloc
 
@@ -56,6 +57,22 @@ def test_code_examples():
     assert word_from_code((2, 1)) == (1,)
     assert code((2, 3, 1)) == (0, 1, 1)
     assert word_from_code((2, 3, 1)) == (1, 2)
+
+
+@pytest.mark.parametrize("p", [(1, 1, 3), (0, 1, 2), (1, 2, 4), (3, 2, 3), (-1, 1), (2,)])
+def test_code_refuses_a_non_permutation(p):
+    # A repeated, missing or out-of-range value once read as a code, so
+    # that multiply_perms((1, 1, 3), (1, 2, 3)) answered (1, (1, 2, 3)) and
+    # multiply_perms((1, 2, 4), (2, 1, 3)) raised IndexError.
+    from okada.algebra import triangular_factorization
+
+    n = len(p)
+    identity = tuple(range(1, n + 1))
+    for call in (lambda: code(p), lambda: word_from_code(p), lambda: perm_to_diagram(p),
+                 lambda: rs(p), lambda: triangular_factorization(p),
+                 lambda: multiply_perms(p, identity), lambda: multiply_perms(identity, p)):
+        with pytest.raises(ValueError, match=re.escape(f"not a permutation of 1..{n}")):
+            call()
 
 
 def _inversions(p):
@@ -185,61 +202,65 @@ def test_reduction_candidates_match_quadratic_oracle():
 
 
 def test_normalize_verification_catches_a_wrong_code_word(monkeypatch):
-    # The final trace check must run on every call: with a corrupted code
-    # word it has to fail even though every reduction was correct.
-    monkeypatch.setattr(rewriting, "word_from_code", lambda p: tuple(reversed(range(1, len(p)))))
-    with pytest.raises(InternalInvariantError):
+    # The final check must run on every call: with a corrupted read of the
+    # code of the landed permutation it has to fail even though every
+    # reduction was correct.  normalize starts from the empty code word,
+    # so that read is the only one.
+    monkeypatch.setattr(rewriting, "code", lambda p: tuple(range(len(p))))
+    with pytest.raises(InternalInvariantError, match=r"not the code word of \(2, 3, 1\)"):
         normalize((1, 2), 3)
-    monkeypatch.setattr(rewriting, "word_from_code", lambda p: ())
-    with pytest.raises(InternalInvariantError):
+    monkeypatch.setattr(rewriting, "code", lambda p: (0,) * len(p))
+    with pytest.raises(InternalInvariantError, match=r"not the code word of \(1, 3, 2\)"):
         normalize((2, 1, 2, 2), 3)
 
 
 def _plant_push_fault(monkeypatch, fault):
-    # An honest push followed by `fault` on the pushed word; returns the
-    # words the certificate's insertion pass runs on.
-    honest, lex_normal_form = rewriting._push, rewriting._lex_normal_form
-    passes = []
+    # An honest push followed by `fault` on the pushed state: the
+    # permutation and the run bottoms of its code word.
+    honest = rewriting._push
 
-    def faulty(w, letters, exps):
-        honest(w, letters, exps)
-        fault(w)
-
-    def counted(word):
-        passes.append(tuple(word))
-        return lex_normal_form(word)
+    def faulty(p, bot, letters, exps):
+        honest(p, bot, letters, exps)
+        fault(p, bot)
 
     monkeypatch.setattr(rewriting, "_push", faulty)
-    monkeypatch.setattr(rewriting, "_lex_normal_form", counted)
-    return passes
 
 
-def _swap_the_last_non_commuting_pair(w):
+def _swap_the_last_non_commuting_pair(p, bot):
+    # The permutation of the code word with its last pair of letters
+    # within 1 of each other swapped: the same letters in another trace.
+    w = list(rewriting._code_word(bot))
     k = max(k for k in range(len(w) - 1) if abs(w[k] - w[k + 1]) == 1)
     w[k], w[k + 1] = w[k + 1], w[k]
+    p[:] = perm_from_word(w, len(p))
 
 
 def test_verification_catches_a_push_with_the_right_letters_in_the_wrong_trace(monkeypatch):
     # The code word 2 1 3 2 with its 3 2 swapped is a reduced word of
-    # the same length holding the zigzag 2 1 2: the length check passes
-    # it, and only the insertion pass can tell it from a code word.
-    passes = _plant_push_fault(monkeypatch, _swap_the_last_non_commuting_pair)
-    with pytest.raises(InternalInvariantError):
+    # the same length holding the zigzag 2 1 2; its permutation is not
+    # the one of the runs 2 1 | 3 2, and the certificate must see that.
+    _plant_push_fault(monkeypatch, _swap_the_last_non_commuting_pair)
+    wrong = re.escape(f"not the code word of {perm_from_word((2, 1, 2, 3), 4)}")
+    with pytest.raises(InternalInvariantError, match=wrong):
         normalize((2, 1, 3, 2), 4)
-    with pytest.raises(InternalInvariantError):
+    with pytest.raises(InternalInvariantError, match=wrong):
         multiply_perms(perm_from_word((2, 1), 4), perm_from_word((3, 2), 4))
-    assert passes == [(2, 1, 2, 3)] * 2
+
+
+def _lengthen_the_last_run(p, bot):
+    k = max(k for k in range(len(bot)) if bot[k] > 1)
+    bot[k] -= 1
 
 
 def test_verification_catches_a_push_that_leaves_an_extra_letter(monkeypatch):
-    # A square left in place: the word is longer than the code word of
-    # its permutation, which the length check sees before any pass.
-    passes = _plant_push_fault(monkeypatch, lambda w: w.append(w[-1]))
-    with pytest.raises(InternalInvariantError):
+    # The runs hold one letter more than the code word of the permutation
+    # reached: 1 2 1 for the code word 1 2 of (2, 3, 1).
+    _plant_push_fault(monkeypatch, _lengthen_the_last_run)
+    wrong = re.escape("runs down to [1, 1, 1] are not the code word of (2, 3, 1)")
+    with pytest.raises(InternalInvariantError, match=wrong):
         normalize((1, 2), 3)
-    with pytest.raises(InternalInvariantError):
+    with pytest.raises(InternalInvariantError, match=wrong):
         multiply_perms(perm_from_word((1,), 3), perm_from_word((2,), 3))
-    assert passes == []
 
 
 def _generator_step_oracle(p, i):
@@ -300,6 +321,16 @@ def test_normalize_matches_the_candidate_engine():
 )
 def test_extended_normalize_matches_the_candidate_engine_at_rank_6():
     _assert_normalize_matches_candidate_engine(_all_words(6, 7))
+
+
+def test_the_candidate_engine_must_stop_at_a_reduced_word(monkeypatch):
+    # Its reduced word is pushed onto the empty code word, where no
+    # reduction may fire: an engine that stops early is refused.
+    monkeypatch.setattr(rewriting, "_reduction_candidates", lambda word: [])
+    for w in ((1, 1), (2, 1, 2), (1, 3, 1)):
+        with pytest.raises(InternalInvariantError, match=re.escape(f"the reduced word {w} still reduces")):
+            normalize(w, 4, rng=random.Random(0))
+    assert normalize((1, 2, 1, 3), 4, rng=random.Random(0)).word == (1, 2, 1, 3)
 
 
 def test_only_the_rng_engine_scans_for_candidates(monkeypatch):
@@ -363,6 +394,28 @@ def _commutation_class(word):
     return seen
 
 
+def _lex_normal_form(word):
+    """The lexicographically least word of the trace of ``word``
+    (Anisimov-Knuth), in one insertion pass.
+
+    Each letter ``a`` moves left while the letter before it is greater
+    than ``a + 1``: it passes only greater letters that commute with it.
+    In a least word a letter that commutes with its right neighbour is
+    smaller than it, so a run of letters that all commute with ``a``
+    cannot step down from above ``a`` to below ``a`` (that step would be
+    at least 4), and the insertion stops exactly where the least word
+    puts ``a``.
+    """
+    out = []
+    for a in word:
+        b = a + 1
+        j = len(out) - 1
+        while j >= 0 and out[j] > b:
+            j -= 1
+        out.insert(j + 1, a)
+    return out
+
+
 def test_lex_normal_form_is_the_least_word_of_its_trace():
     # Every word over 1..5 of length <= 6, each class enumerated once.
     done = set()
@@ -372,9 +425,30 @@ def test_lex_normal_form_is_the_least_word_of_its_trace():
                 trace = _commutation_class(w)
                 least = list(min(trace))
                 for v in trace:
-                    assert rewriting._lex_normal_form(v) == least, v
+                    assert _lex_normal_form(v) == least, v
                 done |= trace
     assert len(done) == 19531
+
+
+def test_the_candidate_engine_reduces_to_a_word_of_the_code_words_trace(monkeypatch):
+    # The code word is the least word of its trace, so the reduced word of
+    # the candidate engine, which shares no reduction code with _push, has
+    # it as its lexicographic normal form.
+    certified = rewriting._push_certified
+    reduced = []
+
+    def recording(p, bot, letters, exps):
+        reduced.append(tuple(letters))
+        return certified(p, bot, letters, exps)
+
+    monkeypatch.setattr(rewriting, "_push_certified", recording)
+    rng = random.Random(53)
+    for k in range(1000):
+        n = rng.randint(2, 12)
+        w = tuple(rng.randrange(1, n) for _ in range(rng.randint(0, 80)))
+        reduced.clear()
+        r = normalize(w, n, rng=random.Random(k))
+        assert _lex_normal_form(reduced[0]) == list(r.word) == list(normalize(w, n).word), (w, n)
 
 
 def test_code_words_are_the_least_words_of_their_traces():
@@ -392,7 +466,7 @@ def _assert_trace_key_classes_are_cartier_foata_classes(words):
     # class per form.
     key_of_layers, layers_of_key, representative = {}, {}, {}
     for w in words:
-        layers, key = _cartier_foata_oracle(w), tuple(rewriting._lex_normal_form(w))
+        layers, key = _cartier_foata_oracle(w), tuple(_lex_normal_form(w))
         assert cartier_foata(w) == layers, w
         assert trace_equal(w, representative.setdefault(layers, w)), w
         assert key_of_layers.setdefault(layers, key) == key, w
@@ -444,20 +518,20 @@ def test_trace_key_is_exact_for_letters_far_apart(gap):
     ],
 )
 def test_generator_step_verification_catches_a_wrong_code_word(monkeypatch, word, i, term):
-    # The step reads the code words of p and of s_i honestly; the code
-    # word of the result comes reversed, with the right letters but the
-    # wrong trace, so the final trace check has to fail in every case.
+    # The step reads the codes of p and of s_i honestly; the code of the
+    # result comes reversed, the right entries in the wrong places, so the
+    # final check has to fail in every case.
     p = perm_from_word(word, 3)
     step_term, result = _generator_step(p, i)
     assert word_from_code(p) == word and step_term == term
-    honest = rewriting.word_from_code
+    honest = rewriting.code
     calls = []
 
     def corrupt(perm):
         calls.append(perm)
         return honest(perm) if len(calls) <= 2 else honest(perm)[::-1]
 
-    monkeypatch.setattr(rewriting, "word_from_code", corrupt)
+    monkeypatch.setattr(rewriting, "code", corrupt)
     with pytest.raises(InternalInvariantError):
         _generator_step(p, i)
     assert calls == [p, perm_from_word((i,), 3), result]
@@ -574,16 +648,30 @@ def test_multiply_perms_agrees_with_multiply_words():
             assert (coeff, r) == (direct.coefficient, direct.perm)
 
 
-def test_multiply_perms_matches_the_candidate_engine():
+def _assert_products_match_the_candidate_engine(pairs):
     # multiply_words pushes like multiply_perms; the candidate engine
     # rescans the whole concatenation instead.
-    rng = random.Random(12)
-    for k in range(500):
-        n = rng.randint(6, 16)
-        p, q = tuple(rng.sample(range(1, n + 1), n)), tuple(rng.sample(range(1, n + 1), n))
+    for k, (p, q) in enumerate(pairs):
         coeff, r = multiply_perms(p, q)
-        direct = normalize(word_from_code(p) + word_from_code(q), n, rng=random.Random(k))
+        direct = normalize(word_from_code(p) + word_from_code(q), len(p), rng=random.Random(k))
         assert (coeff, r) == (direct.coefficient, direct.perm), (p, q)
+
+
+def test_multiply_perms_matches_the_candidate_engine():
+    rng = random.Random(12)
+    pairs = []
+    for _ in range(500):
+        n = rng.randint(6, 16)
+        pairs.append((tuple(rng.sample(range(1, n + 1), n)), tuple(rng.sample(range(1, n + 1), n))))
+    _assert_products_match_the_candidate_engine(pairs)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("OKADA_EXTENDED"),
+    reason="the 14400 rank-5 products run only with OKADA_EXTENDED=1",
+)
+def test_extended_multiply_perms_matches_the_candidate_engine_at_rank_5():
+    _assert_products_match_the_candidate_engine(itertools.product(all_perms(5), repeat=2))
 
 
 def test_products_hold_no_memory():
@@ -729,7 +817,8 @@ def test_mirror_matches_inverse():
 
 
 def test_theta_is_a_homomorphism_at_all_ones():
-    for n in range(1, 5):
+    # rank 5, 14400 products, runs with OKADA_EXTENDED=1
+    for n in range(1, 6 if os.environ.get("OKADA_EXTENDED") else 5):
         perms = all_perms(n)
         for p in perms:
             for q in perms:
