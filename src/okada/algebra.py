@@ -211,7 +211,7 @@ def ideal_basis(s: FibonacciSet) -> tuple[Perm, ...]:
     The ideal is spanned by the diagrams ``glue(L, R)`` of the cells
     ``t`` that lie below ``s`` in the dominance order, so its basis is
     read off those cells of the rank's one layout, each built from its
-    halves split once (:func:`~okada.diagrams._rank_cells`).
+    halves tied once per end tuple (:func:`~okada.diagrams._rank_cells`).
     """
     perms = []
     for t, halves, ends in dg._rank_cells(s.rank):

@@ -493,31 +493,45 @@ def _glue_cell(halves: Sequence[HalfArcDiagram], ends: Sequence[Sequence[int]],
     """``glue(halves[i], halves[j])`` for each ``(i, j)`` of ``pairs``, in order.
 
     ``ends[i]`` lists the half-arc positions of ``halves[i]`` (see
-    :func:`_rank_cells`).  Each half is split once, into a left part and
-    a right part reflected into positions ``n .. 2n-1`` as :func:`glue`
-    places it, and its rank and half-arc labels are checked against the
-    first half: a half from another cell is a library bug and raises
-    ``InternalInvariantError``.  Each pair then only joins two parts and
-    ties their half arcs in order, so a caller builds only what it keeps.
+    :func:`_rank_cells`); a cell has few distinct end tuples (one at
+    ``{}``, at most six at rank 6).  Each half's rank and half-arc labels
+    are checked against the first half: a half from another cell is a
+    library bug and raises ``InternalInvariantError``.  Each half is then
+    tied once per end tuple ``g`` of the cell: its left part with its half
+    arcs pointing at ``g`` reflected, where :func:`glue` places the right
+    half, and its right part, reflected into positions ``n .. 2n-1``, with
+    its half arcs pointing at ``g``.  A tied part must have ``n`` entries
+    and no half arc left open.  Each pair then only joins two tied parts,
+    so a caller builds only what it keeps.
     """
     if not halves:
         return
     first = halves[0]
     n, last = first.rank, 2 * first.rank - 1
     labels = [first.height[p] for p in ends[0]]
+    tuples: dict[tuple[int, ...], int] = {}
+    gid = [tuples.setdefault(tuple(e), len(tuples)) for e in ends]
     lefts, rights = [], []
     for h, e in zip(halves, ends):
         if h.rank != n or [h.height[p] for p in e] != labels:
             raise InternalInvariantError(f"{h!r} is not in the cell of {first!r}")
-        lefts.append((list(h.partner), h.height, e))
-        rights.append(([last - q for q in reversed(h.partner)], h.height[::-1], [last - p for p in e]))
+        lp, rp = list(h.partner), [last - q for q in reversed(h.partner)]
+        lefts.append([])
+        rights.append([])
+        for g in tuples:
+            for p, a in zip(e, g):  # position last - p is entry n - 1 - p of the right part
+                lp[p], rp[n - 1 - p] = last - a, a
+            if len(lp) != n or -1 in lp or last + 1 in rp:
+                raise InternalInvariantError(f"{h!r} tied with half arcs left open")
+            lefts[-1].append(tuple(lp))
+            rights[-1].append(tuple(rp))
+    lh = [h.height for h in halves]
+    rh = [h.height[::-1] for h in halves]
+    new = object.__new__
     for i, j in pairs:
-        lp, lh, lends = lefts[i]
-        rp, rh, rends = rights[j]
-        partner = lp + rp
-        for a, b in zip(lends, rends):
-            partner[a], partner[b] = b, a
-        yield _from_arrays(n, partner, lh + rh)
+        d = new(ArcDiagram)
+        d._fill(n, lefts[i][gid[j]] + rights[j][gid[i]], lh[i] + rh[j])
+        yield d
 
 
 def _passes(left: HalfArcDiagram, right: HalfArcDiagram, ends: tuple[int, ...]) -> bool:
@@ -792,7 +806,7 @@ def iter_diagrams(n: int) -> Iterator[ArcDiagram]:
     Diagrams are produced by gluing pairs of half diagrams with equal
     propagating labels, so no deduplication is needed and memory stays
     proportional to the number of half diagrams.  Each cell's ``k²``
-    diagrams are built from its ``k`` halves split once
+    diagrams are built from its ``k`` halves tied once per end tuple
     (:func:`_glue_cell`).
     """
     for _, halves, ends in _rank_cells(n):

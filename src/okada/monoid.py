@@ -20,9 +20,11 @@ read this pairing and form no product:
   holds the representatives ``glue(L, L)``, the free one among them.
 
 Every scan reads the rank's one cell layout (:func:`~okada.diagrams._rank_cells`)
-and builds only the elements it keeps, from each cell's halves split once:
-all of them for :func:`green_classes`, those that pass for
-:func:`iter_idempotents`, those that fail for :func:`aperiodicity_profile`.
+and builds only the elements it keeps, each two parts of halves tied once
+per end tuple of its cell: all of them for :func:`green_classes`, those that
+pass for :func:`iter_idempotents`, those that fail for :func:`aperiodicity_profile`.
+The census reads its cell sizes off the layout too, before it starts any
+worker process, so that forked workers inherit the walk.
 
 The mirror is an anti-automorphism, ``mirror(c·d) = mirror(d)·mirror(c)``
 (reflecting a stack reverses it and keeps every label), and it swaps the
@@ -65,9 +67,9 @@ __all__ = [
     "j_class_rep",
 ]
 
-# Idempotent census for ranks 0..8; ranks 9 and 10 are the extended run.
+# Idempotent census for ranks 0..8; ranks 9 to 11 are the extended run.
 KNOWN_IDEMPOTENT_COUNTS = (1, 1, 2, 6, 22, 108, 594, 4116, 30500)
-EXTENDED_IDEMPOTENT_COUNTS = {9: 274006, 10: 2560400}
+EXTENDED_IDEMPOTENT_COUNTS = {9: 274006, 10: 2560400, 11: 28272984}
 
 
 def mproduct(e: dg.ArcDiagram, f: dg.ArcDiagram) -> dg.ArcDiagram:
@@ -157,11 +159,13 @@ def census_counts(n: int, threads: int = 1) -> tuple[int, int, int]:
     per half diagram.  The idempotents come from one job list over the
     pairs ``i <= j`` of every cell, in row blocks of about
     ``pairs // (4 * threads)`` pairs (row ``i`` of ``k`` holds ``k - i``),
-    run in turn or, with ``threads > 1``, in worker processes.
+    run in turn or, with ``threads > 1``, in worker processes.  The cell
+    sizes are read off the layout (:func:`~okada.diagrams._rank_cells`), so the
+    parent walks it before the pool starts, and forked workers inherit it.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    sizes = [chain_count(s) for s in enumerate_yfs(n)]
+    sizes = [len(halves) for _, halves, _ in dg._rank_cells(n)]
     block = max(1, sum(k * (k + 1) // 2 for k in sizes) // (4 * threads))  # pairs per job
     jobs = []
     for c, k in enumerate(sizes):
@@ -263,7 +267,7 @@ def green_classes(n: int) -> GreenClasses:
     diagonal of each cell: ``glue(L_i, L_i)``, at ``off + i*(k + 1)``, is
     the one involutive element of row ``i``, and the one free element of
     the cell where ``L_i`` is the free half.  Each cell's elements are
-    built from its halves split once, in that order.
+    built from its halves tied once per end tuple, in that order.
 
     >>> gc = green_classes(3)
     >>> gc.r_reps, gc.j_reps

@@ -134,19 +134,24 @@ def all_perms(n: int) -> tuple[Perm, ...]:
 def code(p: Perm) -> tuple[int, ...]:
     """Lehmer-style code: ``c_i = #{j < i : p^-1(j) > p^-1(i)}``.
 
-    Raises ``ValueError`` unless ``p`` is a permutation of ``1..n``.
+    Raises ``ValueError`` unless ``p`` is a permutation of ``1..n``,
+    also for entries that are not integers; a ``bool`` counts as the
+    integer it is, as in Python.
     """
     # c_v counts the smaller values right of v: read p from the right,
     # keeping the values passed so far sorted.
     n = len(p)
     out = [0] * n
     passed: list[int] = []
-    for v in reversed(p):
-        if not 1 <= v <= n:
-            break
-        c = bisect.bisect_left(passed, v)
-        out[v - 1] = c
-        passed.insert(c, v)
+    try:
+        for v in reversed(p):
+            if not 1 <= v <= n:
+                break
+            c = bisect.bisect_left(passed, v)
+            out[v - 1] = c
+            passed.insert(c, v)
+    except TypeError:  # a value that neither compares nor indexes as an int
+        passed = []
     if passed != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}")
     return tuple(out)

@@ -2,7 +2,7 @@
 
 One test per acceptance criterion, each printing a PASS line with the
 checked sizes (run pytest with ``-s`` to see them stream).  Criteria are
-exact: no tolerances anywhere.  The rank 9/10 idempotent census is an
+exact: no tolerances anywhere.  The rank 9 to 11 idempotent census is an
 extended run, enabled by setting ``OKADA_EXTENDED=1``.
 """
 
@@ -95,13 +95,13 @@ def test_criterion_02_idempotent_census():
 
 @pytest.mark.skipif(
     not os.environ.get("OKADA_EXTENDED"),
-    reason="extended census (ranks 9 and 10) runs only with OKADA_EXTENDED=1",
+    reason="extended census (ranks 9 to 11) runs only with OKADA_EXTENDED=1",
 )
 def test_criterion_02_idempotent_census_extended():
     threads = int(os.environ.get("OKADA_THREADS", "1"))
-    for n in (9, 10):
+    for n in (9, 10, 11):
         assert mo.census_counts(n, threads)[1] == mo.EXTENDED_IDEMPOTENT_COUNTS[n]
-    report("criterion 2 (extended): idempotent census", "n = 9, 10")
+    report("criterion 2 (extended): idempotent census", "n = 9, 10, 11")
 
 
 @pytest.mark.skipif(

@@ -174,9 +174,9 @@ def test_the_walk_records_each_half_arc_position():
 
 
 def test_glue_cell_equals_glue_pair_by_pair():
-    # Halves split once must give what glue gives pair by pair, in the
-    # order of the pair list: the square row by row, the same reversed,
-    # and the pairs above the diagonal.
+    # Halves tied once per end tuple must give what glue gives pair by
+    # pair, in the order of the pair list: the square row by row, the same
+    # reversed, and the pairs above the diagonal.
     for n in range(8):
         for _, cell, ends in dg._rank_cells(n):
             square = [(i, j) for i in range(len(cell)) for j in range(len(cell))]
@@ -201,6 +201,16 @@ def test_glue_cell_refuses_a_foreign_half():
             planted = dg._glue_cell(halves, marks, every)
             with pytest.raises(InternalInvariantError, match="not in the cell"):
                 next(planted)
+
+
+def test_glue_cell_refuses_a_half_arc_left_untied():
+    # End tuples that miss the last half arc of every half still agree on
+    # their labels, but each tied part keeps that half arc open: a library
+    # bug, raised before any diagram is built.
+    cell = dg.enumerate_half(5, F(5, (1, 2, 3)))
+    ends = [_half_arc_positions(h.partner)[:-1] for h in cell]
+    with pytest.raises(InternalInvariantError, match="left open"):
+        next(dg._glue_cell(cell, ends, [(0, 0)]))
 
 
 def test_green_classes_index_the_enumeration():

@@ -157,19 +157,21 @@ def test_iter_idempotents_matches_squaring_over_iter_diagrams():
 
 
 def test_iter_idempotents_builds_elements_only_through_the_cell_path(monkeypatch):
-    # Each cell's elements come from its halves split once; the checked
-    # single-pair glue is never called, and only the idempotents are built.
+    # Each cell's elements come from its halves tied once per end tuple;
+    # the checked single-pair glue is never called, and only the
+    # idempotents are built.  Every diagram, by any builder, is filled
+    # through ArcDiagram._fill, so that is where the builds are counted.
     def never(*args):
         raise AssertionError("iter_idempotents called glue")
 
-    def counted(*args):
+    def counted(self, *args):
         built.append(args[0])
-        return honest(*args)
+        return honest(self, *args)
 
     oracles = {n: [e for e in dg.iter_diagrams(n) if is_idempotent(e)] for n in range(8)}
-    honest, built = dg._from_arrays, []
+    honest, built = dg.ArcDiagram._fill, []  # compiled by the builds above
     monkeypatch.setattr("okada.diagrams.glue", never)
-    monkeypatch.setattr(dg, "_from_arrays", counted)
+    monkeypatch.setattr(dg.ArcDiagram, "_fill", counted)
     for n, oracle in oracles.items():
         built.clear()
         assert list(iter_idempotents(n)) == oracle
@@ -439,7 +441,7 @@ def test_the_census_matches_the_full_square():
 
 def test_aperiodicity_max_matches_the_full_scan(monkeypatch):
     # the profile over i <= j against every element powered, at rank 8 in the
-    # extended run; the failing pairs are joined from halves split once, never by glue
+    # extended run; the failing pairs are joined from tied halves, never by glue
     def never(*args):
         raise AssertionError("aperiodicity_profile called glue")
 

@@ -14,6 +14,12 @@ the honest answer, or gives a wrong one without raising (missed).  The
 meta check turns the certificate's checks into no-ops: then every row
 must report its fault as missed, which shows that the certificate, not
 the planting, caught it.
+
+The rows of the cell scans plant a fault in a builder or a counter of
+``okada.diagrams`` and ``okada.monoid`` and run the test whose oracle
+guards it, which must fail.  Their meta check recompiles that test with
+its oracle turned into a no-op: then the planted fault passes, which
+shows that the oracle, not an error of the planting, caught it.
 """
 
 import inspect
@@ -21,9 +27,11 @@ import itertools
 import textwrap
 
 import pytest
+import test_diagrams
+import test_monoid
 import test_rewriting
 
-from okada import rewriting
+from okada import diagrams, monoid, rewriting
 from okada.errors import InternalInvariantError
 from okada.rewriting import all_perms, multiply_perms
 
@@ -94,3 +102,31 @@ def test_a_push_fault_is_missed_with_the_certificate_off(monkeypatch, honest_pro
     monkeypatch.setattr(rewriting, "_push_certified", _recompiled(rewriting._push_certified, FINAL_CHECK))
     caught, missed = _outcomes(honest_products)
     assert caught == 0 and missed > 0
+
+
+# fault -> (module, function, change to it, oracle test, change that makes its oracle a no-op)
+CELL_ROWS = {
+    "tie a right half arc to its own end": (
+        diagrams, "_glue_cell", ("= last - a, a\n", "= last - a, p\n"),
+        test_diagrams.test_glue_cell_equals_glue_pair_by_pair,
+        ("[dg.glue(cell[i], cell[j]) for i, j in pairs]", "list(dg._glue_cell(cell, ends, pairs))")),
+    "start the census's inner range at i + 2": (
+        monoid, "_census_rows", ("range(i + 1, len(cell))", "range(i + 2, len(cell))"),
+        test_monoid.test_the_census_matches_the_full_square,
+        ("== square == KNOWN_IDEMPOTENT_COUNTS[n]", "is not None")),
+}
+
+
+@pytest.mark.parametrize("fault", CELL_ROWS)
+def test_a_fault_planted_in_a_cell_scan_fails_its_oracle(monkeypatch, fault):
+    module, name, change, oracle, _ = CELL_ROWS[fault]
+    monkeypatch.setattr(module, name, _recompiled(getattr(module, name), change))
+    with pytest.raises(AssertionError):
+        oracle()
+
+
+@pytest.mark.parametrize("fault", CELL_ROWS)
+def test_a_cell_scan_fault_passes_its_oracle_made_a_no_op(monkeypatch, fault):
+    module, name, change, oracle, no_op = CELL_ROWS[fault]
+    monkeypatch.setattr(module, name, _recompiled(getattr(module, name), change))
+    _recompiled(oracle, no_op)()

@@ -59,11 +59,12 @@ def test_code_examples():
     assert word_from_code((2, 3, 1)) == (1, 2)
 
 
-@pytest.mark.parametrize("p", [(1, 1, 3), (0, 1, 2), (1, 2, 4), (3, 2, 3), (-1, 1), (2,)])
+@pytest.mark.parametrize("p", [(1, 1, 3), (0, 1, 2), (1, 2, 4), (3, 2, 3), (-1, 1), (2,), (1.0, 2), ("1", 2)])
 def test_code_refuses_a_non_permutation(p):
     # A repeated, missing or out-of-range value once read as a code, so
     # that multiply_perms((1, 1, 3), (1, 2, 3)) answered (1, (1, 2, 3)) and
-    # multiply_perms((1, 2, 4), (2, 1, 3)) raised IndexError.
+    # multiply_perms((1, 2, 4), (2, 1, 3)) raised IndexError.  Entries of
+    # another type once raised TypeError from the scan.
     from okada.algebra import triangular_factorization
 
     n = len(p)
