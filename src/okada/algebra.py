@@ -362,7 +362,7 @@ def gram_matrix(s: FibonacciSet) -> tuple[tuple[Polynomial, ...], ...]:
     ``tests/test_algebra.py``), over every cell with ``n <= 7`` and, in
     the extended tier, ``n = 8``.
     """
-    halves, ends = dg._cell(s)
+    ((_, halves, ends),) = dg._cells(s.rank, s)
     passes = dg._passes
     free, top = free_half_diagram(s), free_involution(s)
     perms = [diagram_to_perm(dg.glue(h, free)) for h in halves]

@@ -40,6 +40,10 @@ Diagrams and halves built here from other ones (:func:`compose`,
 :func:`restrict`, :func:`chain_inverse`, ...) or from a label set (the
 free half, :func:`free_half_diagram`) skip those checks and only assert
 that every position was matched and labelled.
+
+A half diagram is a saturated chain of the Young-Fibonacci lattice read
+as arcs (Fomin's Fibonacci tableau); :func:`_cells` is the one walk of
+the lattice that builds halves.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .errors import (
     PropagatingMismatchError,
     RankMismatchError,
 )
-from .fibonacci import Chain, FibonacciSet, _chain_codes, free_set, is_fibonacci_set
+from .fibonacci import Chain, FibonacciSet, _yf_steps, enumerate_yfs, free_set, is_fibonacci_set
 
 if TYPE_CHECKING:
     from .polynomials import Polynomial
@@ -199,8 +203,8 @@ class HalfArcDiagram(Immutable):
     Full arcs join two nodes of ``[n]``; half arcs keep one node and the
     label of the propagating arc they came from.  ``partner[p]`` is the
     position joined to node ``p + 1`` by a full arc, or ``-1`` at a half
-    arc, and ``height[p]`` is its label.  Equality uses these tuples; the
-    hash is that of ``(rank, full_arcs, half_arcs)``, derived and sorted.
+    arc, and ``height[p]`` is its label.  Equality and hashing use these
+    tuples.
 
     ``HalfArcDiagram(rank, full_arcs, half_arcs)`` checks the partition
     and the label types; halves the library builds itself go through
@@ -246,9 +250,6 @@ class HalfArcDiagram(Immutable):
         """The half arcs, sorted by node."""
         pairs = enumerate(zip(self.partner, self.height))
         return tuple(HalfArc(p + 1, h) for p, (q, h) in pairs if q < 0)
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.full_arcs, self.half_arcs))
 
     def __reduce__(self):
         return _half_from_arrays, (self.rank, self.partner, self.height)
@@ -761,43 +762,61 @@ def enumerate_half(
     """All rank-``n`` half diagrams, optionally with propagating labels ``s``.
 
     Ordered by label set, then by restriction chain as in
-    :func:`~okada.fibonacci.saturated_chains`.  The arrays of a half are
-    the step code of its chain: adding a label opens a half arc, removing
-    the largest closes it, as in :func:`chain_inverse`.  The codes grow up
-    the Young-Fibonacci lattice a rank at a time, each prefix extended by
-    the covers of its last set in increasing order.  Chains to one top
-    compare as their sequences of sets, so that order is the chain order.
-    Without ``s`` the halves are read off the rank's one cell layout
-    (:func:`_rank_cells`); with ``s`` one cell is walked alone (:func:`_cell`).
+    :func:`~okada.fibonacci.saturated_chains`.  Without ``s`` the halves
+    are read off the rank's one cell layout (:func:`_rank_cells`); with
+    ``s`` the walk of :func:`_cells` keeps that one cell alone.
     """
     if s is None:
         return tuple(h for _, halves, _ in _rank_cells(n) for h in halves)
     if s.rank != n:
         raise RankMismatchError(f"label set {s} does not have rank {n}")
-    return _cell(s)[0]
+    return _cells(n, s)[0][1]
 
 
-def _halves_of_codes(n: int, codes) -> tuple[tuple[HalfArcDiagram, ...], tuple[tuple[int, ...], ...]]:
-    """The halves of the chain codes ``(partner, height, opens)`` of one
-    cell, and their half-arc positions (the ``opens``)."""
-    return tuple(_half_from_arrays(n, p, h) for p, h, _ in codes), tuple(c[2] for c in codes)
+def _cells(n: int, s: FibonacciSet | None = None) -> tuple[tuple[FibonacciSet, tuple[HalfArcDiagram, ...], tuple[tuple[int, ...], ...]], ...]:
+    """Each rank-``n`` label set (``s`` alone if given) with its halves,
+    in chain order, and their half-arc positions: one walk of the
+    Young-Fibonacci lattice that builds no :class:`Chain`.
 
-
-def _cell(s: FibonacciSet) -> tuple[tuple[HalfArcDiagram, ...], tuple[tuple[int, ...], ...]]:
-    """The halves of the cell of ``s`` and their half-arc positions, from
-    the walk of that cell alone."""
-    ((_, codes),) = _chain_codes(s.rank, s)
-    return _halves_of_codes(s.rank, codes)
+    A half's arrays are the step code of its chain, as in
+    :func:`chain_inverse`.  They grow a rank at a time, each prefix
+    extended by the covers of its last set in increasing order, which is
+    the chain order; with ``s`` only the sets below ``s`` are kept.  The
+    steps still open at rank ``n`` are the half's ``ends``.
+    """
+    tops = enumerate_yfs(n) if s is None else (s,)
+    below = None  # with s: the element tuples below s, by rank
+    if s is not None:
+        below = [{s.elements}]
+        for r in range(n, 0, -1):
+            below.insert(0, {e for t in below[0] for e in _yf_steps(t, r - 1)})
+    level = [((), (), (), ())]  # chain prefixes in chain order: set, partner, height, open steps
+    for p in range(n):
+        nxt = []
+        for elems, partner, height, opens in level:
+            for t in _yf_steps(elems, p + 1):
+                if below is not None and t not in below[p + 1]:
+                    continue
+                if len(t) < len(elems):  # remove the largest label, added at step q
+                    q = opens[-1]
+                    nxt.append((t, partner[:q] + (p,) + partner[q + 1 :] + (q,), height + (elems[-1],), opens[:-1]))
+                else:  # add a new largest label
+                    nxt.append((t, partner + (-1,), height + (t[-1],), opens + (p,)))
+        level = nxt
+    cells = {t.elements: [] for t in tops}
+    for elems, partner, height, opens in level:
+        cells[elems].append((_half_from_arrays(n, partner, height), opens))
+    return tuple((t, *zip(*cells[t.elements])) for t in tops)
 
 
 @lru_cache(maxsize=1)
 def _rank_cells(n: int) -> tuple[tuple[FibonacciSet, tuple[HalfArcDiagram, ...], tuple[tuple[int, ...], ...]], ...]:
-    """The cell layout of rank ``n`` that every cell builder reads: each
-    label set with its halves and their half-arc positions, from one walk.
+    """The cell layout of rank ``n`` that every cell builder reads:
+    :func:`_cells` of the whole rank, walked once.
 
     The memo holds one rank (9496 halves at rank 10), so that a process
     walks it once for all it asks of that rank."""
-    return tuple((s, *_halves_of_codes(n, codes)) for s, codes in _chain_codes(n))
+    return _cells(n)
 
 
 def iter_diagrams(n: int) -> Iterator[ArcDiagram]:

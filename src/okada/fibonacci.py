@@ -11,6 +11,7 @@ This module also implements Stanley's bijection with binary words over
 ``{1, 2}``, saturated chains (which index the irreducible modules of the
 rank-``n`` Okada algebra), the dominance order on each rank, and the
 bijection between Fibonacci sets and free subsets of ``{1, ..., n-1}``.
+Half diagrams, the chains read as arcs, are built in :mod:`okada.diagrams`.
 The dominance lattice is given in closed form: meets and joins are
 aligned minima and maxima, the rank function is a formula in the size
 and the sum of a set, and the covers are two kinds of local moves.
@@ -211,40 +212,6 @@ def saturated_chains(s: FibonacciSet) -> tuple[Chain, ...]:
         for c in saturated_chains(p)
     ]
     return tuple(sorted(chains))
-
-
-def _chain_codes(n: int, s: FibonacciSet | None = None) -> list[tuple[FibonacciSet, list[tuple[tuple[int, ...], ...]]]]:
-    """Each top of rank ``n`` (``s`` alone if given) with its saturated
-    chains in chain order (see :func:`~okada.diagrams.enumerate_half`), as
-    codes ``(partner, height, opens)``: step ``p`` adds or removes the
-    label ``height[p]``, a removal and the addition it undoes point at
-    each other, an addition never undone at ``-1``, and ``opens`` lists
-    those steps, the half-arc positions, in increasing order.  No
-    :class:`Chain` is built.
-    """
-    tops = enumerate_yfs(n) if s is None else (s,)
-    below = None  # with s: the element tuples below s, by rank
-    if s is not None:
-        below = [{s.elements}]
-        for r in range(n, 0, -1):
-            below.insert(0, {e for t in below[0] for e in _yf_steps(t, r - 1)})
-    level = [((), (), (), ())]  # chain prefixes in chain order: set, partner, height, open steps
-    for p in range(n):
-        nxt = []
-        for elems, partner, height, opens in level:
-            for t in _yf_steps(elems, p + 1):
-                if below is not None and t not in below[p + 1]:
-                    continue
-                if len(t) < len(elems):  # remove the largest label, added at step q
-                    q = opens[-1]
-                    nxt.append((t, partner[:q] + (p,) + partner[q + 1 :] + (q,), height + (elems[-1],), opens[:-1]))
-                else:  # add a new largest label
-                    nxt.append((t, partner + (-1,), height + (t[-1],), opens + (p,)))
-        level = nxt
-    leaves: dict[tuple[int, ...], list] = {t.elements: [] for t in tops}
-    for elems, partner, height, opens in level:
-        leaves[elems].append((partner, height, opens))
-    return [(t, leaves[t.elements]) for t in tops]
 
 
 def chain_count(s: FibonacciSet) -> int:

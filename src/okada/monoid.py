@@ -38,6 +38,7 @@ profile (:func:`aperiodicity_profile`, whose largest index is
 
 from __future__ import annotations
 
+import reprlib
 from collections import Counter
 from functools import lru_cache
 from itertools import product
@@ -230,11 +231,14 @@ class GreenClasses(Immutable):
         object.__setattr__(self, "_lookup", None)
 
     def class_of(self, e: dg.ArcDiagram, kind: str) -> tuple[int, ...]:
-        """The ``kind`` (``"R"``, ``"L"`` or ``"J"``) class holding ``e``.
+        """The ``kind`` (``"R"``, ``"L"`` or ``"J"``) class holding ``e``;
+        another kind, or an ``e`` not in the monoid, raises ``ValueError``.
 
         The element -> index table and the index -> class tables are
         built on the first call.
         """
+        if kind not in ("R", "L", "J"):
+            raise ValueError(f"class kind must be 'R', 'L' or 'J', got {reprlib.repr(kind)}")
         if self._lookup is None:
             index = {d: i for i, d in enumerate(self.elements)}
             owners = {}

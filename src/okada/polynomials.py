@@ -55,12 +55,22 @@ def _mul_terms(a: Term, b: Term) -> Term:
     return (*out, *a[i:], *b[j:])
 
 
+def _checked_var(kind: str, index: int) -> Var:
+    if kind not in ("x", "y") or index < 1:
+        raise ValueError(f"bad variable ({kind}, {index})")
+    return (kind, index)
+
+
 def _term_sort_key(term: Term):
     return (sum(e for _, e in term), term)
 
 
 class Polynomial:
-    """Immutable sparse polynomial over the integers (or exact rationals)."""
+    """Immutable sparse polynomial over the integers (or exact rationals).
+
+    The constructors refuse a coefficient that is not an ``int`` or a
+    ``Fraction`` with ``ValueError``.
+    """
 
     __slots__ = ("_terms",)
 
@@ -70,6 +80,11 @@ class Polynomial:
         clean: dict[Term, int] = {}
         if terms:
             for t, c in terms.items():
+                if not isinstance(c, int):
+                    from fractions import Fraction  # imported here: few coefficients are rational
+
+                    if not isinstance(c, Fraction):
+                        raise ValueError(f"coefficient {c!r} is not an int or a Fraction")
                 t = tuple(sorted(t))
                 clean[t] = clean.get(t, 0) + c
         self._terms = {t: c for t, c in clean.items() if c}
@@ -99,12 +114,12 @@ class Polynomial:
 
     @classmethod
     def variable(cls, kind: str, index: int) -> "Polynomial":
-        if kind not in ("x", "y") or index < 1:
-            raise ValueError(f"bad variable ({kind}, {index})")
-        return cls({(((kind, index), 1),): 1})
+        return cls({((_checked_var(kind, index), 1),): 1})
 
     @classmethod
     def monomial(cls, exponents: Mapping[Var, int], coeff: int = 1) -> "Polynomial":
+        for v in exponents:
+            _checked_var(*v)
         term = tuple(sorted((v, e) for v, e in exponents.items() if e))
         return cls({term: coeff})
 

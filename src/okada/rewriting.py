@@ -183,9 +183,12 @@ def word_from_code(p: Perm) -> tuple[int, ...]:
 
 
 def perm_from_word(word: Sequence[int], n: int) -> Perm:
-    """Evaluate a generator word as a product of simple transpositions."""
+    """Evaluate a generator word as a product of simple transpositions.
+
+    Letters outside ``1 .. n-1`` raise ``ValueError`` (:func:`check_word`).
+    """
     p = list(range(1, n + 1))
-    for i in word:
+    for i in check_word(word, n):
         p[i - 1], p[i] = p[i], p[i - 1]
     return tuple(p)
 

@@ -111,6 +111,15 @@ def test_rank_mismatch_rejected():
             build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: AlgebraElement(2, {(1, 2): 0.5}),
+    lambda: AlgebraElement.one(2).scaled(0.5),
+], ids=["init", "scaled"])
+def test_algebra_elements_refuse_inexact_coefficients(build):
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        build()
+
+
 def test_generator_index_out_of_range_rejected():
     # perm_from_word would read 0 and -1 as p[-1] and answer wrongly.
     for i, n in ((0, 3), (-1, 3), (3, 3), (1, 1), (1, 0)):
@@ -364,13 +373,13 @@ def test_cell_datum_exhausts_basis():
 
 
 def test_cell_datum_cuts_each_rank_from_one_walk(monkeypatch):
-    honest, calls = dg._chain_codes, []
+    honest, calls = dg._cells, []
 
     def counting(n, s=None):
         calls.append((n, s))
         return honest(n, s)
 
-    monkeypatch.setattr(dg, "_chain_codes", counting)
+    monkeypatch.setattr(dg, "_cells", counting)
     for n in range(0, 10):
         dg._rank_cells.cache_clear()
         calls.clear()
@@ -610,7 +619,7 @@ def _planted_walks(cell):
     """For each pair ``(i, j)``, ``i <= j``, of the cell, the honest walk with
     its answer for ``glue(L_j, R_i)`` and its mirror flipped, and that answer."""
     honest = dg._passes
-    halves, ends = dg._cell(cell)
+    ((_, halves, ends),) = dg._cells(cell.rank, cell)
     for i in range(len(halves)):
         for j in range(i, len(halves)):
             flipped = {(halves[j], halves[i]), (halves[i], halves[j])}

@@ -237,7 +237,6 @@ def test_checked_half_constructor_orders_its_arcs():
     assert (h.partner, h.height) == ((-1, 2, 1, -1, 5, 4), (1, 2, 2, 4, 5, 5))
     same = dg.HalfArcDiagram(6, h.full_arcs, h.half_arcs)
     assert h == same and hash(h) == hash(same)
-    assert hash(h) == hash((6, h.full_arcs, h.half_arcs))
 
 
 def test_halves_pickle_and_trusted_build_with_wrong_cover_is_an_invariant_error():

@@ -160,17 +160,12 @@ def _half_arc_positions(partner):
 
 
 def test_the_walk_records_each_half_arc_position():
-    # The open steps of each chain code are the half arcs of its half,
-    # over a whole rank and over the single-cell walk to a given top, and
-    # the rank's cell layout hands them on unchanged.
-    from okada.fibonacci import _chain_codes
-
+    # The ends the walk hands on are the half arcs of each half, over a
+    # whole rank and over the single-cell walk to a given top.
     for n in range(11):
-        for walk in (_chain_codes(n), *(_chain_codes(n, s) for s in enumerate_yfs(n))):
-            for _, codes in walk:
-                assert all(list(opens) == _half_arc_positions(partner) for partner, _, opens in codes), n
-        for s, halves, ends in dg._rank_cells(n):
-            assert [list(e) for e in ends] == [_half_arc_positions(h.partner) for h in halves], s
+        for walk in (dg._cells(n), *(dg._cells(n, s) for s in enumerate_yfs(n))):
+            for s, halves, ends in walk:
+                assert [list(e) for e in ends] == [_half_arc_positions(h.partner) for h in halves], s
 
 
 def test_glue_cell_equals_glue_pair_by_pair():

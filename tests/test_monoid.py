@@ -364,13 +364,13 @@ def test_a_census_job_tests_each_pair_above_the_diagonal_once(monkeypatch):
 
 def _count_walks(monkeypatch):
     """Record the arguments of every lattice walk the cell builders make."""
-    walks, honest = [], dg._chain_codes
+    walks, honest = [], dg._cells
 
     def counted(n, s=None):
         walks.append((n, s))
         return honest(n, s)
 
-    monkeypatch.setattr(dg, "_chain_codes", counted)
+    monkeypatch.setattr(dg, "_cells", counted)
     dg._rank_cells.cache_clear()
     return walks
 
@@ -525,7 +525,7 @@ def test_class_of_matches_the_linear_scan():
             assert got == _classes_by_scan(gc, keys, e)
     with pytest.raises(ValueError):
         gc.class_of(dg.identity(3), "R")
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="class kind must be 'R', 'L' or 'J', got 'X'"):
         gc.class_of(gc.elements[0], "X")
 
 

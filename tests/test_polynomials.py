@@ -59,6 +59,22 @@ def test_fraction_specialization_is_exact():
     assert v.constant_value() == 0
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Polynomial({(): 0.5}),
+    lambda: Polynomial.integer(1.5),
+    lambda: Polynomial.monomial({("x", 1): 1}, 0.25),
+], ids=["init", "integer", "monomial"])
+def test_constructors_refuse_inexact_coefficients(build):
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        build()
+
+
+@pytest.mark.parametrize("var", [("z", 1), ("x", 0)])
+def test_monomial_refuses_a_bad_variable(var):
+    with pytest.raises(ValueError, match="bad variable"):
+        Polynomial.monomial({var: 1})
+
+
 def test_term_order_is_graded_lex_deterministic():
     p = x_var(2) + x_var(1) * x_var(2) + 1
     degrees = [sum(e for _, e in t) for t, _ in p.terms()]

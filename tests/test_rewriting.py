@@ -111,6 +111,13 @@ def test_word_evaluation_is_multiplicative():
             assert perm_inverse(perm_from_word(w1, n)) == perm_from_word(w1[::-1], n)
 
 
+@pytest.mark.parametrize("letter", [0, 3])
+def test_perm_from_word_refuses_a_letter_out_of_range(letter):
+    # 0 would swap p[-1] and p[0], and 3 would index past the end.
+    with pytest.raises(ValueError, match=f"letter {letter} out of range for rank 3"):
+        perm_from_word((1, letter), 3)
+
+
 def test_heap_examples():
     assert heap_from_word((), 4) == Heap(4, ((), (), ()))
     h = heap_from_word(DIAMOND_WORD, 6)
