@@ -79,8 +79,7 @@ def polynomial_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     field = (1 << width) - 1
     out = {}
     for code, k in partial.get((1 << d) - 1, {}).items():
-        exponents = ((v, (code >> shift[v]) & field) for v in variables)
-        out[tuple((v, e) for v, e in exponents if e)] = k
+        out[tuple((v, (code >> shift[v]) & field) for v in variables)] = k
     return Polynomial(out)
 
 

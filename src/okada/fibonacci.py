@@ -58,6 +58,8 @@ def _check_structure(rank: int, elements: Sequence[int]) -> None:
     if rank < 0:
         raise ValueError(f"rank must be non-negative, got {reprlib.repr(rank)}")
     for prev, cur in zip((0,) + tuple(elements), elements):
+        if not isinstance(cur, int):
+            raise ValueError(f"elements must be integers, got {reprlib.repr(tuple(elements))}")
         if cur <= prev:
             raise ValueError(f"elements must be strictly increasing, got {reprlib.repr(tuple(elements))}")
     if elements and (elements[0] < 1 or elements[-1] > rank):
@@ -425,8 +427,7 @@ def free_set_inverse(fset: Sequence[int], n: int) -> FibonacciSet:
     for a, b in zip(fset, fset[1:]):
         if b - a < 2:
             raise ValueError(f"not a free set (adjacent {a}, {b}): {fset}")
-    if fset and (fset[0] < 1 or fset[-1] > n - 1):
-        raise ValueError(f"free set must lie in [1, {n - 1}]: {fset}")
+    _check_structure(max(n - 1, 0), fset)  # integers in [1, n-1]
     covered = {j for i in fset for j in (i, i + 1)}
     s = FibonacciSet(n, tuple(x for x in range(1, n + 1) if x not in covered))
     if free_set(s) != fset:

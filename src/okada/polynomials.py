@@ -1,9 +1,9 @@
 """Sparse multivariate polynomials with exact integer coefficients.
 
-Variables are pairs ``("x", i)`` or ``("y", i)`` standing for the Okada
-algebra parameters ``x_i`` and ``y_i``.  A polynomial maps exponent
-tuples to coefficients; zero coefficients are never stored and no
-floating point arithmetic is ever performed.  Terms are ordered graded
+Variables are pairs ``("x", i)`` or ``("y", i)`` (an ``int`` ``i >= 1``)
+for the Okada algebra parameters ``x_i`` and ``y_i``.  A polynomial maps
+exponent tuples to coefficients; zero coefficients and exponents are
+never stored, and no float is ever taken in.  Terms are ordered graded
 lexicographically (total degree first) wherever an order matters.
 
 Structure constants of the algebra are single monomials, so most values
@@ -55,10 +55,18 @@ def _mul_terms(a: Term, b: Term) -> Term:
     return (*out, *a[i:], *b[j:])
 
 
-def _checked_var(kind: str, index: int) -> Var:
-    if kind not in ("x", "y") or index < 1:
-        raise ValueError(f"bad variable ({kind}, {index})")
-    return (kind, index)
+def _checked_var(v) -> Var:
+    if not (isinstance(v, tuple) and len(v) == 2 and v[0] in ("x", "y") and type(v[1]) is int and v[1] >= 1):
+        raise ValueError(f"bad variable {v!r}")
+    return v
+
+
+def _check_exact(value, what: str) -> None:
+    if not isinstance(value, int):
+        from fractions import Fraction  # imported here: few values are rational
+
+        if not isinstance(value, Fraction):
+            raise ValueError(f"{what} {value!r} is not an int or a Fraction")
 
 
 def _term_sort_key(term: Term):
@@ -68,32 +76,34 @@ def _term_sort_key(term: Term):
 class Polynomial:
     """Immutable sparse polynomial over the integers (or exact rationals).
 
-    The constructors refuse a coefficient that is not an ``int`` or a
-    ``Fraction`` with ``ValueError``.
+    Every constructor refuses here, with ``ValueError``, a variable other
+    than ``("x", i)`` or ``("y", i)`` with an ``int`` (not ``bool``) ``i >= 1``,
+    an exponent other than a non-negative ``int`` (a zero one is dropped,
+    so ``x1^0`` is 1), and a coefficient other than an ``int`` or a ``Fraction``.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Term, int] | None = None):
-        # Every stored term is sorted by variable, which == and the term
-        # product (_mul_terms) rely on; terms equal once sorted add up.
+        # Every stored term holds each variable once with a positive exponent,
+        # sorted by variable, which ==, repr and the term product rely on.
         clean: dict[Term, int] = {}
-        if terms:
-            for t, c in terms.items():
-                if not isinstance(c, int):
-                    from fractions import Fraction  # imported here: few coefficients are rational
-
-                    if not isinstance(c, Fraction):
-                        raise ValueError(f"coefficient {c!r} is not an int or a Fraction")
-                t = tuple(sorted(t))
-                clean[t] = clean.get(t, 0) + c
+        for t, c in (terms or {}).items():
+            _check_exact(c, "coefficient")
+            exps: dict[Var, int] = {}
+            for v, e in t:
+                v = _checked_var(v)
+                if type(e) is not int or e < 0:
+                    raise ValueError(f"exponent {e!r} of {v[0]}{v[1]} is not a non-negative int")
+                exps[v] = exps.get(v, 0) + e
+            t = tuple(sorted((v, e) for v, e in exps.items() if e))
+            clean[t] = clean.get(t, 0) + c
         self._terms = {t: c for t, c in clean.items() if c}
 
     @classmethod
     def _from_sorted(cls, terms: Mapping[Term, int]) -> "Polynomial":
-        """The polynomial of ``terms`` whose tuples are already sorted by
-        variable, as every product and sum of stored terms is: only the
-        zero coefficients are dropped."""
+        """The polynomial of ``terms`` already sorted by variable, as every product
+        and sum of stored terms is: unchecked, only zero coefficients are dropped."""
         out = cls.__new__(cls)
         out._terms = {t: c for t, c in terms.items() if c}
         return out
@@ -114,14 +124,11 @@ class Polynomial:
 
     @classmethod
     def variable(cls, kind: str, index: int) -> "Polynomial":
-        return cls({((_checked_var(kind, index), 1),): 1})
+        return cls({(((kind, index), 1),): 1})
 
     @classmethod
     def monomial(cls, exponents: Mapping[Var, int], coeff: int = 1) -> "Polynomial":
-        for v in exponents:
-            _checked_var(*v)
-        term = tuple(sorted((v, e) for v, e in exponents.items() if e))
-        return cls({term: coeff})
+        return cls({tuple(exponents.items()): coeff})
 
     @classmethod
     def sum(cls, polys: Iterable["Polynomial"]) -> "Polynomial":
@@ -146,13 +153,10 @@ class Polynomial:
     def _coerce(value) -> "Polynomial":
         if isinstance(value, Polynomial):
             return value
-        if isinstance(value, int):
+        try:
             return Polynomial({(): value})
-        from fractions import Fraction  # imported here: only rational specializations need it
-
-        if isinstance(value, Fraction):
-            return Polynomial({(): value})
-        return NotImplemented
+        except ValueError:  # not an int or a Fraction
+            return NotImplemented
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -241,7 +245,9 @@ class Polynomial:
         return max((sum(e for _, e in t) for t in self._terms), default=0)
 
     def specialize(self, values: Mapping[Var, int | Fraction]) -> "Polynomial":
-        """Substitute exact values for the listed variables, keep the rest."""
+        """Substitute values, each an ``int`` or a ``Fraction``, for the listed variables."""
+        for value in values.values():
+            _check_exact(value, "specialization value")
         out: dict[Term, int | Fraction] = {}
         for t, c in self._terms.items():
             scale: int | Fraction = c

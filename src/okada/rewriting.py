@@ -135,8 +135,8 @@ def code(p: Perm) -> tuple[int, ...]:
     """Lehmer-style code: ``c_i = #{j < i : p^-1(j) > p^-1(i)}``.
 
     Raises ``ValueError`` unless ``p`` is a permutation of ``1..n``,
-    also for entries that are not integers; a ``bool`` counts as the
-    integer it is, as in Python.
+    also for entries that are not integers (a ``bool`` counts); it is
+    the one permutation check, and the parsers call it too.
     """
     # c_v counts the smaller values right of v: read p from the right,
     # keeping the values passed so far sorted.
@@ -194,11 +194,12 @@ def perm_from_word(word: Sequence[int], n: int) -> Perm:
 
 
 def check_word(word: Sequence[int], n: int) -> tuple[int, ...]:
+    """``word`` as a tuple; ``ValueError`` unless each letter is an integer in ``1 .. n-1``."""
     if n < 0:
         raise ValueError("rank must be non-negative")
     word = tuple(word)
     for v in word:
-        if not 1 <= v <= n - 1:
+        if not (isinstance(v, int) and 1 <= v <= n - 1):
             raise ValueError(f"letter {reprlib.repr(v)} out of range for rank {n}")
     return word
 

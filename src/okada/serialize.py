@@ -17,8 +17,10 @@ downstream fixtures can reject drift.  Shapes:
 Parsing is the input boundary: it raises ``ValueError`` on malformed
 input, including a JSON value of the wrong shape, a diagram or half
 diagram that fails :func:`~okada.diagrams.validate` or
-:func:`~okada.diagrams.validate_half`, and a basis index that is not a
-permutation.  The library itself can still build invalid labellings.
+:func:`~okada.diagrams.validate_half`, and a term or a basis index that
+:class:`~okada.polynomials.Polynomial` or :func:`~okada.rewriting.code`
+refuses: the parsers leave those rules to the value types.  The library
+itself can still build invalid labellings.
 
 Each parser imports the module of the type it builds when it is called,
 so importing this module loads none of the library layers.
@@ -205,14 +207,10 @@ def obj_to_rs_chains(obj: dict | list) -> tuple[Chain, Chain]:
 
 def _exponent_vectors(term, n: int) -> tuple[list[int], list[int]]:
     """The dense exponents of one monomial: x over 1..n-1, y over 1..n-2."""
-    xs = [0] * max(n - 1, 0)
-    ys = [0] * max(n - 2, 0)
+    dense = {"x": [0] * max(n - 1, 0), "y": [0] * max(n - 2, 0)}
     for (kind, i), e in term:
-        if kind == "x":
-            xs[i - 1] = e
-        else:
-            ys[i - 1] = e
-    return xs, ys
+        dense[kind][i - 1] = e
+    return dense["x"], dense["y"]
 
 
 def poly_to_terms(p: Polynomial, n: int) -> list[dict]:
@@ -229,14 +227,10 @@ def terms_to_poly(terms: list[dict]) -> Polynomial:
 
     def monomials():
         for rec in terms:
-            term = []  # x before y, each by index: already in variable order
-            for kind in ("x", "y"):
-                for i, e in enumerate(rec.get(kind, ()), start=1):
-                    if _int(e, kind) < 0:
-                        raise ValueError(f"negative exponent of {kind}{i}")
-                    if e:
-                        term.append(((kind, i), e))
-            yield Polynomial({tuple(term): _int(rec.get("c", 1), "c")})
+            term = tuple(
+                ((kind, i), _int(e, kind)) for kind in ("x", "y") for i, e in enumerate(rec.get(kind, ()), start=1)
+            )
+            yield Polynomial({term: _int(rec.get("c", 1), "c")})
 
     return Polynomial.sum(monomials())
 
@@ -272,14 +266,14 @@ def element_to_obj(a: AlgebraElement) -> dict:
 @_parser
 def obj_to_element(obj: dict) -> AlgebraElement:
     from .algebra import AlgebraElement
+    from .rewriting import code
 
     _check_schema(obj, "element")
     rank = _int(_expect(obj, "rank"), "rank")
-    if rank < 0:
-        raise ValueError("rank must be non-negative")
     coeffs = {}
     for rec in _expect(obj, "terms"):
-        p: Perm = _check_perm(tuple(_int(v, "perm") for v in rec["perm"]))
+        p: Perm = tuple(_int(v, "perm") for v in rec["perm"])
+        code(p)
         if p in coeffs:
             raise ValueError(f"basis index of length {len(p)} listed twice")
         c = terms_to_poly(rec["coeff"])
@@ -300,10 +294,8 @@ def parse_word(text: str) -> tuple[int, ...]:
 
 
 def parse_perm(text: str) -> Perm:
-    return _check_perm(tuple(int(tok) for tok in text.replace(",", " ").split()))
+    from .rewriting import code
 
-
-def _check_perm(p: Perm) -> Perm:
-    if sorted(p) != list(range(1, len(p) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(p)}")
+    p = parse_word(text)
+    code(p)
     return p

@@ -120,6 +120,20 @@ def test_algebra_elements_refuse_inexact_coefficients(build):
         build()
 
 
+def test_specializations_refuse_an_inexact_value():
+    # A float once leaked through as (0.1)*E[2, 1, 3], and the Gram
+    # determinant came out as the binary value of the floats.
+    s = FibonacciSet(4, (1, 4))
+    point = {("x", 1): 0.1, ("x", 2): 3, ("x", 3): 1, ("y", 1): Fraction(1, 5), ("y", 2): 1}
+    for call in (
+        lambda: AlgebraElement.generator(1, 3).scaled(x_var(1)).specialize({("x", 1): 0.1}),
+        lambda: gram_det_specialized(s, point),
+        lambda: specialized_det(gram_matrix(s), point),
+    ):
+        with pytest.raises(ValueError, match="specialization value 0.1 is not an int or a Fraction"):
+            call()
+
+
 def test_generator_index_out_of_range_rejected():
     # perm_from_word would read 0 and -1 as p[-1] and answer wrongly.
     for i, n in ((0, 3), (-1, 3), (3, 3), (1, 1), (1, 0)):

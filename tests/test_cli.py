@@ -1050,5 +1050,7 @@ def test_importing_cli_as_a_module_loads_every_layer():
 
 
 def _src_env():
+    # OKADA_THREADS is dropped: a child census would start a worker pool.
     src = str(Path(okada.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = {k: v for k, v in os.environ.items() if k != "OKADA_THREADS"}
+    return dict(env, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))

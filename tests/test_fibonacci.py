@@ -57,6 +57,16 @@ def test_is_fibonacci_set_examples():
         is_fibonacci_set(3, [5])
 
 
+@pytest.mark.parametrize("element", [1.0, "1", None])
+def test_sets_refuse_an_element_that_is_not_an_integer(element):
+    # FibonacciSet(3, (1.0,)) once built {1.0}_3, equal to {1}_3, and
+    # free_set_inverse((1.0,), 3) answered {3}_3.
+    for call in (lambda: F(3, (element,)), lambda: is_fibonacci_set(3, [element]),
+                 lambda: free_set_inverse((element,), 3)):
+        with pytest.raises(ValueError, match="elements must be integers"):
+            call()
+
+
 def test_equality_distinguishes_rank():
     assert F(5, (1, 2, 5)) != F(7, (1, 2, 5))
     assert F(5, (1, 2, 5)) == F(5, (1, 2, 5))

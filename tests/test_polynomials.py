@@ -53,6 +53,12 @@ def test_monomial_parts():
         (x_var(1) + x_var(2)).monomial_parts()
 
 
+@pytest.mark.parametrize("value", [0.1, 1.0, "1", None])
+def test_specialize_refuses_an_inexact_value(value):
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        (x_var(1) + y_var(1)).specialize({("x", 1): value, ("y", 1): 1})
+
+
 def test_fraction_specialization_is_exact():
     p = x_var(1) ** 2 - y_var(1)
     v = p.specialize({("x", 1): Fraction(1, 3), ("y", 1): Fraction(1, 9)})
@@ -69,10 +75,23 @@ def test_constructors_refuse_inexact_coefficients(build):
         build()
 
 
-@pytest.mark.parametrize("var", [("z", 1), ("x", 0)])
+@pytest.mark.parametrize("var", [("z", 1), ("x", 0), ("x", 1.5), ("x", True)])
 def test_monomial_refuses_a_bad_variable(var):
     with pytest.raises(ValueError, match="bad variable"):
         Polynomial.monomial({var: 1})
+    with pytest.raises(ValueError, match="bad variable"):
+        Polynomial.variable(*var)
+
+
+@pytest.mark.parametrize("exponent", [-1, 0.5, 1.0])
+def test_constructors_refuse_a_bad_exponent(exponent):
+    # Each of these printed as x1 and yet differed from x_var(1).
+    for build in (lambda: Polynomial({((("x", 1), exponent),): 1}),
+                  lambda: Polynomial.monomial({("x", 1): exponent})):
+        with pytest.raises(ValueError, match="is not a non-negative int"):
+            build()
+    assert Polynomial({((("x", 1), 0),): 1}) == Polynomial.one()
+    assert Polynomial.monomial({("x", 1): 0, ("y", 2): 1}) == y_var(2)
 
 
 def test_term_order_is_graded_lex_deterministic():

@@ -111,11 +111,13 @@ def test_word_evaluation_is_multiplicative():
             assert perm_inverse(perm_from_word(w1, n)) == perm_from_word(w1[::-1], n)
 
 
-@pytest.mark.parametrize("letter", [0, 3])
+@pytest.mark.parametrize("letter", [0, 3, 1.5])
 def test_perm_from_word_refuses_a_letter_out_of_range(letter):
-    # 0 would swap p[-1] and p[0], and 3 would index past the end.
-    with pytest.raises(ValueError, match=f"letter {letter} out of range for rank 3"):
-        perm_from_word((1, letter), 3)
+    # 0 would swap p[-1] and p[0], 3 would index past the end, and 1.5
+    # is no index at all.
+    for call in (perm_from_word, normalize, heap_from_word):
+        with pytest.raises(ValueError, match=re.escape(f"letter {letter} out of range for rank 3")):
+            call((1, letter), 3)
 
 
 def test_heap_examples():
