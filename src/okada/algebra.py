@@ -28,6 +28,7 @@ from .polynomials import Polynomial, Var
 from .rewriting import (
     Perm,
     _multiply_code_words,
+    _pending,
     _runs,
     diagram_to_perm,
     identity_perm,
@@ -38,7 +39,6 @@ from .rewriting import (
     perm_inverse,
     perm_length,
     perm_to_diagram,
-    word_from_code,
 )
 
 if TYPE_CHECKING:
@@ -64,7 +64,8 @@ class AlgebraElement(Immutable):
     """A finite formal sum of basis permutations with polynomial coefficients.
 
     Equal when rank and coefficients agree; not hashable, since the
-    coefficients are a dict.
+    coefficients are a dict.  Each basis index must be a permutation of
+    the rank, its length checked before :func:`~okada.rewriting._runs` reads it.
     """
 
     __slots__ = _fields = ("rank", "_coeffs")
@@ -73,14 +74,20 @@ class AlgebraElement(Immutable):
         if rank < 0:
             raise ValueError("rank must be non-negative")
         clean: dict[Perm, Polynomial] = {}
-        if coeffs:
-            for p, c in coeffs.items():
-                if len(p) != rank:
-                    raise RankMismatchError(f"basis index of length {len(p)} does not have rank {rank}")
-                c = c if isinstance(c, Polynomial) else Polynomial.integer(c)
-                if c:
-                    clean[p] = c
-        self._fill(rank, clean)
+        for p, c in (coeffs or {}).items():
+            if len(p) != rank:
+                raise RankMismatchError(f"basis index of length {len(p)} does not have rank {rank}")
+            _runs(p)
+            clean[p] = c if isinstance(c, Polynomial) else Polynomial.integer(c)
+        self._fill(rank, {p: c for p, c in clean.items() if c})
+
+    @classmethod
+    def _from_checked(cls, rank: int, coeffs: Mapping[Perm, Polynomial]) -> "AlgebraElement":
+        """Unchecked but for dropping zero coefficients: for the sums and
+        products of elements, polynomials at permutations of ``rank``."""
+        out = object.__new__(cls)
+        out._fill(rank, {p: c for p, c in coeffs.items() if c})
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -98,8 +105,6 @@ class AlgebraElement(Immutable):
 
     @classmethod
     def generator(cls, i: int, rank: int) -> "AlgebraElement":
-        if not 1 <= i <= rank - 1:
-            raise ValueError(f"generator index {i} out of range for rank {rank}")
         return cls.from_perm(perm_from_word((i,), rank))
 
     @classmethod
@@ -131,7 +136,7 @@ class AlgebraElement(Immutable):
             return NotImplemented
         if other.rank != self.rank:
             raise RankMismatchError(f"ranks {self.rank} and {other.rank} differ")
-        return AlgebraElement(
+        return AlgebraElement._from_checked(
             self.rank, _sum_by_key([*self._coeffs.items(), *other._coeffs.items()])
         )
 
@@ -140,7 +145,7 @@ class AlgebraElement(Immutable):
 
     def scaled(self, c: Polynomial | int) -> "AlgebraElement":
         c = c if isinstance(c, Polynomial) else Polynomial.integer(c)
-        return AlgebraElement(self.rank, {p: q * c for p, q in self._coeffs.items()})
+        return AlgebraElement._from_checked(self.rank, {p: q * c for p, q in self._coeffs.items()})
 
     def __mul__(self, other) -> "AlgebraElement":
         if isinstance(other, (int, Polynomial)):
@@ -149,23 +154,22 @@ class AlgebraElement(Immutable):
             return NotImplemented
         if other.rank != self.rank:
             raise RankMismatchError(f"ranks {self.rank} and {other.rank} differ")
-        # The runs of each left operand and the code word of each right one
-        # are read once.  The structure constant is one term, so
-        # multiplying it into cp first leaves one full product.
-        n = self.rank
-        right = [(word_from_code(q), cq) for q, cq in other._coeffs.items()]
+        # The runs of each left operand are read once, and the code word of
+        # each right one is stacked once.  The structure constant is one
+        # term, so multiplying it into cp first leaves one full product.
+        right = [(_pending(_runs(q)), cq) for q, cq in other._coeffs.items()]
         terms = []
         for p, cp in self._coeffs.items():
             bot = _runs(p)
-            for wq, cq in right:
-                coeff, r = _multiply_code_words(p, bot, wq)
+            for todo, cq in right:
+                coeff, r = _multiply_code_words(p, bot[:], todo[:])
                 terms.append((r, (coeff * cp) * cq))
-        return AlgebraElement(n, _sum_by_key(terms))
+        return AlgebraElement._from_checked(self.rank, _sum_by_key(terms))
 
     __rmul__ = scaled
 
     def specialize(self, values: Mapping[Var, int | Fraction]) -> "AlgebraElement":
-        return AlgebraElement(
+        return AlgebraElement._from_checked(
             self.rank, {p: c.specialize(values) for p, c in self._coeffs.items()}
         )
 
@@ -347,8 +351,8 @@ def gram_matrix(s: FibonacciSet) -> tuple[tuple[Polynomial, ...], ...]:
     with every parameter at 1 a non-zero ``phi``, one monomial, becomes 1.
     So the diagram model's walk :func:`~okada.diagrams._passes`, which
     forms no product, picks the non-zero entries, and only those are
-    multiplied, the code word of the right operand pushed onto the runs
-    of the left one (:func:`~okada.rewriting._multiply_code_words`).
+    multiplied, the code word of the right operand, stacked once, pushed
+    onto the runs of the left one (:func:`~okada.rewriting._multiply_code_words`).
     Each half is framed once, by ``glue(R_i, F)``, whose mirror
     ``glue(F, R_i)`` has the inverse permutation.
 
@@ -366,7 +370,7 @@ def gram_matrix(s: FibonacciSet) -> tuple[tuple[Polynomial, ...], ...]:
     passes = dg._passes
     free, top = free_half_diagram(s), free_involution(s)
     perms = [diagram_to_perm(dg.glue(h, free)) for h in halves]
-    right_words = [word_from_code(p) for p in perms]
+    right_stacks = [_pending(_runs(p)) for p in perms]
     zero = Polynomial.zero()
     rows = [[zero] * len(halves) for _ in halves]
     for i, p in enumerate(perms):
@@ -375,7 +379,7 @@ def gram_matrix(s: FibonacciSet) -> tuple[tuple[Polynomial, ...], ...]:
         right, right_ends = halves[i], ends[i]
         for j in range(i, len(halves)):
             if passes(halves[j], right, right_ends):
-                coeff, prod = _multiply_code_words(left, left_runs, right_words[j])
+                coeff, prod = _multiply_code_words(left, left_runs[:], right_stacks[j][:])
                 if prod != top:
                     raise InternalInvariantError(
                         f"cellular product at {s} landed on {prod}, not on the free involution {top}"

@@ -55,10 +55,11 @@ if TYPE_CHECKING:
 # ``products`` bounds a product of two element files at rank ``n`` by
 # its work, the coefficient terms of one side times those of the other,
 # times ``n**2``: each such pair is one monomial product and bounds the
-# basis products.  Per pair, the measured worst cost over ranks 2-32 is
-# 1.5-6 us times ``n**2``, the most at rank 32 next to the reversal: at
-# the cap, the longest permutations of rank 32 (16 times 16) take 2.0 s,
-# those of rank 16 (32 times 32) 0.9 s and of rank 7 (73 times 73) 0.7 s.
+# basis products.  Per pair, the measured worst cost at ranks 7, 16 and
+# 32 is 0.4-0.9 us times ``n**2``, the most at rank 32 next to the
+# reversal: at the cap, the longest permutations of rank 32 (16 times 16)
+# take 0.22 s in process on a 2-vCPU x86 host (0.3 s as a process),
+# those of rank 16 (32 times 32) 0.12 s and of rank 7 (73 times 73) 0.10 s.
 _LIMITS = {
     "yfs": 25,
     "diagrams": 8,
@@ -294,8 +295,7 @@ def cmd_rs(args) -> int:
     from . import rewriting as rw
     from . import serialize as ser
 
-    p = ser.parse_perm(args.perm)
-    _check_rank("rs", len(p))
+    p = ser.parse_perm(args.perm, functools.partial(_check_rank, "rs"))
     left, right = rw.rs(p)
     _emit(
         args,
@@ -451,8 +451,7 @@ def cmd_factorize(args) -> int:
     from . import serialize as ser
     from .fibonacci import free_set
 
-    p = ser.parse_perm(args.perm)
-    _check_rank("factorize", len(p))
+    p = ser.parse_perm(args.perm, functools.partial(_check_rank, "factorize"))
     rho, s, tau = alg.triangular_factorization(p)
     _emit(
         args,

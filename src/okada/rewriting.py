@@ -34,13 +34,15 @@ at most ``n`` runs, not the up to ``n(n-1)/2`` letters of the word.
 Every result of :func:`normalize` and of :func:`multiply_perms` carries
 one certificate.  A letter ``j`` that extends run ``k`` must swap an
 ascent of ``p`` whose upper entry is ``k + 1``, the value run ``k``
-carries, and at the end ``bot`` must be the run bottoms of the code of
-``p``, read afresh by :func:`code`; otherwise ``InternalInvariantError``
-is raised.  So a step that leaves the state of one code word cannot
-escape.  A step that keeps it, such as a zigzag that drops its cut
-letters, is the tests' to catch, against the random reference engine,
-whose reduced word is certified by pushing it onto the empty code word,
-where no reduction may fire.
+carries, and at the end ``p`` must be the permutation rebuilt from
+``bot`` (:func:`_perm_of_runs`); the code is a bijection, so that holds
+exactly when ``bot`` is the run bottoms of ``p``.  Otherwise
+``InternalInvariantError`` is raised.  So a step that leaves the state
+of one code word cannot escape.  A step that keeps it, such as a zigzag
+that drops its cut letters, is the tests' to catch, against the random
+reference engine, whose reduced word is certified by pushing it onto
+the empty code word, where no reduction may fire, and against the
+diagram model.
 
 The dictionary with the arc-diagram model is one rule, stated only
 here: rank ``r`` with code entry ``c`` owns the arc of height ``r - c``
@@ -132,40 +134,55 @@ def all_perms(n: int) -> tuple[Perm, ...]:
 
 
 def code(p: Perm) -> tuple[int, ...]:
-    """Lehmer-style code: ``c_i = #{j < i : p^-1(j) > p^-1(i)}``.
+    """Lehmer-style code: ``c_i = #{j < i : p^-1(j) > p^-1(i)}``, read off
+    the run bottoms of :func:`_runs`, whose walk is the one permutation
+    check: ``ValueError`` unless ``p`` is a permutation of ``1..n``."""
+    return tuple(v - b for v, b in enumerate(_runs(p), start=1))
 
-    Raises ``ValueError`` unless ``p`` is a permutation of ``1..n``,
-    also for entries that are not integers (a ``bool`` counts); it is
-    the one permutation check, and the parsers call it too.
+
+def _runs(p: Perm) -> list[int]:
+    """The run bottoms of the code word of ``p``: its run ``k`` is
+    ``k, k-1, ..., bot[k]``, empty when ``bot[k] = k + 1``.  The one
+    permutation check: ``ValueError`` unless ``p`` is a permutation of
+    ``1..n``, also for entries that are not integers (a ``bool`` counts).
     """
-    # c_v counts the smaller values right of v: read p from the right,
-    # keeping the values passed so far sorted.
+    # bot[v-1] is v less the smaller values right of v: read p from the
+    # right, keeping the values passed so far sorted.
     n = len(p)
-    out = [0] * n
+    bot = [0] * n
     passed: list[int] = []
     try:
         for v in reversed(p):
             if not 1 <= v <= n:
                 break
             c = bisect.bisect_left(passed, v)
-            out[v - 1] = c
+            bot[v - 1] = v - c
             passed.insert(c, v)
     except TypeError:  # a value that neither compares nor indexes as an int
         passed = []
     if passed != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}")
-    return tuple(out)
+    return bot
 
 
-def _runs(p: Perm) -> list[int]:
-    """The run bottoms of the code word of ``p``: its run ``k`` is
-    ``k, k-1, ..., bot[k]``, empty when ``bot[k] = k + 1``."""
-    return [v - c for v, c in enumerate(code(p), start=1)]
+def _pending(bot: Sequence[int]) -> list[int]:
+    """The code word with run bottoms ``bot`` as a stack of pending
+    letters, last letter first, as :func:`_push` takes it."""
+    todo: list[int] = []
+    for k in range(len(bot) - 1, 0, -1):
+        todo += range(bot[k], k + 1)
+    return todo
 
 
-def _code_word(bot: Sequence[int]) -> tuple[int, ...]:
-    """The code word with run bottoms ``bot``."""
-    return tuple(itertools.chain.from_iterable(range(k, b - 1, -1) for k, b in enumerate(bot)))
+def _perm_of_runs(bot: Sequence[int]) -> list[int]:
+    """The permutation whose code word has run bottoms ``bot``, each ``v``
+    in at index ``bot[v-1] - 1``; short if a bottom is out of ``1..v``."""
+    p: list[int] = []
+    for v, b in enumerate(bot, start=1):
+        if not 1 <= b <= v:
+            break
+        p.insert(b - 1, v)
+    return p
 
 
 def word_from_code(p: Perm) -> tuple[int, ...]:
@@ -175,11 +192,7 @@ def word_from_code(p: Perm) -> tuple[int, ...]:
     lexicographically minimal reduced factorization of ``p`` into simple
     transpositions; its length is the Coxeter length.
     """
-    word: list[int] = []
-    for i, c in enumerate(code(p)):
-        if c:
-            word += range(i, i - c, -1)
-    return tuple(word)
+    return tuple(reversed(_pending(_runs(p))))
 
 
 def perm_from_word(word: Sequence[int], n: int) -> Perm:
@@ -351,10 +364,10 @@ def _reduction_candidates(word: Sequence[int]):
     return sorted(cands)
 
 
-def _push(p: list[int], bot: list[int], letters: Sequence[int], exps: dict[Var, int]) -> None:
-    """Append ``E_j`` for each ``j`` of ``letters`` to the code word of
-    ``p``, with run bottoms ``bot``, in place, counting the reductions
-    into ``exps``.
+def _push(p: list[int], bot: list[int], todo: list[int], exps: dict[Var, int]) -> None:
+    """Append ``E_j`` for each letter ``j`` of the stack ``todo``, last
+    letter first, to the code word of ``p``, with run bottoms ``bot``, in
+    place, counting the reductions into ``exps``; ``todo`` ends empty.
 
     The runs after the last run ``k`` with ``bot[k] <= j + 1`` hold only
     letters above ``j + 1``, so ``j`` commutes back to the end of run
@@ -372,7 +385,6 @@ def _push(p: list[int], bot: list[int], letters: Sequence[int], exps: dict[Var, 
       holds ``k + 1`` at index ``j`` and rises there, and ``p[j-1:j+1]``
       swaps.
     """
-    todo = list(reversed(letters))
     pop = todo.pop
     last = len(bot) - 1
     while todo:
@@ -386,7 +398,7 @@ def _push(p: list[int], bot: list[int], letters: Sequence[int], exps: dict[Var, 
         elif b < j:  # zigzag
             var = ("y", j - 1)
             bot[k] = j
-            p[b - 1 : j] = p[b:j] + p[b - 1 : b]
+            p.insert(j - 1, p.pop(b - 1))
             todo += range(b, j - 1)
         else:
             if p[j - 1] > p[j] or p[j] != k + 1:
@@ -397,33 +409,24 @@ def _push(p: list[int], bot: list[int], letters: Sequence[int], exps: dict[Var, 
         exps[var] = exps.get(var, 0) + 1
 
 
-def _push_certified(p: list[int], bot: list[int], letters: Sequence[int], exps: dict[Var, int]) -> Perm:
-    """Push ``letters`` onto the code word of ``p`` with run bottoms
-    ``bot``, then certify it: raises :class:`InternalInvariantError`
-    unless ``bot`` ends as the run bottoms of the permutation reached.
-    """
-    _push(p, bot, letters, exps)
-    perm = tuple(p)
-    if _runs(perm) != bot:
-        raise InternalInvariantError(f"runs down to {bot} are not the code word of {perm}")
-    return perm
-
-
 def _monomial(exps: dict[Var, int]) -> Polynomial:
-    return Polynomial._from_sorted({tuple(sorted(exps.items())): 1})
+    """The one-term monomial of ``exps``, built directly: its term is sorted."""
+    out = Polynomial.__new__(Polynomial)
+    out._terms = {tuple(sorted(exps.items())): 1}
+    return out
 
 
-def _multiply_code_words(p: Perm, bot: Sequence[int], wq: Sequence[int]) -> tuple[Polynomial, Perm]:
-    """``E_p E_q`` from ``p``, the run bottoms ``bot`` of its code word
-    and the code word ``wq`` of ``q``.
-
-    The product of :func:`multiply_perms`, with its certificate, for a
-    caller that multiplies each operand many times and so reads its runs
-    or code word once.
-    """
+def _multiply_code_words(p: Sequence[int], bot: list[int], todo: list[int]) -> tuple[Polynomial, Perm]:
+    """``E_p E_q``: the code word of ``q`` as the stack ``todo``
+    (:func:`_pending`) pushed onto ``p`` with run bottoms ``bot``, and
+    certified.  Both lists are used up, so a caller that reuses an
+    operand copies its runs and stack for each product."""
     exps: dict[Var, int] = {}
-    perm = _push_certified(list(p), list(bot), wq, exps)
-    return _monomial(exps), perm
+    p = list(p)
+    _push(p, bot, todo, exps)
+    if _perm_of_runs(bot) != p:
+        raise InternalInvariantError(f"runs down to {bot} are not the code word of {tuple(p)}")
+    return _monomial(exps), tuple(p)
 
 
 def normalize(
@@ -450,11 +453,11 @@ def normalize(
     if n is None:
         n = max((0, *word)) + 1
     word = check_word(word, n)
-    exps: dict[Var, int] = {}
-    bot = list(range(1, n + 1))
+    bot = list(range(1, n + 1))  # the empty code word, whose permutation is this identity too
     if rng is None:
-        perm = _push_certified(list(bot), bot, word, exps)
+        coeff, perm = _multiply_code_words(bot, bot, list(word[::-1]))
     else:
+        exps: dict[Var, int] = {}
         w = list(word)
         while cands := _reduction_candidates(w):
             v, p, kind, q, r = rng.choice(cands)
@@ -463,11 +466,11 @@ def normalize(
             del w[r]
             if kind == 1:
                 del w[q]
-        fired: dict[Var, int] = {}
-        perm = _push_certified(list(bot), bot, w, fired)
-        if fired:
+        fired, perm = _multiply_code_words(bot, bot, w[::-1])
+        if fired != Polynomial.one():
             raise InternalInvariantError(f"the reduced word {tuple(w)} still reduces")
-    return NormalizationResult(n, _monomial(exps), _code_word(bot), perm)
+        coeff = _monomial(exps)
+    return NormalizationResult(n, coeff, tuple(reversed(_pending(bot))), perm)
 
 
 def multiply_words(
@@ -493,19 +496,14 @@ def multiply_perms(p: Perm, q: Perm) -> tuple[Polynomial, Perm]:
     """
     if len(p) != len(q):
         raise ValueError(f"rank mismatch: {len(p)} vs {len(q)}")
-    return _multiply_code_words(p, _runs(p), word_from_code(q))
+    return _multiply_code_words(p, _runs(p), _pending(_runs(q)))
 
 
 @lru_cache(maxsize=0)
 def _mult_perm_by_generator(p: Perm, i: int) -> tuple[Polynomial, Perm]:
-    """``E_p E_i``: :func:`multiply_perms` by the permutation whose code
-    word is ``(i,)``, so one letter is pushed onto ``p``'s code word.
-
-    The library multiplies whole code words and does not call it.  It
-    keeps the name of the former generator-step cache because the
-    benchmark's per-layer metrics ``cache._mult_perm_by_generator.*``
-    read a cache by that name; with ``maxsize=0`` it stores nothing and
-    only counts calls.
+    """``E_p E_i`` by :func:`multiply_perms`.  Nothing in the library calls
+    it; the benchmark reads the statistics of a cache by this name, and
+    with ``maxsize=0`` it stores nothing and only counts calls.
 
     >>> _mult_perm_by_generator((2, 1, 3), 1)
     (x1, (2, 1, 3))
@@ -526,35 +524,33 @@ def perm_to_diagram(p: Perm):
 
     partner: list[int] = []
     height: list[int] = []
-    for r, c in enumerate(code(p), start=1):
-        a = r + c - 1
+    for r, b in enumerate(_runs(p), start=1):
+        a = 2 * r - 1 - b
         partner = [q if q < a else q + 2 for q in partner]
         partner[a:a] = (a + 1, a)
-        height[a:a] = (r - c, r - c)
+        height[a:a] = (b, b)
     return diagrams._from_arrays(len(p), partner, height)
 
 
 def diagram_to_perm(d) -> Perm:
     """Invert :func:`perm_to_diagram`: ``rest`` holds the positions not yet
     deleted, and the arc of rank ``r`` is the first adjacent pair from
-    index ``a = r - 1`` on joined with height ``2r - 1 - a``; its code
-    entry is ``a - r + 1``.  Then ``v`` goes in at index ``v - 1 - c_v``.
+    index ``a = r - 1`` on joined with height ``2r - 1 - a``, the bottom
+    of run ``r - 1``.  The permutation is rebuilt from those bottoms
+    (:func:`_perm_of_runs`).
     """
     n, partner, height = d.rank, d.partner, d.height
     rest = list(range(2 * n))
-    cvec = [0] * n
+    bot = [0] * n
     for r in range(n, 0, -1):
         for a in range(r - 1, 2 * r - 1):
             if partner[rest[a]] == rest[a + 1] and height[rest[a]] == 2 * r - 1 - a:
                 break
         else:
             raise InternalInvariantError(f"no arc to peel at rank {r} of a rank-{n} diagram")
-        cvec[r - 1] = a - r + 1
+        bot[r - 1] = 2 * r - 1 - a
         del rest[a : a + 2]
-    p: list[int] = []
-    for v, c in enumerate(cvec, start=1):
-        p.insert(v - 1 - c, v)
-    return tuple(p)
+    return tuple(_perm_of_runs(bot))
 
 
 def rs(p: Perm) -> tuple[Chain, Chain]:

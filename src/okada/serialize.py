@@ -18,7 +18,7 @@ Parsing is the input boundary: it raises ``ValueError`` on malformed
 input, including a JSON value of the wrong shape, a diagram or half
 diagram that fails :func:`~okada.diagrams.validate` or
 :func:`~okada.diagrams.validate_half`, and a term or a basis index that
-:class:`~okada.polynomials.Polynomial` or :func:`~okada.rewriting.code`
+:class:`~okada.polynomials.Polynomial` or :class:`~okada.algebra.AlgebraElement`
 refuses: the parsers leave those rules to the value types.  The library
 itself can still build invalid labellings.
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import json
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:
     from .algebra import AlgebraElement
@@ -266,14 +266,12 @@ def element_to_obj(a: AlgebraElement) -> dict:
 @_parser
 def obj_to_element(obj: dict) -> AlgebraElement:
     from .algebra import AlgebraElement
-    from .rewriting import code
 
     _check_schema(obj, "element")
     rank = _int(_expect(obj, "rank"), "rank")
     coeffs = {}
     for rec in _expect(obj, "terms"):
         p: Perm = tuple(_int(v, "perm") for v in rec["perm"])
-        code(p)
         if p in coeffs:
             raise ValueError(f"basis index of length {len(p)} listed twice")
         c = terms_to_poly(rec["coeff"])
@@ -293,9 +291,12 @@ def parse_word(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in items)
 
 
-def parse_perm(text: str) -> Perm:
+def parse_perm(text: str, check_length: Callable[[int], object] | None = None) -> Perm:
+    """A one-line permutation like "3 1 2"; ``check_length`` sees its length before it is read."""
     from .rewriting import code
 
     p = parse_word(text)
+    if check_length is not None:
+        check_length(len(p))
     code(p)
     return p

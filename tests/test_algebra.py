@@ -96,6 +96,41 @@ def test_from_word_and_diagram_terms_agree_with_the_permutation_basis():
         assert rebuilt == total and len(terms) > 1, n
 
 
+@pytest.mark.parametrize("index", [(1, 1), (0, 1), (2, 3), (1.0, 2), ("1", 2)])
+def test_an_index_that_is_not_a_permutation_is_refused(index):
+    # AlgebraElement(2, {(1, 1): 1}) once built an element outside the basis.
+    for build in (lambda: AlgebraElement(2, {index: 1}), lambda: AlgebraElement.from_perm(index),
+                  lambda: AlgebraElement(2, {(2, 1): 1, index: x_var(1)})):
+        with pytest.raises(ValueError, match=r"not a permutation of 1\.\.2"):
+            build()
+
+
+def test_an_index_is_measured_before_it_is_read_and_products_are_not_read_again(monkeypatch):
+    from okada import rewriting
+
+    runs, read = rewriting._runs, []
+
+    def reading(p):
+        read.append(p)
+        return runs(p)
+
+    def never(p):
+        raise AssertionError(f"read {p} of the wrong length")
+
+    monkeypatch.setattr(algebra, "_runs", never)
+    for index in ((1,) * 5, (), (2, 1)):
+        with pytest.raises(RankMismatchError, match=f"basis index of length {len(index)} does not have rank 3"):
+            AlgebraElement(3, {index: 1})
+    monkeypatch.setattr(algebra, "_runs", reading)
+    a, b = E(1, 3) + E(2, 3), E(2, 3) + AlgebraElement.one(3)
+    read.clear()
+    product = a * b
+    # each operand is read once by the product, and its landings not at all
+    assert sorted(read) == sorted(a.support() + b.support())
+    read.clear()
+    assert (product + a).scaled(2).specialize({("x", 1): 1}) and read == []
+
+
 def test_rank_mismatch_rejected():
     with pytest.raises(RankMismatchError):
         E(1, 3) * E(1, 4)
@@ -135,9 +170,10 @@ def test_specializations_refuse_an_inexact_value():
 
 
 def test_generator_index_out_of_range_rejected():
-    # perm_from_word would read 0 and -1 as p[-1] and answer wrongly.
+    # perm_from_word would read 0 and -1 as p[-1] and answer wrongly, but
+    # its letter check refuses them.
     for i, n in ((0, 3), (-1, 3), (3, 3), (1, 1), (1, 0)):
-        with pytest.raises(ValueError, match=f"generator index {i} out of range for rank {n}"):
+        with pytest.raises(ValueError, match=f"letter {i} out of range for rank {n}"):
             AlgebraElement.generator(i, n)
     assert [AlgebraElement.generator(i, 3).support() for i in (1, 2)] == [((2, 1, 3),), ((1, 3, 2),)]
 
@@ -554,36 +590,34 @@ def test_extended_gram_matches_the_full_table_at_rank_8():
 
 def test_products_of_code_words_read_once_are_still_certified(monkeypatch):
     # gram_matrix and AlgebraElement products read the runs of each left
-    # operand and the code word of each right one once, through
-    # okada.algebra, and push the code word onto the runs.  The
-    # certificate must still read the runs of each landed permutation
-    # itself, through okada.rewriting, and compare them with the pushed
-    # runs: here that read alone comes with one bottom too low, while
-    # every operand's stays honest, so the certificate must fail although
-    # every reduction is right.
+    # operand and stack the code word of each right one once, through
+    # okada.algebra, and push the stack onto the runs.  The certificate
+    # must still check the pushed runs of each landed permutation against
+    # it, through okada.rewriting: here those runs alone end with one
+    # bottom too low, while every operand's stay honest, so the
+    # certificate must fail although every reduction is right.
     from okada import rewriting
 
     s = F(4, (1, 2))  # some entries are zero, and form no product
     a, b = E(1, 3) + E(2, 3), E(2, 3)  # E_1 E_2 is a new basis element
     element_landings = {multiply_perms(p, q)[1] for p in a.support() for q in b.support()}
-    honest = rewriting._runs
+    honest = rewriting._push
     gram, product = gram_matrix(s), a * b
     # every product gram_matrix forms lands on the free involution
     for landings, compute in (({free_involution(s)}, lambda: gram_matrix(s)), (element_landings, lambda: a * b)):
         corrupted = []
 
-        def corrupt(perm):
-            bot = honest(perm)
-            if perm in landings:
-                corrupted.append(perm)
+        def corrupt(p, bot, todo, exps):
+            honest(p, bot, todo, exps)
+            if tuple(p) in landings:
+                corrupted.append(tuple(p))
                 bot[-1] -= 1
-            return bot
 
-        monkeypatch.setattr(rewriting, "_runs", corrupt)
+        monkeypatch.setattr(rewriting, "_push", corrupt)
         with pytest.raises(InternalInvariantError, match="not the code word"):
             compute()
-        assert corrupted, "no landed permutation was read"
-        monkeypatch.setattr(rewriting, "_runs", honest)
+        assert corrupted, "no landed permutation was pushed"
+        monkeypatch.setattr(rewriting, "_push", honest)
     assert (gram_matrix(s), a * b) == (gram, product)
 
 

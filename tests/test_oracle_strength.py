@@ -13,7 +13,9 @@ two permutations of rank at most 5.  A product either raises
 the honest answer, or gives a wrong one without raising (missed).  The
 meta check turns the certificate's checks into no-ops: then every row
 must report its fault as missed, which shows that the certificate, not
-the planting, caught it.
+the planting, caught it.  A fault the certificate misses must fail both
+product oracles of ``test_rewriting``: the candidate engine and the
+diagram model at ranks 7 to 32.
 
 The rows of the cell scans plant a fault in a builder or a counter of
 ``okada.diagrams`` and ``okada.monoid`` and run the test whose oracle
@@ -52,15 +54,15 @@ def _recompiled(func, *changes):
 
 # The certificate's checks: the append step's and the final one.
 APPEND_CHECK = ("if p[j - 1] > p[j] or p[j] != k + 1:", "if False:")
-FINAL_CHECK = ("if _runs(perm) != bot:", "if False:")
+FINAL_CHECK = ("if _perm_of_runs(bot) != p:", "if False:")
 
 # fault -> (change to _push, products caught at run time, products missed)
 PUSH_ROWS = {
     "drop the square branch": (("if b == j:  # square", "if False:  # square"), 8728, 0),
     "drop the zigzag branch": (("elif b < j:  # zigzag", "elif False:  # zigzag"), 12564, 0),
-    "skip the rotation": (("p[b - 1 : j] = p[b:j] + p[b - 1 : b]", "pass"), 12564, 0),
+    "skip the rotation": (("p.insert(j - 1, p.pop(b - 1))", "pass"), 12564, 0),
     "set the wrong bottom after a zigzag": (
-        ("bot[k] = j\n            p[b - 1 : j]", "bot[k] = j - 1\n            p[b - 1 : j]"), 12564, 0),
+        ("bot[k] = j\n            p.insert", "bot[k] = j - 1\n            p.insert"), 12564, 0),
     "forget the bottom after an append": (
         ("p[j], p[j - 1]\n            bot[k] = j\n", "p[j], p[j - 1]\n"), 14088, 0),
     # the state stays one code word, so only the candidate engine sees it
@@ -91,15 +93,17 @@ def test_a_fault_planted_in_the_push_kernel_is_caught(monkeypatch, honest_produc
     monkeypatch.setattr(rewriting, "_push", _recompiled(rewriting._push, change))
     assert _outcomes(honest_products) == (caught, missed)
     if missed:
-        with pytest.raises(AssertionError):
-            test_rewriting.test_multiply_perms_matches_the_candidate_engine()
+        for oracle in (test_rewriting.test_multiply_perms_matches_the_candidate_engine,
+                       test_rewriting.test_multiply_perms_matches_the_diagram_model_at_ranks_7_to_32):
+            with pytest.raises(AssertionError):
+                oracle()
 
 
 @pytest.mark.parametrize("fault", PUSH_ROWS)
 def test_a_push_fault_is_missed_with_the_certificate_off(monkeypatch, honest_products, fault):
     change = PUSH_ROWS[fault][0]
     monkeypatch.setattr(rewriting, "_push", _recompiled(rewriting._push, change, APPEND_CHECK))
-    monkeypatch.setattr(rewriting, "_push_certified", _recompiled(rewriting._push_certified, FINAL_CHECK))
+    monkeypatch.setattr(rewriting, "_multiply_code_words", _recompiled(rewriting._multiply_code_words, FINAL_CHECK))
     caught, missed = _outcomes(honest_products)
     assert caught == 0 and missed > 0
 

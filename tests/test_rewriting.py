@@ -212,14 +212,14 @@ def test_reduction_candidates_match_quadratic_oracle():
 
 
 def test_normalize_verification_catches_a_wrong_code_word(monkeypatch):
-    # The final check must run on every call: with a corrupted read of the
-    # code of the landed permutation it has to fail even though every
-    # reduction was correct.  normalize starts from the empty code word,
-    # so that read is the only one.
-    monkeypatch.setattr(rewriting, "code", lambda p: tuple(range(len(p))))
+    # The final check must run on every call: with a corrupted rebuild of
+    # the permutation from the pushed runs, here the one of the code
+    # (0, 1, ..., n-1) and then of the zero code, it has to fail even
+    # though every reduction was correct.
+    monkeypatch.setattr(rewriting, "_perm_of_runs", lambda bot: list(range(len(bot), 0, -1)))
     with pytest.raises(InternalInvariantError, match=r"not the code word of \(2, 3, 1\)"):
         normalize((1, 2), 3)
-    monkeypatch.setattr(rewriting, "code", lambda p: (0,) * len(p))
+    monkeypatch.setattr(rewriting, "_perm_of_runs", lambda bot: list(range(1, len(bot) + 1)))
     with pytest.raises(InternalInvariantError, match=r"not the code word of \(1, 3, 2\)"):
         normalize((2, 1, 2, 2), 3)
 
@@ -229,8 +229,8 @@ def _plant_push_fault(monkeypatch, fault):
     # permutation and the run bottoms of its code word.
     honest = rewriting._push
 
-    def faulty(p, bot, letters, exps):
-        honest(p, bot, letters, exps)
+    def faulty(p, bot, todo, exps):
+        honest(p, bot, todo, exps)
         fault(p, bot)
 
     monkeypatch.setattr(rewriting, "_push", faulty)
@@ -239,7 +239,7 @@ def _plant_push_fault(monkeypatch, fault):
 def _swap_the_last_non_commuting_pair(p, bot):
     # The permutation of the code word with its last pair of letters
     # within 1 of each other swapped: the same letters in another trace.
-    w = list(rewriting._code_word(bot))
+    w = rewriting._pending(bot)[::-1]
     k = max(k for k in range(len(w) - 1) if abs(w[k] - w[k + 1]) == 1)
     w[k], w[k + 1] = w[k + 1], w[k]
     p[:] = perm_from_word(w, len(p))
@@ -255,6 +255,20 @@ def test_verification_catches_a_push_with_the_right_letters_in_the_wrong_trace(m
         normalize((2, 1, 3, 2), 4)
     with pytest.raises(InternalInvariantError, match=wrong):
         multiply_perms(perm_from_word((2, 1), 4), perm_from_word((3, 2), 4))
+
+
+@pytest.mark.parametrize("k, bottom", [(0, 0), (2, 4)])
+def test_verification_catches_a_bottom_out_of_range(monkeypatch, k, bottom):
+    # The runs of (2, 1, 3) are [1, 1, 3]; a list insertion clamps its
+    # index, so without the range check a bottom of 0 at run 0 or of 4 at
+    # run 2 would rebuild (2, 1, 3) as 1 and 3 do.
+    def fault(p, bot):
+        bot[k] = bottom
+
+    _plant_push_fault(monkeypatch, fault)
+    for compute in (lambda: normalize((1,), 3), lambda: multiply_perms((2, 1, 3), (1, 2, 3))):
+        with pytest.raises(InternalInvariantError, match=r"not the code word of \(2, 1, 3\)"):
+            compute()
 
 
 def _lengthen_the_last_run(p, bot):
@@ -444,14 +458,14 @@ def test_the_candidate_engine_reduces_to_a_word_of_the_code_words_trace(monkeypa
     # The code word is the least word of its trace, so the reduced word of
     # the candidate engine, which shares no reduction code with _push, has
     # it as its lexicographic normal form.
-    certified = rewriting._push_certified
+    certified = rewriting._multiply_code_words
     reduced = []
 
-    def recording(p, bot, letters, exps):
-        reduced.append(tuple(letters))
-        return certified(p, bot, letters, exps)
+    def recording(p, bot, todo):
+        reduced.append(tuple(reversed(todo)))  # the stack holds the last letter first
+        return certified(p, bot, todo)
 
-    monkeypatch.setattr(rewriting, "_push_certified", recording)
+    monkeypatch.setattr(rewriting, "_multiply_code_words", recording)
     rng = random.Random(53)
     for k in range(1000):
         n = rng.randint(2, 12)
@@ -528,20 +542,27 @@ def test_trace_key_is_exact_for_letters_far_apart(gap):
     ],
 )
 def test_generator_step_verification_catches_a_wrong_code_word(monkeypatch, word, i, term):
-    # The step reads the codes of p and of s_i honestly; the code of the
-    # result comes reversed, the right entries in the wrong places, so the
-    # final check has to fail in every case.
+    # The step reads the runs of p and of s_i honestly; the certificate
+    # rebuilds the result from its runs with the code reversed, the right
+    # entries in the wrong places, so the final check has to fail in
+    # every case.
     p = perm_from_word(word, 3)
     step_term, result = _generator_step(p, i)
     assert word_from_code(p) == word and step_term == term
-    honest = rewriting.code
+    runs, rebuild = rewriting._runs, rewriting._perm_of_runs
     calls = []
 
-    def corrupt(perm):
+    def reading(perm):
         calls.append(perm)
-        return honest(perm) if len(calls) <= 2 else honest(perm)[::-1]
+        return runs(perm)
 
-    monkeypatch.setattr(rewriting, "code", corrupt)
+    def corrupt(bot):
+        calls.append(tuple(rebuild(bot)))
+        backwards = [v - b for v, b in enumerate(bot, start=1)][::-1]
+        return rebuild([v - c for v, c in enumerate(backwards, start=1)])
+
+    monkeypatch.setattr(rewriting, "_runs", reading)
+    monkeypatch.setattr(rewriting, "_perm_of_runs", corrupt)
     with pytest.raises(InternalInvariantError):
         _generator_step(p, i)
     assert calls == [p, perm_from_word((i,), 3), result]
@@ -674,6 +695,23 @@ def test_multiply_perms_matches_the_candidate_engine():
         n = rng.randint(6, 16)
         pairs.append((tuple(rng.sample(range(1, n + 1), n)), tuple(rng.sample(range(1, n + 1), n))))
     _assert_products_match_the_candidate_engine(pairs)
+
+
+def test_multiply_perms_matches_the_diagram_model_at_ranks_7_to_32():
+    # The certificate proves that a product is the code word of the
+    # permutation reached, not that it is the right product.  The diagram
+    # model checks that at every rank multiply admits above the ones the
+    # full tables cover: each product of 40 seeded pairs per rank is the
+    # diagram product of the two code words, and its coefficient with
+    # every y at 1 is the product's x-loops.
+    rng = random.Random(61)
+    for n in range(7, 33):
+        ys = {("y", i): 1 for i in range(1, n - 1)}
+        for _ in range(40):
+            p, q = (tuple(rng.sample(range(1, n + 1), n)) for _ in range(2))
+            coeff, r = multiply_perms(p, q)
+            loops, d = dg.product_y1(perm_to_diagram(p), perm_to_diagram(q))
+            assert (coeff.specialize(ys), perm_to_diagram(r)) == (loops, d), (p, q)
 
 
 @pytest.mark.skipif(
