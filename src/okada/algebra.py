@@ -21,12 +21,13 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from . import diagrams as dg
 from ._immutable import Immutable
-from .diagrams import free_diagram, free_half_diagram
-from .errors import InternalInvariantError, PropagatingMismatchError, RankMismatchError
+from .diagrams import free_diagram, free_half_diagram  # noqa: F401  (perfbench's monoid check reads algebra.free_diagram)
+from .errors import InternalInvariantError, PropagatingMismatchError, RankMismatchError, _checked_rank
 from .fibonacci import FibonacciSet, chain_count, dominance_leq, free_set
 from .polynomials import Polynomial, Var
 from .rewriting import (
     Perm,
+    _diagram_of_runs,
     _multiply_code_words,
     _pending,
     _runs,
@@ -37,7 +38,6 @@ from .rewriting import (
     perm_compose,
     perm_from_word,
     perm_inverse,
-    perm_length,
     perm_to_diagram,
 )
 
@@ -71,8 +71,7 @@ class AlgebraElement(Immutable):
     __slots__ = _fields = ("rank", "_coeffs")
 
     def __init__(self, rank: int, coeffs: Mapping[Perm, Polynomial] | None = None):
-        if rank < 0:
-            raise ValueError("rank must be non-negative")
+        _checked_rank(rank)
         clean: dict[Perm, Polynomial] = {}
         for p, c in (coeffs or {}).items():
             if len(p) != rank:
@@ -244,20 +243,23 @@ def triangular_factorization(p: Perm) -> tuple[Perm, FibonacciSet, Perm]:
     up, and ``s`` lies below the propagating sets of ``r`` and ``t``
     (which is ``s`` below their meet).
     """
-    d = perm_to_diagram(p)
+    bot = _runs(p)
+    d = _diagram_of_runs(bot)
     s = dg.prop_lab(d)
     half = free_half_diagram(s)
     sigma = free_involution(s)
     rho = perm_compose(diagram_to_perm(dg.glue(dg.bra(d), half)), sigma)
     tau = perm_compose(sigma, diagram_to_perm(dg.glue(half, dg.ket(d))))
-    d_rho, d_tau = perm_to_diagram(rho), perm_to_diagram(tau)
-    left, loops_left = dg.compose(d_rho, free_diagram(s))
+    bot_rho, bot_tau = _runs(rho), _runs(tau)
+    d_rho, d_tau = _diagram_of_runs(bot_rho), _diagram_of_runs(bot_tau)
+    left, loops_left = dg.compose(d_rho, dg.glue(half, half))
     prod, loops_right = dg.compose(left, d_tau)
     if prod != d or loops_left or loops_right:
         raise InternalInvariantError(
             f"factors {rho}, {s!r}, {tau} of {p} multiply to {prod!r}"
         )
-    if perm_length(p) != len(free_set(s)) + perm_length(rho) + perm_length(tau):
+    top = len(p) * (len(p) + 1) // 2  # a length is the sum of the code, top less the bottoms
+    if top - sum(bot) != len(free_set(s)) + (top - sum(bot_rho)) + (top - sum(bot_tau)):
         raise InternalInvariantError(f"factor lengths of {p} do not add up")
     if not (dominance_leq(s, dg.prop_lab(d_rho)) and dominance_leq(s, dg.prop_lab(d_tau))):
         raise InternalInvariantError(f"dominance condition failed for {p}")

@@ -31,7 +31,7 @@ import sys
 from contextlib import redirect_stderr
 from typing import TYPE_CHECKING
 
-from .errors import InternalInvariantError, OkadaError
+from .errors import InternalInvariantError, OkadaError, _checked_rank
 
 if __name__ != "__main__":
     from . import algebra, diagrams, fibonacci, monoid, polynomials, render, rewriting, serialize  # noqa: F401
@@ -42,10 +42,10 @@ if TYPE_CHECKING:
 
 # Largest rank each request accepts: the enumerate kinds, then the
 # commands whose cost grows fastest with the rank (n!-sized monoids for
-# census and green, the largest cell for gram, the quadratic code-word
-# walks of factorize and rs, products of long code words for multiply
+# census and green, the largest cell for gram, the quadratic arc search
+# of factorize and chains of rs, products of long code words for multiply
 # and normalize, the pictures of render, from --n or an input file).
-# Each finishes within seconds at its cap.  ``idempotents`` caps the
+# Each finishes within seconds at its cap (rs and factorize under 0.6 s).  ``idempotents`` caps the
 # count, one census (0.8-0.9 s at rank 10), and ``idempotent_streams`` the
 # stream (7.8 MB at rank 8, 820 MB at 10).  ``threads`` bounds the census
 # worker processes: each one is a whole interpreter, so a request for
@@ -115,9 +115,7 @@ def _check_element_files(objs) -> None:
     term has one or more).  The parser reports the shapes this count skips."""
     if not all(isinstance(obj, dict) and type(obj.get("rank")) is int for obj in objs):
         raise ValueError("an element needs an integer 'rank'")
-    if any(obj["rank"] < 0 for obj in objs):
-        raise ValueError("rank must be non-negative")
-    n = _check_rank("multiply", max(obj["rank"] for obj in objs))
+    n = _check_rank("multiply", max(_checked_rank(obj["rank"]) for obj in objs))
     limit = 2 * (_LIMITS["products"] // max(n, 1) ** 2)
     for obj in objs:
         terms = obj["terms"] if isinstance(obj.get("terms"), list) else []

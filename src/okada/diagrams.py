@@ -58,6 +58,7 @@ from .errors import (
     InternalInvariantError,
     PropagatingMismatchError,
     RankMismatchError,
+    _checked_rank,
 )
 from .fibonacci import Chain, FibonacciSet, _yf_steps, enumerate_yfs, free_set, is_fibonacci_set
 
@@ -136,9 +137,7 @@ class ArcDiagram(Immutable):
     height: tuple[int, ...]
 
     def __init__(self, rank: int, arcs) -> None:
-        n = rank
-        if n < 0:
-            raise ValueError("rank must be non-negative")
+        n = _checked_rank(rank)
         arcs = tuple(arcs)
         if len(arcs) != n:  # before allocating: the rank may be absurd
             raise ValueError(f"not a perfect matching of {reprlib.repr(2 * n)} endpoints")
@@ -221,9 +220,7 @@ class HalfArcDiagram(Immutable):
     def __init__(
         self, rank: int, full_arcs: tuple[Arc, ...], half_arcs: tuple[HalfArc, ...]
     ) -> None:
-        n = rank
-        if n < 0:
-            raise ValueError("rank must be non-negative")
+        n = _checked_rank(rank)
         at: dict[int, tuple[int, int]] = {}  # node -> (partner position or -1, label)
         ends = [(e, a + b - e - 1, h) for a, b, h in full_arcs for e in sorted((a, b))]
         for e, q, h in ends + [(e, -1, h) for e, h in half_arcs]:
@@ -353,9 +350,7 @@ def validate_half(h: HalfArcDiagram) -> bool:
 
 def identity(n: int) -> ArcDiagram:
     """Unit of the rank-``n`` monoid: propagating arcs ``h(a, -a) = a``."""
-    if n < 0:
-        raise ValueError("rank must be non-negative")
-    labels = tuple(range(1, n + 1))
+    labels = tuple(range(1, _checked_rank(n) + 1))
     return _from_arrays(n, range(2 * n - 1, -1, -1), labels + labels[::-1])
 
 

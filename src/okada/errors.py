@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by the library."""
+"""Exception hierarchy shared by the library, and its one rank rule."""
 
 
 class OkadaError(Exception):
@@ -21,3 +21,12 @@ class InternalInvariantError(OkadaError, RuntimeError):
     of triangular factorizations, ...).  Seeing this exception means a bug in
     the library, not bad user input.
     """
+
+
+def _checked_rank(n: int) -> int:
+    """``n`` if it is an ``int`` (a ``bool`` counts, as in ``code``) ``>= 0``, else ``ValueError``."""
+    if not isinstance(n, int):
+        raise ValueError(f"rank must be an integer, not {type(n).__name__}")
+    if n < 0:
+        raise ValueError("rank must be non-negative")
+    return n

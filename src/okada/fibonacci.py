@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from ._immutable import Immutable
-from .errors import InternalInvariantError, RankMismatchError
+from .errors import InternalInvariantError, RankMismatchError, _checked_rank
 
 __all__ = [
     "FibonacciSet",
@@ -55,8 +55,7 @@ __all__ = [
 
 
 def _check_structure(rank: int, elements: Sequence[int]) -> None:
-    if rank < 0:
-        raise ValueError(f"rank must be non-negative, got {reprlib.repr(rank)}")
+    _checked_rank(rank)
     for prev, cur in zip((0,) + tuple(elements), elements):
         if not isinstance(cur, int):
             raise ValueError(f"elements must be integers, got {reprlib.repr(tuple(elements))}")
@@ -129,8 +128,7 @@ def enumerate_yfs(n: int) -> tuple[FibonacciSet, ...]:
     >>> [s.elements for s in enumerate_yfs(3)]
     [(1,), (1, 2, 3), (3,)]
     """
-    if n < 0:
-        raise ValueError("rank must be non-negative")
+    _checked_rank(n)
     below, sets = [], [()]
     for k in range(1, n + 1):
         below, sets = sets, sorted(below + [e + (k,) for e in sets])

@@ -48,8 +48,8 @@ The dictionary with the arc-diagram model is one rule, stated only
 here: rank ``r`` with code entry ``c`` owns the arc of height ``r - c``
 at position ``r - 1 + c`` of the rank-``r`` part (at ``c = 0`` the arc
 ``h(r, -r) = r``, else the cap ``h(-(I+1), -I) = I`` with ``I = r - c``).
-:func:`perm_to_diagram` inserts these arcs from rank 1 up, and
-:func:`diagram_to_perm` deletes them from rank ``n`` down.
+From rank ``n`` down, :func:`perm_to_diagram` places these arcs on the
+positions not yet taken, and :func:`diagram_to_perm` deletes them.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from ._immutable import Immutable
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, _checked_rank
 from .polynomials import Polynomial, Var
 
 if TYPE_CHECKING:
@@ -200,16 +200,16 @@ def perm_from_word(word: Sequence[int], n: int) -> Perm:
 
     Letters outside ``1 .. n-1`` raise ``ValueError`` (:func:`check_word`).
     """
+    word = check_word(word, n)
     p = list(range(1, n + 1))
-    for i in check_word(word, n):
+    for i in word:
         p[i - 1], p[i] = p[i], p[i - 1]
     return tuple(p)
 
 
 def check_word(word: Sequence[int], n: int) -> tuple[int, ...]:
     """``word`` as a tuple; ``ValueError`` unless each letter is an integer in ``1 .. n-1``."""
-    if n < 0:
-        raise ValueError("rank must be non-negative")
+    _checked_rank(n)
     word = tuple(word)
     for v in word:
         if not (isinstance(v, int) and 1 <= v <= n - 1):
@@ -238,8 +238,7 @@ class Heap(Immutable):
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int, rows: tuple[tuple[int, ...], ...]) -> None:
-        if n < 0:
-            raise ValueError("rank must be non-negative")
+        _checked_rank(n)
         if len(rows) != max(n - 1, 0):
             raise ValueError(f"expected {n - 1} rows, got {len(rows)}")
         for i, cols in enumerate(rows, start=1):
@@ -516,20 +515,29 @@ def _mult_perm_by_generator(p: Perm, i: int) -> tuple[Polynomial, Perm]:
 
 
 def perm_to_diagram(p: Perm):
-    """The diagram of the code word of ``p``: the dictionary arcs inserted
-    from rank 1 up.  Code words are reduced, so evaluating one in the
-    diagram monoid closes no loop and this is its product exactly.
-    """
+    """The diagram of the code word of ``p``, built from its run bottoms.
+    Code words are reduced, so evaluating one in the diagram monoid closes
+    no loop and this is its product exactly."""
+    return _diagram_of_runs(_runs(p))
+
+
+def _diagram_of_runs(bot: Sequence[int]):
+    """The mirror of :func:`diagram_to_perm`: from rank ``n`` down, the arc
+    of rank ``r`` with bottom ``b`` joins the positions ``rest[a]`` and
+    ``rest[a + 1]`` not yet taken, ``a = 2r - 1 - b``, at height ``b``."""
     from . import diagrams
 
-    partner: list[int] = []
-    height: list[int] = []
-    for r, b in enumerate(_runs(p), start=1):
+    n = len(bot)
+    rest = list(range(2 * n))
+    partner, height = [0] * (2 * n), [0] * (2 * n)
+    for r in range(n, 0, -1):
+        b = bot[r - 1]
         a = 2 * r - 1 - b
-        partner = [q if q < a else q + 2 for q in partner]
-        partner[a:a] = (a + 1, a)
-        height[a:a] = (b, b)
-    return diagrams._from_arrays(len(p), partner, height)
+        i, j = rest[a], rest[a + 1]
+        partner[i], partner[j] = j, i
+        height[i] = height[j] = b
+        del rest[a : a + 2]
+    return diagrams._from_arrays(n, partner, height)
 
 
 def diagram_to_perm(d) -> Perm:

@@ -578,6 +578,24 @@ def test_gram_symmetry_and_mirror():
         _assert_gram_support_is_the_census(n, tables)
 
 
+def test_gram_entries_are_the_loops_of_the_diagram_model_at_y_1():
+    # The diagram model, which forms no word product: with every y at 1,
+    # C_{F,R_i} * C_{L_j,F} lands on the free diagram exactly at the
+    # non-zero entries, and its loops are the entry there.
+    for n in range(1, 8):
+        ys = {("y", i): 1 for i in range(1, n - 1)}
+        for s in enumerate_yfs(n):
+            gram, free, top = gram_matrix(s), free_half_diagram(s), free_diagram(s)
+            halves = dg.enumerate_half(n, s)
+            rights = [dg.glue(h, free) for h in halves]
+            for i, r_half in enumerate(halves):
+                left = dg.glue(free, r_half)
+                for j, right in enumerate(rights):
+                    loops, d = dg.product_y1(left, right)
+                    assert (d == top) == bool(gram[i][j]), (s, i, j)
+                    assert not gram[i][j] or loops == gram[i][j].specialize(ys), (s, i, j)
+
+
 @pytest.mark.skipif(
     not os.environ.get("OKADA_EXTENDED"),
     reason="the full Gram tables at rank 8 run only with OKADA_EXTENDED=1",

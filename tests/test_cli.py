@@ -829,7 +829,7 @@ def _worst_at_each_cap(limits):
     # diagrams 1.0-2.2 s, half 0.35-0.6 s, chains 0.3-0.7 s, the
     # idempotent stream at rank 8 0.8-1.2 s and the idempotent count at
     # rank 10, one census, 1.4-1.6 s; gram 0.5-0.6 s; green 0.3-0.5 s;
-    # census 2.3-2.8 s; factorize 0.2-0.4 s; rs 0.10-0.13 s; render
+    # census 2.3-2.8 s; factorize 0.12-0.21 s; rs 0.46-0.52 s; render
     # 0.14-0.3 s; the word requests (normalize, multiply, letters)
     # 0.07-0.08 s; products 0.3-0.5 s.  Idempotent streams stop at rank 8:
     # with --extended they ran 8-14 s at rank 9 and 139 s at rank 10.
@@ -858,7 +858,7 @@ def _worst_at_each_cap(limits):
         "census": (["census", "--max", str(limits["census"]), "--green-max", str(limits["green"])], 30),
         "gram": (["gram", "--n", str(limits["gram"]), "--set", "", "--specialize", "1"], 15),
         "factorize": (["factorize", reversal], 10),
-        "rs": (["rs", " ".join(str(v) for v in range(limits["rs"], 0, -1))], 10),
+        "rs": (["rs", " ".join(str(v) for v in range(1, limits["rs"] + 1))], 10),  # the identity: longest chains
         "render": (["render", "yfs", "--format", "svg", "--n", str(limits["render"])], 10),
         "normalize": (["normalize", long_word, "--n", str(n)], 10),
         "letters": (["normalize", " ".join(["1"] * limits["letters"])], 10),

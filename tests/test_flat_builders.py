@@ -2,7 +2,7 @@
 
 ``_from_arrays`` and ``_half_from_arrays`` skip the checks of the public
 constructors, so only ``diagrams`` calls them.  The one exception is
-``rewriting.perm_to_diagram``, the dictionary between the permutation
+``rewriting._diagram_of_runs``, the dictionary between the permutation
 and diagram models.  A new caller elsewhere fails here.
 """
 
@@ -13,7 +13,7 @@ import okada
 
 SRC = Path(okada.__file__).parent
 BUILDERS = {"_from_arrays", "_half_from_arrays"}
-OUTSIDE = {("rewriting", "perm_to_diagram", "_from_arrays")}
+OUTSIDE = {("rewriting", "_diagram_of_runs", "_from_arrays")}
 
 
 def test_only_diagrams_builds_from_flat_arrays():

@@ -17,6 +17,14 @@ the planting, caught it.  A fault the certificate misses must fail both
 product oracles of ``test_rewriting``: the candidate engine and the
 diagram model at ranks 7 to 32.
 
+The rows of the dictionary plant a fault in
+``rewriting._diagram_of_runs``, which builds the diagram of every
+permutation.  Both of its oracles must fail: the former insertion
+construction and the diagram model of products at ranks 7 to 32.  The
+meta check turns each oracle's comparison into a no-op: then the planted
+fault passes, which shows that the comparison, not an error the fault
+raised, caught it.
+
 The rows of the cell scans plant a fault in a builder or a counter of
 ``okada.diagrams`` and ``okada.monoid`` and run the test whose oracle
 guards it, which must fail.  Their meta check recompiles that test with
@@ -106,6 +114,34 @@ def test_a_push_fault_is_missed_with_the_certificate_off(monkeypatch, honest_pro
     monkeypatch.setattr(rewriting, "_multiply_code_words", _recompiled(rewriting._multiply_code_words, FINAL_CHECK))
     caught, missed = _outcomes(honest_products)
     assert caught == 0 and missed > 0
+
+
+# fault -> (change to _diagram_of_runs, (oracle test, change that makes its oracle a no-op) for each oracle)
+DICTIONARY_ROWS = {
+    "place each arc one position left": (
+        ("a = 2 * r - 1 - b", "a = 2 * r - 2 - b"),
+        ((test_rewriting.test_perm_to_diagram_matches_the_insertion_oracle,
+          ("assert perm_to_diagram(p) == _perm_to_diagram_by_insertion(p), p", "perm_to_diagram(p)")),
+         (test_rewriting.test_multiply_perms_matches_the_diagram_model_at_ranks_7_to_32,
+          ("assert (coeff.specialize(ys), perm_to_diagram(r)) == (loops, d), (p, q)", "perm_to_diagram(r)")))),
+}
+
+
+@pytest.mark.parametrize("fault", DICTIONARY_ROWS)
+def test_a_fault_planted_in_the_dictionary_fails_both_oracles(monkeypatch, fault):
+    change, oracles = DICTIONARY_ROWS[fault]
+    monkeypatch.setattr(rewriting, "_diagram_of_runs", _recompiled(rewriting._diagram_of_runs, change))
+    for oracle, _ in oracles:
+        with pytest.raises(AssertionError):
+            oracle()
+
+
+@pytest.mark.parametrize("fault", DICTIONARY_ROWS)
+def test_a_dictionary_fault_passes_its_oracles_made_no_ops(monkeypatch, fault):
+    change, oracles = DICTIONARY_ROWS[fault]
+    monkeypatch.setattr(rewriting, "_diagram_of_runs", _recompiled(rewriting._diagram_of_runs, change))
+    for oracle, no_op in oracles:
+        _recompiled(oracle, no_op)()
 
 
 # fault -> (module, function, change to it, oracle test, change that makes its oracle a no-op)

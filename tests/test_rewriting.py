@@ -785,6 +785,28 @@ def test_perm_to_diagram_matches_the_compose_chain_oracle():
             assert diagram_to_perm(d) == p
 
 
+def _perm_to_diagram_by_insertion(p):
+    """The dictionary arcs inserted from rank 1 up, each rank shifting the
+    positions at and above its own by two (the former library
+    construction), as an oracle."""
+    partner, height = [], []
+    for r, c in enumerate(code(p), start=1):
+        a, b = r - 1 + c, r - c
+        partner = [q if q < a else q + 2 for q in partner]
+        partner[a:a] = (a + 1, a)
+        height[a:a] = (b, b)
+    return dg._from_arrays(len(p), partner, height)
+
+
+def test_perm_to_diagram_matches_the_insertion_oracle():
+    rng = random.Random(1024)
+    perms = [p for n in range(8) for p in all_perms(n)]
+    perms += [tuple(rng.sample(range(1, n + 1), n)) for n in (8, 16, 32) for _ in range(40)]
+    perms += [tuple(rng.sample(range(1, 1025), 1024)), tuple(range(1024, 0, -1)), tuple(range(1, 1025))]
+    for p in perms:
+        assert perm_to_diagram(p) == _perm_to_diagram_by_insertion(p), p
+
+
 def _diagram_to_perm_by_peeling(d):
     """The top rank peeled off one diagram at a time, then the code word
     evaluated swap by swap (the former library construction), as an

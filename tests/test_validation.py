@@ -6,20 +6,28 @@ for a crossing and for nesting, so they share no code with the stack
 walk of :func:`okada.diagrams.violations`.  The walk may report fewer
 failures for an invalid object, so the tests compare validity and ask
 that every kind of failure the walk reports is one the oracle reports.
+
+The last tests pin the one rank rule: every entry point that takes a
+rank refuses a negative one and one that is not an integer, through
+``okada.errors._checked_rank``.
 """
 
 import io
 import itertools
 import os
 import random
+import re
 import time
+from pathlib import Path
 
 import pytest
 
 from okada import diagrams as dg
+from okada import rewriting as rw
 from okada import serialize as ser
+from okada.algebra import AlgebraElement
 from okada.cli import main
-from okada.fibonacci import FibonacciSet, enumerate_yfs
+from okada.fibonacci import FibonacciSet, enumerate_yfs, is_fibonacci_set
 
 A = dg.Arc
 order_key = dg.order_key
@@ -264,3 +272,44 @@ def test_multiply_refuses_an_oversized_diagram_file_quickly(tmp_path):
     assert (rc, out.getvalue()) == (2, "")
     assert "multiply supports 0 <= n <= 32" in err.getvalue()
     assert seconds < 1.0
+
+
+# each entry point that takes a rank, as a call of that rank
+RANK_TAKERS = {
+    "ArcDiagram": lambda n: dg.ArcDiagram(n, ()),
+    "HalfArcDiagram": lambda n: dg.HalfArcDiagram(n, (), ()),
+    "identity": dg.identity,
+    "FibonacciSet": lambda n: FibonacciSet(n, ()),
+    "is_fibonacci_set": lambda n: is_fibonacci_set(n, ()),
+    "enumerate_yfs": enumerate_yfs,
+    "AlgebraElement": AlgebraElement,
+    "check_word": lambda n: rw.check_word((), n),
+    "perm_from_word": lambda n: rw.perm_from_word((), n),
+    "normalize": lambda n: rw.normalize((1,), n),
+    "Heap": lambda n: rw.Heap(n, ()),
+    "heap_from_word": lambda n: rw.heap_from_word((), n),
+}
+
+
+@pytest.mark.parametrize("rank, message", [
+    (-1, "rank must be non-negative"),
+    (2.5, "rank must be an integer, not float"),
+    ("3", "rank must be an integer, not str"),
+])
+@pytest.mark.parametrize("taker", RANK_TAKERS)
+def test_every_rank_taker_refuses_a_rank_that_is_not_a_non_negative_integer(taker, rank, message):
+    # A rank of 2.5 once built AlgebraElement(2.5: 0) and made
+    # perm_from_word raise TypeError from range.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RANK_TAKERS[taker](rank)
+
+
+def test_a_bool_rank_counts_as_an_integer():
+    assert AlgebraElement(True) == AlgebraElement(1)
+    assert rw.perm_from_word((), True) == (1,)
+
+
+def test_the_rank_rule_is_written_once():
+    src = Path(dg.__file__).parent
+    owners = [path.name for path in sorted(src.glob("*.py")) if "rank must be" in path.read_text(encoding="utf-8")]
+    assert owners == ["errors.py"]
