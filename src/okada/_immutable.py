@@ -17,13 +17,14 @@ unpickling and ``copy`` check their input like any other call.  The
 repr is ``Name(f=v, ...)``, and every attribute write or deletion raises
 ``AttributeError``.  A class overrides any of these by defining it.
 
-``self._fill(*values)`` is the one way a value gets its fields.
-``__init__`` calls it after its checks, and the library's trusted
-builders call it on an ``object.__new__`` instance to skip them.  The
-first call for a class compiles that class's ``__eq__``, ``__hash__``,
-ordering methods and ``_fill`` for its field names, as ``dataclasses``
-and ``namedtuple`` do, and installs them on the class.  These methods
-sit on the hot paths of the census and of every dict keyed by values,
+``__init__`` calls ``self._fill(*values)`` after its checks.
+``cls._trusted(*values)`` is the one unchecked builder: a new value
+with those fields, for values derived from values already checked.
+The first read of either on a class compiles that class's ``__eq__``,
+``__hash__``, ordering methods, ``_fill`` and ``_trusted`` for its
+field names, as ``dataclasses`` and ``namedtuple`` do, and installs them
+on the class, so one build stays one Python call.  These methods sit on
+the hot paths of the census and of every dict keyed by values,
 and they read each field by name, as hand-written methods would;
 ``operator.attrgetter`` versions made the monoid census measurably
 slower.  Compiling on first use, not at class creation, keeps import as
@@ -44,16 +45,37 @@ def _methods(fields: tuple[str, ...], ordered: bool) -> str:
     """Source of the field-specialised methods of one class."""
     guard = "    if other.__class__ is not cls:\n        return NotImplemented\n"
     same = " and ".join(f"self.{f} == other.{f}" for f in fields)
+    sets = "".join(f"    set_{f}(self, {f})\n" for f in fields)
     src = [
         f"def __eq__(self, other):\n{guard}    return {same}\n",
         f"def __hash__(self):\n    return hash(({''.join(f'self.{f}, ' for f in fields)}))\n",
-        f"def _fill(self, {', '.join(fields)}):\n"
-        + "".join(f"    set_{f}(self, {f})\n" for f in fields),
+        f"def _fill(self, {', '.join(fields)}):\n" + sets,
+        f"def _trusted({', '.join(fields)}):\n    self = new(cls)\n{sets}    return self\n",
     ]
     if ordered:
         for name, op in (("__lt__", "<"), ("__le__", "<=")):
             src.append(f"def {name}(self, other):\n{guard}    return {_compare(op, fields)}\n")
     return "\n".join(src)
+
+
+class _Compiled:
+    """``_fill`` or ``_trusted`` read on a class not yet compiled: the read
+    compiles and installs the class's methods, then gives the compiled one."""
+
+    def __set_name__(self, owner, name) -> None:
+        self.owner, self.name = owner, name
+
+    def __get__(self, obj, cls):
+        if cls is self.owner:
+            return self
+        env = {"cls": cls, "new": object.__new__, **{f"set_{f}": getattr(cls, f).__set__ for f in cls._fields}}
+        methods: dict = {}
+        exec(_methods(cls._fields, cls._ordered), env, methods)
+        for name, fn in methods.items():
+            if name not in cls.__dict__:
+                fn.__qualname__ = f"{cls.__qualname__}.{name}"
+                setattr(cls, name, staticmethod(fn) if name == "_trusted" else fn)
+        return getattr(cls if obj is None else obj, self.name)
 
 
 class Immutable:
@@ -62,18 +84,7 @@ class Immutable:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     _ordered = False
-
-    def _fill(self, *values) -> None:
-        """Install the class's compiled methods, then fill ``self``."""
-        cls = type(self)
-        env = {"cls": cls, **{f"set_{f}": getattr(cls, f).__set__ for f in cls._fields}}
-        methods: dict = {}
-        exec(_methods(cls._fields, cls._ordered), env, methods)
-        for name, fn in methods.items():
-            if name not in cls.__dict__:
-                fn.__qualname__ = f"{cls.__qualname__}.{name}"
-                setattr(cls, name, fn)
-        cls._fill(self, *values)
+    _fill, _trusted = _Compiled(), _Compiled()
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self._fields)

@@ -84,9 +84,7 @@ class AlgebraElement(Immutable):
     def _from_checked(cls, rank: int, coeffs: Mapping[Perm, Polynomial]) -> "AlgebraElement":
         """Unchecked but for dropping zero coefficients: for the sums and
         products of elements, polynomials at permutations of ``rank``."""
-        out = object.__new__(cls)
-        out._fill(rank, {p: c for p, c in coeffs.items() if c})
-        return out
+        return cls._trusted(rank, {p: c for p, c in coeffs.items() if c})
 
     # -- constructors ------------------------------------------------------
 

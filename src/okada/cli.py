@@ -43,9 +43,9 @@ if TYPE_CHECKING:
 # Largest rank each request accepts: the enumerate kinds, then the
 # commands whose cost grows fastest with the rank (n!-sized monoids for
 # census and green, the largest cell for gram, the quadratic arc search
-# of factorize and chains of rs, products of long code words for multiply
+# of factorize and output of rs, products of long code words for multiply
 # and normalize, the pictures of render, from --n or an input file).
-# Each finishes within seconds at its cap (rs and factorize under 0.6 s).  ``idempotents`` caps the
+# Each finishes within seconds at its cap (rs 0.2 s, factorize under 0.6 s).  ``idempotents`` caps the
 # count, one census (0.8-0.9 s at rank 10), and ``idempotent_streams`` the
 # stream (7.8 MB at rank 8, 820 MB at 10).  ``threads`` bounds the census
 # worker processes: each one is a whole interpreter, so a request for

@@ -37,9 +37,13 @@ check the matching and the label types, and the parsers in
 :func:`validate_half`, each one linear walk with a stack of open arcs.
 Diagrams and halves built here from other ones (:func:`compose`,
 :func:`glue`, :func:`mirror`, :func:`peel`, :func:`bra`, :func:`ket`,
-:func:`restrict`, :func:`chain_inverse`, ...) or from a label set (the
-free half, :func:`free_half_diagram`) skip those checks and only assert
-that every position was matched and labelled.
+:func:`restrict`, :func:`chain_inverse`, ...), from a label set
+(:func:`free_half_diagram`) or by the lattice walk (:func:`_cells`,
+:func:`_glue_cell`) skip those checks: the class's ``_trusted`` (see
+:mod:`okada._immutable`) builds them, in the loop of :func:`_glue_cell`
+or through :func:`_from_arrays` and :func:`_half_from_arrays`, which
+only assert that every position was matched and labelled.
+:func:`chain_of` checks its half once, with :func:`half_violations`.
 
 A half diagram is a saturated chain of the Young-Fibonacci lattice read
 as arcs (Fomin's Fibonacci tableau); :func:`_cells` is the one walk of
@@ -182,18 +186,13 @@ def _node(p: int, n: int) -> int:
 
 
 def _from_arrays(n: int, partner, height) -> ArcDiagram:
-    """Trusted constructor for diagrams the library builds itself.
-
-    Skips the checks of ``ArcDiagram(rank, arcs)`` and only asserts that
-    every one of the ``2n`` positions was matched and labelled.
-    """
+    """``ArcDiagram._trusted`` from lists, asserting that every one of the
+    ``2n`` positions was matched and labelled."""
     if len(partner) != 2 * n or None in partner or None in height:
         raise InternalInvariantError(
             f"rank-{n} diagram built with unmatched positions: {partner} {height}"
         )
-    d = object.__new__(ArcDiagram)
-    d._fill(n, tuple(partner), tuple(height))
-    return d
+    return ArcDiagram._trusted(n, tuple(partner), tuple(height))
 
 
 class HalfArcDiagram(Immutable):
@@ -258,19 +257,13 @@ class HalfArcDiagram(Immutable):
 
 
 def _half_from_arrays(n: int, partner, height) -> HalfArcDiagram:
-    """Trusted constructor for halves the library builds itself.
-
-    Skips the checks of ``HalfArcDiagram(rank, full_arcs, half_arcs)``
-    and only asserts that there are ``n`` nodes and every one of them
-    has a partner (``-1`` at a half arc) and a label.
-    """
+    """``HalfArcDiagram._trusted`` from lists, asserting that each of the
+    ``n`` nodes has a partner (``-1`` at a half arc) and a label."""
     if len(partner) != n or len(height) != n or None in partner or None in height:
         raise InternalInvariantError(
             f"rank-{n} half diagram built with unlabelled nodes: {partner} {height}"
         )
-    h = object.__new__(HalfArcDiagram)
-    h._fill(n, tuple(partner), tuple(height))
-    return h
+    return HalfArcDiagram._trusted(n, tuple(partner), tuple(height))
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +516,9 @@ def _glue_cell(halves: Sequence[HalfArcDiagram], ends: Sequence[Sequence[int]],
             rights[-1].append(tuple(rp))
     lh = [h.height for h in halves]
     rh = [h.height[::-1] for h in halves]
-    new = object.__new__
+    new = ArcDiagram._trusted
     for i, j in pairs:
-        d = new(ArcDiagram)
-        d._fill(n, lefts[i][gid[j]] + rights[j][gid[i]], lh[i] + rh[j])
-        yield d
+        yield new(n, lefts[i][gid[j]] + rights[j][gid[i]], lh[i] + rh[j])
 
 
 def _passes(left: HalfArcDiagram, right: HalfArcDiagram, ends: tuple[int, ...]) -> bool:
@@ -584,17 +575,21 @@ def chain_of(h: HalfArcDiagram) -> Chain:
     opens its label, the right end of a full arc closes it, and the
     labels open after node ``i`` are those of ``restrict(h, i)``.  In a
     valid half diagram a new label is the largest open one, so the list
-    stays increasing.
+    stays increasing.  ``h`` is checked once, by the parser's walk
+    :func:`half_violations`; its sets and chain are built unchecked.
     """
+    if problems := half_violations(h):
+        raise ValueError(f"invalid half diagram: {problems[0]} (1 of {len(problems)} violations)")
     labels: list[int] = []
-    sets = [FibonacciSet(0, ())]
+    new = FibonacciSet._trusted
+    sets = [new(0, ())]
     for p, (q, ht) in enumerate(zip(h.partner, h.height)):
         if 0 <= q < p:
             labels.remove(ht)
         else:
             labels.append(ht)
-        sets.append(FibonacciSet(p + 1, tuple(labels)))
-    return Chain(tuple(sets))
+        sets.append(new(p + 1, tuple(labels)))
+    return Chain._trusted(tuple(sets))
 
 
 def chain_inverse(chain: Chain) -> HalfArcDiagram:

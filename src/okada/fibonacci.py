@@ -132,7 +132,7 @@ def enumerate_yfs(n: int) -> tuple[FibonacciSet, ...]:
     below, sets = [], [()]
     for k in range(1, n + 1):
         below, sets = sets, sorted(below + [e + (k,) for e in sets])
-    return tuple(FibonacciSet(n, elems) for elems in sets)
+    return tuple(FibonacciSet._trusted(n, elems) for elems in sets)
 
 
 def _yf_steps(elems: tuple[int, ...], rank: int) -> list[tuple[int, ...]]:
@@ -150,12 +150,12 @@ def yf_covers(s: FibonacciSet) -> tuple[FibonacciSet, ...]:
     ``t`` covers ``s`` when one of the two is the other with its largest
     element removed.  Results come sorted lexicographically.
     """
-    return tuple(FibonacciSet(s.rank + 1, e) for e in _yf_steps(s.elements, s.rank + 1))
+    return tuple(FibonacciSet._trusted(s.rank + 1, e) for e in _yf_steps(s.elements, s.rank + 1))
 
 
 def yf_down_covers(s: FibonacciSet) -> tuple[FibonacciSet, ...]:
     """The rank ``n-1`` sets covered by ``s``; empty for rank 0."""
-    return tuple(FibonacciSet(s.rank - 1, e) for e in _yf_steps(s.elements, s.rank - 1)) if s.rank else ()
+    return tuple(FibonacciSet._trusted(s.rank - 1, e) for e in _yf_steps(s.elements, s.rank - 1)) if s.rank else ()
 
 
 def is_yf_cover(s: FibonacciSet, t: FibonacciSet) -> bool:
@@ -205,12 +205,8 @@ def saturated_chains(s: FibonacciSet) -> tuple[Chain, ...]:
     indexed by ``s``; summing the squares over a full rank gives ``n!``.
     """
     if s.rank == 0:
-        return (Chain((s,)),)
-    chains = [
-        Chain(c.sets + (s,))
-        for p in yf_down_covers(s)
-        for c in saturated_chains(p)
-    ]
+        return (Chain._trusted((s,)),)
+    chains = [Chain._trusted(c.sets + (s,)) for p in yf_down_covers(s) for c in saturated_chains(p)]
     return tuple(sorted(chains))
 
 
@@ -310,7 +306,7 @@ def dominance_meet(s: FibonacciSet, t: FibonacciSet) -> FibonacciSet:
         raise RankMismatchError(f"cannot meet ranks {s.rank} and {t.rank}")
     a, b = s.elements, t.elements
     m = min(len(a), len(b))
-    return FibonacciSet(s.rank, tuple(map(min, a[len(a) - m:], b[len(b) - m:])))
+    return FibonacciSet._trusted(s.rank, tuple(map(min, a[len(a) - m:], b[len(b) - m:])))
 
 
 def dominance_join(s: FibonacciSet, t: FibonacciSet) -> FibonacciSet:
@@ -329,7 +325,7 @@ def dominance_join(s: FibonacciSet, t: FibonacciSet) -> FibonacciSet:
     if len(a) > len(b):
         a, b = b, a
     cut = len(b) - len(a)
-    return FibonacciSet(s.rank, b[:cut] + tuple(map(max, a, b[cut:])))
+    return FibonacciSet._trusted(s.rank, b[:cut] + tuple(map(max, a, b[cut:])))
 
 
 def dominance_bottom(n: int) -> FibonacciSet:
@@ -345,14 +341,14 @@ def dominance_top(n: int) -> FibonacciSet:
 @lru_cache(maxsize=None)
 def _dominance_tables(n: int) -> tuple[tuple[FibonacciSet, FibonacciSet], ...]:
     """The sorted cover pairs of rank ``n``; see :func:`dominance_covers`."""
-    pairs = []
+    pairs, new = [], FibonacciSet._trusted
     for s in enumerate_yfs(n):
         e = s.elements
         if n >= 2 and (not e or e[0] > 2):
-            pairs.append((s, FibonacciSet(n, (1, 2) + e)))
+            pairs.append((s, new(n, (1, 2) + e)))
         for i, x in enumerate(e):
             if x + 2 < (e[i + 1] if i + 1 < len(e) else n + 1):
-                pairs.append((s, FibonacciSet(n, e[:i] + (x + 2,) + e[i + 1:])))
+                pairs.append((s, new(n, e[:i] + (x + 2,) + e[i + 1:])))
     pairs.sort(key=lambda p: (p[0].elements, p[1].elements))
     return tuple(pairs)
 

@@ -268,7 +268,7 @@ def heap_from_word(word: Sequence[int], n: int) -> Heap:
         col = max(col, v)
         rows[v - 1].append(col)
         prev = v
-    return Heap(n, tuple(tuple(r) for r in rows))
+    return Heap._trusted(n, tuple(tuple(r) for r in rows))
 
 
 def reading(heap: Heap) -> tuple[int, ...]:

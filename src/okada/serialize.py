@@ -275,7 +275,7 @@ def obj_to_element(obj: dict) -> AlgebraElement:
         if p in coeffs:
             raise ValueError(f"basis index of length {len(p)} listed twice")
         c = terms_to_poly(rec["coeff"])
-        for kind, i in c.variables():
+        for kind, i in sorted(c.variables()):
             if i > rank - (1 if kind == "x" else 2):
                 raise ValueError(f"parameter {kind}{i} does not exist at rank {rank}")
         coeffs[p] = c

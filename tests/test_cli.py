@@ -619,6 +619,18 @@ def test_multiply_generic_work_cap(monkeypatch):
         assert f"at rank 32 supports at most 256 products of coefficient terms, got {work}" in err
 
 
+def test_a_bad_parameter_is_reported_alike_under_every_hash_seed():
+    # x10 and y9 both lie beyond rank 3; the parameters are read in sorted
+    # order, so the first one reported does not depend on set iteration.
+    bad = json.dumps({"rank": 3, "terms": [{"perm": [1, 2, 3], "coeff": [
+        {"x": [0] * 9 + [1], "y": [0] * 8 + [1], "c": 1}]}]})
+    for seed in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-m", "okada.cli", "multiply", "generic", bad, bad],
+                              capture_output=True, text=True, env=dict(_src_env(), PYTHONHASHSEED=seed))
+        assert (proc.returncode, proc.stdout) == (3, ""), (seed, proc.stderr)
+        assert "parameter x10 does not exist at rank 3" in proc.stderr, (seed, proc.stderr)
+
+
 def test_multiply_generic_work_cap_scales_with_the_rank():
     # The cap is 256 * 32**2 / n**2 coefficient-term pairs: at rank 7 a
     # request of 1024 pairs is answered, and 5350 is one past the cap.
@@ -825,11 +837,11 @@ def _worst_at_each_cap(limits):
     # The slowest request each _LIMITS entry admits, and its budget in
     # seconds for a whole process: about ten times its time on an idle
     # 2-vCPU host, so a loaded host passes and a hang fails.  The idle
-    # times, over two states of the host: enumerate yfs 1.3-2.8 s,
-    # diagrams 1.0-2.2 s, half 0.35-0.6 s, chains 0.3-0.7 s, the
+    # times, over two states of the host: enumerate yfs 1.0-2.8 s,
+    # diagrams 1.0-2.2 s, half 0.35-0.6 s, chains 0.25-0.7 s, the
     # idempotent stream at rank 8 0.8-1.2 s and the idempotent count at
     # rank 10, one census, 1.4-1.6 s; gram 0.5-0.6 s; green 0.3-0.5 s;
-    # census 2.3-2.8 s; factorize 0.12-0.21 s; rs 0.46-0.52 s; render
+    # census 2.3-2.8 s; factorize 0.12-0.21 s; rs 0.2-0.23 s; render
     # 0.14-0.3 s; the word requests (normalize, multiply, letters)
     # 0.07-0.08 s; products 0.3-0.5 s.  Idempotent streams stop at rank 8:
     # with --extended they ran 8-14 s at rank 9 and 139 s at rank 10.

@@ -256,6 +256,24 @@ def test_chain_of_matches_the_restriction_oracle():
         assert dg.chain_of(h) == _chain_by_restriction(h)
 
 
+def test_chain_of_refuses_exactly_the_halves_that_half_violations_flags():
+    # chain_of builds its sets and chain unchecked once half_violations
+    # passes; a half it accepts must give the checked restriction chain.
+    rng, accepted = random.Random(38), 0
+    for _ in range(3000):
+        n = rng.randint(4, 6)
+        nodes, k = rng.sample(range(1, n + 1), n), rng.randint(0, n // 2)
+        h = dg.HalfArcDiagram(n, [(nodes[2 * i], nodes[2 * i + 1], rng.randint(1, n)) for i in range(k)],
+                              [(e, rng.randint(1, n)) for e in nodes[2 * k:]])
+        if dg.half_violations(h):
+            with pytest.raises(ValueError, match="invalid half diagram"):
+                dg.chain_of(h)
+        else:
+            accepted += 1
+            assert dg.chain_of(h) == _chain_by_restriction(h), h
+    assert 0 < accepted < 3000
+
+
 def test_chain_bijection_roundtrip():
     for n in range(8):
         halves = dg.enumerate_half(n)

@@ -159,19 +159,19 @@ def test_iter_idempotents_matches_squaring_over_iter_diagrams():
 def test_iter_idempotents_builds_elements_only_through_the_cell_path(monkeypatch):
     # Each cell's elements come from its halves tied once per end tuple;
     # the checked single-pair glue is never called, and only the
-    # idempotents are built.  Every diagram, by any builder, is filled
-    # through ArcDiagram._fill, so that is where the builds are counted.
+    # idempotents are built.  Every diagram the library derives is built
+    # through ArcDiagram._trusted, so that is where the builds are counted.
     def never(*args):
         raise AssertionError("iter_idempotents called glue")
 
-    def counted(self, *args):
+    def counted(*args):
         built.append(args[0])
-        return honest(self, *args)
+        return honest(*args)
 
     oracles = {n: [e for e in dg.iter_diagrams(n) if is_idempotent(e)] for n in range(8)}
-    honest, built = dg.ArcDiagram._fill, []  # compiled by the builds above
+    honest, built = dg.ArcDiagram._trusted, []
     monkeypatch.setattr("okada.diagrams.glue", never)
-    monkeypatch.setattr(dg.ArcDiagram, "_fill", counted)
+    monkeypatch.setattr(dg.ArcDiagram, "_trusted", counted)
     for n, oracle in oracles.items():
         built.clear()
         assert list(iter_idempotents(n)) == oracle

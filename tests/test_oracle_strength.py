@@ -13,9 +13,9 @@ two permutations of rank at most 5.  A product either raises
 the honest answer, or gives a wrong one without raising (missed).  The
 meta check turns the certificate's checks into no-ops: then every row
 must report its fault as missed, which shows that the certificate, not
-the planting, caught it.  A fault the certificate misses must fail both
-product oracles of ``test_rewriting``: the candidate engine and the
-diagram model at ranks 7 to 32.
+the planting, caught it.  A fault the certificate misses must fail the
+three oracles of ``test_rewriting``: the candidate engine, and the
+diagram model of products and of words at ranks 7 to 32.
 
 The rows of the dictionary plant a fault in
 ``rewriting._diagram_of_runs``, which builds the diagram of every
@@ -30,6 +30,14 @@ The rows of the cell scans plant a fault in a builder or a counter of
 guards it, which must fail.  Their meta check recompiles that test with
 its oracle turned into a no-op: then the planted fault passes, which
 shows that the oracle, not an error of the planting, caught it.
+
+The rows of the unchecked builders plant a fault in a function that
+builds Fibonacci sets and chains through ``_trusted``.  Each fault makes
+a value that the checked constructors refuse with ``ValueError``, so the
+oracle that guards the function, not a constructor, must now fail it
+with ``AssertionError``.  The function is replaced in its module and in
+the oracle's, which may have imported it by name.  Their meta check is
+that of the cell scans.
 """
 
 import inspect
@@ -38,10 +46,11 @@ import textwrap
 
 import pytest
 import test_diagrams
+import test_fibonacci
 import test_monoid
 import test_rewriting
 
-from okada import diagrams, monoid, rewriting
+from okada import diagrams, fibonacci, monoid, rewriting
 from okada.errors import InternalInvariantError
 from okada.rewriting import all_perms, multiply_perms
 
@@ -51,6 +60,7 @@ PAIRS = [pq for n in range(6) for pq in itertools.product(all_perms(n), repeat=2
 def _recompiled(func, *changes):
     """``func`` compiled from its source with each ``(old, new)`` applied,
     in the globals of its module, which it leaves untouched."""
+    func = inspect.unwrap(func)  # the source of a cached function holds its decorator
     source = textwrap.dedent(inspect.getsource(func))
     for old, new in changes:
         assert source.count(old) == 1, (func.__name__, old)
@@ -102,7 +112,8 @@ def test_a_fault_planted_in_the_push_kernel_is_caught(monkeypatch, honest_produc
     assert _outcomes(honest_products) == (caught, missed)
     if missed:
         for oracle in (test_rewriting.test_multiply_perms_matches_the_candidate_engine,
-                       test_rewriting.test_multiply_perms_matches_the_diagram_model_at_ranks_7_to_32):
+                       test_rewriting.test_multiply_perms_matches_the_diagram_model_at_ranks_7_to_32,
+                       test_rewriting.test_normalize_matches_the_diagram_model_at_ranks_7_to_32):
             with pytest.raises(AssertionError):
                 oracle()
 
@@ -170,3 +181,42 @@ def test_a_cell_scan_fault_passes_its_oracle_made_a_no_op(monkeypatch, fault):
     module, name, change, oracle, no_op = CELL_ROWS[fault]
     monkeypatch.setattr(module, name, _recompiled(getattr(module, name), change))
     _recompiled(oracle, no_op)()
+
+
+# fault -> (module, function, change to it, oracle test, its arguments, change that makes its oracle a no-op)
+TRUSTED_ROWS = {
+    "align the join one element too high": (
+        fibonacci, "dominance_join", ("b[cut:]", "b[cut + 1:]"),
+        test_fibonacci.test_dominance_closed_forms_match_search, (6,),
+        ('assert dominance_join(a, b) == found["join"](i, j), (a, b)', "dominance_join(a, b)")),
+    "add k + 1 in the recurrence": (
+        fibonacci, "enumerate_yfs", ("e + (k,)", "e + (k + 1,)"),
+        test_fibonacci.test_enumerate_matches_the_parity_walk_oracle, (),
+        ("== _sets_by_parity_walk(n), n", "is not None")),
+    "open a new label below the open ones": (
+        diagrams, "chain_of", ("labels.append(ht)", "labels.insert(0, ht)"),
+        test_diagrams.test_chain_of_matches_the_restriction_oracle, (),
+        ("_oracle():\n", "_oracle():\n    _chain_by_restriction = dg.chain_of\n")),
+}
+
+
+def _plant(monkeypatch, module, name, change, oracle):
+    faulty = _recompiled(getattr(module, name), change)
+    for target in (module, inspect.getmodule(oracle)):
+        if name in vars(target):
+            monkeypatch.setattr(target, name, faulty)
+
+
+@pytest.mark.parametrize("fault", TRUSTED_ROWS)
+def test_a_fault_planted_in_an_unchecked_builder_fails_its_oracle(monkeypatch, fault):
+    module, name, change, oracle, args, _ = TRUSTED_ROWS[fault]
+    _plant(monkeypatch, module, name, change, oracle)
+    with pytest.raises(AssertionError):
+        oracle(*args)
+
+
+@pytest.mark.parametrize("fault", TRUSTED_ROWS)
+def test_an_unchecked_builder_fault_passes_its_oracle_made_a_no_op(monkeypatch, fault):
+    module, name, change, oracle, args, no_op = TRUSTED_ROWS[fault]
+    _plant(monkeypatch, module, name, change, oracle)
+    _recompiled(oracle, no_op)(*args)

@@ -714,6 +714,39 @@ def test_multiply_perms_matches_the_diagram_model_at_ranks_7_to_32():
             assert (coeff.specialize(ys), perm_to_diagram(r)) == (loops, d), (p, q)
 
 
+def _word_of_squares_and_zigzags(rng, n, length):
+    # single letters, squares i i and zigzags i j i with |i - j| = 1
+    word = []
+    while len(word) < length:
+        i, kind = rng.randint(1, n - 1), rng.randrange(3)
+        if kind == 0:
+            word.append(i)
+        elif kind == 1:
+            word += [i, i]
+        else:
+            word += [i, rng.choice([j for j in (i - 1, i + 1) if 1 <= j < n]), i]
+    return word
+
+
+def test_normalize_matches_the_diagram_model_at_ranks_7_to_32():
+    # The words counterpart of the products above: each seeded word's
+    # normal form, with every y at 1, is the x-loops of the product of
+    # its generator diagrams, and its permutation's diagram is that
+    # product.
+    rng = random.Random(38)
+    for n in range(7, 33):
+        ys = {("y", i): 1 for i in range(1, n - 1)}
+        gens = [None] + [dg.generator(i, n) for i in range(1, n)]
+        for _ in range(6):
+            word = _word_of_squares_and_zigzags(rng, n, 2 * n)
+            loops, d = Polynomial.one(), dg.identity(n)
+            for i in word:
+                c, d = dg.product_y1(d, gens[i])
+                loops = loops * c
+            got = normalize(word, n)
+            assert (got.coefficient.specialize(ys), perm_to_diagram(got.perm)) == (loops, d), word
+
+
 @pytest.mark.skipif(
     not os.environ.get("OKADA_EXTENDED"),
     reason="the 14400 rank-5 products run only with OKADA_EXTENDED=1",
