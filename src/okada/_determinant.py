@@ -13,10 +13,12 @@ Gram matrix.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .polynomials import Polynomial, Var
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["polynomial_det", "specialized_det"]
 
@@ -83,9 +85,7 @@ def polynomial_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     return Polynomial(out)
 
 
-def specialized_det(
-    matrix: Sequence[Sequence[Polynomial]], values: Mapping[Var, int | Fraction]
-) -> Fraction:
+def specialized_det(matrix: Sequence[Sequence[Polynomial]], values: Mapping[Var, int | Fraction]) -> Fraction:
     """Exact determinant of a polynomial matrix at a full specialization.
 
     Each distinct entry is specialized once, then Gaussian elimination
@@ -93,12 +93,14 @@ def specialized_det(
     returns 0 when a column has none.  ``values`` must give every
     variable of the matrix.
 
+    >>> from fractions import Fraction
     >>> from okada.polynomials import x_var, y_var
     >>> one = Polynomial.one()
     >>> point = {("x", 1): 3, ("y", 1): Fraction(1, 2)}
     >>> specialized_det(((x_var(1), one), (one, y_var(1))), point)
     Fraction(1, 2)
     """
+    from fractions import Fraction  # imported here: only a specialization needs the rationals
     d = len(matrix)
     if any(len(row) != d for row in matrix):
         raise ValueError(f"matrix with {d} rows is not square")

@@ -28,9 +28,13 @@ from .polynomials import Polynomial, Var
 from .rewriting import (
     Perm,
     _diagram_of_runs,
+    _monomial,
     _multiply_code_words,
     _pending,
+    _perm_of_runs,
+    _push,
     _runs,
+    _runs_of_diagram,
     diagram_to_perm,
     identity_perm,
     multiply_perms,  # noqa: F401  (perfbench's tracer test wraps it as algebra.multiply_perms)
@@ -352,39 +356,40 @@ def gram_matrix(s: FibonacciSet) -> tuple[tuple[Polynomial, ...], ...]:
     So the diagram model's walk :func:`~okada.diagrams._passes`, which
     forms no product, picks the non-zero entries, and only those are
     multiplied, the code word of the right operand, stacked once, pushed
-    onto the runs of the left one (:func:`~okada.rewriting._multiply_code_words`).
-    Each half is framed once, by ``glue(R_i, F)``, whose mirror
-    ``glue(F, R_i)`` has the inverse permutation.
+    onto the runs of the left one (:func:`~okada.rewriting._push`).
+    Each half is framed once, by ``glue(R_i, F)``, its runs peeled once
+    (:func:`~okada.rewriting._runs_of_diagram`); the mirror ``glue(F, R_i)``
+    has the inverse permutation.
 
-    Checked at run time: every product is certified by the word model,
-    and must land on the free involution of ``s``, the permutation of
-    ``glue(F, F)``, or ``InternalInvariantError`` is raised, so every
-    non-zero entry cross-checks the two models.  Checked in the tests: a
-    zero entry forms no product, so that it is zero is checked against a
-    table that multiplies every entry, in another frame, with the
-    landing read off the product's diagram (``_full_gram_table`` in
-    ``tests/test_algebra.py``), over every cell with ``n <= 7`` and, in
-    the extended tier, ``n = 8``.
+    Checked at run time: every product must land on the free involution of
+    ``s``, the permutation of ``glue(F, F)``, and on its runs, read once, or
+    ``InternalInvariantError`` is raised; the code is a bijection, so that
+    certifies the product against its known landing, and every non-zero
+    entry cross-checks the two models.  Checked in the tests: a zero entry
+    forms no product, so that it is zero is checked against a table that
+    multiplies every entry, in another frame, with the landing read off the
+    product's diagram (``_full_gram_table`` in ``tests/test_algebra.py``),
+    over every cell with ``n <= 7`` and, in the extended tier, ``n = 8``.
     """
     ((_, halves, ends),) = dg._cells(s.rank, s)
     passes = dg._passes
-    free, top = free_half_diagram(s), free_involution(s)
-    perms = [diagram_to_perm(dg.glue(h, free)) for h in halves]
-    right_stacks = [_pending(_runs(p)) for p in perms]
-    zero = Polynomial.zero()
-    rows = [[zero] * len(halves) for _ in halves]
-    for i, p in enumerate(perms):
-        left = perm_inverse(p)
+    free, top = free_half_diagram(s), list(free_involution(s))
+    top_runs = _runs(top)
+    frames = [_runs_of_diagram(dg.glue(h, free)) for h in halves]
+    right_stacks = [_pending(bot) for bot in frames]
+    rows = [[Polynomial.zero()] * len(halves) for _ in halves]
+    for i, (bot, right, right_ends) in enumerate(zip(frames, halves, ends)):
+        left = perm_inverse(_perm_of_runs(bot))
         left_runs = _runs(left)
-        right, right_ends = halves[i], ends[i]
         for j in range(i, len(halves)):
             if passes(halves[j], right, right_ends):
-                coeff, prod = _multiply_code_words(left, left_runs[:], right_stacks[j][:])
+                prod, runs, exps = list(left), left_runs[:], {}
+                _push(prod, runs, right_stacks[j][:], exps)
                 if prod != top:
-                    raise InternalInvariantError(
-                        f"cellular product at {s} landed on {prod}, not on the free involution {top}"
-                    )
-                rows[i][j] = rows[j][i] = coeff
+                    raise InternalInvariantError(f"cellular product at {s} landed on {tuple(prod)}, not on the free involution {tuple(top)}")
+                if runs != top_runs:
+                    raise InternalInvariantError(f"runs down to {runs} are not the code word of {tuple(prod)}")
+                rows[i][j] = rows[j][i] = _monomial(exps)
     return tuple(map(tuple, rows))
 
 

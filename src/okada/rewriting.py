@@ -36,13 +36,14 @@ one certificate.  A letter ``j`` that extends run ``k`` must swap an
 ascent of ``p`` whose upper entry is ``k + 1``, the value run ``k``
 carries, and at the end ``p`` must be the permutation rebuilt from
 ``bot`` (:func:`_perm_of_runs`); the code is a bijection, so that holds
-exactly when ``bot`` is the run bottoms of ``p``.  Otherwise
-``InternalInvariantError`` is raised.  So a step that leaves the state
-of one code word cannot escape.  A step that keeps it, such as a zigzag
-that drops its cut letters, is the tests' to catch, against the random
-reference engine, whose reduced word is certified by pushing it onto
-the empty code word, where no reduction may fire, and against the
-diagram model.
+exactly when ``bot`` is the run bottoms of ``p``.  A product of known
+landing, as in :func:`okada.algebra.gram_matrix`, instead compares ``p``
+and ``bot`` with it and its runs.  Otherwise ``InternalInvariantError``
+is raised.  So a step that leaves the state of one code word cannot
+escape.  A step that keeps it, such as a zigzag that drops its cut
+letters, is the tests' to catch, against the random reference engine,
+whose reduced word is certified by pushing it onto the empty code word,
+where no reduction may fire, and against the diagram model.
 
 The dictionary with the arc-diagram model is one rule, stated only
 here: rank ``r`` with code entry ``c`` owns the arc of height ``r - c``
@@ -541,12 +542,14 @@ def _diagram_of_runs(bot: Sequence[int]):
 
 
 def diagram_to_perm(d) -> Perm:
-    """Invert :func:`perm_to_diagram`: ``rest`` holds the positions not yet
-    deleted, and the arc of rank ``r`` is the first adjacent pair from
-    index ``a = r - 1`` on joined with height ``2r - 1 - a``, the bottom
-    of run ``r - 1``.  The permutation is rebuilt from those bottoms
-    (:func:`_perm_of_runs`).
-    """
+    """Invert :func:`perm_to_diagram`: rebuild from :func:`_runs_of_diagram`."""
+    return tuple(_perm_of_runs(_runs_of_diagram(d)))
+
+
+def _runs_of_diagram(d) -> list[int]:
+    """The run bottoms of the permutation of ``d``: with ``rest`` the
+    positions not yet deleted, the arc of rank ``r`` is the first adjacent
+    pair from ``a = r - 1`` on with height ``2r - 1 - a``, run ``r - 1``'s bottom."""
     n, partner, height = d.rank, d.partner, d.height
     rest = list(range(2 * n))
     bot = [0] * n
@@ -558,7 +561,7 @@ def diagram_to_perm(d) -> Perm:
             raise InternalInvariantError(f"no arc to peel at rank {r} of a rank-{n} diagram")
         bot[r - 1] = 2 * r - 1 - a
         del rest[a : a + 2]
-    return tuple(_perm_of_runs(bot))
+    return bot
 
 
 def rs(p: Perm) -> tuple[Chain, Chain]:

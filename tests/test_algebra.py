@@ -610,10 +610,13 @@ def test_products_of_code_words_read_once_are_still_certified(monkeypatch):
     # gram_matrix and AlgebraElement products read the runs of each left
     # operand and stack the code word of each right one once, through
     # okada.algebra, and push the stack onto the runs.  The certificate
-    # must still check the pushed runs of each landed permutation against
-    # it, through okada.rewriting: here those runs alone end with one
-    # bottom too low, while every operand's stay honest, so the
-    # certificate must fail although every reduction is right.
+    # must still check the pushed runs of each landed permutation: here
+    # those runs alone end with one bottom too low, while every
+    # operand's stay honest, so the certificate must fail although every
+    # reduction is right.  gram_matrix pushes through okada.algebra and
+    # compares the runs with those of the free involution, where every
+    # product it forms lands; AlgebraElement products push through
+    # okada.rewriting and rebuild the permutation from the runs.
     from okada import rewriting
 
     s = F(4, (1, 2))  # some entries are zero, and form no product
@@ -621,8 +624,8 @@ def test_products_of_code_words_read_once_are_still_certified(monkeypatch):
     element_landings = {multiply_perms(p, q)[1] for p in a.support() for q in b.support()}
     honest = rewriting._push
     gram, product = gram_matrix(s), a * b
-    # every product gram_matrix forms lands on the free involution
-    for landings, compute in (({free_involution(s)}, lambda: gram_matrix(s)), (element_landings, lambda: a * b)):
+    for module, landings, compute in ((algebra, {free_involution(s)}, lambda: gram_matrix(s)),
+                                      (rewriting, element_landings, lambda: a * b)):
         corrupted = []
 
         def corrupt(p, bot, todo, exps):
@@ -631,12 +634,27 @@ def test_products_of_code_words_read_once_are_still_certified(monkeypatch):
                 corrupted.append(tuple(p))
                 bot[-1] -= 1
 
-        monkeypatch.setattr(rewriting, "_push", corrupt)
+        monkeypatch.setattr(module, "_push", corrupt)
         with pytest.raises(InternalInvariantError, match="not the code word"):
             compute()
         assert corrupted, "no landed permutation was pushed"
-        monkeypatch.setattr(rewriting, "_push", honest)
+        monkeypatch.setattr(module, "_push", honest)
     assert (gram_matrix(s), a * b) == (gram, product)
+
+
+def test_gram_matrix_refuses_a_landing_whose_runs_alone_are_right(monkeypatch):
+    # The pushed permutation is compared with the free involution on its
+    # own: here each product keeps its honest runs, those of the free
+    # involution, but has its first two entries swapped.
+    honest = algebra._push
+
+    def corrupt(p, bot, todo, exps):
+        honest(p, bot, todo, exps)
+        p[0], p[1] = p[1], p[0]
+
+    monkeypatch.setattr(algebra, "_push", corrupt)
+    with pytest.raises(InternalInvariantError, match="landed on"):
+        gram_matrix(F(4, (1, 2)))
 
 
 def test_gram_matrix_checks_where_its_products_land(monkeypatch):
@@ -659,17 +677,17 @@ def test_gram_matrix_multiplies_only_the_non_zero_entries(monkeypatch):
     from okada import rewriting
 
     products, diagrams = [], []
-    multiply, draw = rewriting._multiply_code_words, rewriting.perm_to_diagram
+    push, draw = rewriting._push, rewriting.perm_to_diagram
 
     def counting(*args):
         products.append(args)
-        return multiply(*args)
+        return push(*args)
 
     def recording(p):
         diagrams.append(p)
         return draw(p)
 
-    monkeypatch.setattr(algebra, "_multiply_code_words", counting)
+    monkeypatch.setattr(algebra, "_push", counting)
     monkeypatch.setattr(algebra, "perm_to_diagram", recording)
     monkeypatch.setattr(rewriting, "perm_to_diagram", recording)
     for n in range(1, 7):
@@ -717,7 +735,9 @@ def test_gram_matrix_fails_a_walk_planted_wrong_either_way(monkeypatch):
 
 def test_gram_matrix_glues_and_reads_each_half_once(monkeypatch):
     # Row i's left word is read off the inverse of its right permutation:
-    # glue(F, R_i) is the mirror of glue(R_i, F), so neither is built twice.
+    # glue(F, R_i) is the mirror of glue(R_i, F), so neither is built twice,
+    # and the runs of each glue(R_i, F) are peeled once, for its
+    # permutation and its code word alike, with no diagram_to_perm.
     s = F(7, (1, 2, 7))
     calls = Counter()
 
@@ -729,10 +749,11 @@ def test_gram_matrix_glues_and_reads_each_half_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr("okada.diagrams.glue", counted("glue", dg.glue))
+    monkeypatch.setattr(algebra, "_runs_of_diagram", counted("_runs_of_diagram", algebra._runs_of_diagram))
     monkeypatch.setattr(algebra, "diagram_to_perm", counted("diagram_to_perm", algebra.diagram_to_perm))
     g = gram_matrix(s)
     assert len(g) == chain_count(s) == 15
-    assert calls == {"glue": 15, "diagram_to_perm": 15}
+    assert calls == {"glue": 15, "_runs_of_diagram": 15}
 
 
 def test_gram_extraction_independent_of_frame():

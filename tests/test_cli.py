@@ -1005,6 +1005,7 @@ def test_cli_start_imports_no_process_pool():
         # A factorization is exact over the integers; only a
         # specialization needs the rationals.
         ("okada.cli", ["factorize", "2 1 3"], "okada.algebra", ("fractions",)),
+        ("okada.cli", ["gram", "--n", "4", "--set", "1,4", "--det"], "okada._determinant", ("fractions",)),
         # The Hasse diagrams need no diagram type.
         ("okada.cli", ["render", "yfs", "--format", "svg", "--n", "4"], *hasse),
         ("okada.cli", ["render", "dominance", "--format", "tikz", "--n", "4"], *hasse),

@@ -25,19 +25,21 @@ meta check turns each oracle's comparison into a no-op: then the planted
 fault passes, which shows that the comparison, not an error the fault
 raised, caught it.
 
-The rows of the cell scans plant a fault in a builder or a counter of
-``okada.diagrams`` and ``okada.monoid`` and run the test whose oracle
-guards it, which must fail.  Their meta check recompiles that test with
-its oracle turned into a no-op: then the planted fault passes, which
-shows that the oracle, not an error of the planting, caught it.
+The rows of the cell scans plant a fault in a builder, a counter or a
+walk of ``okada.diagrams`` and ``okada.monoid``, or in the Gram matrix
+of ``okada.algebra``, and run the test whose oracle guards it, which
+must fail.  Their meta check recompiles that test with its oracle turned
+into a no-op: then the planted fault passes, which shows that the
+oracle, not an error of the planting, caught it.
 
 The rows of the unchecked builders plant a fault in a function that
 builds Fibonacci sets and chains through ``_trusted``.  Each fault makes
 a value that the checked constructors refuse with ``ValueError``, so the
 oracle that guards the function, not a constructor, must now fail it
-with ``AssertionError``.  The function is replaced in its module and in
-the oracle's, which may have imported it by name.  Their meta check is
-that of the cell scans.
+with ``AssertionError``.  Their meta check is that of the cell scans.
+
+A planted function is replaced wherever the library or the oracle's
+module holds it by name, as ``okada.monoid`` holds ``_passes``.
 """
 
 import inspect
@@ -45,12 +47,13 @@ import itertools
 import textwrap
 
 import pytest
+import test_algebra
 import test_diagrams
 import test_fibonacci
 import test_monoid
 import test_rewriting
 
-from okada import diagrams, fibonacci, monoid, rewriting
+from okada import algebra, diagrams, fibonacci, monoid, rewriting
 from okada.errors import InternalInvariantError
 from okada.rewriting import all_perms, multiply_perms
 
@@ -155,6 +158,14 @@ def test_a_dictionary_fault_passes_its_oracles_made_no_ops(monkeypatch, fault):
         _recompiled(oracle, no_op)()
 
 
+def _plant(monkeypatch, module, name, change, oracle):
+    honest = getattr(module, name)
+    faulty = _recompiled(honest, change)
+    for target in (algebra, diagrams, fibonacci, monoid, rewriting, inspect.getmodule(oracle)):
+        if vars(target).get(name) is honest:
+            monkeypatch.setattr(target, name, faulty)
+
+
 # fault -> (module, function, change to it, oracle test, change that makes its oracle a no-op)
 CELL_ROWS = {
     "tie a right half arc to its own end": (
@@ -165,13 +176,22 @@ CELL_ROWS = {
         monoid, "_census_rows", ("range(i + 1, len(cell))", "range(i + 2, len(cell))"),
         test_monoid.test_the_census_matches_the_full_square,
         ("== square == KNOWN_IDEMPOTENT_COUNTS[n]", "is not None")),
+    "let a strand pass a lower arc of the right half": (
+        diagrams, "_passes", ("if lh[p] < h or rh[q] < h:", "if lh[p] < h:"),
+        test_monoid.test_iter_idempotents_matches_squaring_over_iter_diagrams,
+        (" == [d for d in dg.iter_diagrams(n) if is_idempotent(d)]", " is not None")),
+    # the certificate checks each product, not where its entry is written
+    "drop the mirror write": (
+        algebra, "gram_matrix", ("rows[i][j] = rows[j][i] =", "rows[i][j] ="),
+        test_algebra.test_gram_symmetry_and_mirror,
+        ("tables = _assert_gram_matches_full_table(cells)", "tables = {s: _full_gram_table(s) for s in cells}")),
 }
 
 
 @pytest.mark.parametrize("fault", CELL_ROWS)
 def test_a_fault_planted_in_a_cell_scan_fails_its_oracle(monkeypatch, fault):
     module, name, change, oracle, _ = CELL_ROWS[fault]
-    monkeypatch.setattr(module, name, _recompiled(getattr(module, name), change))
+    _plant(monkeypatch, module, name, change, oracle)
     with pytest.raises(AssertionError):
         oracle()
 
@@ -179,7 +199,7 @@ def test_a_fault_planted_in_a_cell_scan_fails_its_oracle(monkeypatch, fault):
 @pytest.mark.parametrize("fault", CELL_ROWS)
 def test_a_cell_scan_fault_passes_its_oracle_made_a_no_op(monkeypatch, fault):
     module, name, change, oracle, no_op = CELL_ROWS[fault]
-    monkeypatch.setattr(module, name, _recompiled(getattr(module, name), change))
+    _plant(monkeypatch, module, name, change, oracle)
     _recompiled(oracle, no_op)()
 
 
@@ -198,13 +218,6 @@ TRUSTED_ROWS = {
         test_diagrams.test_chain_of_matches_the_restriction_oracle, (),
         ("_oracle():\n", "_oracle():\n    _chain_by_restriction = dg.chain_of\n")),
 }
-
-
-def _plant(monkeypatch, module, name, change, oracle):
-    faulty = _recompiled(getattr(module, name), change)
-    for target in (module, inspect.getmodule(oracle)):
-        if name in vars(target):
-            monkeypatch.setattr(target, name, faulty)
 
 
 @pytest.mark.parametrize("fault", TRUSTED_ROWS)
