@@ -301,7 +301,7 @@ class CellDatum(Immutable):
 
 def cell_datum(n: int) -> CellDatum:
     """The cellular description of the rank-``n`` algebra."""
-    index_sets = {s: halves for s, halves, _ in dg._rank_cells(n)}
+    index_sets = {s: dg._built_halves(n, halves) for s, halves, _ in dg._rank_cells(n)}
     return CellDatum(n, tuple(index_sets), index_sets, dg.mirror)
 
 
@@ -354,12 +354,12 @@ def gram_matrix(s: FibonacciSet) -> tuple[tuple[Polynomial, ...], ...]:
     ``C_{L_j,R_i}^2 = phi(R_i, L_j) C_{L_j,R_i}`` modulo lower cells, and
     with every parameter at 1 a non-zero ``phi``, one monomial, becomes 1.
     So the diagram model's walk :func:`~okada.diagrams._passes`, which
-    forms no product, picks the non-zero entries, and only those are
-    multiplied, the code word of the right operand, stacked once, pushed
-    onto the runs of the left one (:func:`~okada.rewriting._push`).
-    Each half is framed once, by ``glue(R_i, F)``, its runs peeled once
-    (:func:`~okada.rewriting._runs_of_diagram`); the mirror ``glue(F, R_i)``
-    has the inverse permutation.
+    forms no product and reads the cell's layout arrays, picks the
+    non-zero entries, and only those are multiplied, the code word of the
+    right operand, stacked once, pushed onto the runs of the left one
+    (:func:`~okada.rewriting._push`).  Each half is built once, for its
+    frame ``glue(R_i, F)``, whose runs are peeled once (``_runs_of_diagram``
+    in :mod:`okada.rewriting`); the mirror ``glue(F, R_i)`` has the inverse permutation.
 
     Checked at run time: every product must land on the free involution of
     ``s``, the permutation of ``glue(F, F)``, and on its runs, read once, or
@@ -375,7 +375,7 @@ def gram_matrix(s: FibonacciSet) -> tuple[tuple[Polynomial, ...], ...]:
     passes = dg._passes
     free, top = free_half_diagram(s), list(free_involution(s))
     top_runs = _runs(top)
-    frames = [_runs_of_diagram(dg.glue(h, free)) for h in halves]
+    frames = [_runs_of_diagram(dg.glue(h, free)) for h in dg._built_halves(s.rank, halves)]
     right_stacks = [_pending(bot) for bot in frames]
     rows = [[Polynomial.zero()] * len(halves) for _ in halves]
     for i, (bot, right, right_ends) in enumerate(zip(frames, halves, ends)):

@@ -38,16 +38,16 @@ check the matching and the label types, and the parsers in
 Diagrams and halves built here from other ones (:func:`compose`,
 :func:`glue`, :func:`mirror`, :func:`peel`, :func:`bra`, :func:`ket`,
 :func:`restrict`, :func:`chain_inverse`, ...), from a label set
-(:func:`free_half_diagram`) or by the lattice walk (:func:`_cells`,
-:func:`_glue_cell`) skip those checks: the class's ``_trusted`` (see
-:mod:`okada._immutable`) builds them, in the loop of :func:`_glue_cell`
-or through :func:`_from_arrays` and :func:`_half_from_arrays`, which
-only assert that every position was matched and labelled.
-:func:`chain_of` checks its half once, with :func:`half_violations`.
-
-A half diagram is a saturated chain of the Young-Fibonacci lattice read
-as arcs (Fomin's Fibonacci tableau); :func:`_cells` is the one walk of
-the lattice that builds halves.
+(:func:`free_half_diagram`) or from the arrays of the lattice walk
+(:func:`_glue_cell`, :func:`_built_halves`) skip those checks: the
+class's ``_trusted`` (see :mod:`okada._immutable`) builds them, through
+:func:`_from_arrays` and :func:`_half_from_arrays`, which only assert
+that every position was matched and labelled, or in the loop of
+:func:`_glue_cell`.  :func:`chain_of` checks its half with
+:func:`half_violations`.  A half diagram is a saturated chain of the
+Young-Fibonacci lattice read as arcs (Fomin's Fibonacci tableau), and
+:func:`_cells`, the one walk of the lattice, holds each half as its
+``(partner, height)`` arrays: the scans read those, and build no half.
 """
 
 from __future__ import annotations
@@ -58,12 +58,7 @@ from itertools import product
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from ._immutable import Immutable
-from .errors import (
-    InternalInvariantError,
-    PropagatingMismatchError,
-    RankMismatchError,
-    _checked_rank,
-)
+from .errors import InternalInvariantError, PropagatingMismatchError, RankMismatchError, _checked_letters, _checked_rank
 from .fibonacci import Chain, FibonacciSet, _yf_steps, enumerate_yfs, free_set, is_fibonacci_set
 
 if TYPE_CHECKING:
@@ -350,8 +345,7 @@ def identity(n: int) -> ArcDiagram:
 @lru_cache(maxsize=None)
 def generator(i: int, n: int) -> ArcDiagram:
     """The elementary diagram with cups ``(i, i+1)`` and ``(-i, -(i+1))`` at height ``i``."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for rank {n}")
+    i = int(_checked_letters((i,), _checked_rank(n))[0])  # a bool letter stores its value
     last = 2 * n - 1
     unit = identity(n)
     partner, height = list(unit.partner), list(unit.height)
@@ -362,8 +356,12 @@ def generator(i: int, n: int) -> ArcDiagram:
 
 
 def free_half_diagram(s: FibonacciSet) -> HalfArcDiagram:
-    """Half diagram of the free element: half arcs ``h(x) = x`` on ``s``,
-    cups ``h(i, i+1) = i`` on the free set."""
+    """Half diagram of the free element, from the arrays :func:`_free_half`."""
+    return _half_from_arrays(s.rank, *_free_half(s))
+
+
+def _free_half(s: FibonacciSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Half arcs ``h(x) = x`` on ``s``, cups ``h(i, i+1) = i`` on the free set."""
     partner = [-1] * s.rank
     height: list[int | None] = [None] * s.rank
     for x in s.elements:
@@ -371,7 +369,7 @@ def free_half_diagram(s: FibonacciSet) -> HalfArcDiagram:
     for i in free_set(s):
         partner[i - 1], partner[i] = i, i - 1
         height[i - 1] = height[i] = i
-    return _half_from_arrays(s.rank, partner, height)
+    return tuple(partner), tuple(height)
 
 
 def free_diagram(s: FibonacciSet) -> ArcDiagram:
@@ -477,55 +475,55 @@ def glue(left: HalfArcDiagram, right: HalfArcDiagram) -> ArcDiagram:
     )
 
 
-def _glue_cell(halves: Sequence[HalfArcDiagram], ends: Sequence[Sequence[int]],
+def _glue_cell(halves: Sequence[tuple], ends: Sequence[Sequence[int]],
                pairs: Iterable[tuple[int, int]]) -> Iterator[ArcDiagram]:
     """``glue(halves[i], halves[j])`` for each ``(i, j)`` of ``pairs``, in order.
 
-    ``ends[i]`` lists the half-arc positions of ``halves[i]`` (see
-    :func:`_rank_cells`); a cell has few distinct end tuples (one at
-    ``{}``, at most six at rank 6).  Each half's rank and half-arc labels
-    are checked against the first half: a half from another cell is a
-    library bug and raises ``InternalInvariantError``.  Each half is then
-    tied once per end tuple ``g`` of the cell: its left part with its half
-    arcs pointing at ``g`` reflected, where :func:`glue` places the right
-    half, and its right part, reflected into positions ``n .. 2n-1``, with
-    its half arcs pointing at ``g``.  A tied part must have ``n`` entries
-    and no half arc left open.  Each pair then only joins two tied parts,
-    so a caller builds only what it keeps.
+    A half is its ``(partner, height)`` arrays and ``ends[i]`` lists the
+    half-arc positions of ``halves[i]`` (see :func:`_rank_cells`); a cell
+    has few distinct end tuples (one at ``{}``, at most six at rank 6).
+    Each half's rank, ``len(partner)``, and half-arc labels are checked
+    against the first half: a half from another cell is a library bug and
+    raises ``InternalInvariantError``.  Each half is then tied once per end
+    tuple ``g`` of the cell: its left part with its half arcs pointing at
+    ``g`` reflected, where :func:`glue` places the right half, and its
+    right part, reflected into positions ``n .. 2n-1``, with its half arcs
+    pointing at ``g``.  A tied part must have no half arc left open.  Each
+    pair then only joins two tied parts, so a caller builds only what it keeps.
     """
     if not halves:
         return
     first = halves[0]
-    n, last = first.rank, 2 * first.rank - 1
-    labels = [first.height[p] for p in ends[0]]
+    n, last = len(first[0]), 2 * len(first[0]) - 1
+    labels = [first[1][p] for p in ends[0]]
     tuples: dict[tuple[int, ...], int] = {}
     gid = [tuples.setdefault(tuple(e), len(tuples)) for e in ends]
     lefts, rights = [], []
-    for h, e in zip(halves, ends):
-        if h.rank != n or [h.height[p] for p in e] != labels:
-            raise InternalInvariantError(f"{h!r} is not in the cell of {first!r}")
-        lp, rp = list(h.partner), [last - q for q in reversed(h.partner)]
+    for (partner, height), e in zip(halves, ends):
+        if len(partner) != n or [height[p] for p in e] != labels:
+            raise InternalInvariantError(f"half {partner} {height} is not in the cell of {first}")
+        lp, rp = list(partner), [last - q for q in reversed(partner)]
         lefts.append([])
         rights.append([])
         for g in tuples:
             for p, a in zip(e, g):  # position last - p is entry n - 1 - p of the right part
                 lp[p], rp[n - 1 - p] = last - a, a
-            if len(lp) != n or -1 in lp or last + 1 in rp:
-                raise InternalInvariantError(f"{h!r} tied with half arcs left open")
+            if -1 in lp or last + 1 in rp:
+                raise InternalInvariantError(f"half {partner} {height} tied with half arcs left open")
             lefts[-1].append(tuple(lp))
             rights[-1].append(tuple(rp))
-    lh = [h.height for h in halves]
-    rh = [h.height[::-1] for h in halves]
+    lh, rh = [h for _, h in halves], [h[::-1] for _, h in halves]
     new = ArcDiagram._trusted
     for i, j in pairs:
         yield new(n, lefts[i][gid[j]] + rights[j][gid[i]], lh[i] + rh[j])
 
 
-def _passes(left: HalfArcDiagram, right: HalfArcDiagram, ends: tuple[int, ...]) -> bool:
+def _passes(left: tuple, right: tuple, ends: tuple[int, ...]) -> bool:
     """True iff ``e = glue(L, R)`` satisfies ``e·e = e``; no product is formed.
 
-    ``ends`` lists the positions of the half arcs of ``R``.  In ``e·e``
-    the right boundary of the first factor (the nodes of ``R``) meets
+    ``L`` and ``R`` are layout arrays ``(partner, height)`` and ``ends``
+    lists the half-arc positions of ``R``.  In ``e·e`` the right
+    boundary of the first factor (the nodes of ``R``) meets
     the left boundary of the second (the nodes of ``L``).  The full
     arcs of ``L`` on the far left and of ``R`` on the far right survive
     unchanged.  The propagating arc of ``e`` with label ``h``
@@ -543,8 +541,7 @@ def _passes(left: HalfArcDiagram, right: HalfArcDiagram, ends: tuple[int, ...]) 
     and :func:`okada.algebra.gram_matrix`, whose entry ``phi(R, L)`` is
     non-zero exactly when ``glue(L, R)`` passes.
     """
-    lp, lh = left.partner, left.height
-    rp, rh = right.partner, right.height
+    (lp, lh), (rp, rh) = left, right
     for p in ends:
         h = rh[p]
         while True:
@@ -756,23 +753,27 @@ def enumerate_half(
     are read off the rank's one cell layout (:func:`_rank_cells`); with
     ``s`` the walk of :func:`_cells` keeps that one cell alone.
     """
-    if s is None:
-        return tuple(h for _, halves, _ in _rank_cells(n) for h in halves)
-    if s.rank != n:
+    if s is not None and s.rank != n:
         raise RankMismatchError(f"label set {s} does not have rank {n}")
-    return _cells(n, s)[0][1]
+    cells = _rank_cells(n) if s is None else _cells(n, s)
+    return tuple(h for _, halves, _ in cells for h in _built_halves(n, halves))
 
 
-def _cells(n: int, s: FibonacciSet | None = None) -> tuple[tuple[FibonacciSet, tuple[HalfArcDiagram, ...], tuple[tuple[int, ...], ...]], ...]:
+def _built_halves(n: int, halves: Iterable[tuple]) -> tuple[HalfArcDiagram, ...]:
+    """Half objects of rank-``n`` layout arrays, for the API to hand out."""
+    return tuple(_half_from_arrays(n, partner, height) for partner, height in halves)
+
+
+def _cells(n: int, s: FibonacciSet | None = None) -> tuple[tuple[FibonacciSet, tuple[tuple, ...], tuple[tuple[int, ...], ...]], ...]:
     """Each rank-``n`` label set (``s`` alone if given) with its halves,
     in chain order, and their half-arc positions: one walk of the
-    Young-Fibonacci lattice that builds no :class:`Chain`.
+    Young-Fibonacci lattice that builds no :class:`Chain` and no half.
 
-    A half's arrays are the step code of its chain, as in
-    :func:`chain_inverse`.  They grow a rank at a time, each prefix
-    extended by the covers of its last set in increasing order, which is
-    the chain order; with ``s`` only the sets below ``s`` are kept.  The
-    steps still open at rank ``n`` are the half's ``ends``.
+    A half is held as its ``(partner, height)`` tuples, the step code of
+    its chain, as in :func:`chain_inverse`.  They grow a rank at a time,
+    each prefix extended by the covers of its last set in increasing
+    order, the chain order; with ``s`` only the sets below ``s`` are
+    kept.  The steps still open at rank ``n`` are the half's ``ends``.
     """
     tops = enumerate_yfs(n) if s is None else (s,)
     below = None  # with s: the element tuples below s, by rank
@@ -795,17 +796,17 @@ def _cells(n: int, s: FibonacciSet | None = None) -> tuple[tuple[FibonacciSet, t
         level = nxt
     cells = {t.elements: [] for t in tops}
     for elems, partner, height, opens in level:
-        cells[elems].append((_half_from_arrays(n, partner, height), opens))
+        cells[elems].append(((partner, height), opens))
     return tuple((t, *zip(*cells[t.elements])) for t in tops)
 
 
 @lru_cache(maxsize=1)
-def _rank_cells(n: int) -> tuple[tuple[FibonacciSet, tuple[HalfArcDiagram, ...], tuple[tuple[int, ...], ...]], ...]:
+def _rank_cells(n: int) -> tuple[tuple[FibonacciSet, tuple[tuple, ...], tuple[tuple[int, ...], ...]], ...]:
     """The cell layout of rank ``n`` that every cell builder reads:
     :func:`_cells` of the whole rank, walked once.
 
-    The memo holds one rank (9496 halves at rank 10), so that a process
-    walks it once for all it asks of that rank."""
+    The memo holds one rank, its halves as arrays (9496 at rank 10), so
+    that a process walks it once for all it asks of that rank."""
     return _cells(n)
 
 

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by the library, and its one rank rule."""
+"""Exception hierarchy shared by the library, and its one rank and letter rules."""
+
+import reprlib
 
 
 class OkadaError(Exception):
@@ -30,3 +32,13 @@ def _checked_rank(n: int) -> int:
     if n < 0:
         raise ValueError("rank must be non-negative")
     return n
+
+
+def _checked_letters(word, n: int) -> tuple[int, ...]:
+    """``word`` as a tuple if each letter is an ``int`` (a ``bool`` counts) in ``1 .. n-1``, else ``ValueError``."""
+    word = tuple(word)
+    for v in word:
+        if not (isinstance(v, int) and 0 < v < n):
+            shown = f"of {v.bit_length()} bits" if isinstance(v, int) and v.bit_length() > 2000 else reprlib.repr(v)
+            raise ValueError(f"letter {shown} out of range for rank {n}")
+    return word

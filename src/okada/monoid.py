@@ -291,7 +291,7 @@ def green_classes(n: int) -> GreenClasses:
         l_classes.extend(tuple(range(col, end, k)) for col in range(off, off + k))
         j_classes.append(tuple(range(off, end)))
         r_reps.extend(range(off, end, k + 1))
-        j_reps.append(off + halves.index(dg.free_half_diagram(s)) * (k + 1))
+        j_reps.append(off + halves.index(dg._free_half(s)) * (k + 1))
     return GreenClasses(n, *map(tuple, (elements, r_classes, l_classes, j_classes, r_reps, j_reps)))
 
 

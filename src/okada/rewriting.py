@@ -62,7 +62,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from ._immutable import Immutable
-from .errors import InternalInvariantError, _checked_rank
+from .errors import InternalInvariantError, _checked_letters, _checked_rank
 from .polynomials import Polynomial, Var
 
 if TYPE_CHECKING:
@@ -210,12 +210,7 @@ def perm_from_word(word: Sequence[int], n: int) -> Perm:
 
 def check_word(word: Sequence[int], n: int) -> tuple[int, ...]:
     """``word`` as a tuple; ``ValueError`` unless each letter is an integer in ``1 .. n-1``."""
-    _checked_rank(n)
-    word = tuple(word)
-    for v in word:
-        if not (isinstance(v, int) and 1 <= v <= n - 1):
-            raise ValueError(f"letter {reprlib.repr(v)} out of range for rank {n}")
-    return word
+    return _checked_letters(word, _checked_rank(n))
 
 
 # ---------------------------------------------------------------------------

@@ -165,18 +165,27 @@ def test_the_walk_records_each_half_arc_position():
     for n in range(11):
         for walk in (dg._cells(n), *(dg._cells(n, s) for s in enumerate_yfs(n))):
             for s, halves, ends in walk:
-                assert [list(e) for e in ends] == [_half_arc_positions(h.partner) for h in halves], s
+                assert [list(e) for e in ends] == [_half_arc_positions(partner) for partner, _ in halves], s
+
+
+def _cell_arrays(s):
+    """The ``(partner, height)`` arrays of the halves of ``s`` and their half-arc
+    positions, read off the half objects, as the cell layout holds them."""
+    halves = [(h.partner, h.height) for h in dg.enumerate_half(s.rank, s)]
+    return halves, [_half_arc_positions(partner) for partner, _ in halves]
 
 
 def test_glue_cell_equals_glue_pair_by_pair():
     # Halves tied once per end tuple must give what glue gives pair by
-    # pair, in the order of the pair list: the square row by row, the same
-    # reversed, and the pairs above the diagonal.
+    # pair, on the half objects, in the order of the pair list: the square
+    # row by row, the same reversed, and the pairs above the diagonal.
     for n in range(8):
-        for _, cell, ends in dg._rank_cells(n):
+        for s, cell, ends in dg._rank_cells(n):
+            objs = dg.enumerate_half(n, s)
+            assert [(h.partner, h.height) for h in objs] == list(cell), s
             square = [(i, j) for i in range(len(cell)) for j in range(len(cell))]
             for pairs in (square, square[::-1], [(i, j) for i, j in square if i < j]):
-                assert list(dg._glue_cell(cell, ends, pairs)) == [dg.glue(cell[i], cell[j]) for i, j in pairs]
+                assert list(dg._glue_cell(cell, ends, pairs)) == [dg.glue(objs[i], objs[j]) for i, j in pairs]
     assert list(dg._glue_cell((), (), ())) == []
 
 
@@ -185,13 +194,12 @@ def test_glue_cell_refuses_a_foreign_half():
     # label, {1, 2, 3} more of them, and {1} at rank 3 the same labels at
     # another rank.  Planted first, inside or last, a foreign half is a
     # library bug, raised before any diagram is built.
-    cell = dg.enumerate_half(5, F(5, (1,)))
-    ends = [_half_arc_positions(h.partner) for h in cell]
+    cell, ends = _cell_arrays(F(5, (1,)))
     for other in (F(5, (3,)), F(5, (1, 2, 3)), F(3, (1,))):
-        foreign = dg.enumerate_half(other.rank, other)[0]
+        (foreign, *_), (foreign_ends, *_) = _cell_arrays(other)
         for at in (0, 3, len(cell)):
-            halves = cell[:at] + (foreign,) + cell[at:]
-            marks = ends[:at] + [_half_arc_positions(foreign.partner)] + ends[at:]
+            halves = cell[:at] + [foreign] + cell[at:]
+            marks = ends[:at] + [foreign_ends] + ends[at:]
             every = [(i, j) for i in range(len(halves)) for j in range(len(halves))]
             planted = dg._glue_cell(halves, marks, every)
             with pytest.raises(InternalInvariantError, match="not in the cell"):
@@ -202,8 +210,8 @@ def test_glue_cell_refuses_a_half_arc_left_untied():
     # End tuples that miss the last half arc of every half still agree on
     # their labels, but each tied part keeps that half arc open: a library
     # bug, raised before any diagram is built.
-    cell = dg.enumerate_half(5, F(5, (1, 2, 3)))
-    ends = [_half_arc_positions(h.partner)[:-1] for h in cell]
+    cell, ends = _cell_arrays(F(5, (1, 2, 3)))
+    ends = [e[:-1] for e in ends]
     with pytest.raises(InternalInvariantError, match="left open"):
         next(dg._glue_cell(cell, ends, [(0, 0)]))
 

@@ -412,10 +412,39 @@ def test_one_walk_serves_every_cell_consumer(monkeypatch):
         assert walks == [(n, None)], n
 
 
+def test_the_scans_build_no_half_object(monkeypatch):
+    # The cell layout holds each half as its (partner, height) arrays, and
+    # the scans read those: no half object is built while they run.  The
+    # halves the API hands out still equal the chain decoding.
+    from okada.algebra import cell_datum, ideal_basis
+    from okada.fibonacci import saturated_chains
+
+    def never(*args, **kwargs):
+        raise AssertionError("a scan built a half object")
+
+    for n in range(8):
+        want = {s: tuple(dg.chain_inverse(c) for c in saturated_chains(s)) for s in enumerate_yfs(n)}
+        dg._rank_cells.cache_clear()
+        green_classes.cache_clear()
+        with monkeypatch.context() as halves_off:
+            halves_off.setattr(dg.HalfArcDiagram, "_trusted", never)
+            halves_off.setattr(dg.HalfArcDiagram, "__init__", never)
+            census_counts(n)
+            green_classes(n)
+            aperiodicity_profile(n)
+            list(iter_idempotents(n))
+            list(dg.iter_diagrams(n))
+            for s in want:
+                ideal_basis(s)
+        assert dg.enumerate_half(n) == sum(want.values(), ()), n
+        assert cell_datum(n).index_sets == want, n
+
+
 def _pairs_of_cells(n):
+    # each cell's halves as the arrays the pair test reads, their half arcs found afresh
     for s in enumerate_yfs(n):
-        halves = dg.enumerate_half(n, s)
-        ends = [[p for p, q in enumerate(h.partner) if q < 0] for h in halves]
+        halves = [(h.partner, h.height) for h in dg.enumerate_half(n, s)]
+        ends = [[p for p, q in enumerate(partner) if q < 0] for partner, _ in halves]
         yield halves, ends
 
 

@@ -26,11 +26,14 @@ fault passes, which shows that the comparison, not an error the fault
 raised, caught it.
 
 The rows of the cell scans plant a fault in a builder, a counter or a
-walk of ``okada.diagrams`` and ``okada.monoid``, or in the Gram matrix
-of ``okada.algebra``, and run the test whose oracle guards it, which
-must fail.  Their meta check recompiles that test with its oracle turned
-into a no-op: then the planted fault passes, which shows that the
-oracle, not an error of the planting, caught it.
+walk of ``okada.diagrams`` and ``okada.monoid`` (the lattice walk
+``_cells`` among them), or in the Gram matrix of ``okada.algebra``, and
+run the test whose oracle guards it, which must fail.  Their meta check
+recompiles that test with its oracle turned into a no-op: then the
+planted fault passes, which shows that the oracle, not an error of the
+planting, caught it.  Each planted row reads a fresh cell layout memo
+(``diagrams._rank_cells``), so no layout built by a planted walk outlives
+its test.
 
 The rows of the unchecked builders plant a fault in a function that
 builds Fibonacci sets and chains through ``_trusted``.  Each fault makes
@@ -42,6 +45,7 @@ A planted function is replaced wherever the library or the oracle's
 module holds it by name, as ``okada.monoid`` holds ``_passes``.
 """
 
+import functools
 import inspect
 import itertools
 import textwrap
@@ -164,6 +168,14 @@ def _plant(monkeypatch, module, name, change, oracle):
     for target in (algebra, diagrams, fibonacci, monoid, rewriting, inspect.getmodule(oracle)):
         if vars(target).get(name) is honest:
             monkeypatch.setattr(target, name, faulty)
+    # a fresh layout memo: a planted walk is read, and its layout is not kept past the test
+    monkeypatch.setattr(diagrams, "_rank_cells", functools.lru_cache(maxsize=1)(inspect.unwrap(diagrams._rank_cells)))
+
+
+def _run(oracle, monkeypatch):
+    """Run the test ``oracle``, handing it the ``monkeypatch`` fixture if it takes one."""
+    takes = "monkeypatch" in inspect.signature(oracle).parameters
+    oracle(**({"monkeypatch": monkeypatch} if takes else {}))
 
 
 # fault -> (module, function, change to it, oracle test, change that makes its oracle a no-op)
@@ -171,7 +183,7 @@ CELL_ROWS = {
     "tie a right half arc to its own end": (
         diagrams, "_glue_cell", ("= last - a, a\n", "= last - a, p\n"),
         test_diagrams.test_glue_cell_equals_glue_pair_by_pair,
-        ("[dg.glue(cell[i], cell[j]) for i, j in pairs]", "list(dg._glue_cell(cell, ends, pairs))")),
+        ("[dg.glue(objs[i], objs[j]) for i, j in pairs]", "list(dg._glue_cell(cell, ends, pairs))")),
     "start the census's inner range at i + 2": (
         monoid, "_census_rows", ("range(i + 1, len(cell))", "range(i + 2, len(cell))"),
         test_monoid.test_the_census_matches_the_full_square,
@@ -185,6 +197,15 @@ CELL_ROWS = {
         algebra, "gram_matrix", ("rows[i][j] = rows[j][i] =", "rows[i][j] ="),
         test_algebra.test_gram_symmetry_and_mirror,
         ("tables = _assert_gram_matches_full_table(cells)", "tables = {s: _full_gram_table(s) for s in cells}")),
+    "close the first open step of a chain, not the last": (
+        diagrams, "_cells", ("q = opens[-1]", "q = opens[0]"),
+        test_diagrams.test_the_lattice_walk_matches_the_chain_decoding,
+        ("tuple(dg.chain_inverse(c) for c in saturated_chains(s))", "dg.enumerate_half(n, s)")),
+    # the index count still adds up to the census and to n!, so only the full scan sees it
+    "count a failing pair one index too high": (
+        monoid, "aperiodicity_profile", ("profile[aperiodicity_index(e)] += 2", "profile[aperiodicity_index(e) + 1] += 2"),
+        test_monoid.test_aperiodicity_max_matches_the_full_scan,
+        ("assert profile == full and list(profile) == sorted(full), n", "assert full is not None, n")),
 }
 
 
@@ -193,14 +214,14 @@ def test_a_fault_planted_in_a_cell_scan_fails_its_oracle(monkeypatch, fault):
     module, name, change, oracle, _ = CELL_ROWS[fault]
     _plant(monkeypatch, module, name, change, oracle)
     with pytest.raises(AssertionError):
-        oracle()
+        _run(oracle, monkeypatch)
 
 
 @pytest.mark.parametrize("fault", CELL_ROWS)
 def test_a_cell_scan_fault_passes_its_oracle_made_a_no_op(monkeypatch, fault):
     module, name, change, oracle, no_op = CELL_ROWS[fault]
     _plant(monkeypatch, module, name, change, oracle)
-    _recompiled(oracle, no_op)()
+    _run(_recompiled(oracle, no_op), monkeypatch)
 
 
 # fault -> (module, function, change to it, oracle test, its arguments, change that makes its oracle a no-op)

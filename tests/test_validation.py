@@ -313,3 +313,42 @@ def test_the_rank_rule_is_written_once():
     src = Path(dg.__file__).parent
     owners = [path.name for path in sorted(src.glob("*.py")) if "rank must be" in path.read_text(encoding="utf-8")]
     assert owners == ["errors.py"]
+
+
+# each entry point that takes a letter, as a call with that letter at rank 3
+LETTER_TAKERS = {
+    "generator": lambda v: dg.generator(v, 3),
+    "check_word": lambda v: rw.check_word((1, v), 3),
+    "normalize": lambda v: rw.normalize((1, v), 3),
+    "heap_from_word": lambda v: rw.heap_from_word((v,), 3),
+}
+
+
+@pytest.mark.parametrize("letter, shown", [
+    (0, "0"), (3, "3"), (1.5, "1.5"), ("1", "'1'"), pytest.param(10**5000, "of 16610 bits", id="10**5000"),
+])
+@pytest.mark.parametrize("taker", LETTER_TAKERS)
+def test_every_letter_taker_refuses_a_letter_out_of_range_in_one_bounded_message(taker, letter, shown):
+    # generator once raised TypeError on 1.5 and "1", and the interpreter's
+    # int-to-str limit error on 10**5000.
+    with pytest.raises(ValueError, match=re.escape(f"letter {shown} out of range for rank 3")) as refused:
+        LETTER_TAKERS[taker](letter)
+    assert len(str(refused.value)) < 80
+
+
+def test_a_bool_letter_counts_as_its_integer():
+    # generator(True, 3) once kept True as its heights, so its repr read hTrue
+    dg.generator.cache_clear()
+    assert repr(dg.generator(True, 3)) == repr(dg.generator(1, 3)) == "ArcDiagram(3: (1,2)h1, (3,-3)h3, (-2,-1)h1)"
+    assert rw.normalize((True,), 2) == rw.normalize((1,), 2)
+
+
+def test_the_letter_rule_is_written_once():
+    # the monoid and the normal-form commands name a bad letter alike
+    for argv in (["multiply", "monoid", "1", "1", "--n", "1"], ["normalize", "1", "--n", "1"]):
+        out, err = io.StringIO(), io.StringIO()
+        assert (main(argv, stdout=out, stderr=err), out.getvalue()) == (3, "")
+        assert err.getvalue() == "invalid input: letter 1 out of range for rank 1\n", argv
+    src = Path(dg.__file__).parent
+    owners = [path.name for path in sorted(src.glob("*.py")) if "out of range for rank {n}" in path.read_text(encoding="utf-8")]
+    assert owners == ["errors.py"]
