@@ -142,7 +142,7 @@ class AlgebraElement(Immutable):
         )
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + other.scaled(-1)
+        return self + other.scaled(-1) if isinstance(other, AlgebraElement) else NotImplemented
 
     def scaled(self, c: Polynomial | int) -> "AlgebraElement":
         c = c if isinstance(c, Polynomial) else Polynomial.integer(c)
@@ -353,11 +353,12 @@ def gram_matrix(s: FibonacciSet) -> tuple[tuple[Polynomial, ...], ...]:
     the monoid: the middle of its square is ``R_i`` meeting ``L_j``, so
     ``C_{L_j,R_i}^2 = phi(R_i, L_j) C_{L_j,R_i}`` modulo lower cells, and
     with every parameter at 1 a non-zero ``phi``, one monomial, becomes 1.
-    So the diagram model's walk :func:`~okada.diagrams._passes`, which
-    forms no product and reads the cell's layout arrays, picks the
-    non-zero entries, and only those are multiplied, the code word of the
-    right operand, stacked once, pushed onto the runs of the left one
-    (:func:`~okada.rewriting._push`).  Each half is built once, for its
+    By the mirror identity the census relies on (:mod:`okada.monoid`), that
+    is when ``glue(L_i, R_j)`` is idempotent.  So the row walk of ``L_i``
+    (:func:`~okada.diagrams._passing`), which forms no product, picks the
+    non-zero entries ``j >= i`` of row ``i``, and only those are multiplied,
+    the code word of the right operand, stacked once, pushed onto the runs
+    of the left one (:func:`~okada.rewriting._push`).  Each half is built once, for its
     frame ``glue(R_i, F)``, whose runs are peeled once (``_runs_of_diagram``
     in :mod:`okada.rewriting`); the mirror ``glue(F, R_i)`` has the inverse permutation.
 
@@ -372,24 +373,22 @@ def gram_matrix(s: FibonacciSet) -> tuple[tuple[Polynomial, ...], ...]:
     over every cell with ``n <= 7`` and, in the extended tier, ``n = 8``.
     """
     ((_, halves, ends),) = dg._cells(s.rank, s)
-    passes = dg._passes
     free, top = free_half_diagram(s), list(free_involution(s))
     top_runs = _runs(top)
     frames = [_runs_of_diagram(dg.glue(h, free)) for h in dg._built_halves(s.rank, halves)]
     right_stacks = [_pending(bot) for bot in frames]
     rows = [[Polynomial.zero()] * len(halves) for _ in halves]
-    for i, (bot, right, right_ends) in enumerate(zip(frames, halves, ends)):
+    for i, bot in enumerate(frames):
         left = perm_inverse(_perm_of_runs(bot))
         left_runs = _runs(left)
-        for j in range(i, len(halves)):
-            if passes(halves[j], right, right_ends):
-                prod, runs, exps = list(left), left_runs[:], {}
-                _push(prod, runs, right_stacks[j][:], exps)
-                if prod != top:
-                    raise InternalInvariantError(f"cellular product at {s} landed on {tuple(prod)}, not on the free involution {tuple(top)}")
-                if runs != top_runs:
-                    raise InternalInvariantError(f"runs down to {runs} are not the code word of {tuple(prod)}")
-                rows[i][j] = rows[j][i] = _monomial(exps)
+        for j in dg._passing(halves[i], halves, ends, i):
+            prod, runs, exps = list(left), left_runs[:], {}
+            _push(prod, runs, right_stacks[j][:], exps)
+            if prod != top:
+                raise InternalInvariantError(f"cellular product at {s} landed on {tuple(prod)}, not on the free involution {tuple(top)}")
+            if runs != top_runs:
+                raise InternalInvariantError(f"runs down to {runs} are not the code word of {tuple(prod)}")
+            rows[i][j] = rows[j][i] = _monomial(exps)
     return tuple(map(tuple, rows))
 
 

@@ -46,7 +46,7 @@ if TYPE_CHECKING:
 # of factorize and output of rs, products of long code words for multiply
 # and normalize, the pictures of render, from --n or an input file).
 # Each finishes within seconds at its cap (rs 0.2 s, factorize under 0.6 s).  ``idempotents`` caps the
-# count, one census (0.8-0.9 s at rank 10), and ``idempotent_streams`` the
+# count, one census (0.44-0.85 s at rank 10 as host load varies), and ``idempotent_streams`` the
 # stream (7.8 MB at rank 8, 820 MB at 10).  ``threads`` bounds the census
 # worker processes: each one is a whole interpreter, so a request for
 # thousands of them is refused before any starts.  ``letters`` bounds the

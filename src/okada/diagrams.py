@@ -52,13 +52,12 @@ Young-Fibonacci lattice read as arcs (Fomin's Fibonacci tableau), and
 
 from __future__ import annotations
 
-import reprlib
 from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from ._immutable import Immutable
-from .errors import InternalInvariantError, PropagatingMismatchError, RankMismatchError, _checked_letters, _checked_rank
+from .errors import InternalInvariantError, PropagatingMismatchError, RankMismatchError, _checked_letters, _checked_rank, _shown
 from .fibonacci import Chain, FibonacciSet, _yf_steps, enumerate_yfs, free_set, is_fibonacci_set
 
 if TYPE_CHECKING:
@@ -139,19 +138,19 @@ class ArcDiagram(Immutable):
         n = _checked_rank(rank)
         arcs = tuple(arcs)
         if len(arcs) != n:  # before allocating: the rank may be absurd
-            raise ValueError(f"not a perfect matching of {reprlib.repr(2 * n)} endpoints")
+            raise ValueError(f"not a perfect matching of {_shown(2 * n)} endpoints")
         partner: list[int | None] = [None] * (2 * n)
         height: list[int | None] = [None] * (2 * n)
         seen = set()
         for a, b, h in arcs:
             for e in (a, b):
                 if e == 0 or not -n <= e <= n:
-                    raise ValueError(f"endpoint {reprlib.repr(e)} out of range for rank {reprlib.repr(n)}")
+                    raise ValueError(f"endpoint {_shown(e)} out of range for rank {_shown(n)}")
                 if e in seen:
                     raise ValueError(f"endpoint {e} matched twice")
                 seen.add(e)
             if not (isinstance(h, int) and h >= 1):
-                raise ValueError(f"height must be a positive integer, got {reprlib.repr(h)}")
+                raise ValueError(f"height must be a positive integer, got {_shown(h)}")
             p, q = order_key(a, n) - 1, order_key(b, n) - 1
             partner[p], partner[q] = q, p
             height[p] = height[q] = h
@@ -219,14 +218,14 @@ class HalfArcDiagram(Immutable):
         ends = [(e, a + b - e - 1, h) for a, b, h in full_arcs for e in sorted((a, b))]
         for e, q, h in ends + [(e, -1, h) for e, h in half_arcs]:
             if not 1 <= e <= n:
-                raise ValueError(f"endpoint {reprlib.repr(e)} out of range for rank {reprlib.repr(n)}")
+                raise ValueError(f"endpoint {_shown(e)} out of range for rank {_shown(n)}")
             if e in at:
                 raise ValueError(f"endpoint {e} used twice")
             if not (isinstance(h, int) and h >= 1):
-                raise ValueError(f"height must be a positive integer, got {reprlib.repr(h)}")
+                raise ValueError(f"height must be a positive integer, got {_shown(h)}")
             at[e] = (q, h)
         if len(at) != n:
-            raise ValueError(f"arcs must cover all of [1, {reprlib.repr(n)}]")
+            raise ValueError(f"arcs must cover all of [1, {_shown(n)}]")
         nodes = range(1, n + 1)
         self._fill(n, tuple(at[e][0] for e in nodes), tuple(at[e][1] for e in nodes))
 
@@ -274,8 +273,8 @@ def _walk(partner, height, nodes) -> list[str]:
     def arc(p: int) -> str:
         q = partner[p]
         if q < 0:
-            return f"half arc at {nodes[p]} labeled {reprlib.repr(height[p])}"
-        return f"h({nodes[p]},{nodes[q]})={reprlib.repr(height[p])}"
+            return f"half arc at {nodes[p]} labeled {_shown(height[p])}"
+        return f"h({nodes[p]},{nodes[q]})={_shown(height[p])}"
 
     out, stack, crossed = [], [], False
     for p, q in enumerate(partner):
@@ -518,13 +517,13 @@ def _glue_cell(halves: Sequence[tuple], ends: Sequence[Sequence[int]],
         yield new(n, lefts[i][gid[j]] + rights[j][gid[i]], lh[i] + rh[j])
 
 
-def _passes(left: tuple, right: tuple, ends: tuple[int, ...]) -> bool:
-    """True iff ``e = glue(L, R)`` satisfies ``e·e = e``; no product is formed.
+def _passing(left: tuple, halves: Sequence[tuple], ends: Sequence[Sequence[int]], start: int = 0) -> list[int]:
+    """The indices ``j >= start`` for which ``e = glue(L, halves[j])``
+    satisfies ``e·e = e``, in increasing order; no product is formed.
 
-    ``L`` and ``R`` are layout arrays ``(partner, height)`` and ``ends``
-    lists the half-arc positions of ``R``.  In ``e·e`` the right
-    boundary of the first factor (the nodes of ``R``) meets
-    the left boundary of the second (the nodes of ``L``).  The full
+    ``L`` and each ``R = halves[j]`` are layout arrays ``(partner, height)``
+    of one cell, and ``ends[j]`` lists the half-arc positions of ``R``.  In
+    ``e·e`` the nodes of ``R`` meet the nodes of ``L``.  The full
     arcs of ``L`` on the far left and of ``R`` on the far right survive
     unchanged.  The propagating arc of ``e`` with label ``h``
     enters the middle at the half arc of ``R`` labelled ``h`` and walks
@@ -535,27 +534,27 @@ def _passes(left: tuple, right: tuple, ends: tuple[int, ...]) -> bool:
     lower than ``h``, the strand's label drops (a strand takes the
     minimum label of its pieces).  Each of these changes an arc of
     ``e``.  Otherwise every propagating arc comes back with its ends
-    and label, and ``e·e = e``.  The walk stops at its first failure.
+    and label, and ``e·e = e``.  A half's walk stops at its first failure,
+    and a pair alone is ``_passing(L, [R], [ends])``.
 
     Two callers read it: the idempotent scans of :mod:`okada.monoid`,
     and :func:`okada.algebra.gram_matrix`, whose entry ``phi(R, L)`` is
     non-zero exactly when ``glue(L, R)`` passes.
     """
-    (lp, lh), (rp, rh) = left, right
-    for p in ends:
-        h = rh[p]
-        while True:
-            q = lp[p]
-            if q < 0:
-                if lh[p] != h:
-                    return False
+    lp, lh = left
+    passing = []
+    for j in range(start, len(halves)):
+        rp, rh = halves[j]
+        for p in ends[j]:
+            h = rh[p]
+            # on through a full arc of L, then of R, while neither is lower than h
+            while (q := lp[p]) >= 0 and lh[p] >= h and rh[q] >= h and (p := rp[q]) >= 0:
+                pass
+            if q >= 0 or lh[p] != h:  # not back at a half arc of L labelled h
                 break
-            if lh[p] < h or rh[q] < h:
-                return False
-            p = rp[q]
-            if p < 0:
-                return False
-    return True
+        else:
+            passing.append(j)
+    return passing
 
 
 def restrict(h: HalfArcDiagram, r: int) -> HalfArcDiagram:

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by the library, and its one rank and letter rules."""
+"""Exception hierarchy shared by the library, its one rank and letter rules, and its one formatter of user values."""
 
 import reprlib
 
@@ -25,6 +25,14 @@ class InternalInvariantError(OkadaError, RuntimeError):
     """
 
 
+class _Shown(reprlib.Repr):
+    def repr_int(self, x, level):  # past 2000 bits by its size: repr refuses past 4300 digits
+        return f"<int of {x.bit_length()} bits>" if x.bit_length() > 2000 else super().repr_int(x, level)
+
+
+_shown = _Shown().repr  # the one formatter of a user value in a message
+
+
 def _checked_rank(n: int) -> int:
     """``n`` if it is an ``int`` (a ``bool`` counts, as in ``code``) ``>= 0``, else ``ValueError``."""
     if not isinstance(n, int):
@@ -39,6 +47,6 @@ def _checked_letters(word, n: int) -> tuple[int, ...]:
     word = tuple(word)
     for v in word:
         if not (isinstance(v, int) and 0 < v < n):
-            shown = f"of {v.bit_length()} bits" if isinstance(v, int) and v.bit_length() > 2000 else reprlib.repr(v)
-            raise ValueError(f"letter {shown} out of range for rank {n}")
+            v, n = _shown(v), _shown(n)
+            raise ValueError(f"letter {v} out of range for rank {n}")
     return word

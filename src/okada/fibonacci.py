@@ -22,12 +22,11 @@ a deterministic order (lexicographic on element sequences).
 
 from __future__ import annotations
 
-import reprlib
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from ._immutable import Immutable
-from .errors import InternalInvariantError, RankMismatchError, _checked_rank
+from .errors import InternalInvariantError, RankMismatchError, _checked_rank, _shown
 
 __all__ = [
     "FibonacciSet",
@@ -58,11 +57,11 @@ def _check_structure(rank: int, elements: Sequence[int]) -> None:
     _checked_rank(rank)
     for prev, cur in zip((0,) + tuple(elements), elements):
         if not isinstance(cur, int):
-            raise ValueError(f"elements must be integers, got {reprlib.repr(tuple(elements))}")
+            raise ValueError(f"elements must be integers, got {_shown(tuple(elements))}")
         if cur <= prev:
-            raise ValueError(f"elements must be strictly increasing, got {reprlib.repr(tuple(elements))}")
+            raise ValueError(f"elements must be strictly increasing, got {_shown(tuple(elements))}")
     if elements and (elements[0] < 1 or elements[-1] > rank):
-        raise ValueError(f"elements must lie in [1, {reprlib.repr(rank)}], got {reprlib.repr(tuple(elements))}")
+        raise ValueError(f"elements must lie in [1, {_shown(rank)}], got {_shown(tuple(elements))}")
 
 
 def _parities_ok(rank: int, elements: Sequence[int]) -> bool:
@@ -104,7 +103,7 @@ class FibonacciSet(Immutable):
         elements = tuple(elements)
         _check_structure(rank, elements)
         if not _parities_ok(rank, elements):
-            raise ValueError(f"{reprlib.repr(elements)} is not a Fibonacci set of rank {reprlib.repr(rank)}")
+            raise ValueError(f"{_shown(elements)} is not a Fibonacci set of rank {_shown(rank)}")
         self._fill(rank, elements)
 
     @property
@@ -182,7 +181,7 @@ class Chain(Immutable):
             raise ValueError("chain must start at the empty set of rank 0")
         for i, (a, b) in enumerate(zip(sets, sets[1:])):
             if not is_yf_cover(a, b):
-                raise ValueError(f"non-covering step at position {i}: {reprlib.repr(a.elements)} -> {reprlib.repr(b.elements)}")
+                raise ValueError(f"non-covering step at position {i}: {_shown(a.elements)} -> {_shown(b.elements)}")
         self._fill(sets)
 
     @property

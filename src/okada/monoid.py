@@ -13,8 +13,9 @@ row (``L``) and column by column (``R``).  Both structural computations
 read this pairing and form no product:
 
 * the idempotent census tests each pair ``(L, R)`` by walking the half
-  arcs of ``R`` through the arcs of ``L`` and ``R`` (:func:`~okada.diagrams._passes`),
-  in one list of row blocks (:func:`census_counts`, the one count);
+  arcs of ``R`` through the arcs of ``L`` and ``R``, a row ``L`` against
+  its cell in one call (:func:`~okada.diagrams._passing`), in one list
+  of row blocks (:func:`census_counts`, the one count);
 * the R-, L- and J-classes are the fibres of ``bra``, ``ket`` and
   ``prop_lab``: the rows, columns and whole of each cell, whose diagonal
   holds the representatives ``glue(L, L)``, the free one among them.
@@ -38,7 +39,6 @@ profile (:func:`aperiodicity_profile`, whose largest index is
 
 from __future__ import annotations
 
-import reprlib
 from collections import Counter
 from functools import lru_cache
 from itertools import product
@@ -46,8 +46,8 @@ from typing import Iterator
 
 from . import diagrams as dg
 from ._immutable import Immutable
-from .diagrams import _passes
-from .errors import InternalInvariantError
+from .diagrams import _passing
+from .errors import InternalInvariantError, _shown
 from .fibonacci import chain_count, enumerate_yfs
 
 __all__ = [
@@ -105,8 +105,8 @@ def aperiodicity_index(e: dg.ArcDiagram) -> int:
 def aperiodicity_profile(n: int) -> dict[int, int]:
     """Number of rank-``n`` elements at each aperiodicity index, by index.
 
-    One scan of the pairs ``i < j`` of each cell: ``glue(L_i, L_j)`` is
-    powered when it fails :func:`~okada.diagrams._passes` and counts twice, for its mirror
+    One scan of the pairs ``i < j`` of each cell: ``glue(L_i, L_j)`` is powered
+    when row ``i`` of :func:`~okada.diagrams._passing` misses ``j``, and counts twice, for its mirror
     ``glue(L_j, L_i)`` has the same index.  The other elements, the
     diagonal ``glue(L_i, L_i)`` among them, are the idempotents, at index
     1.  The monoid is aperiodic, so every power tower stabilizes, but no
@@ -120,7 +120,8 @@ def aperiodicity_profile(n: int) -> dict[int, int]:
     for _, halves, ends in dg._rank_cells(n):
         k = len(halves)
         elements += k * k
-        failing = ((i, j) for i in range(k) for j in range(i + 1, k) if not _passes(halves[i], halves[j], ends[j]))
+        failing = ((i, j) for i in range(k)
+                   for j in sorted(set(range(i + 1, k)).difference(_passing(halves[i], halves, ends, i + 1))))
         for e in dg._glue_cell(halves, ends, failing):
             profile[aperiodicity_index(e)] += 2
     profile[1] = elements - sum(profile.values())
@@ -140,7 +141,7 @@ def iter_idempotents(n: int) -> Iterator[dg.ArcDiagram]:
     """Stream the rank-``n`` idempotents in :func:`~okada.diagrams.iter_diagrams` order; only they are built."""
     for _, halves, ends in dg._rank_cells(n):
         k = len(halves)
-        keep = ((i, j) for i in range(k) for j in range(k) if _passes(halves[i], halves[j], ends[j]))
+        keep = ((i, j) for i in range(k) for j in _passing(halves[i], halves, ends))
         yield from dg._glue_cell(halves, ends, keep)
 
 
@@ -149,8 +150,7 @@ def _census_rows(job: tuple[int, int, int, int]) -> int:
     of cell ``c`` of rank ``n``, a pair ``i < j`` counting for its mirror too."""
     n, c, start, stop = job
     _, cell, ends = dg._rank_cells(n)[c]
-    return sum(1 + 2 * sum(_passes(cell[i], cell[j], ends[j]) for j in range(i + 1, len(cell)))
-               for i in range(start, stop))
+    return sum(1 + 2 * len(_passing(cell[i], cell, ends, i + 1)) for i in range(start, stop))
 
 
 def census_counts(n: int, threads: int = 1) -> tuple[int, int, int]:
@@ -238,16 +238,11 @@ class GreenClasses(Immutable):
         built on the first call.
         """
         if kind not in ("R", "L", "J"):
-            raise ValueError(f"class kind must be 'R', 'L' or 'J', got {reprlib.repr(kind)}")
+            raise ValueError(f"class kind must be 'R', 'L' or 'J', got {_shown(kind)}")
         if self._lookup is None:
             index = {d: i for i, d in enumerate(self.elements)}
-            owners = {}
-            for key, classes in (("R", self.r_classes), ("L", self.l_classes), ("J", self.j_classes)):
-                owner: list[tuple[int, ...]] = [()] * len(self.elements)
-                for cls in classes:
-                    for i in cls:
-                        owner[i] = cls
-                owners[key] = owner
+            owners = {key: {i: cls for cls in classes for i in cls}
+                      for key, classes in (("R", self.r_classes), ("L", self.l_classes), ("J", self.j_classes))}
             object.__setattr__(self, "_lookup", (index, owners))
         index, owners = self._lookup
         owner = owners[kind]

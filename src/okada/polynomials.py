@@ -179,7 +179,7 @@ class Polynomial:
         return self + (-other)
 
     def __rsub__(self, other) -> "Polynomial":
-        return self._coerce(other) - self
+        return (-self).__add__(other)  # NotImplemented, not a recursion, for a value it refuses
 
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)

@@ -57,12 +57,11 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import reprlib
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from ._immutable import Immutable
-from .errors import InternalInvariantError, _checked_letters, _checked_rank
+from .errors import InternalInvariantError, _checked_letters, _checked_rank, _shown
 from .polynomials import Polynomial, Var
 
 if TYPE_CHECKING:
@@ -579,6 +578,6 @@ def rs_inverse(left: Chain, right: Chain) -> Perm:
     if left.rank != right.rank:
         raise ValueError(f"chain ranks differ: {left.rank} vs {right.rank}")
     if left.top != right.top:
-        raise ValueError(f"chains end at {reprlib.repr(left.top.elements)} and {reprlib.repr(right.top.elements)}")
+        raise ValueError(f"chains end at {_shown(left.top.elements)} and {_shown(right.top.elements)}")
     d = diagrams.glue(diagrams.chain_inverse(left), diagrams.chain_inverse(right))
     return diagram_to_perm(d)

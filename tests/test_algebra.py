@@ -131,6 +131,20 @@ def test_an_index_is_measured_before_it_is_read_and_products_are_not_read_again(
     assert (product + a).scaled(2).specialize({("x", 1): 1}) and read == []
 
 
+def test_coefficient_and_difference_read_the_coefficient_table():
+    a = E(1, 3).scaled(x_var(1)) + AlgebraElement.one(3)
+    b = AlgebraElement.one(3).scaled(2)
+    assert (a.coefficient((2, 1, 3)), a.coefficient([1, 2, 3]), a.coefficient((3, 2, 1))) == (x_var(1), 1, 0)
+    assert (a - b).coefficients() == (((1, 2, 3), Polynomial.integer(-1)), ((2, 1, 3), x_var(1)))
+    assert a - a == AlgebraElement.zero(3) and (a - a).coefficients() == ()
+    with pytest.raises(RankMismatchError):
+        a - AlgebraElement.one(4)
+    # a value that is not an element once raised AttributeError from scaled
+    for value in (3, x_var(1), None):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            a - value
+
+
 def test_rank_mismatch_rejected():
     with pytest.raises(RankMismatchError):
         E(1, 3) * E(1, 4)
@@ -700,15 +714,23 @@ def test_gram_matrix_multiplies_only_the_non_zero_entries(monkeypatch):
 
 
 def _planted_walks(cell):
-    """For each pair ``(i, j)``, ``i <= j``, of the cell, the honest walk with
-    its answer for ``glue(L_j, R_i)`` and its mirror flipped, and that answer."""
-    honest = dg._passes
+    """For each pair ``(i, j)``, ``i <= j``, of the cell, the honest row walk
+    with its answer for ``glue(L_j, R_i)`` and its mirror flipped, and that
+    answer, asked of the one pair."""
+    honest = dg._passing
     ((_, halves, ends),) = dg._cells(cell.rank, cell)
+
+    def planted(flipped):
+        def walk(left, row, row_ends, start=0):
+            passing = honest(left, row, row_ends, start)
+            return [j for j in range(start, len(row)) if (j in passing) != ((left, row[j]) in flipped)]
+
+        return walk
+
     for i in range(len(halves)):
         for j in range(i, len(halves)):
-            flipped = {(halves[j], halves[i]), (halves[i], halves[j])}
-            yield (lambda left, right, e, flipped=flipped: honest(left, right, e) != ((left, right) in flipped),
-                   honest(halves[j], halves[i], ends[i]))
+            yield (planted({(halves[j], halves[i]), (halves[i], halves[j])}),
+                   honest(halves[j], [halves[i]], [ends[i]]) == [0])
 
 
 def test_gram_matrix_fails_a_walk_planted_wrong_either_way(monkeypatch):
@@ -720,7 +742,7 @@ def test_gram_matrix_fails_a_walk_planted_wrong_either_way(monkeypatch):
     admitted = rejected = 0
     for s in cells:
         for walk, idempotent in _planted_walks(s):
-            monkeypatch.setattr(dg, "_passes", walk)
+            monkeypatch.setattr(dg, "_passing", walk)
             if idempotent:
                 with pytest.raises(AssertionError):
                     _assert_gram_matches_full_table([s])

@@ -67,6 +67,11 @@ def test_sets_refuse_an_element_that_is_not_an_integer(element):
             call()
 
 
+def test_size_counts_the_elements_with_the_parity_of_the_rank():
+    assert (F(0, ()).size, F(5, (1, 2, 5)).size, F(6, (1, 6)).size) == (0, 3, 2)
+    assert all(s.size % 2 == n % 2 for n in range(9) for s in enumerate_yfs(n))
+
+
 def test_equality_distinguishes_rank():
     assert F(5, (1, 2, 5)) != F(7, (1, 2, 5))
     assert F(5, (1, 2, 5)) == F(5, (1, 2, 5))

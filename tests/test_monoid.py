@@ -5,6 +5,7 @@ from collections import Counter
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from okada import diagrams as dg
 from okada.diagrams import free_diagram, free_half_diagram
@@ -154,6 +155,28 @@ def test_census_rank_9():
 def test_iter_idempotents_matches_squaring_over_iter_diagrams():
     for n in range(8):
         assert list(iter_idempotents(n)) == [d for d in dg.iter_diagrams(n) if is_idempotent(d)]
+
+
+@lru_cache(maxsize=1)
+def _rows_of_rank_8():
+    """Each rank-8 half as a row: its cell's half objects, their arrays and
+    half arcs found afresh, and its index in the cell."""
+    cells = [(dg.enumerate_half(8, s), *arrays) for s, arrays in zip(enumerate_yfs(8), _pairs_of_cells(8))]
+    return [(cell, i) for cell in cells for i in range(len(cell[0]))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_row_walk_matches_squaring_at_rank_8(data):
+    # the exhaustive squaring above stops at rank 7; here a drawn row of a
+    # rank-8 cell, from a drawn start, against each of its elements squared
+    from okada.monoid import _passing
+
+    rows = _rows_of_rank_8()
+    (objs, halves, ends), i = rows[data.draw(st.integers(0, len(rows) - 1), label="row")]
+    start = data.draw(st.integers(0, len(objs)), label="start")
+    want = [j for j in range(start, len(objs)) if is_idempotent(dg.glue(objs[i], objs[j]))]
+    assert _passing(halves[i], halves, ends, start) == want
 
 
 def test_iter_idempotents_builds_elements_only_through_the_cell_path(monkeypatch):
@@ -346,11 +369,11 @@ def test_a_census_job_tests_each_pair_above_the_diagonal_once(monkeypatch):
 
     tested = []
 
-    def record(left, right, ends):
-        tested.append((id(left), id(right)))
-        return True
+    def record(left, halves, ends, start=0):
+        tested.extend((id(left), id(right)) for right in halves[start:])
+        return list(range(start, len(halves)))
 
-    monkeypatch.setattr(monoid, "_passes", record)
+    monkeypatch.setattr(monoid, "_passing", record)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InProcessPool)
     for n in range(9):
         cells = [[id(h) for h in halves] for _, halves, _ in dg._rank_cells(n)]
@@ -441,7 +464,7 @@ def test_the_scans_build_no_half_object(monkeypatch):
 
 
 def _pairs_of_cells(n):
-    # each cell's halves as the arrays the pair test reads, their half arcs found afresh
+    # each cell's halves as the arrays the row walk reads, their half arcs found afresh
     for s in enumerate_yfs(n):
         halves = [(h.partner, h.height) for h in dg.enumerate_half(n, s)]
         ends = [[p for p, q in enumerate(partner) if q < 0] for partner, _ in halves]
@@ -449,22 +472,25 @@ def _pairs_of_cells(n):
 
 
 def test_the_pair_test_is_mirror_symmetric():
-    from okada.monoid import _passes
+    # row i holds j exactly when row j holds i; a row from any start is the
+    # tail of the whole row, and a pair asked alone agrees with the row
+    from okada.monoid import _passing
 
     for n in range(8):
         for halves, ends in _pairs_of_cells(n):
+            rows = [_passing(left, halves, ends) for left in halves]
             for i, left in enumerate(halves):
                 for j, right in enumerate(halves):
-                    assert _passes(left, right, ends[j]) == _passes(right, left, ends[i]), (n, i, j)
+                    assert (j in rows[i]) == (i in rows[j]), (n, i, j)
+                    assert _passing(left, halves, ends, j) == [m for m in rows[i] if m >= j], (n, i, j)
+                    assert _passing(left, [right], [ends[j]]) == [0] * (j in rows[i]), (n, i, j)
 
 
 def test_the_census_matches_the_full_square():
-    from okada.monoid import _passes
+    from okada.monoid import _passing
 
     for n in range(9):
-        square = sum(
-            _passes(left, right, e) for halves, ends in _pairs_of_cells(n) for left in halves for right, e in zip(halves, ends)
-        )
+        square = sum(len(_passing(left, halves, ends)) for halves, ends in _pairs_of_cells(n) for left in halves)
         assert census_counts(n)[1] == square == KNOWN_IDEMPOTENT_COUNTS[n], n
 
 

@@ -42,7 +42,7 @@ oracle that guards the function, not a constructor, must now fail it
 with ``AssertionError``.  Their meta check is that of the cell scans.
 
 A planted function is replaced wherever the library or the oracle's
-module holds it by name, as ``okada.monoid`` holds ``_passes``.
+module holds it by name, as ``okada.monoid`` holds ``_passing``.
 """
 
 import functools
@@ -185,11 +185,16 @@ CELL_ROWS = {
         test_diagrams.test_glue_cell_equals_glue_pair_by_pair,
         ("[dg.glue(objs[i], objs[j]) for i, j in pairs]", "list(dg._glue_cell(cell, ends, pairs))")),
     "start the census's inner range at i + 2": (
-        monoid, "_census_rows", ("range(i + 1, len(cell))", "range(i + 2, len(cell))"),
+        monoid, "_census_rows", ("cell, ends, i + 1)", "cell, ends, i + 2)"),
         test_monoid.test_the_census_matches_the_full_square,
         ("== square == KNOWN_IDEMPOTENT_COUNTS[n]", "is not None")),
     "let a strand pass a lower arc of the right half": (
-        diagrams, "_passes", ("if lh[p] < h or rh[q] < h:", "if lh[p] < h:"),
+        diagrams, "_passing", (" and rh[q] >= h", ""),
+        test_monoid.test_iter_idempotents_matches_squaring_over_iter_diagrams,
+        (" == [d for d in dg.iter_diagrams(n) if is_idempotent(d)]", " is not None")),
+    # a fault of the row walk alone: a pair asked on its own still answers right
+    "stop the row at its first failing half": (
+        diagrams, "_passing", ("break\n        else:", "return passing\n        else:"),
         test_monoid.test_iter_idempotents_matches_squaring_over_iter_diagrams,
         (" == [d for d in dg.iter_diagrams(n) if is_idempotent(d)]", " is not None")),
     # the certificate checks each product, not where its entry is written

@@ -94,6 +94,16 @@ def test_constructors_refuse_a_bad_exponent(exponent):
     assert Polynomial.monomial({("x", 1): 0, ("y", 2): 1}) == y_var(2)
 
 
+def test_a_number_minus_a_polynomial():
+    # a value the ring refuses once recursed in __rsub__ until RecursionError
+    p = x_var(1) + 2
+    assert 3 - p == Polynomial.integer(3) - p == -x_var(1) + 1
+    assert Fraction(1, 2) - p == -x_var(1) - Fraction(3, 2)
+    for value in ("a", 1.5):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            value - p
+
+
 def test_term_order_is_graded_lex_deterministic():
     p = x_var(2) + x_var(1) * x_var(2) + 1
     degrees = [sum(e for _, e in t) for t, _ in p.terms()]

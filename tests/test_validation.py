@@ -9,7 +9,8 @@ that every kind of failure the walk reports is one the oracle reports.
 
 The last tests pin the one rank rule: every entry point that takes a
 rank refuses a negative one and one that is not an integer, through
-``okada.errors._checked_rank``.
+``okada.errors._checked_rank``, and every message names a user value
+through the one bounded formatter ``okada.errors._shown``.
 """
 
 import io
@@ -325,7 +326,7 @@ LETTER_TAKERS = {
 
 
 @pytest.mark.parametrize("letter, shown", [
-    (0, "0"), (3, "3"), (1.5, "1.5"), ("1", "'1'"), pytest.param(10**5000, "of 16610 bits", id="10**5000"),
+    (0, "0"), (3, "3"), (1.5, "1.5"), ("1", "'1'"), pytest.param(10**5000, "<int of 16610 bits>", id="10**5000"),
 ])
 @pytest.mark.parametrize("taker", LETTER_TAKERS)
 def test_every_letter_taker_refuses_a_letter_out_of_range_in_one_bounded_message(taker, letter, shown):
@@ -352,3 +353,25 @@ def test_the_letter_rule_is_written_once():
     src = Path(dg.__file__).parent
     owners = [path.name for path in sorted(src.glob("*.py")) if "out of range for rank {n}" in path.read_text(encoding="utf-8")]
     assert owners == ["errors.py"]
+
+
+# each call with a value past the interpreter's int-to-str limit, and the message it must give
+HUGE = 10**5000
+HUGE_VALUE_CALLS = {
+    "diagram endpoint": (lambda: dg.ArcDiagram(1, [(HUGE, -1, 1)]), "endpoint <int of 16610 bits> out of range for rank 1"),
+    "diagram label": (lambda: dg.ArcDiagram(1, [(1, -1, -HUGE)]), "height must be a positive integer, got <int of 16610 bits>"),
+    "half endpoint": (lambda: dg.HalfArcDiagram(1, [], [(HUGE, 1)]), "endpoint <int of 16610 bits> out of range for rank 1"),
+    "set element": (lambda: FibonacciSet(1, (HUGE,)), "elements must lie in [1, 1], got (<int of 16610 bits>,)"),
+    "word rank": (lambda: rw.check_word((0,), HUGE), "letter 0 out of range for rank <int of 16610 bits>"),
+    "generator rank": (lambda: dg.generator(0, HUGE), "letter 0 out of range for rank <int of 16610 bits>"),
+}
+
+
+@pytest.mark.parametrize("call", HUGE_VALUE_CALLS)
+def test_a_huge_value_is_named_by_its_size(call):
+    # each once raised the interpreter's "Exceeds the limit (4300 digits)"
+    # while writing its own message
+    make, message = HUGE_VALUE_CALLS[call]
+    with pytest.raises(ValueError) as refused:
+        make()
+    assert str(refused.value) == message
